@@ -80,94 +80,160 @@ struct RowState {
     charge_penalty: f64,
 }
 
-/// Per-cell property masks, one word per column, derived lazily the first
-/// time a row materializes with pending work.
-///
-/// Cell orientation and horizontal-coupling preference are pure per-cell
-/// hash draws; folding them into bitmasks lets the materialization loop
-/// skip discharged cells wholesale and test the remaining cells with plain
-/// bit probes instead of two hash evaluations each.
-#[derive(Debug, Clone)]
-struct CellMasks {
-    /// Bit `b` of word `w` = the cell's charged polarity.
-    polarity: Vec<u64>,
-    /// Bit `b` of word `w` = the cell inverts its alignment class.
-    pref: Vec<u64>,
+/// Cap of a row's first index build for a salt: deep enough for the
+/// cutoffs a typical materialization asks (an average RowHammer
+/// materialization reads ~1,800 of a row's 65,536 cells), shallow enough
+/// that the build keeps ~3 % of the row. A power of two, so `u < cap` is a whole number of exponent
+/// buckets.
+const FIRST_CAP: f64 = 1.0 / 32.0;
+
+/// Entry flag: the cell's charged polarity (the value it stores when
+/// charged).
+const FLAG_POLARITY: u32 = 1;
+/// Entry flag: the cell inverts its horizontal-coupling alignment class.
+const FLAG_PREF: u32 = 2;
+
+/// One flip candidate: the cell's fixed draw for the index's salt, its
+/// index in the row, and its per-cell property flags.
+#[derive(Debug, Clone, Copy, Default)]
+struct IndexEntry {
+    /// `uniform01(combine(cell_seed(rseed, cell), salt))`.
+    u: f64,
+    /// Cell index in the row (`word * 64 + bit`).
+    cell: u32,
+    /// [`FLAG_POLARITY`] | [`FLAG_PREF`] bits — in what would otherwise be
+    /// the entry's padding.
+    flags: u32,
 }
 
-/// Per-cell uniform draws for one salt, indexed for cutoff queries.
+/// A row's flip candidates for one salt, indexed for cutoff queries and
+/// capped at the depth materializations have asked for so far.
 ///
-/// A cell's flip draw `uniform01(combine(cell_seed(rseed, idx), SALT))` is a
-/// pure function of `(row, cell, salt)` — constant across materializations —
-/// and the flip decision is `u < p` for a per-materialization cutoff `p`.
-/// Grouping the `(u, cell)` pairs by the uniform's binary exponent turns
-/// "which cells can flip at cutoff p" into a prefix of this table: every
-/// entry in a bucket below `p`'s exponent is `< p`, the bucket holding `p`'s
-/// exponent needs the exact per-entry compare, and everything above is
-/// `>= p`. The materialization loop then visits O(candidates) cells instead
-/// of hashing every charged cell in the row.
+/// A cell's flip draw `u = uniform01(combine(cell_seed(rseed, cell), salt))`
+/// is a pure function of `(row, cell, salt)` — constant across
+/// materializations — and the flip decision is `u < p` for a
+/// per-materialization cutoff `p`. The index keeps only the cells with
+/// `u < cap` and groups them by the uniform's binary exponent, which turns
+/// "which cells can flip at cutoff p" (for `p <= cap`) into a prefix of
+/// `entries`: every entry in a bucket below `p`'s exponent is `< p`, the
+/// bucket holding `p`'s exponent needs the exact per-entry compare, and
+/// everything above is `>= p`. Because `cap` is a power of two, the cells
+/// it drops all sit in buckets at or above `cap`'s own, so no cell with
+/// `u < p` is ever missing. The charged polarity and coupling preference
+/// are hashed only for kept cells and ride in each entry's flags.
 #[derive(Debug, Clone)]
 struct SaltIndex {
-    /// `(uniform, cell index)` pairs grouped by the uniform's biased
-    /// exponent, ascending bucket order (entries within a bucket unsorted —
-    /// consumers re-check `u < p` exactly).
-    entries: Vec<(f64, u32)>,
+    /// Exclusive upper bound on the kept uniforms; a power of two, at most 1.
+    cap: f64,
+    /// Kept entries grouped by the uniform's biased exponent, ascending
+    /// bucket order, cell order within a bucket.
+    entries: Vec<IndexEntry>,
     /// `entries[bucket_start[e] .. bucket_start[e + 1]]` holds the entries
-    /// whose uniform has biased exponent `e`; length 1025.
+    /// whose uniform has biased exponent `e`; one slot per bucket below
+    /// `cap`'s exponent, plus the end.
     bucket_start: Vec<u32>,
+    /// Builds of this `(row, salt)` index so far, this one included — at
+    /// most two (a first build, then at most one rebuild at `cap = 1`).
+    builds: u32,
 }
 
 impl SaltIndex {
-    /// Biased-exponent bucket of a uniform in `[0, 1)`.
+    /// Biased-exponent bucket of a uniform in `[0, 1]`.
     #[inline]
     fn bucket(u: f64) -> usize {
         (u.to_bits() >> 52) as usize
     }
 
-    /// Counting-sorts per-cell uniforms into exponent buckets — O(cells),
-    /// no comparison sort.
-    fn build(uniforms: &[f64]) -> Self {
-        let mut bucket_start = vec![0u32; 1025];
-        for &u in uniforms {
-            bucket_start[Self::bucket(u) + 1] += 1;
+    /// The cap a build for cutoff `p` uses: [`FIRST_CAP`] when it suffices,
+    /// else the whole row.
+    fn cap_for(p: f64) -> f64 {
+        if p > FIRST_CAP {
+            1.0
+        } else {
+            FIRST_CAP
         }
-        for e in 0..1024 {
-            bucket_start[e + 1] += bucket_start[e];
+    }
+
+    /// Whether `candidates(p)` would miss cells: `p` lies above a partial
+    /// cap. A full (`cap = 1`) index covers every cutoff.
+    fn too_shallow_for(&self, p: f64) -> bool {
+        p > self.cap && self.cap < 1.0
+    }
+
+    /// Hashes every cell of a row once for `salt`, keeps the cells with
+    /// `u < cap` (deriving their flags), and counting-sorts them into
+    /// exponent buckets — O(cells) hashes, O(kept) everything else.
+    fn build(rseed: u64, phys: u32, cells: u32, salt: u64, cap: f64, builds: u32) -> Self {
+        debug_assert!(cap > 0.0 && cap <= 1.0 && cap.log2().fract() == 0.0);
+        let top = Self::bucket(cap);
+        let mut kept: Vec<IndexEntry> = Vec::with_capacity((f64::from(cells) * cap) as usize);
+        for cell in 0..cells {
+            let cseed = hash::cell_seed(rseed, cell);
+            let u = hash::uniform01(hash::combine(cseed, salt));
+            if u < cap {
+                kept.push(IndexEntry {
+                    u,
+                    cell,
+                    flags: cell_flags(cseed, cell, phys),
+                });
+            }
         }
-        let mut cursor: Vec<u32> = bucket_start[..1024].to_vec();
-        let mut entries = vec![(0.0f64, 0u32); uniforms.len()];
-        for (cell, &u) in uniforms.iter().enumerate() {
-            let c = &mut cursor[Self::bucket(u)];
-            entries[*c as usize] = (u, cell as u32);
+        let mut bucket_start = vec![0u32; top + 1];
+        for e in &kept {
+            bucket_start[Self::bucket(e.u) + 1] += 1;
+        }
+        for b in 0..top {
+            bucket_start[b + 1] += bucket_start[b];
+        }
+        let mut cursor: Vec<u32> = bucket_start[..top].to_vec();
+        let mut entries = vec![IndexEntry::default(); kept.len()];
+        for e in kept {
+            let c = &mut cursor[Self::bucket(e.u)];
+            entries[*c as usize] = e;
             *c += 1;
         }
         SaltIndex {
+            cap,
             entries,
             bucket_start,
+            builds,
         }
     }
 
     /// A superset of the entries with `u < p`: complete buckets below `p`'s
     /// exponent plus `p`'s own (partial) bucket. Callers re-check `u < p`
     /// per entry, which also keeps the comparison bit-identical to the
-    /// original per-cell hash-and-compare.
+    /// original per-cell hash-and-compare. Requires `p <= cap` unless the
+    /// index is full; `p` that is not positive (NaN included) selects
+    /// nothing.
     #[inline]
-    fn candidates(&self, p: f64) -> &[(f64, u32)] {
-        if p <= 0.0 {
+    fn candidates(&self, p: f64) -> &[IndexEntry] {
+        debug_assert!(
+            !self.too_shallow_for(p),
+            "cutoff {p} above cap {}",
+            self.cap
+        );
+        if p.is_nan() || p <= 0.0 {
             return &[];
         }
-        let b = ((p.to_bits() >> 52) as usize).min(1023);
-        &self.entries[..self.bucket_start[b + 1] as usize]
+        let end = (Self::bucket(p) + 1).min(self.bucket_start.len() - 1);
+        &self.entries[..self.bucket_start[end] as usize]
     }
 }
 
-/// Lazily-built flip-draw indexes for a row, one per salt.
-#[derive(Debug, Clone)]
-struct FlipIndex {
-    /// RowHammer draws (`SALT_HC`).
-    hc: SaltIndex,
-    /// Retention draws (`SALT_RET`).
-    ret: SaltIndex,
+/// A cell's flag bits: its charged polarity — the checkerboard of
+/// true-/anti-cells, inverted for 5 % of cells — and whether it inverts its
+/// horizontal-coupling class (10 % of cells).
+#[inline]
+fn cell_flags(cseed: u64, cell: u32, phys: u32) -> u32 {
+    let mut flags = (cell ^ phys) & FLAG_POLARITY;
+    if hash::uniform01(hash::combine(cseed, SALT_ORI)) < 0.05 {
+        flags ^= FLAG_POLARITY;
+    }
+    if hash::uniform01(hash::combine(cseed, SALT_PREF)) < 0.10 {
+        flags |= FLAG_PREF;
+    }
+    flags
 }
 
 /// Reusable dense scratch for one materialization's flip accumulation.
@@ -200,11 +266,23 @@ struct RowParams {
     cluster64_words: Vec<u32>,
     /// Word indices carrying a 128 ms-window weak cell (Fig. 11b).
     cluster128_words: Vec<u32>,
-    /// Lazily-derived per-cell masks (see [`CellMasks`]).
-    masks: Option<CellMasks>,
-    /// Lazily-derived flip-draw indexes (see [`SaltIndex`]), built together
-    /// with `masks`.
-    flip_index: Option<FlipIndex>,
+    /// RowHammer flip candidates (`SALT_HC`), built on the first
+    /// materialization that can hammer-flip (see [`SaltIndex`]).
+    hc_index: Option<SaltIndex>,
+    /// Retention flip candidates (`SALT_RET`), built on the first
+    /// materialization with a nonzero retention cutoff.
+    ret_index: Option<SaltIndex>,
+}
+
+impl RowParams {
+    /// The row's index slot for a flip salt.
+    fn index_slot(&mut self, salt: u64) -> &mut Option<SaltIndex> {
+        match salt {
+            SALT_HC => &mut self.hc_index,
+            SALT_RET => &mut self.ret_index,
+            _ => unreachable!("no flip index for salt {salt:#x}"),
+        }
+    }
 }
 
 /// Sentinel for "no arena slot allocated" in the dense per-bank indexes.
@@ -277,11 +355,11 @@ impl Bank {
         }
     }
 
-    /// Clears every materialized row slot in O(touched rows), walking the
-    /// `tracked` bitmap instead of the full `state_index`. The row-parameter
-    /// arena is kept: parameters are pure per-row hash draws, so a future
-    /// touch of the same row re-derives identical values either way and
-    /// keeping them only skips recomputation.
+    /// Clears every materialized row slot and the row-parameter arena in
+    /// O(touched rows), walking the `tracked` bitmap and the `params_rows`
+    /// list instead of the full per-bank indexes. Parameters (flip indexes
+    /// included) are pure per-row hash draws, so a future touch of the same
+    /// row re-derives identical values.
     fn reset_touched(&mut self) {
         self.open_row = None;
         for (wi, word) in self.tracked.iter_mut().enumerate() {
@@ -1141,52 +1219,29 @@ impl DramModule {
             trcd_base_ns,
             cluster64_words,
             cluster128_words,
-            masks: None,
-            flip_index: None,
+            hc_index: None,
+            ret_index: None,
         }
     }
 
-    /// Derives the row's per-cell masks if they are not cached yet.
+    /// Makes the row's `salt` index deep enough for cutoff `p`: builds it on
+    /// first use, and rebuilds it once at `cap = 1` if `p` outgrows the
+    /// first build's cap.
     ///
-    /// Pure per-cell hash draws folded into bitmasks — no observable
-    /// behaviour depends on *when* this runs, so it is deferred until a
-    /// materialization actually has flip work to do.
-    fn ensure_masks(&mut self, bank: u32, pslot: usize, phys: u32) {
-        if self.banks[bank as usize].params[pslot].masks.is_some() {
-            return;
-        }
-        let columns = self.geometry.columns_per_row;
+    /// Pure per-cell hash draws — no observable behaviour depends on *when*
+    /// or *how deep* this runs, so it is deferred until a materialization
+    /// actually has flip work for the salt.
+    fn ensure_index(&mut self, bank: u32, pslot: usize, phys: u32, salt: u64, p: f64) {
+        let builds = match self.banks[bank as usize].params[pslot].index_slot(salt) {
+            Some(index) if !index.too_shallow_for(p) => return,
+            Some(index) => index.builds + 1,
+            None => 1,
+        };
+        debug_assert!(builds <= 2, "index of row {phys} built {builds} times");
+        let cells = self.geometry.bits_per_row();
         let rseed = hash::row_seed(self.seed, bank, phys);
-        let cells = columns as usize * 64;
-        let mut polarity = Vec::with_capacity(columns as usize);
-        let mut pref = Vec::with_capacity(columns as usize);
-        let mut u_hc = Vec::with_capacity(cells);
-        let mut u_ret = Vec::with_capacity(cells);
-        for word in 0..columns {
-            let mut pol = 0u64;
-            let mut pf = 0u64;
-            for bit in 0..64u32 {
-                let cseed = hash::cell_seed(rseed, word * 64 + bit);
-                let mut charged_polarity = ((bit ^ phys) & 1) as u64;
-                if hash::uniform01(hash::combine(cseed, SALT_ORI)) < 0.05 {
-                    charged_polarity ^= 1;
-                }
-                pol |= charged_polarity << bit;
-                if hash::uniform01(hash::combine(cseed, SALT_PREF)) < 0.10 {
-                    pf |= 1u64 << bit;
-                }
-                u_hc.push(hash::uniform01(hash::combine(cseed, SALT_HC)));
-                u_ret.push(hash::uniform01(hash::combine(cseed, SALT_RET)));
-            }
-            polarity.push(pol);
-            pref.push(pf);
-        }
-        let p = &mut self.banks[bank as usize].params[pslot];
-        p.masks = Some(CellMasks { polarity, pref });
-        p.flip_index = Some(FlipIndex {
-            hc: SaltIndex::build(&u_hc),
-            ret: SaltIndex::build(&u_ret),
-        });
+        let index = SaltIndex::build(rseed, phys, cells, salt, SaltIndex::cap_for(p), builds);
+        *self.banks[bank as usize].params[pslot].index_slot(salt) = Some(index);
     }
 
     /// Accumulates disturbance on the physical neighbors of an activated row.
@@ -1303,8 +1358,14 @@ impl DramModule {
         let mut n_hammer = 0u64;
         let mut n_ret = 0u64;
         let mut n_cluster = 0u64;
-        if hammer_possible || p_ret > 0.0 {
-            self.ensure_masks(bank, pslot, phys);
+        // RowHammer flips need a cell to clear the aligned-class cutoff (the
+        // larger of the two), so that is the depth the hc index must reach.
+        let p_hammer_max = p_hammer[0].max(p_hammer[1]);
+        if hammer_possible {
+            self.ensure_index(bank, pslot, phys, SALT_HC, p_hammer_max);
+        }
+        if p_ret > 0.0 {
+            self.ensure_index(bank, pslot, phys, SALT_RET, p_ret);
         }
         // All noise draws are done; borrow the arenas and the staging
         // scratch disjointly so the candidate scans mutate the state while
@@ -1318,30 +1379,28 @@ impl DramModule {
         let params = &params[pslot];
         let state = &mut states[slot];
         if hammer_possible || p_ret > 0.0 {
-            let masks = params.masks.as_ref().expect("ensured");
-            let index = params.flip_index.as_ref().expect("ensured");
             flip_scratch.flips.resize(columns as usize, 0);
             let FlipScratch { flips, touched } = flip_scratch;
             debug_assert!(touched.is_empty());
 
             // RowHammer flips: only cells whose fixed draw can clear the
-            // aligned-class cutoff (the larger of the two) are candidates.
-            // Each candidate is then charge-filtered and classed from the
-            // pre-flip word exactly as the per-cell loop did: only charged
-            // cells lose charge (a cell is charged when it stores its
-            // polarity), and the horizontal-coupling class — neighbors
-            // storing the opposite value couple hardest, occasionally
-            // inverted by a per-cell preference bit — picks the cutoff.
+            // aligned-class cutoff are candidates. Each candidate is then
+            // charge-filtered and classed from the pre-flip word exactly as
+            // the per-cell loop did: only charged cells lose charge (a cell
+            // is charged when it stores its polarity), and the
+            // horizontal-coupling class — neighbors storing the opposite
+            // value couple hardest, occasionally inverted by a per-cell
+            // preference bit — picks the cutoff.
             if hammer_possible {
-                let p_max = p_hammer[0].max(p_hammer[1]);
-                for &(u, cell) in index.hc.candidates(p_max) {
+                let index = params.hc_index.as_ref().expect("ensured");
+                for &IndexEntry { u, cell, flags } in index.candidates(p_hammer_max) {
                     let word = (cell >> 6) as usize;
                     let bit = cell & 63;
                     let current = state.data[word];
-                    if (current ^ masks.polarity[word]) >> bit & 1 != 0 {
+                    let stored = (current >> bit) & 1;
+                    if stored != u64::from(flags & FLAG_POLARITY) {
                         continue; // discharged
                     }
-                    let stored = (current >> bit) & 1;
                     let left = if bit > 0 {
                         (current >> (bit - 1)) & 1
                     } else {
@@ -1353,7 +1412,7 @@ impl DramModule {
                         stored ^ 1
                     };
                     let mut aligned = left != stored && right != stored;
-                    if (masks.pref[word] >> bit) & 1 == 1 {
+                    if flags & FLAG_PREF != 0 {
                         aligned = !aligned;
                     }
                     let p = if aligned { p_hammer[0] } else { p_hammer[1] };
@@ -1372,14 +1431,14 @@ impl DramModule {
             // staged bit seen here can only be a hammer flip — matching the
             // per-cell loop's `continue` after a hammer flip.
             if p_ret > 0.0 {
-                for &(u, cell) in index.ret.candidates(p_ret) {
+                let index = params.ret_index.as_ref().expect("ensured");
+                for &IndexEntry { u, cell, flags } in index.candidates(p_ret) {
                     if u >= p_ret {
                         continue;
                     }
                     let word = (cell >> 6) as usize;
                     let bit = cell & 63;
-                    let current = state.data[word];
-                    if (current ^ masks.polarity[word]) >> bit & 1 != 0 {
+                    if (state.data[word] >> bit) & 1 != u64::from(flags & FLAG_POLARITY) {
                         continue;
                     }
                     if (flips[word] >> bit) & 1 == 0 {
@@ -2314,5 +2373,147 @@ mod tests {
         let mut m3 = small_module(ModuleId::A3, 5);
         let c = m3.read_row(0, 123, 13.5).unwrap();
         assert_ne!(a, c, "different specimen, different power-on content");
+    }
+
+    /// One cell as the index should report it: `(cell, u, polarity, pref)`.
+    type OracleCell = (u32, f64, bool, bool);
+
+    /// Every cell of a row, hashed from scratch the way the per-cell
+    /// materialization loop once did: its draw for `salt`, its charged
+    /// polarity and its coupling-preference bit.
+    fn brute_force_row(m: &DramModule, bank: u32, phys: u32, salt: u64) -> Vec<OracleCell> {
+        let rseed = hash::row_seed(m.seed, bank, phys);
+        (0..m.geometry().bits_per_row())
+            .map(|cell| {
+                let cseed = hash::cell_seed(rseed, cell);
+                let u = hash::uniform01(hash::combine(cseed, salt));
+                let bit = cell % 64;
+                let flipped = hash::uniform01(hash::combine(cseed, SALT_ORI)) < 0.05;
+                let polarity = ((bit ^ phys) & 1 == 1) != flipped;
+                let pref = hash::uniform01(hash::combine(cseed, SALT_PREF)) < 0.10;
+                (cell, u, polarity, pref)
+            })
+            .collect()
+    }
+
+    /// The cells the row's `salt` index reports below `p`, after the exact
+    /// `u < p` re-check every consumer applies, in cell order.
+    fn indexed_below(m: &mut DramModule, pslot: usize, salt: u64, p: f64) -> Vec<OracleCell> {
+        let index = m.banks[0].params[pslot].index_slot(salt).as_ref().unwrap();
+        let mut cells: Vec<OracleCell> = index
+            .candidates(p)
+            .iter()
+            .filter(|e| e.u < p)
+            .map(|e| {
+                let polarity = e.flags & FLAG_POLARITY != 0;
+                (e.cell, e.u, polarity, e.flags & FLAG_PREF != 0)
+            })
+            .collect();
+        cells.sort_unstable_by_key(|c| c.0);
+        cells
+    }
+
+    #[test]
+    fn salt_index_matches_brute_force_at_every_cutoff() {
+        let mut m = small_module(ModuleId::B0, 3);
+        let below_cap = f64::from_bits(FIRST_CAP.to_bits() - 1);
+        let above_cap = f64::from_bits(FIRST_CAP.to_bits() + 1);
+        // A rising sequence: the partial first build serves everything up
+        // to the cap, one ulp above it forces the single full rebuild.
+        let cutoffs = [
+            (0.0, 1),
+            (1e-12, 1),
+            (below_cap, 1),
+            (FIRST_CAP, 1),
+            (above_cap, 2),
+            (0.5, 2),
+            (1.0, 2),
+            (f64::NAN, 2),
+        ];
+        for phys in [0u32, 17, 255, 511] {
+            let pslot = m.ensure_params(0, phys);
+            for salt in [SALT_HC, SALT_RET] {
+                let oracle = brute_force_row(&m, 0, phys, salt);
+                for (p, builds) in cutoffs {
+                    m.ensure_index(0, pslot, phys, salt, p);
+                    let expected: Vec<OracleCell> =
+                        oracle.iter().copied().filter(|c| c.1 < p).collect();
+                    let got = indexed_below(&mut m, pslot, salt, p);
+                    assert_eq!(got, expected, "row {phys}, salt {salt:#x}, p {p}");
+                    let index = m.banks[0].params[pslot].index_slot(salt).as_ref().unwrap();
+                    assert_eq!(index.builds, builds, "row {phys}, salt {salt:#x}, p {p}");
+                }
+                let index = m.banks[0].params[pslot].index_slot(salt).as_ref().unwrap();
+                assert_eq!(index.cap, 1.0);
+                assert_eq!(
+                    index.entries.len(),
+                    oracle.len(),
+                    "a full index keeps every cell"
+                );
+            }
+        }
+        // The cutoff 1/32 keeps a few percent of the row, not all of it.
+        let mut fresh = small_module(ModuleId::B0, 3);
+        let pslot = fresh.ensure_params(0, 17);
+        fresh.ensure_index(0, pslot, 17, SALT_HC, FIRST_CAP);
+        let index = fresh.banks[0].params[pslot].hc_index.as_ref().unwrap();
+        let cells = fresh.geometry().bits_per_row() as usize;
+        assert!(
+            index.entries.len() < cells / 16,
+            "{} of {cells}",
+            index.entries.len()
+        );
+    }
+
+    #[test]
+    fn salt_index_builds_at_most_twice_per_row_and_salt() {
+        let mut m = small_module(ModuleId::C2, 9);
+        let pslot = m.ensure_params(1, 300);
+        // A first cutoff above the first cap builds the full index at once;
+        // nothing after it rebuilds.
+        m.ensure_index(1, pslot, 300, SALT_RET, 0.2);
+        for p in [1e-9, FIRST_CAP, 0.9, 1.0] {
+            m.ensure_index(1, pslot, 300, SALT_RET, p);
+        }
+        let ret = m.banks[1].params[pslot].ret_index.as_ref().unwrap();
+        assert_eq!((ret.builds, ret.cap), (1, 1.0));
+        // Salts are independent: the hc index is still unbuilt, then follows
+        // a rising ladder with exactly one rebuild.
+        assert!(m.banks[1].params[pslot].hc_index.is_none());
+        let mut p = 1e-15;
+        while p < 1.0 {
+            m.ensure_index(1, pslot, 300, SALT_HC, p);
+            p *= 1.7;
+        }
+        let hc = m.banks[1].params[pslot].hc_index.as_ref().unwrap();
+        assert_eq!((hc.builds, hc.cap), (2, 1.0));
+    }
+
+    #[test]
+    fn materialization_builds_only_the_salts_it_needs() {
+        let mut m = small_module(ModuleId::B0, 3);
+        let victim = 100;
+        let (below, above) = m.mapping().physical_neighbors(victim);
+        let (below, above) = (below.unwrap(), above.unwrap());
+        let data = pattern_row(&m, 0xAAAA_AAAA_AAAA_AAAA);
+        let inv = pattern_row(&m, !0xAAAA_AAAA_AAAA_AAAAu64);
+        m.write_row(0, victim, &data).unwrap();
+        m.write_row(0, below, &inv).unwrap();
+        m.write_row(0, above, &inv).unwrap();
+        m.hammer(0, below, 300_000, 48.5).unwrap();
+        m.hammer(0, above, 300_000, 48.5).unwrap();
+        let flipped = m.read_row(0, victim, 13.5).unwrap() != data;
+        assert!(flipped, "the weakest module flips at 300K");
+        let phys = m.mapping().logical_to_physical(victim);
+        let pslot = m.banks[0].params_slot(phys).unwrap();
+        let params = &m.banks[0].params[pslot];
+        assert!(
+            params.hc_index.is_some(),
+            "hammered victim indexes its hc draws"
+        );
+        assert!(
+            params.ret_index.is_none(),
+            "a short test never needs retention draws"
+        );
     }
 }

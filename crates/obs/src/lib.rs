@@ -334,6 +334,7 @@ mod tests {
 
     #[test]
     fn flags_toggle_independently() {
+        let _guard = crate::metrics::METRICS_TEST_LOCK.lock().unwrap();
         assert!(!tracing_enabled() || tracing_enabled()); // no panic
         set_metrics(true);
         assert!(metrics_enabled());
@@ -352,6 +353,7 @@ mod tests {
 
     #[test]
     fn counter_macro_is_inert_when_disabled() {
+        let _guard = crate::metrics::METRICS_TEST_LOCK.lock().unwrap();
         set_metrics(false);
         counter_add!("lib_test_inert", 5);
         assert_eq!(metrics::counter_value("lib_test_inert"), 0);
@@ -363,6 +365,7 @@ mod tests {
 
     #[test]
     fn gauge_macro_is_inert_when_disabled() {
+        let _guard = crate::metrics::METRICS_TEST_LOCK.lock().unwrap();
         set_metrics(false);
         gauge_set!("lib_test_gauge_inert", 7);
         assert_eq!(metrics::gauge_value("lib_test_gauge_inert"), 0);
@@ -376,6 +379,7 @@ mod tests {
 
     #[test]
     fn macros_attribute_to_the_entered_scope() {
+        let _guard = crate::metrics::METRICS_TEST_LOCK.lock().unwrap();
         let s = scope::Scope::new(&[("job_id", "lib-macro")]);
         set_metrics(true);
         {

@@ -386,12 +386,20 @@ pub fn reset() {
     }
 }
 
+/// Serializes the crate's tests that read values from the process-wide
+/// registry, or toggle the global metrics flag, against each other and
+/// against the one that [`reset`]s the registry, so a concurrent reset
+/// cannot zero a count mid-assertion.
+#[cfg(test)]
+pub(crate) static METRICS_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn counters_accumulate_concurrently_without_loss() {
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         let c = counter("metrics_test_concurrent");
         let before = c.get();
         std::thread::scope(|scope| {
@@ -415,6 +423,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_are_bucket_bounds() {
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         let h = histogram("metrics_test_quantiles");
         for v in [0u64, 1, 1, 3, 3, 3, 3, 100] {
             h.record(v);
@@ -430,6 +439,7 @@ mod tests {
 
     #[test]
     fn histogram_handles_extremes() {
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         let h = histogram("metrics_test_extremes");
         h.record(u64::MAX);
         h.record(0);
@@ -439,6 +449,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_deterministic() {
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         counter("metrics_test_snap_b").add(2);
         counter("metrics_test_snap_a").add(1);
         let take = || -> Vec<(String, u64)> {
@@ -458,6 +469,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_but_keeps_registration() {
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         counter("metrics_test_reset").add(9);
         gauge("metrics_test_reset_g").set(4);
         histogram("metrics_test_reset_h").record(5);
@@ -475,6 +487,7 @@ mod tests {
 
     #[test]
     fn gauge_levels_move_both_ways() {
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         let g = gauge("metrics_test_gauge");
         g.set(10);
         g.add(5);
@@ -499,6 +512,7 @@ mod tests {
 
     #[test]
     fn exposition_buckets_are_cumulative_and_skip_empty() {
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         let h = histogram("metrics_test_exposition");
         for v in [0u64, 1, 1, 3, 100] {
             h.record(v);
@@ -516,6 +530,7 @@ mod tests {
 
     #[test]
     fn exposition_folds_max_bucket_into_total() {
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         let h = histogram("metrics_test_exposition_max");
         h.record(u64::MAX);
         h.record(1);

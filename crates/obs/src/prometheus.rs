@@ -212,6 +212,7 @@ mod tests {
 
     #[test]
     fn render_exposes_counter_gauge_and_cumulative_histogram() {
+        let _guard = crate::metrics::METRICS_TEST_LOCK.lock().unwrap();
         metrics::counter("prom_test_events").add(11);
         metrics::gauge("prom_test_level").set(-2);
         let h = metrics::histogram("prom_test_us");
@@ -259,6 +260,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_ascend_and_accumulate() {
+        let _guard = crate::metrics::METRICS_TEST_LOCK.lock().unwrap();
         let h = metrics::histogram("prom_test_cumulative");
         for v in [0u64, 2, 2, 9, 1000] {
             h.record(v);
