@@ -7,10 +7,9 @@
 //! loop. `sweep_unit` times one serial single-module Alg. 1 sweep through
 //! the execution engine, covering work-unit bring-up amortization.
 //!
-//! `blueprint_instantiate`, `find_vppmin`, and `pool_reset` price the three
-//! bring-up costs the session pool eliminates: the full pristine-arena
-//! clone, the descending V_PPmin ladder a memoized blueprint skips, and the
-//! O(touched-rows) recycle that replaces both on the steady path.
+//! `blueprint_instantiate` and `find_vppmin` price two bring-up costs: the
+//! pristine-module clone every work unit pays, and the live descending
+//! V_PPmin ladder a module's blueprint runs once and memoizes.
 //!
 //! `BENCH_hotpath.json` at the repository root records the median numbers
 //! of these benches before and after the arena rewrite; regenerate with
@@ -74,26 +73,8 @@ fn bench_sweep_unit(c: &mut Criterion) {
     });
 }
 
-/// The same single-module sweep with the cross-job blueprint cache on (the
-/// study server's steady state): per-module calibration and the `V_PPmin`
-/// ladder are paid once ever, so iterations measure pure steady-state sweep
-/// work over pooled sessions.
-fn bench_sweep_unit_warm(c: &mut Criterion) {
-    let cfg = StudyConfig {
-        rows_per_chunk: 2,
-        ..StudyConfig::quick_subset(&[ModuleId::B3])
-    };
-    let exec = ExecConfig {
-        share_blueprints: true,
-        ..ExecConfig::serial()
-    };
-    c.bench_function("sweep_unit_warm", |b| {
-        b.iter(|| black_box(exec::rowhammer_sweep(&cfg, ModuleId::B3, &exec)))
-    });
-}
-
-/// The full pristine-arena clone a unit used to pay per chunk: one
-/// calibrated blueprint, `instantiate()` per iteration.
+/// The pristine-module clone every unit pays: one calibrated blueprint,
+/// `instantiate()` per iteration.
 fn bench_blueprint_instantiate(c: &mut Criterion) {
     let cfg = StudyConfig::quick_subset(&[ModuleId::B3]);
     let bp = cfg.blueprint(ModuleId::B3).unwrap();
@@ -102,8 +83,8 @@ fn bench_blueprint_instantiate(c: &mut Criterion) {
     });
 }
 
-/// The descending V_PPmin ladder a unit used to run per chunk; reading the
-/// blueprint's memo replaces this entirely.
+/// A live descending V_PPmin ladder, the search a blueprint runs once per
+/// module and memoizes so units skip it.
 fn bench_find_vppmin(c: &mut Criterion) {
     let cfg = StudyConfig::quick_subset(&[ModuleId::B3]);
     let bp = cfg.blueprint(ModuleId::B3).unwrap();
@@ -113,29 +94,10 @@ fn bench_find_vppmin(c: &mut Criterion) {
     });
 }
 
-/// The steady-state replacement for both: recycle a session that just ran a
-/// representative unit's worth of work (writes, a hammer burst, a read)
-/// back to pristine in O(touched rows).
-fn bench_pool_reset(c: &mut Criterion) {
-    let cfg = StudyConfig::quick_subset(&[ModuleId::B3]);
-    let bp = cfg.blueprint(ModuleId::B3).unwrap();
-    let mut mc = SoftMc::new(bp.instantiate());
-    c.bench_function("pool_reset", |b| {
-        b.iter(|| {
-            mc.init_row(0, 100, 0xAAAA_AAAA_AAAA_AAAA).unwrap();
-            mc.init_row(0, 99, 0x5555_5555_5555_5555).unwrap();
-            mc.init_row(0, 101, 0x5555_5555_5555_5555).unwrap();
-            mc.hammer_double_sided(0, 99, 101, 10_000).unwrap();
-            black_box(mc.read_row_scratch(0, 100).unwrap());
-            mc.recycle();
-        })
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_hammer_loop, bench_sweep_unit, bench_sweep_unit_warm,
-        bench_blueprint_instantiate, bench_find_vppmin, bench_pool_reset
+    targets = bench_hammer_loop, bench_sweep_unit, bench_blueprint_instantiate,
+        bench_find_vppmin
 }
 criterion_main!(benches);

@@ -13,9 +13,10 @@
 //! of execution:
 //!
 //! - every `(module, chunk)` work unit brings up its **own** fresh
-//!   [`SoftMc`] session from the module's specimen seed (per-cell physics
-//!   are a pure function of that seed, so every session sees the same
-//!   silicon), and
+//!   [`SoftMc`] session, a clone of the module's calibrated blueprint
+//!   (built once per sweep from the module's specimen seed, with its
+//!   `V_PPmin` memoized; per-cell physics are a pure function of that seed,
+//!   so every session sees the same silicon), and
 //! - rebases the session's noise stream onto a seed derived from
 //!   `(seed, module, bank, chunk)` (see `hammervolt_dram::hash::chunk_seed`).
 //!
@@ -57,18 +58,17 @@ use crate::study::{
 };
 use hammervolt_dram::hash;
 use hammervolt_dram::registry::ModuleId;
-use hammervolt_dram::{Geometry, ModuleBlueprint};
+use hammervolt_dram::ModuleBlueprint;
 use hammervolt_obs::{counter_add, histogram_record, manifest, progress, Span};
 use hammervolt_softmc::SoftMc;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How the engine runs: worker count, optional sweep cache, and optional
 /// chunk-granular checkpoints.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Worker threads; `0` means one per available CPU.
     pub jobs: usize,
@@ -82,31 +82,6 @@ pub struct ExecConfig {
     /// module-level cache entry lands. Output stays byte-identical to an
     /// uninterrupted run.
     pub checkpoints: bool,
-    /// Recycle [`SoftMc`] sessions across a worker's units through a
-    /// [`ModulePool`] (O(touched rows) pristine reset) instead of cloning
-    /// the blueprint per unit. Byte-identical either way — the pool's reset
-    /// is asserted pristine-equivalent in debug builds and proven so by the
-    /// testkit pool suite — so this defaults to on; `HAMMERVOLT_POOL=0`
-    /// turns it off for A/B comparison.
-    pub pool_sessions: bool,
-    /// Serve calibrated blueprints (including the memoized `V_PPmin`
-    /// search) from the process-wide cross-job LRU keyed by
-    /// `(module, seed, geometry)`. Off by default so standalone runs and
-    /// tests stay fully independent; the study server enables it, letting
-    /// jobs that share modules skip recalibration.
-    pub share_blueprints: bool,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            jobs: 0,
-            cache_dir: None,
-            checkpoints: false,
-            pool_sessions: true,
-            share_blueprints: false,
-        }
-    }
 }
 
 impl ExecConfig {
@@ -134,14 +109,12 @@ impl ExecConfig {
     }
 
     /// Reads `HAMMERVOLT_JOBS` (worker count, `0` = auto),
-    /// `HAMMERVOLT_CACHE_DIR` (cache directory), `HAMMERVOLT_RESUME`
-    /// (chunk checkpoints, truthy = on), and `HAMMERVOLT_POOL` (session
-    /// pooling, falsy = off) from the environment. Unset (or empty)
-    /// variables leave the defaults: one worker per CPU, no cache, no
-    /// checkpoints, pooling on. A variable that is set but unparsable or
-    /// unusable is reported through the observability event sink (stderr
-    /// when no sink is installed) before falling back, never silently
-    /// ignored.
+    /// `HAMMERVOLT_CACHE_DIR` (cache directory), and `HAMMERVOLT_RESUME`
+    /// (chunk checkpoints, truthy = on) from the environment. Unset (or
+    /// empty) variables leave the defaults: one worker per CPU, no cache, no
+    /// checkpoints. A variable that is set but unparsable or unusable is
+    /// reported through the observability event sink (stderr when no sink
+    /// is installed) before falling back, never silently ignored.
     pub fn from_env() -> Self {
         let jobs = match std::env::var("HAMMERVOLT_JOBS") {
             Ok(v) => match v.parse::<usize>() {
@@ -199,16 +172,10 @@ impl ExecConfig {
             Ok(v) => !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false"),
             Err(_) => false,
         };
-        let pool_sessions = match std::env::var("HAMMERVOLT_POOL") {
-            Ok(v) if !v.is_empty() => v != "0" && !v.eq_ignore_ascii_case("false"),
-            _ => true,
-        };
         ExecConfig {
             jobs,
             cache_dir,
             checkpoints,
-            pool_sessions,
-            ..ExecConfig::default()
         }
     }
 
@@ -231,158 +198,6 @@ impl ExecConfig {
 use hammervolt_par::parallel_map_cancellable_with;
 
 // ---------------------------------------------------------------------------
-// Session pool
-// ---------------------------------------------------------------------------
-
-static POOL_CREATES: AtomicU64 = AtomicU64::new(0);
-static POOL_REUSES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-lifetime session-pool totals: `(sessions created, sessions
-/// recycled)`. A plain side channel (static atomics, not `obs` counters) so
-/// the default sweep path's observability stream — pinned by the manifest
-/// goldens — is identical with pooling on or off.
-pub fn pool_stats() -> (u64, u64) {
-    (
-        POOL_CREATES.load(Ordering::Relaxed),
-        POOL_REUSES.load(Ordering::Relaxed),
-    )
-}
-
-/// A worker's pool of live [`SoftMc`] sessions, one slot per module in the
-/// sweep. Checking a session out recycles it back to its just-brought-up
-/// state in O(touched rows) ([`SoftMc::recycle`]) instead of paying a fresh
-/// `blueprint.instantiate()` clone plus plan compilation; checking it in
-/// makes it available for the worker's next unit of the same module.
-///
-/// Error handling is fail-safe by construction: units only check a session
-/// back in after completing successfully, so a session that errored
-/// mid-unit (arbitrary intermediate state) is dropped — the pool never
-/// recycles a poisoned instance.
-#[derive(Debug)]
-pub struct ModulePool {
-    slots: Vec<Option<SoftMc>>,
-    enabled: bool,
-}
-
-impl ModulePool {
-    /// An empty pool with one slot per module; `enabled = false` degrades
-    /// every checkout to a fresh instantiation (the pre-pooling behavior).
-    pub fn new(modules: usize, enabled: bool) -> Self {
-        ModulePool {
-            slots: (0..modules).map(|_| None).collect(),
-            enabled,
-        }
-    }
-
-    /// A session for `module_index`, pristine either way: the slot's
-    /// recycled instance when one is pooled, a fresh
-    /// `SoftMc::new(blueprint.instantiate())` otherwise.
-    pub fn checkout(&mut self, module_index: usize, blueprint: &ModuleBlueprint) -> SoftMc {
-        if let Some(mc) = self.slots.get_mut(module_index).and_then(Option::take) {
-            POOL_REUSES.fetch_add(1, Ordering::Relaxed);
-            return mc;
-        }
-        POOL_CREATES.fetch_add(1, Ordering::Relaxed);
-        SoftMc::new(blueprint.instantiate())
-    }
-
-    /// Returns a session that finished its unit cleanly. Call only on unit
-    /// success — dropping an errored session instead is what keeps poisoned
-    /// state out of the pool.
-    ///
-    /// The session is recycled *now*, not at the next checkout: an idle
-    /// pooled session would otherwise pin its last unit's materialized rows
-    /// (data words, per-cell masks, flip indexes — megabytes per module) for
-    /// as long as it sits in the pool, and a wide sweep's worth of idle
-    /// sessions adds up to a working set that thrashes the cache. Parked
-    /// sessions hold only pristine arenas plus the cheap scalar row
-    /// parameters.
-    pub fn check_in(&mut self, module_index: usize, mut mc: SoftMc) {
-        if self.enabled {
-            if let Some(slot) = self.slots.get_mut(module_index) {
-                mc.recycle();
-                *slot = Some(mc);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cross-job blueprint cache
-// ---------------------------------------------------------------------------
-
-const BLUEPRINT_CACHE_CAP: usize = 64;
-
-static BLUEPRINT_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static BLUEPRINT_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-lifetime cross-job blueprint-cache totals: `(hits, misses)`.
-/// Same side-channel design as [`pool_stats`].
-pub fn blueprint_cache_stats() -> (u64, u64) {
-    (
-        BLUEPRINT_CACHE_HITS.load(Ordering::Relaxed),
-        BLUEPRINT_CACHE_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-/// Cross-job cache of calibrated blueprints (each carrying its memoized
-/// `V_PPmin` search), keyed by everything blueprint construction reads:
-/// module identity, specimen seed, geometry. A bounded LRU under one mutex
-/// — entries are `Arc`-shared, so a hit is a pointer clone and eviction
-/// never invalidates a running sweep. Small linear scan: the whole fleet is
-/// 30 modules.
-struct BlueprintCache {
-    /// Most-recently-used last.
-    entries: Vec<((ModuleId, u64, Geometry), Arc<ModuleBlueprint>)>,
-}
-
-static BLUEPRINT_CACHE: Mutex<BlueprintCache> = Mutex::new(BlueprintCache {
-    entries: Vec::new(),
-});
-
-/// One module's calibrated blueprint for `config`, from the cross-job cache
-/// when `exec.share_blueprints` is set (jobs sharing modules skip the
-/// calibration bisection *and* the `V_PPmin` ladder), freshly calibrated
-/// otherwise.
-fn blueprint_for(
-    config: &StudyConfig,
-    exec: &ExecConfig,
-    id: ModuleId,
-) -> Result<Arc<ModuleBlueprint>, StudyError> {
-    if !exec.share_blueprints {
-        return config.blueprint(id).map(Arc::new);
-    }
-    let key = (id, config.module_seed(id), config.geometry_for(id));
-    {
-        let mut cache = BLUEPRINT_CACHE.lock().expect("blueprint cache poisoned");
-        if let Some(pos) = cache.entries.iter().position(|(k, _)| *k == key) {
-            let entry = cache.entries.remove(pos);
-            let bp = Arc::clone(&entry.1);
-            cache.entries.push(entry);
-            BLUEPRINT_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return Ok(bp);
-        }
-    }
-    // Calibrate outside the lock: concurrent jobs may briefly duplicate the
-    // work, but blueprints are pure values, so either result is correct.
-    BLUEPRINT_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let bp = Arc::new(config.blueprint(id)?);
-    let mut cache = BLUEPRINT_CACHE.lock().expect("blueprint cache poisoned");
-    if let Some(pos) = cache.entries.iter().position(|(k, _)| *k == key) {
-        // A racing job landed the same key first; adopt its entry.
-        let entry = cache.entries.remove(pos);
-        let bp = Arc::clone(&entry.1);
-        cache.entries.push(entry);
-        return Ok(bp);
-    }
-    if cache.entries.len() >= BLUEPRINT_CACHE_CAP {
-        cache.entries.remove(0);
-    }
-    cache.entries.push((key, Arc::clone(&bp)));
-    Ok(bp)
-}
-
-// ---------------------------------------------------------------------------
 // Work units
 // ---------------------------------------------------------------------------
 
@@ -403,12 +218,6 @@ struct UnitOut<R> {
     per_level: Vec<Vec<R>>,
 }
 
-/// Brings up a unit's private session: a pristine clone of the module's
-/// shared blueprint (spec, vendor profile, and `calibrate_eta_mean` are
-/// paid once per module, not per chunk), `V_PPmin` search, then the noise
-/// stream rebased onto the unit's chunk seed so results are independent of
-/// scheduling. The chunk's row-parameter table is pre-derived so the
-/// ladder's hammer loops never derive parameters mid-sweep.
 /// Starts a unit sub-phase timer when metrics are enabled; the disabled
 /// path costs one relaxed load, like every instrumentation site here.
 fn subphase_timer() -> Option<Instant> {
@@ -437,31 +246,35 @@ fn record_steady(t0: Option<Instant>) {
     }
 }
 
+/// Brings up a unit's private session, timed as the unit's bring-up
+/// window: a pristine clone of the module's shared blueprint (spec, vendor
+/// profile, `calibrate_eta_mean` and the `V_PPmin` search are paid once per
+/// module, not per chunk), the thermal loop re-settled at `temp_c` when
+/// given (retention runs at 80 °C; the other kinds stay at bring-up's
+/// 50 °C), then the noise stream rebased onto the unit's chunk seed so
+/// results are independent of scheduling. The chunk's row-parameter table
+/// is pre-derived so the ladder's hammer loops never derive parameters
+/// mid-sweep.
 fn bring_up_unit(
     config: &StudyConfig,
-    pool: &mut ModulePool,
     blueprint: &ModuleBlueprint,
-    module_index: usize,
     id: ModuleId,
     chunk: u64,
     rows: &[u32],
+    temp_c: Option<f64>,
 ) -> Result<(SoftMc, f64), StudyError> {
-    let mut mc = pool.checkout(module_index, blueprint);
-    let (vpp_min, steps) = match blueprint.vppmin_memo() {
-        // The search result is a pure function of the calibrated module, so
-        // a memoized value replaces the ladder outright. Checkout leaves the
-        // session at nominal V_PP — the exact state `calibrate_vppmin` ends
-        // in — so both arms satisfy the same ending-state contract.
-        Some(memo) => memo,
-        None => mc.calibrate_vppmin()?,
-    };
-    // Either way the unit accounts for one search, so manifests (and the
-    // pinned observability goldens) are identical to the per-unit-search
-    // engine.
-    mc.record_vppmin_search(steps);
+    let timer = subphase_timer();
+    let mut mc = SoftMc::new(blueprint.instantiate());
+    let (vpp_min, _) = blueprint
+        .vppmin_memo()
+        .expect("StudyConfig::blueprint memoizes V_PPmin");
+    if let Some(temp_c) = temp_c {
+        mc.set_temperature(temp_c)?;
+    }
     mc.module_mut()
         .reseed_noise(hash::chunk_seed(config.module_seed(id), config.bank, chunk));
     mc.module_mut().prepare_rows(config.bank, rows);
+    record_bringup(timer);
     Ok((mc, vpp_min))
 }
 
@@ -470,16 +283,12 @@ fn bring_up_unit(
 /// nominal `V_PP`, the chosen pattern is reused below).
 fn hammer_unit(
     config: &StudyConfig,
-    pool: &mut ModulePool,
     blueprint: &ModuleBlueprint,
-    module_index: usize,
     id: ModuleId,
     chunk: u64,
     rows: &[u32],
 ) -> Result<UnitOut<RowHammerRecord>, StudyError> {
-    let timer = subphase_timer();
-    let (mut mc, vpp_min) = bring_up_unit(config, pool, blueprint, module_index, id, chunk, rows)?;
-    record_bringup(timer);
+    let (mut mc, vpp_min) = bring_up_unit(config, blueprint, id, chunk, rows, None)?;
     let timer = subphase_timer();
     let levels = vpp_ladder(vpp_min);
     let mut per_level: Vec<Vec<RowHammerRecord>> = levels.iter().map(|_| Vec::new()).collect();
@@ -520,7 +329,6 @@ fn hammer_unit(
         }
     }
     record_steady(timer);
-    pool.check_in(module_index, mc);
     Ok(UnitOut {
         vpp_min,
         levels,
@@ -529,20 +337,15 @@ fn hammer_unit(
 }
 
 /// Alg. 2 unit: the thinned ladder over this chunk's rows.
-#[allow(clippy::too_many_arguments)] // the sharding driver's unit shape plus the Alg. 2 level cap
 fn trcd_unit(
     config: &StudyConfig,
-    pool: &mut ModulePool,
     blueprint: &ModuleBlueprint,
-    module_index: usize,
     id: ModuleId,
     levels_cap: usize,
     chunk: u64,
     rows: &[u32],
 ) -> Result<UnitOut<TrcdRecord>, StudyError> {
-    let timer = subphase_timer();
-    let (mut mc, vpp_min) = bring_up_unit(config, pool, blueprint, module_index, id, chunk, rows)?;
-    record_bringup(timer);
+    let (mut mc, vpp_min) = bring_up_unit(config, blueprint, id, chunk, rows, None)?;
     let timer = subphase_timer();
     let levels = thin_levels(&vpp_ladder(vpp_min), levels_cap.max(2));
     let mut per_level: Vec<Vec<TrcdRecord>> = levels.iter().map(|_| Vec::new()).collect();
@@ -560,7 +363,6 @@ fn trcd_unit(
         }
     }
     record_steady(timer);
-    pool.check_in(module_index, mc);
     Ok(UnitOut {
         vpp_min,
         levels,
@@ -571,31 +373,12 @@ fn trcd_unit(
 /// Alg. 3 unit: the retention levels over this chunk's rows at 80 °C.
 fn retention_unit(
     config: &StudyConfig,
-    pool: &mut ModulePool,
     blueprint: &ModuleBlueprint,
-    module_index: usize,
     id: ModuleId,
     chunk: u64,
     rows: &[u32],
 ) -> Result<UnitOut<RetentionRecord>, StudyError> {
-    // Retention's bring-up is inline (it runs hot, at 80 °C, instead of the
-    // shared nominal path) but profiles under the same split. The V_PP the
-    // session sits at while the thermal loop settles is unobservable — the
-    // first measurement happens after the first ladder `set_vpp` below — so
-    // the memoized path (session at nominal) and a fresh search (session at
-    // V_PPmin) produce identical records.
-    let timer = subphase_timer();
-    let mut mc = pool.checkout(module_index, blueprint);
-    let (vpp_min, steps) = match blueprint.vppmin_memo() {
-        Some(memo) => memo,
-        None => mc.calibrate_vppmin()?,
-    };
-    mc.record_vppmin_search(steps);
-    mc.set_temperature(80.0)?;
-    mc.module_mut()
-        .reseed_noise(hash::chunk_seed(config.module_seed(id), config.bank, chunk));
-    mc.module_mut().prepare_rows(config.bank, rows);
-    record_bringup(timer);
+    let (mut mc, vpp_min) = bring_up_unit(config, blueprint, id, chunk, rows, Some(80.0))?;
     let timer = subphase_timer();
     let mut levels: Vec<f64> = config
         .retention_vpp_levels
@@ -621,7 +404,6 @@ fn retention_unit(
         }
     }
     record_steady(timer);
-    pool.check_in(module_index, mc);
     Ok(UnitOut {
         vpp_min,
         levels,
@@ -656,22 +438,13 @@ fn run_sharded<R, F>(
 ) -> Result<Vec<Assembled<R>>, StudyError>
 where
     R: Send + Serialize + for<'de> Deserialize<'de>,
-    F: Fn(
-            &mut ModulePool,
-            &ModuleBlueprint,
-            usize,
-            ModuleId,
-            u64,
-            &[u32],
-        ) -> Result<UnitOut<R>, StudyError>
-        + Sync,
+    F: Fn(&ModuleBlueprint, ModuleId, u64, &[u32]) -> Result<UnitOut<R>, StudyError> + Sync,
 {
     // The shared immutable stage of bring-up: one calibrated blueprint per
-    // module (V_PPmin memo included), served to every work unit — through
-    // the cross-job cache when the config shares blueprints.
-    let blueprints: Vec<Arc<ModuleBlueprint>> = modules
+    // module (V_PPmin memo included), served to every work unit.
+    let blueprints: Vec<ModuleBlueprint> = modules
         .iter()
-        .map(|&id| blueprint_for(config, exec, id))
+        .map(|&id| config.blueprint(id))
         .collect::<Result<_, _>>()?;
     let mut units: Vec<Unit> = Vec::new();
     for (module_index, &id) in modules.iter().enumerate() {
@@ -718,16 +491,12 @@ where
     for u in &units {
         outstanding[u.module_index].fetch_add(1, Ordering::Relaxed);
     }
-    // Each worker owns a session pool: sessions recycle across the units a
-    // worker runs (O(touched) reset), and since a unit's output is a pure
-    // function of its coordinates, pooling cannot perturb byte identity no
-    // matter how units land on workers.
     let outputs = parallel_map_cancellable_with(
         &units,
         exec.effective_jobs(),
         &ctl.cancel,
-        || ModulePool::new(modules.len(), exec.pool_sessions),
-        |pool, u| {
+        || (),
+        |(), u| {
             let mut span = Span::begin_child_of(parent_span, "exec.shard");
             span.field_str("module", &u.id.label());
             span.field_u64("bank", u64::from(config.bank));
@@ -761,14 +530,7 @@ where
                 Some(unit_out) => Ok(unit_out),
                 None => {
                     let timed = hammervolt_obs::metrics_enabled().then(Instant::now);
-                    let out = run_unit(
-                        pool,
-                        &blueprints[u.module_index],
-                        u.module_index,
-                        u.id,
-                        u.chunk,
-                        &u.rows,
-                    );
+                    let out = run_unit(&blueprints[u.module_index], u.id, u.chunk, &u.rows);
                     if let Some(t0) = timed {
                         histogram_record!("exec_unit_us", t0.elapsed().as_micros());
                     }
@@ -830,15 +592,6 @@ where
                 &format!("{:.4}", bringup as f64 / (bringup + steady) as f64),
             );
         }
-        // Pool and blueprint-cache totals ride along as annotations (side
-        // channels like `bringup_ratio` — the stable counter set the
-        // goldens pin is untouched).
-        let (created, reused) = pool_stats();
-        manifest::annotate("pool_creates", &created.to_string());
-        manifest::annotate("pool_reuses", &reused.to_string());
-        let (bp_hits, bp_misses) = blueprint_cache_stats();
-        manifest::annotate("blueprint_cache_hits", &bp_hits.to_string());
-        manifest::annotate("blueprint_cache_misses", &bp_misses.to_string());
     }
     Ok(per_module.into_iter().map(stitch).collect())
 }
@@ -1189,7 +942,7 @@ fn hammer_sweeps_for(
             0,
             parent,
             ctl,
-            |pool, bp, mi, id, chunk, rows| hammer_unit(config, pool, bp, mi, id, chunk, rows),
+            |bp, id, chunk, rows| hammer_unit(config, bp, id, chunk, rows),
         )?;
         Ok(missing
             .iter()
@@ -1274,9 +1027,7 @@ fn trcd_sweeps_for(
                 levels_cap as u64,
                 parent,
                 ctl,
-                |pool, bp, mi, id, chunk, rows| {
-                    trcd_unit(config, pool, bp, mi, id, levels_cap, chunk, rows)
-                },
+                |bp, id, chunk, rows| trcd_unit(config, bp, id, levels_cap, chunk, rows),
             )?;
             Ok(missing
                 .iter()
@@ -1363,7 +1114,7 @@ fn retention_sweeps_for(
             0,
             parent,
             ctl,
-            |pool, bp, mi, id, chunk, rows| retention_unit(config, pool, bp, mi, id, chunk, rows),
+            |bp, id, chunk, rows| retention_unit(config, bp, id, chunk, rows),
         )?;
         Ok(missing
             .iter()

@@ -309,14 +309,6 @@ impl JobControl {
         &self.progress
     }
 
-    /// Records a cache hit for a job that was satisfied without running
-    /// (e.g. an in-memory result-cache hit in a scheduler), so its
-    /// progress snapshot reports `cache_hits: 1` just like a disk-cache
-    /// short-circuit inside the engine would.
-    pub fn note_cache_hit(&self) {
-        self.progress.cache_lookup(true);
-    }
-
     /// A point-in-time copy of the job's progress counters.
     pub fn snapshot(&self) -> ProgressSnapshot {
         let p = &self.progress;

@@ -134,16 +134,14 @@ impl StudyConfig {
 
     /// Calibrates one module's immutable blueprint — the shared stage of
     /// work-unit bring-up. The execution engine builds this once per module
-    /// and serves every `(module, chunk)` unit from it (pooled reset or
-    /// pristine clone).
+    /// and brings up every `(module, chunk)` unit as a pristine clone of it.
     ///
     /// Calibration includes the §4.1 `V_PPmin` search: the search result is
     /// a pure function of the calibrated module, so it is characterized here
-    /// once — against a scratch session, counter-free — and memoized on the
-    /// blueprint. Units replay the memo (re-emitting the search's
-    /// observability footprint) instead of re-running the ladder per chunk,
-    /// mirroring how the paper characterizes each module once and reuses the
-    /// value across every subsequent experiment.
+    /// once, against a scratch session, and memoized on the blueprint. Units
+    /// read the memo instead of re-running the ladder per chunk, mirroring
+    /// how the paper characterizes each module once and reuses the value
+    /// across every subsequent experiment.
     ///
     /// # Errors
     ///

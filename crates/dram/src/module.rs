@@ -314,10 +314,6 @@ struct Bank {
     params_index: Vec<u32>,
     /// Row-parameter arena, insertion order.
     params: Vec<RowParams>,
-    /// Physical addresses of the rows in `params`, same order — the
-    /// occupancy list that lets [`Bank::reset_touched`] clear `params_index`
-    /// in O(derived rows) instead of O(rows per bank).
-    params_rows: Vec<u32>,
     /// Materialization staging scratch, reused across calls.
     flip_scratch: FlipScratch,
 }
@@ -353,39 +349,6 @@ impl Bank {
             Some(&slot) if slot != NO_SLOT => Some(slot as usize),
             _ => None,
         }
-    }
-
-    /// Clears every materialized row slot and the row-parameter arena in
-    /// O(touched rows), walking the `tracked` bitmap and the `params_rows`
-    /// list instead of the full per-bank indexes. Parameters (flip indexes
-    /// included) are pure per-row hash draws, so a future touch of the same
-    /// row re-derives identical values.
-    fn reset_touched(&mut self) {
-        self.open_row = None;
-        for (wi, word) in self.tracked.iter_mut().enumerate() {
-            let mut w = *word;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                self.state_index[wi * 64 + bit] = NO_SLOT;
-                w &= w - 1;
-            }
-            *word = 0;
-        }
-        self.states.clear();
-        // The row parameters are dropped too, not just the row states. They
-        // are pure per-row hash draws, so keeping them would be semantically
-        // free — but a pooled module accumulates params for every row it
-        // ever touched, and later units then read their few hot rows
-        // scattered across that ever-growing arena. Dropping the arena keeps
-        // a recycled module's working set exactly one unit wide (measurably
-        // faster than both keeping them and fresh-cloning) while the
-        // retained `Vec` capacities still spare the allocator churn a fresh
-        // clone pays. Re-derivation on next touch is bit-identical.
-        for &phys in &self.params_rows {
-            self.params_index[phys as usize] = NO_SLOT;
-        }
-        self.params_rows.clear();
-        self.params.clear();
     }
 }
 
@@ -1128,7 +1091,6 @@ impl DramModule {
         let b = &mut self.banks[bank as usize];
         let slot = b.params.len();
         b.params.push(params);
-        b.params_rows.push(phys);
         b.params_index[phys as usize] = slot as u32;
         slot
     }
@@ -1637,65 +1599,6 @@ impl DramModule {
         b.state_index[phys as usize] = slot as u32;
         b.tracked[(phys / 64) as usize] |= 1u64 << (phys % 64);
         slot
-    }
-
-    /// Rolls a used module back to its just-constructed state in O(touched
-    /// rows), so a session pool can recycle instances instead of cloning the
-    /// blueprint per work unit.
-    ///
-    /// Dirty row slots and the row-parameter arenas are cleared by walking
-    /// each bank's occupancy structures (the `tracked` bitmap, the
-    /// `params_rows` list), so the cost is O(touched rows), not O(bank
-    /// rows); the repair map and calibration (`eta_mean`/`z_n`) are pure
-    /// functions of `(spec, seed, geometry)` and are kept. Everything
-    /// stateful — V_PP, temperature, clock, TRR tracker, noise stream, ECC
-    /// counters — is re-derived exactly as [`DramModule::with_geometry`]
-    /// derives it, and a debug build asserts the result is
-    /// indistinguishable from a pristine construction.
-    pub fn reset_to_pristine(&mut self) {
-        for bank in &mut self.banks {
-            bank.reset_touched();
-        }
-        self.vpp = physics::VPP_NOMINAL;
-        self.temp_c = 50.0;
-        self.clock_ns = 0.0;
-        let trr_policy = match self.spec.mfr {
-            Manufacturer::A => TrrPolicy::Periodic { period: 2048 },
-            Manufacturer::B => TrrPolicy::Probabilistic { chance: 1024 },
-            Manufacturer::C => TrrPolicy::FrequencyTable { entries: 8 },
-        };
-        self.trr = TrrEngine::new(trr_policy, hash::combine(self.seed, 0x7272));
-        self.noise_seed = self.seed ^ SALT_NOISE;
-        self.noise_seq = 0;
-        self.ondie_ecc = OnDieEcc::None;
-        self.ecc_corrections = 0;
-        self.trcd_req_at_vpp_ns = physics::t_rcd_required_ns(physics::VPP_NOMINAL, &self.spec.trcd);
-        #[cfg(debug_assertions)]
-        self.debug_assert_pristine();
-    }
-
-    /// Pristine-equivalence check behind `reset_to_pristine` (debug builds
-    /// only): every observable piece of per-run state must be back at its
-    /// constructor value.
-    #[cfg(debug_assertions)]
-    fn debug_assert_pristine(&self) {
-        assert_eq!(self.vpp, physics::VPP_NOMINAL);
-        assert_eq!(self.temp_c, 50.0);
-        assert_eq!(self.clock_ns, 0.0);
-        assert_eq!(self.noise_seq, 0);
-        assert_eq!(self.ecc_corrections, 0);
-        assert_eq!(self.trr.activation_count(), 0);
-        for bank in &self.banks {
-            assert!(bank.open_row.is_none());
-            assert!(bank.states.is_empty());
-            assert!(bank.tracked.iter().all(|&w| w == 0));
-            assert!(bank.state_index.iter().all(|&s| s == NO_SLOT));
-            assert!(bank.params.is_empty());
-            assert!(bank.params_rows.is_empty());
-            assert!(bank.params_index.iter().all(|&s| s == NO_SLOT));
-            assert!(bank.flip_scratch.touched.is_empty());
-            assert!(bank.flip_scratch.flips.iter().all(|&w| w == 0));
-        }
     }
 }
 
@@ -2288,46 +2191,6 @@ mod tests {
         assert_eq!(run(bp.instantiate()), fresh);
         // Instantiation is repeatable: a second clone is equally pristine.
         assert_eq!(run(bp.instantiate()), fresh);
-    }
-
-    #[test]
-    fn reset_to_pristine_matches_fresh_instantiation() {
-        // One reset-equivalence check per vendor, so all three TRR policies
-        // get rebuilt and re-verified.
-        for id in [ModuleId::A0, ModuleId::B0, ModuleId::C0] {
-            let bp = ModuleBlueprint::with_geometry(registry::spec(id), 3, Geometry::small_test())
-                .unwrap();
-            let run = |m: &mut DramModule| -> Vec<u64> {
-                let data = pattern_row(m, 0xAAAA_AAAA_AAAA_AAAA);
-                let inv = pattern_row(m, !0xAAAA_AAAA_AAAA_AAAAu64);
-                let victim = 100;
-                let (below, above) = m.mapping().physical_neighbors(victim);
-                let (below, above) = (below.unwrap(), above.unwrap());
-                m.write_row(0, victim, &data).unwrap();
-                m.write_row(0, below, &inv).unwrap();
-                m.write_row(0, above, &inv).unwrap();
-                m.hammer(0, below, 300_000, 48.5).unwrap();
-                m.hammer(0, above, 300_000, 48.5).unwrap();
-                m.read_row(0, victim, 13.5).unwrap()
-            };
-            let mut fresh = bp.instantiate();
-            let reference = run(&mut fresh);
-
-            // Dirty a module thoroughly — rail, temperature, noise stream,
-            // row state in two banks — then reset and rerun.
-            let mut recycled = bp.instantiate();
-            let _ = run(&mut recycled);
-            recycled.set_vpp(2.4).unwrap();
-            recycled.set_temperature_c(80.0);
-            recycled.reseed_noise(0xDEAD_BEEF);
-            let _ = recycled.read_row(1, 7, 13.5).unwrap();
-            recycled.reset_to_pristine();
-            assert_eq!(run(&mut recycled), reference, "module {id:?}");
-
-            // Resets are repeatable.
-            recycled.reset_to_pristine();
-            assert_eq!(run(&mut recycled), reference, "module {id:?}, second reset");
-        }
     }
 
     #[test]

@@ -344,6 +344,7 @@ mod tests {
 
     #[test]
     fn memory_sink_captures_events() {
+        let _guard = crate::metrics::METRICS_TEST_LOCK.lock().unwrap();
         let sink = Arc::new(MemorySink::new());
         set_sink(Some(sink.clone()));
         emit_event(r#"{"type":"test"}"#);

@@ -165,13 +165,11 @@ pub fn build_manifest(bin: &str, wall_us: u64, git: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests that touch the process-wide phase/annotation state.
-    static MANIFEST_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    use crate::metrics::METRICS_TEST_LOCK;
 
     #[test]
     fn phases_accumulate_and_keep_order() {
-        let _guard = MANIFEST_TEST_LOCK.lock().unwrap();
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         reset();
         crate::set_metrics(true);
         drop(phase("manifest_test_b"));
@@ -185,7 +183,7 @@ mod tests {
 
     #[test]
     fn manifest_is_valid_json_with_required_fields() {
-        let _guard = MANIFEST_TEST_LOCK.lock().unwrap();
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         reset();
         crate::set_metrics(true);
         annotate("config_hash", "deadbeef");
@@ -216,7 +214,7 @@ mod tests {
 
     #[test]
     fn stable_subset_contains_only_hash_and_counters() {
-        let _guard = MANIFEST_TEST_LOCK.lock().unwrap();
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         reset();
         crate::set_metrics(true);
         annotate("config_hash", "cafe");
@@ -235,7 +233,7 @@ mod tests {
 
     #[test]
     fn add_phase_us_accumulates_like_guards() {
-        let _guard = MANIFEST_TEST_LOCK.lock().unwrap();
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         reset();
         crate::set_metrics(true);
         add_phase_us("manifest_test_split", 5);
@@ -251,7 +249,7 @@ mod tests {
 
     #[test]
     fn guards_are_inert_when_nothing_collects() {
-        let _guard = MANIFEST_TEST_LOCK.lock().unwrap();
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         reset();
         drop(phase("manifest_test_inert"));
         annotate("manifest_test_inert", "x");

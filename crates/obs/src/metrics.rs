@@ -387,9 +387,10 @@ pub fn reset() {
 }
 
 /// Serializes the crate's tests that read values from the process-wide
-/// registry, or toggle the global metrics flag, against each other and
-/// against the one that [`reset`]s the registry, so a concurrent reset
-/// cannot zero a count mid-assertion.
+/// registry, toggle the global metrics or tracing flag, or swap the event
+/// sink, against each other and against the one that [`reset`]s the
+/// registry, so a concurrent test cannot zero a count, switch collection
+/// on, or steal events mid-assertion.
 #[cfg(test)]
 pub(crate) static METRICS_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 

@@ -142,15 +142,13 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::METRICS_TEST_LOCK;
     use crate::MemorySink;
     use std::sync::Arc;
 
-    /// Serializes tests that flip process-wide tracing state.
-    static TRACE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn disabled_span_is_inert() {
-        let _guard = TRACE_TEST_LOCK.lock().unwrap();
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         crate::set_tracing(false);
         let mut span = Span::begin("trace_test_inert");
         span.field_u64("n", 1);
@@ -160,7 +158,7 @@ mod tests {
 
     #[test]
     fn spans_nest_via_thread_local_stack() {
-        let _guard = TRACE_TEST_LOCK.lock().unwrap();
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         let sink = Arc::new(MemorySink::new());
         crate::set_sink(Some(sink.clone()));
         crate::set_tracing(true);
@@ -195,7 +193,7 @@ mod tests {
 
     #[test]
     fn explicit_parent_crosses_threads() {
-        let _guard = TRACE_TEST_LOCK.lock().unwrap();
+        let _guard = METRICS_TEST_LOCK.lock().unwrap();
         let sink = Arc::new(MemorySink::new());
         crate::set_sink(Some(sink.clone()));
         crate::set_tracing(true);

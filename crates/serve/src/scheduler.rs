@@ -136,65 +136,12 @@ impl JobRecord {
     }
 }
 
-/// Bound on the in-memory result cache: 32 recent job outputs is plenty for
-/// warm-resubmit traffic while keeping worst-case memory small (outputs are
-/// JSONL strings, typically a few KiB each).
-const RESULT_CACHE_CAP: usize = 32;
-
-static RESULT_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static RESULT_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide `(hits, misses)` for the in-memory result cache in front of
-/// the disk sweep cache. Monotonic; test-facing.
-pub fn result_cache_stats() -> (u64, u64) {
-    (
-        RESULT_CACHE_HITS.load(Ordering::Relaxed),
-        RESULT_CACHE_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-/// In-memory LRU of completed job outputs keyed by spec hash, consulted
-/// before [`JobSpec::run`] so a warm resubmit of an identical spec skips the
-/// engine (and the disk cache deserialization) entirely. MRU entries live at
-/// the back; only successful outputs are stored, so cancelled or failed jobs
-/// always re-execute.
-struct ResultLru {
-    entries: Vec<(u64, JobOutput)>,
-}
-
-impl ResultLru {
-    fn get(&mut self, spec_hash: u64) -> Option<JobOutput> {
-        if let Some(pos) = self.entries.iter().position(|(h, _)| *h == spec_hash) {
-            let entry = self.entries.remove(pos);
-            let out = entry.1.clone();
-            self.entries.push(entry);
-            RESULT_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            Some(out)
-        } else {
-            RESULT_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    }
-
-    fn put(&mut self, spec_hash: u64, output: &JobOutput) {
-        if let Some(pos) = self.entries.iter().position(|(h, _)| *h == spec_hash) {
-            self.entries.remove(pos);
-        } else if self.entries.len() >= RESULT_CACHE_CAP {
-            self.entries.remove(0);
-        }
-        self.entries.push((spec_hash, output.clone()));
-    }
-}
-
 struct Shared {
     core: Mutex<Inner>,
     /// Woken on submissions (workers) and on any job settling (waiters).
     changed: Condvar,
     exec: ExecConfig,
     tick: AtomicU64,
-    /// In-memory result cache, keyed by spec hash (own lock: consulted
-    /// outside the scheduling lock, on the worker's execution path).
-    results: Mutex<ResultLru>,
 }
 
 struct Inner {
@@ -213,11 +160,7 @@ pub struct Scheduler {
 impl Scheduler {
     /// Starts `config.workers` worker threads executing jobs under `exec`
     /// (shared cache dir, per-job worker count, checkpoint policy).
-    pub fn start(config: SchedConfig, mut exec: ExecConfig) -> Self {
-        // Jobs running under one scheduler share calibrated blueprints: the
-        // cross-job blueprint cache is deterministic (keyed by module id,
-        // seed, and geometry) so sharing cannot change any output bytes.
-        exec.share_blueprints = true;
+    pub fn start(config: SchedConfig, exec: ExecConfig) -> Self {
         let shared = Arc::new(Shared {
             core: Mutex::new(Inner {
                 core: Core::new(config.clone()),
@@ -227,9 +170,6 @@ impl Scheduler {
             changed: Condvar::new(),
             exec,
             tick: AtomicU64::new(1),
-            results: Mutex::new(ResultLru {
-                entries: Vec::new(),
-            }),
         });
         let workers = (0..config.workers.max(1))
             .map(|w| {
@@ -448,14 +388,9 @@ fn worker_loop(shared: &Shared, worker: usize) {
     loop {
         let now = shared.tick.fetch_add(1, Ordering::Relaxed);
         if let Some(id) = inner.core.next(worker, now) {
-            let Some((spec, spec_hash, ctl, queued_at)) = inner.jobs.get_mut(&id).map(|rec| {
+            let Some((spec, ctl, queued_at)) = inner.jobs.get_mut(&id).map(|rec| {
                 rec.phase = JobPhase::Running;
-                (
-                    rec.spec.clone(),
-                    rec.spec_hash,
-                    rec.ctl.clone(),
-                    rec.queued_at,
-                )
+                (rec.spec.clone(), rec.ctl.clone(), rec.queued_at)
             }) else {
                 // A claimed job with no record cannot happen (records are
                 // inserted before the core learns the id), but completing it
@@ -469,36 +404,12 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 let wait_us = u64::try_from(queued_at.elapsed().as_micros()).unwrap_or(u64::MAX);
                 histogram_record!("sched_queue_wait_us", wait_us);
             }
-            let cached = shared
-                .results
-                .lock()
-                .expect("result cache poisoned")
-                .get(spec_hash);
-            let result = if let Some(output) = cached {
-                // Warm hit: the output is byte-identical to what a rerun
-                // would produce (spec hash covers every input), so serve it
-                // without touching the engine. The job still reports
-                // `cache_hits: 1` / zero executed units, exactly like a
-                // disk-cache short-circuit inside the engine.
-                ctl.note_cache_hit();
-                Ok(output)
-            } else {
-                let run_started = Instant::now();
-                let result = spec.run(&shared.exec, &ctl);
-                if hammervolt_obs::metrics_enabled() {
-                    let run_us =
-                        u64::try_from(run_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    histogram_record!("sched_job_run_us", run_us);
-                }
-                if let Ok(output) = &result {
-                    shared
-                        .results
-                        .lock()
-                        .expect("result cache poisoned")
-                        .put(spec_hash, output);
-                }
-                result
-            };
+            let run_started = Instant::now();
+            let result = spec.run(&shared.exec, &ctl);
+            if hammervolt_obs::metrics_enabled() {
+                let run_us = u64::try_from(run_started.elapsed().as_micros()).unwrap_or(u64::MAX);
+                histogram_record!("sched_job_run_us", run_us);
+            }
             inner = shared.core.lock().expect("scheduler poisoned");
             inner.core.complete(id);
             if let Some(rec) = inner.jobs.get_mut(&id) {

@@ -54,20 +54,6 @@ impl PlanCache {
     }
 }
 
-/// The shell side of a freshly brought-up session — everything around the
-/// module: supply, interposer, thermal loop, current meter, plus the
-/// temperature the 50 °C settle achieved. Every component is `Copy`, so the
-/// snapshot taken at the end of [`SoftMc::new`] can be replayed by
-/// [`SoftMc::recycle`] without re-running bring-up.
-#[derive(Debug, Clone, Copy)]
-struct ShellSnapshot {
-    supply: PowerSupply,
-    interposer: Interposer,
-    thermal: TemperatureController,
-    meter: CurrentMeter,
-    settled_temp_c: f64,
-}
-
 /// A live test session over one module.
 #[derive(Debug)]
 pub struct SoftMc {
@@ -83,8 +69,6 @@ pub struct SoftMc {
     /// return a slice of it, and non-read operations use it as the engine's
     /// (empty) read sink.
     readback: Vec<u64>,
-    /// The shell state right after bring-up, replayed on [`SoftMc::recycle`].
-    shell: ShellSnapshot,
 }
 
 impl SoftMc {
@@ -102,13 +86,6 @@ impl SoftMc {
             plans: PlanCache::new(),
             scratch: EngineScratch::new(),
             readback: Vec::new(),
-            shell: ShellSnapshot {
-                supply: PowerSupply::new(),
-                interposer: Interposer::new(),
-                thermal: TemperatureController::default(),
-                meter: CurrentMeter::default(),
-                settled_temp_c: 50.0,
-            },
         };
         mc.interposer.remove_shunt();
         mc.supply
@@ -120,33 +97,7 @@ impl SoftMc {
             .expect("nominal V_PP accepted");
         let report = mc.thermal.settle_to(50.0);
         mc.module.set_temperature_c(report.final_c);
-        mc.shell = ShellSnapshot {
-            supply: mc.supply,
-            interposer: mc.interposer,
-            thermal: mc.thermal,
-            meter: mc.meter,
-            settled_temp_c: report.final_c,
-        };
         mc
-    }
-
-    /// Rolls the whole session back to its just-brought-up state: the shell
-    /// snapshot is replayed, timings return to nominal, and the module is
-    /// reset to pristine in O(touched rows). Interned compiled plans and
-    /// engine scratch are deliberately kept — they carry no cross-run state
-    /// (every parameter is patched before use, every buffer cleared) — so a
-    /// recycled session also skips plan recompilation.
-    ///
-    /// After this call the session is indistinguishable from
-    /// `SoftMc::new(blueprint.instantiate())` for the same blueprint.
-    pub fn recycle(&mut self) {
-        self.supply = self.shell.supply;
-        self.interposer = self.shell.interposer;
-        self.thermal = self.shell.thermal;
-        self.meter = self.shell.meter;
-        self.timing = TimingParams::default();
-        self.module.reset_to_pristine();
-        self.module.set_temperature_c(self.shell.settled_temp_c);
     }
 
     /// The device under test.
@@ -229,24 +180,15 @@ impl SoftMc {
     ///
     /// Fails if even nominal `V_PP` is rejected.
     pub fn find_vppmin(&mut self) -> Result<f64, SoftMcError> {
-        let mut span = hammervolt_obs::Span::begin("softmc.find_vppmin");
-        let (last_good, steps) = self.vppmin_ladder()?;
+        let (last_good, _) = self.vppmin_ladder()?;
         self.set_vpp(last_good)?;
-        hammervolt_obs::counter_add!("softmc_vppmin_searches", 1);
-        hammervolt_obs::counter_add!("softmc_vppmin_steps", steps);
-        span.field_u64("steps", steps);
         Ok(last_good)
     }
 
     /// One-shot per-module `V_PPmin` characterization: runs the §4.1 ladder,
     /// then restores the session to `VPP_NOMINAL` — the single place the
-    /// post-search restore lives, so callers that memoize the result and
-    /// callers that search fresh end in the same state.
-    ///
-    /// Deliberately emits no counters or spans: the caller records the
-    /// search (via [`SoftMc::record_vppmin_search`]) once per consuming
-    /// unit, keeping the observability stream identical whether the value
-    /// was memoized or recomputed.
+    /// post-search restore lives, so a session that later reads the
+    /// memoized result and one that just searched end in the same state.
     ///
     /// Returns `(V_PPmin, ladder steps)`.
     ///
@@ -259,23 +201,13 @@ impl SoftMc {
         Ok(result)
     }
 
-    /// Replays the observability footprint of one `V_PPmin` search — the
-    /// span and the `softmc_vppmin_searches`/`softmc_vppmin_steps` counters
-    /// — without touching the rail. Units consuming a memoized search call
-    /// this so manifests count one search per unit exactly as before
-    /// memoization.
-    pub fn record_vppmin_search(&mut self, steps: u64) {
-        let mut span = hammervolt_obs::Span::begin("softmc.find_vppmin");
-        hammervolt_obs::counter_add!("softmc_vppmin_searches", 1);
-        hammervolt_obs::counter_add!("softmc_vppmin_steps", steps);
-        span.field_u64("steps", steps);
-    }
-
     /// The raw §4.1 descending ladder: from nominal downward in 0.1 V steps
     /// until the module stops responding. Leaves the session at the last
-    /// *probed* level; callers settle it (at `V_PPmin` or nominal) and
-    /// handle observability.
+    /// *probed* level; callers settle it (at `V_PPmin` or nominal). Each
+    /// search traces a `softmc.find_vppmin` span and counts one
+    /// `softmc_vppmin_searches` plus its `softmc_vppmin_steps`.
     fn vppmin_ladder(&mut self) -> Result<(f64, u64), SoftMcError> {
+        let mut span = hammervolt_obs::Span::begin("softmc.find_vppmin");
         self.set_vpp(VPP_NOMINAL)?;
         let mut last_good = VPP_NOMINAL;
         let mut step: u64 = 1;
@@ -291,6 +223,9 @@ impl SoftMc {
             }
             step += 1;
         }
+        hammervolt_obs::counter_add!("softmc_vppmin_searches", 1);
+        hammervolt_obs::counter_add!("softmc_vppmin_steps", step);
+        span.field_u64("steps", step);
         Ok((last_good, step))
     }
 
@@ -601,42 +536,6 @@ mod tests {
             // and the session still works
             calibrated.init_row(0, 3, 0xFF).unwrap();
         }
-    }
-
-    #[test]
-    fn recycled_session_matches_fresh_bring_up() {
-        let bp = hammervolt_dram::ModuleBlueprint::with_geometry(
-            registry::spec(ModuleId::B3),
-            7,
-            Geometry::small_test(),
-        )
-        .unwrap();
-        let run = |mc: &mut SoftMc| -> Vec<u64> {
-            mc.init_row(0, 100, 0xAAAA_AAAA_AAAA_AAAA).unwrap();
-            mc.init_row(0, 99, 0x5555_5555_5555_5555).unwrap();
-            mc.init_row(0, 101, 0x5555_5555_5555_5555).unwrap();
-            mc.hammer_double_sided(0, 99, 101, 300_000).unwrap();
-            mc.read_row(0, 100).unwrap()
-        };
-        let mut fresh = SoftMc::new(bp.instantiate());
-        let reference = run(&mut fresh);
-
-        // Dirty the session across every layer — rail, timing, thermal
-        // loop, current meter, module rows — then recycle and rerun.
-        let mut pooled = SoftMc::new(bp.instantiate());
-        let _ = run(&mut pooled);
-        pooled.find_vppmin().unwrap();
-        pooled.set_temperature(80.0).unwrap();
-        pooled.set_timing(TimingParams::default().with_t_rcd(8.0));
-        let _ = pooled.measure_vpp_current();
-        pooled.recycle();
-        assert_eq!(pooled.vpp(), 2.5);
-        assert!((pooled.module().temperature_c() - 50.0).abs() <= 0.1);
-        assert_eq!(run(&mut pooled), reference);
-
-        // Recycling is idempotent and repeatable.
-        pooled.recycle();
-        assert_eq!(run(&mut pooled), reference);
     }
 
     #[test]

@@ -40,8 +40,7 @@ fn section(m: &Value, key: &str) -> Vec<(String, u64)> {
 }
 
 /// Flattens the manifest's string-valued `annotations` object into sorted
-/// `(name, value)` pairs (config hash, worker count, `bringup_ratio`,
-/// pool/blueprint-cache totals, ...).
+/// `(name, value)` pairs (config hash, worker count, `bringup_ratio`, ...).
 fn annotations(m: &Value) -> Vec<(String, String)> {
     let mut out: Vec<(String, String)> = m
         .field("annotations")

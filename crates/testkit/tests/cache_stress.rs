@@ -11,7 +11,7 @@
 use hammervolt_core::exec::{self, fnv1a64, FNV_OFFSET};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -52,6 +52,7 @@ proptest! {
     ) {
         let dir = Arc::new(case_dir());
         let _ = std::fs::remove_dir_all(dir.as_ref());
+        let writers_done = Arc::new(AtomicBool::new(false));
 
         let writer_handles: Vec<_> = (0..writers)
             .map(|w| {
@@ -70,13 +71,17 @@ proptest! {
             })
             .collect();
         // Readers race the writers the whole time, through both the typed
-        // verifying load and the raw envelope check.
+        // verifying load and the raw envelope check, then make one last pass
+        // after every writer finished, so a run cannot end before an entry
+        // landed however the threads are scheduled.
         let reader_handles: Vec<_> = (0..2)
             .map(|_| {
                 let dir = Arc::clone(&dir);
+                let writers_done = Arc::clone(&writers_done);
                 std::thread::spawn(move || {
                     let mut observed = 0u64;
-                    for _ in 0..rounds * writers * 4 {
+                    loop {
+                        let last_pass = writers_done.load(Ordering::Acquire);
                         for slot in 0..slots {
                             let path = path_of(&dir, slot);
                             if let Some(v) = exec::cache_load::<Vec<u64>>(&path, key_of(slot)) {
@@ -95,6 +100,9 @@ proptest! {
                                 );
                             }
                         }
+                        if last_pass {
+                            break;
+                        }
                     }
                     observed
                 })
@@ -104,6 +112,7 @@ proptest! {
         for handle in writer_handles {
             handle.join().expect("writer completes");
         }
+        writers_done.store(true, Ordering::Release);
         let mut observed = 0;
         for handle in reader_handles {
             observed += handle.join().expect("reader completes");

@@ -202,7 +202,15 @@ fn identical_inflight_specs_share_one_execution() {
 fn cancel_then_resubmit_resumes_from_chunk_checkpoints() {
     let (server, dir) = server("resume", 1, true);
     let addr = server.addr();
-    let spec = small_spec(ModuleId::B2, 2);
+    // All six smoke modules: enough units that the cancel below lands
+    // mid-sweep however fast the host runs one.
+    let spec = JobSpec {
+        kind: SweepKind::Hammer,
+        config: StudyConfig {
+            rows_per_chunk: 2,
+            ..StudyConfig::smoke()
+        },
+    };
 
     let job = submit(addr, &spec);
     // Wait until at least one unit has checkpointed, then cancel.
@@ -282,7 +290,13 @@ fn queue_bound_rejects_with_429() {
     let server = Server::start("127.0.0.1:0", config).expect("bind");
     let addr = server.addr();
 
-    let running = submit(addr, &small_spec(ModuleId::B3, 2));
+    // The whole quick hammer sweep holds the only worker for far longer than
+    // the exchange below; it is cancelled once the bound has been checked.
+    let long = JobSpec {
+        kind: SweepKind::Hammer,
+        config: StudyConfig::quick(),
+    };
+    let running = submit(addr, &long);
     // Wait for the worker to claim it so it stops counting against the
     // queue bound.
     loop {
@@ -301,6 +315,8 @@ fn queue_bound_rejects_with_429() {
         "over-bound submission must be rejected: {}",
         String::from_utf8_lossy(&reply)
     );
+    let (status, _) = http(addr, "POST", &format!("/studies/{running}/cancel"), "");
+    assert_eq!(status, 200);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
