@@ -31,7 +31,7 @@ use crate::mapping::AddressMapping;
 use crate::ondie_ecc::OnDieEcc;
 use crate::physics::{self, DisturbCoeffs};
 use crate::registry::ModuleSpec;
-use crate::timing;
+use crate::timing::{self, ColumnSlots};
 use crate::trr::{TrrEngine, TrrPolicy};
 use crate::vendor::{self, Manufacturer, VendorProfile};
 use hammervolt_obs::counter_add;
@@ -881,11 +881,18 @@ impl DramModule {
     ///
     /// The device clock must stand at the ACT issue slot of the open row
     /// (where the slot-grid engine leaves it immediately after
-    /// [`DramModule::activate`]). Each column's effective ACT→RD delay is
-    /// then replayed through the controller's per-column issue recurrence —
-    /// the first column sees `max(one command slot, t_rcd_ns)`, each later
-    /// column one more slot — with bit-identical float arithmetic, and the
-    /// clock is left at the final read's slot.
+    /// [`DramModule::activate`]). Each column's effective ACT→RD delay comes
+    /// from [`ColumnSlots`] — the first column sees `max(one command slot,
+    /// t_rcd_ns)`, each later column one more slot — bit-identical to the
+    /// controller issuing the reads one at a time, and the clock is left at
+    /// the final read's slot.
+    ///
+    /// A later column never issues earlier, so its `t_RCD` shortfall never
+    /// grows: the per-column corruption check runs only until the first
+    /// column that reads reliably, and every column after it is delivered
+    /// clean. A tracked row without on-die ECC check words copies that
+    /// clean suffix in one slice copy; untracked rows (power-on content)
+    /// and rows with check words deliver it word by word.
     ///
     /// # Errors
     ///
@@ -924,9 +931,7 @@ impl DramModule {
         let rseed = hash::row_seed(self.seed, bank, phys);
         let ecc = self.ondie_ecc;
         let act_at = self.clock_ns;
-        let rcd_target = act_at + t_rcd_ns;
-        let mut clock = act_at;
-        let mut last = act_at;
+        let mut slots = ColumnSlots::new(act_at, act_at + t_rcd_ns);
         let mut ecc_corrected: u64 = 0;
         let mut trcd_flip_bits: u64 = 0;
         let mut trcd_corrupt_reads: u64 = 0;
@@ -934,52 +939,54 @@ impl DramModule {
         {
             let b = &self.banks[bank as usize];
             let state = b.state_slot(phys).map(|slot| &b.states[slot]);
-            for column in 0..columns {
-                let (stored, written) = match state {
-                    Some(r) => (
-                        r.data[column as usize],
-                        r.written.as_ref().map(|w| w[column as usize]),
-                    ),
-                    None => (self.uninitialized_word(bank, phys, column), None),
+            let mut deliver = |column: u32| -> u64 {
+                let Some(r) = state else {
+                    return self.uninitialized_word(bank, phys, column);
                 };
-                let delivered = match written {
+                let stored = r.data[column as usize];
+                match &r.written {
                     Some(w) => {
-                        let result = ecc.read(stored, w);
+                        let result = ecc.read(stored, w[column as usize]);
                         ecc_corrected += result.corrected_bits as u64;
                         result.data
                     }
                     None => stored,
-                };
-                // The controller's issue recurrence, float-op for float-op.
-                let target = (last + timing::COMMAND_SLOT_NS).max(rcd_target);
-                if target > clock {
-                    clock += target - clock;
                 }
-                last = clock;
-                let t_rcd_used_ns = clock - act_at;
+            };
+            let mut column = 0;
+            while column < columns {
                 // Inlined `corrupt_for_trcd` with the per-row factors hoisted.
-                let shortfall = required - t_rcd_used_ns;
-                let word = if shortfall <= -jitter {
-                    delivered
-                } else {
-                    let p = ((shortfall + jitter) / (2.0 * jitter)).clamp(0.0, 1.0);
-                    let mut corrupted = delivered;
-                    for bit in 0..64u32 {
-                        let cseed = hash::cell_seed(rseed, column * 64 + bit);
-                        if hash::uniform01(hash::combine(cseed, SALT_TRCD)) < p {
-                            corrupted ^= 1 << bit;
-                        }
+                let shortfall = required - (slots.slot(column) - act_at);
+                if shortfall <= -jitter {
+                    // Later columns issue no earlier: all of them read clean.
+                    break;
+                }
+                let delivered = deliver(column);
+                let p = ((shortfall + jitter) / (2.0 * jitter)).clamp(0.0, 1.0);
+                let mut corrupted = delivered;
+                for bit in 0..64u32 {
+                    let cseed = hash::cell_seed(rseed, column * 64 + bit);
+                    if hash::uniform01(hash::combine(cseed, SALT_TRCD)) < p {
+                        corrupted ^= 1 << bit;
                     }
-                    if corrupted != delivered {
-                        trcd_flip_bits += u64::from((corrupted ^ delivered).count_ones());
-                        trcd_corrupt_reads += 1;
-                    }
-                    corrupted
-                };
-                out.push(word);
+                }
+                if corrupted != delivered {
+                    trcd_flip_bits += u64::from((corrupted ^ delivered).count_ones());
+                    trcd_corrupt_reads += 1;
+                }
+                out.push(corrupted);
+                column += 1;
+            }
+            match state {
+                Some(r) if r.written.is_none() => {
+                    out.extend_from_slice(&r.data[column as usize..columns as usize]);
+                }
+                _ => out.extend((column..columns).map(deliver)),
             }
         }
-        self.clock_ns = clock;
+        if columns > 0 {
+            self.clock_ns = slots.slot(columns - 1);
+        }
         self.ecc_corrections += ecc_corrected;
         if trcd_corrupt_reads > 0 {
             counter_add!("dram_flips_trcd", trcd_flip_bits);

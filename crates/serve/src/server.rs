@@ -160,32 +160,44 @@ impl Drop for Server {
 fn accept_loop(
     listener: &TcpListener,
     sched: &Arc<Scheduler>,
-    stop: &Arc<AtomicBool>,
+    stop: &AtomicBool,
     timeouts: (Option<Duration>, Option<Duration>),
 ) {
+    accept_until_stopped(
+        stop,
+        || listener.accept().map(|(stream, _peer)| stream),
+        |stream| {
+            let _ = stream.set_nonblocking(false);
+            let _ = stream.set_read_timeout(timeouts.0);
+            let _ = stream.set_write_timeout(timeouts.1);
+            let sched = Arc::clone(sched);
+            let _ = std::thread::Builder::new()
+                .name("hv-serve-conn".to_string())
+                .spawn(move || {
+                    let _ = handle_connection(&sched, stream);
+                });
+        },
+    );
+}
+
+/// Hands each accepted connection to `serve` until `stop` is set. Every
+/// accept error checks `stop` and then sleeps [`POLL`] before retrying:
+/// `WouldBlock` is the idle poll of the non-blocking listener, and a
+/// persistent error such as `EMFILE` (descriptors exhausted) must not spin
+/// a core the scheduler workers need.
+fn accept_until_stopped<C>(
+    stop: &AtomicBool,
+    mut accept: impl FnMut() -> io::Result<C>,
+    mut serve: impl FnMut(C),
+) {
     loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(timeouts.0);
-                let _ = stream.set_write_timeout(timeouts.1);
-                let sched = Arc::clone(sched);
-                let _ = std::thread::Builder::new()
-                    .name("hv-serve-conn".to_string())
-                    .spawn(move || {
-                        let _ = handle_connection(&sched, stream);
-                    });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                std::thread::sleep(POLL);
-            }
+        match accept() {
+            Ok(conn) => serve(conn),
             Err(_) => {
                 if stop.load(Ordering::Relaxed) {
                     return;
                 }
+                std::thread::sleep(POLL);
             }
         }
     }
@@ -601,4 +613,32 @@ fn stats_body(sched: &Scheduler) -> String {
         progress.cache_misses,
     ));
     body
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accept_errors_back_off_instead_of_spinning() {
+        // Descriptors exhausted (EMFILE): every retry must wait a poll
+        // interval. Stop is requested on the fourth attempt, so three
+        // back-offs run before the loop exits.
+        let stop = AtomicBool::new(false);
+        let mut attempts = 0;
+        let started = Instant::now();
+        accept_until_stopped(
+            &stop,
+            || {
+                attempts += 1;
+                if attempts == 4 {
+                    stop.store(true, Ordering::Relaxed);
+                }
+                Err::<(), _>(io::Error::from_raw_os_error(24))
+            },
+            |()| panic!("no connection was accepted"),
+        );
+        assert_eq!(attempts, 4);
+        assert!(started.elapsed() >= 3 * POLL, "retried without backing off");
+    }
 }

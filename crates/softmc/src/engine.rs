@@ -16,7 +16,7 @@ use crate::error::SoftMcError;
 use crate::inst::Instruction;
 use crate::plan::{hammer_pairs, CompiledPlan, PlanOp};
 use crate::program::{Op, Program};
-use hammervolt_dram::timing::{TimingParams, COMMAND_SLOT_NS};
+use hammervolt_dram::timing::{ColumnSlots, TimingParams, COMMAND_SLOT_NS};
 use hammervolt_dram::DramModule;
 use hammervolt_obs::counter_add;
 
@@ -310,25 +310,6 @@ impl<'d> Engine<'d> {
         Ok(())
     }
 
-    /// Replays the controller's per-column issue recurrence without touching
-    /// the device: the clock after `columns` successive column commands
-    /// constrained by `rcd_target`, starting with both the clock and the
-    /// last-command slot at `start`. Performs the same float operations in
-    /// the same order as `columns` calls of [`Engine::issue_slot`], so the
-    /// result is bit-identical to issuing the commands one at a time.
-    fn burst_end_slot(start: f64, rcd_target: f64, columns: u32) -> f64 {
-        let mut clock = start;
-        let mut last = start;
-        for _ in 0..columns {
-            let target = (last + COMMAND_SLOT_NS).max(rcd_target);
-            if target > clock {
-                clock += target - clock;
-            }
-            last = clock;
-        }
-        clock
-    }
-
     /// Executes `ACT; WR×columns; PRE` as one macro-op. Shapes the bulk
     /// device path cannot express (zero columns, more columns than the
     /// geometry has) fall back to synthesized per-instruction issue, which
@@ -360,8 +341,10 @@ impl<'d> Engine<'d> {
         self.mix.wr += columns as u64;
         // All writes land in one bulk fill; only the final write's clock is
         // observable (it stamps the row's restore time), so the clock jumps
-        // straight to the last WR slot.
-        let t_last = Self::burst_end_slot(t_act, t_act + self.timing.t_rcd_ns, columns);
+        // straight to the last WR slot — the slot the interpreter's
+        // per-column `issue_slot` calls reach, bit for bit, in O(1) on the
+        // half-nanosecond grid.
+        let t_last = ColumnSlots::new(t_act, t_act + self.timing.t_rcd_ns).slot(columns - 1);
         self.module.advance_to_ns(t_last);
         self.last_cmd_ns = t_last;
         match source {
@@ -378,9 +361,11 @@ impl<'d> Engine<'d> {
     }
 
     /// Executes `ACT; RD×columns; PRE` as one macro-op, appending the read
-    /// words to `out`. The device's bulk read replays the same per-column
-    /// slot recurrence the interpreter would, so every column sees the
-    /// identical effective `t_RCD`.
+    /// words to `out`. The device's bulk read takes each column's slot from
+    /// [`ColumnSlots`] — the values the interpreter's per-column
+    /// `issue_slot` calls reach, bit for bit — so every column sees the
+    /// identical effective `t_RCD`, and the clock is left at the final
+    /// read's slot.
     fn exec_read_row(
         &mut self,
         bank: u32,

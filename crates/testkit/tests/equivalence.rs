@@ -21,10 +21,15 @@
 //! init/read bursts, uniform and non-uniform write runs, coalesced hammer
 //! loops, loops the coalescer must reject (odd trailing op), nested loops
 //! with Ref, out-of-sequence column programs that fall back to
-//! per-instruction issue, and mid-program failures.
+//! per-instruction issue, and mid-program failures. They also cover both
+//! ways a burst's column slots are computed — closed form on the
+//! half-nanosecond grid, the literal recurrence off it (an off-grid wait or
+//! `t_RCD`) — and every branch of the bulk read: a corrupt-prone prefix
+//! that ends mid-row, a never-written row, and rows behind on-die ECC.
 
 use hammervolt_dram::geometry::Geometry;
 use hammervolt_dram::module::DramModule;
+use hammervolt_dram::ondie_ecc::OnDieEcc;
 use hammervolt_dram::registry::{self, ModuleId};
 use hammervolt_dram::timing::TimingParams;
 use hammervolt_softmc::program::Op;
@@ -117,8 +122,14 @@ fn assert_equivalent(
     temp_c: Option<f64>,
     steps: &[Step],
 ) {
-    let mut interpreted_module = fresh_module(id, seed, vpp, temp_c);
-    let mut compiled_module = fresh_module(id, seed, vpp, temp_c);
+    assert_equivalent_on(tag, || fresh_module(id, seed, vpp, temp_c), steps);
+}
+
+/// [`assert_equivalent`] on two modules from `fresh`, for set-ups beyond
+/// `V_PP` and temperature (on-die ECC).
+fn assert_equivalent_on(tag: &str, fresh: impl Fn() -> DramModule, steps: &[Step]) {
+    let mut interpreted_module = fresh();
+    let mut compiled_module = fresh();
     let interpreted = run_session(&mut interpreted_module, steps, false);
     let compiled = run_session(&mut compiled_module, steps, true);
     for (i, (int, comp)) in interpreted.iter().zip(&compiled).enumerate() {
@@ -379,5 +390,141 @@ fn interned_session_plans_match_interpreted_programs() {
         fast.module().now_ns().to_bits(),
         oracle.module().now_ns().to_bits(),
         "session clocks diverged"
+    );
+}
+
+/// The sum of bit differences between `words` and `expected`.
+fn flipped_bits(words: &[u64], expected: u64) -> u32 {
+    words.iter().map(|w| (w ^ expected).count_ones()).sum()
+}
+
+/// A victim and its two physical neighbours on `id`'s bank 0.
+fn victim_and_aggressors(id: ModuleId, victim: u32) -> (u32, u32, u32) {
+    let m = fresh_module(id, 3, None, None);
+    let (below, above) = m.mapping().physical_neighbors(victim);
+    (victim, below.unwrap(), above.unwrap())
+}
+
+#[test]
+fn off_grid_wait_then_init_hammer_read_is_identical() {
+    // An off-grid wait moves every later ACT off the half-nanosecond grid,
+    // so each burst's column slots come from the literal recurrence. After
+    // 111.111 ns the first burst starts early enough to cross several powers
+    // of two, where stepping the recurrence rounds differently from
+    // `first + 1.5 · k`: a closed form taken off the grid fails here.
+    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
+    for wait_ns in [1_234.567, 111.111] {
+        let steps = vec![
+            Step::nominal(Program::wait(wait_ns)),
+            Step::nominal(Program::init_row(0, victim, COLS, 0xAAAA_AAAA_AAAA_AAAA)),
+            Step::nominal(Program::init_row(0, below, COLS, 0x5555_5555_5555_5555)),
+            Step::nominal(Program::init_row(0, above, COLS, 0x5555_5555_5555_5555)),
+            Step::nominal(Program::hammer_double_sided(0, below, above, 60_000)),
+            Step::nominal(Program::read_row(0, victim, COLS)),
+            Step::with_t_rcd(Program::read_row(0, victim, COLS), 3.0),
+        ];
+        let tag = format!("wait-{wait_ns}");
+        assert_equivalent(&tag, ModuleId::B0, 3, None, None, &steps);
+        let mut m = fresh_module(ModuleId::B0, 3, None, None);
+        let out = run_session(&mut m, &steps, true);
+        let clock = f64::from_bits(out[5].clock_bits);
+        assert_ne!((clock * 2.0).fract(), 0.0, "{tag}: the clock left the grid");
+        let words = out[5].result.as_ref().expect("read succeeds");
+        assert!(
+            flipped_bits(words, 0xAAAA_AAAA_AAAA_AAAA) > 0,
+            "{tag}: the hammer flips"
+        );
+    }
+}
+
+#[test]
+fn off_grid_t_rcd_read_is_identical() {
+    // Neither t_RCD is a multiple of 0.5 ns, so every burst takes the
+    // literal recurrence. The first read starts near time zero; at 13.34 ns
+    // its slots cross powers of two where stepping and `first + 1.5 · k`
+    // round differently.
+    for t_rcd in [13.3, 13.34] {
+        let steps = vec![
+            Step::with_t_rcd(Program::read_row(0, 9, COLS), t_rcd),
+            Step::nominal(Program::init_row(0, 9, COLS, 0x0F0F_0F0F_0F0F_0F0F)),
+            Step::with_t_rcd(Program::read_row(0, 9, COLS), t_rcd),
+            Step::with_t_rcd(Program::init_row(0, 10, COLS, 0xF0F0_F0F0_F0F0_F0F0), t_rcd),
+            Step::with_t_rcd(Program::read_row(0, 10, COLS), t_rcd),
+        ];
+        assert_equivalent(
+            &format!("t_rcd-{t_rcd}"),
+            ModuleId::B0,
+            3,
+            None,
+            None,
+            &steps,
+        );
+    }
+}
+
+#[test]
+fn never_written_row_read_is_identical() {
+    // The ACT materializes the row's power-on content; both paths must
+    // deliver it, corrupt-prone prefix included.
+    let steps = vec![
+        Step::with_t_rcd(Program::read_row(0, 77, COLS), 3.0),
+        Step::nominal(Program::read_row(0, 77, COLS)),
+        Step::nominal(Program::read_row(0, 78, COLS)),
+    ];
+    assert_equivalent("never-written", ModuleId::C1, 8, None, None, &steps);
+}
+
+#[test]
+fn hammered_row_read_under_on_die_ecc_is_identical() {
+    // With on-die ECC every word is decoded against its check word, so the
+    // bulk read delivers the row word by word and counts corrections.
+    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
+    let word = 0xAAAA_AAAA_AAAA_AAAAu64;
+    let steps = vec![
+        Step::nominal(Program::init_row(0, victim, COLS, word)),
+        Step::nominal(Program::init_row(0, below, COLS, !word)),
+        Step::nominal(Program::init_row(0, above, COLS, !word)),
+        Step::nominal(Program::hammer_double_sided(0, below, above, 60_000)),
+        Step::nominal(Program::read_row(0, victim, COLS)),
+        Step::with_t_rcd(Program::read_row(0, victim, COLS), 3.0),
+    ];
+    let fresh = || {
+        let mut m = fresh_module(ModuleId::B0, 3, None, None);
+        m.set_ondie_ecc(OnDieEcc::Secded64);
+        m
+    };
+    assert_equivalent_on("ondie-ecc", fresh, &steps);
+    let mut m = fresh();
+    let out = run_session(&mut m, &steps, true);
+    assert!(
+        out[4].ecc_corrections > 0,
+        "on-die ECC corrects hammer flips"
+    );
+}
+
+#[test]
+fn t_rcd_just_under_the_requirement_corrupts_a_prefix_only() {
+    // A t_RCD 1.6 ns under the row's requirement: the first columns read
+    // too early and may be corrupted, later columns issue late enough to
+    // read reliably — the corrupt-prone prefix ends mid-row.
+    let (row, word) = (9, 0x0F0F_0F0F_0F0F_0F0Fu64);
+    let required = {
+        let mut m = fresh_module(ModuleId::B0, 3, None, None);
+        let vpp = m.vpp();
+        m.oracle_t_rcd_required(0, row, vpp)
+    };
+    let steps = vec![
+        Step::nominal(Program::init_row(0, row, COLS, word)),
+        Step::with_t_rcd(Program::read_row(0, row, COLS), required - 1.6),
+    ];
+    assert_equivalent("prefix", ModuleId::B0, 3, None, None, &steps);
+    let mut m = fresh_module(ModuleId::B0, 3, None, None);
+    let out = run_session(&mut m, &steps, true);
+    let words = out[1].result.as_ref().expect("read succeeds");
+    assert_ne!(words[0], word, "the first column reads too early");
+    assert_eq!(
+        words[COLS as usize - 1],
+        word,
+        "the last column reads clean"
     );
 }
