@@ -1,5 +1,4 @@
-//! The live DRAM device: state machine, cell materialization, and failure
-//! injection.
+//! The live DRAM device: state machine, cell state, and failure injection.
 //!
 //! A [`DramModule`] is one DIMM instantiated from its Table 3 spec and a
 //! seed. It exposes the raw timing-explicit device interface the SoftMC-style
@@ -17,11 +16,23 @@
 //!
 //! # Failure injection
 //!
-//! Bit flips are *materialized* when a row is activated: accumulated
-//! RowHammer disturbance and elapsed retention time are converted into
-//! deterministic per-cell flips, the row's charge is restored, and its
-//! disturbance counter resets — matching the physical process, where a row
-//! activation latches whatever the cells currently hold and rewrites it.
+//! Bit flips are *drawn* when a row is activated: accumulated RowHammer
+//! disturbance and elapsed retention time become per-cell flip cutoffs, the
+//! row's charge is restored, and its disturbance counter resets — matching
+//! the physical process, where a row activation latches whatever the cells
+//! currently hold and rewrites it. REF and TRR refreshes are activations
+//! too.
+//!
+//! The flips those cutoffs select are *applied* later. Each activation
+//! pushes them as a pending flip layer on the row, and the layers land,
+//! oldest first, at the first access that can observe them: a read, the
+//! first write to a row behind on-die ECC (which snapshots the array as its
+//! reference), or a push past the row's small depth bound. A column write
+//! overwrites its word in every layer pending at that moment, so the flip
+//! work for a row that is rewritten before anyone reads it is never done.
+//! Every flip decision reads only its own 64-bit word, so landing late
+//! gives exactly the bits that applying each layer at its activation would.
+//!
 //! Reads additionally model transient `t_RCD`-violation corruption.
 
 use crate::error::DramError;
@@ -78,12 +89,114 @@ struct RowState {
     /// Charge restoration completeness in `(0, 1]`: below 1 when the row was
     /// last closed before `t_RAS_required` elapsed.
     charge_penalty: f64,
+    /// Flip layers pushed by activations and not yet landed, oldest first;
+    /// at most [`MAX_PENDING_LAYERS`].
+    pending: Vec<FlipLayer>,
+}
+
+impl RowState {
+    /// Marks columns `lo..hi` overwritten in every pending layer and drops
+    /// the layers left with no live word. Returns how many it dropped.
+    fn overwrite_pending(&mut self, lo: u32, hi: u32) -> u64 {
+        let before = self.pending.len();
+        self.pending.retain_mut(|layer| layer.kill(lo, hi));
+        (before - self.pending.len()) as u64
+    }
+}
+
+/// Pending layers a row may hold. A push beyond this lands the stack
+/// first, so a row that is activated over and over without being read
+/// keeps bounded bookkeeping.
+const MAX_PENDING_LAYERS: usize = 4;
+
+/// The flip work of one activation, drawn but not yet applied.
+///
+/// The activation fixes everything that depends on the noise stream or on
+/// the row's timing — the per-class cutoffs and the conditions the
+/// weak-cluster pass reads — and the layer applies them to the row's data
+/// when it lands. Every flip decision reads only its own 64-bit word:
+/// coupling looks at neighbours in the same word and treats a word edge as
+/// opposite-valued, and retention and cluster flips are per cell. So a
+/// layer landing on a word nothing has written since its activation gives
+/// the bits it would have given then, and a word written since skips it.
+#[derive(Debug, Clone)]
+struct FlipLayer {
+    /// RowHammer cutoffs per coupling class, `[aligned, anti-aligned]`;
+    /// both zero when no cell of the row can hammer-flip.
+    p_hammer: [f64; 2],
+    /// Retention cutoff; zero when no cell can decay.
+    p_ret: f64,
+    /// Whether the row's weak-cluster cells are within reach.
+    cluster: bool,
+    /// Seconds since the row's previous restore, at the activation.
+    elapsed_s: f64,
+    /// Die temperature at the activation (°C).
+    temp_c: f64,
+    /// Wordline voltage at the activation (V).
+    vpp: f64,
+    /// The row's charge restoration completeness at the activation.
+    charge_penalty: f64,
+    /// One bit per column, set once a write has overwritten that word.
+    killed: Vec<u64>,
+    /// Columns not overwritten yet; the layer is dropped at zero.
+    live: u32,
+}
+
+impl FlipLayer {
+    /// Whether a write has overwritten `word` since the layer was pushed.
+    #[inline]
+    fn is_killed(&self, word: usize) -> bool {
+        (self.killed[word / 64] >> (word % 64)) & 1 == 1
+    }
+
+    /// Marks columns `lo..hi` overwritten. Returns whether a live word is
+    /// left.
+    fn kill(&mut self, lo: u32, hi: u32) -> bool {
+        for i in lo / 64..hi.div_ceil(64) {
+            let base = i * 64;
+            let (start, end) = (lo.max(base) - base, hi.min(base + 64) - base);
+            let below_end = if end == 64 {
+                u64::MAX
+            } else {
+                (1u64 << end) - 1
+            };
+            let mask = below_end & (u64::MAX << start);
+            let word = &mut self.killed[i as usize];
+            self.live -= (mask & !*word).count_ones();
+            *word |= mask;
+        }
+        self.live > 0
+    }
+}
+
+/// Flip attribution and index builds for the metrics registry, tallied
+/// locally (plain integer adds) and flushed once per landing. Pure
+/// observation — nothing reads these back.
+#[derive(Debug, Default)]
+struct LandTally {
+    hammer: u64,
+    retention: u64,
+    cluster: u64,
+    index_builds: u64,
+}
+
+impl LandTally {
+    fn flush(&self) {
+        if self.hammer + self.retention + self.cluster > 0 {
+            counter_add!("dram_flips_hammer", self.hammer);
+            counter_add!("dram_flips_retention", self.retention);
+            counter_add!("dram_flips_cluster", self.cluster);
+        }
+        if self.index_builds > 0 {
+            counter_add!("dram_index_builds", self.index_builds);
+        }
+    }
 }
 
 /// Cap of a row's first index build for a salt: deep enough for the
-/// cutoffs a typical materialization asks (an average RowHammer
-/// materialization reads ~1,800 of a row's 65,536 cells), shallow enough
-/// that the build keeps ~3 % of the row. A power of two, so `u < cap` is a whole number of exponent
+/// cutoffs a typical landing asks (an average RowHammer layer reads ~1,800
+/// of a row's 65,536 cells), shallow enough that the build keeps ~3 % of
+/// the row. A power of two, so `u < cap` is a whole number of exponent
 /// buckets.
 const FIRST_CAP: f64 = 1.0 / 32.0;
 
@@ -107,13 +220,13 @@ struct IndexEntry {
 }
 
 /// A row's flip candidates for one salt, indexed for cutoff queries and
-/// capped at the depth materializations have asked for so far.
+/// capped at the depth landing layers have asked for so far.
 ///
 /// A cell's flip draw `u = uniform01(combine(cell_seed(rseed, cell), salt))`
 /// is a pure function of `(row, cell, salt)` — constant across
-/// materializations — and the flip decision is `u < p` for a
-/// per-materialization cutoff `p`. The index keeps only the cells with
-/// `u < cap` and groups them by the uniform's binary exponent, which turns
+/// activations — and the flip decision is `u < p` for a per-activation
+/// cutoff `p`. The index keeps only the cells with `u < cap` and groups
+/// them by the uniform's binary exponent, which turns
 /// "which cells can flip at cutoff p" (for `p <= cap`) into a prefix of
 /// `entries`: every entry in a bucket below `p`'s exponent is `< p`, the
 /// bucket holding `p`'s exponent needs the exact per-entry compare, and
@@ -236,7 +349,7 @@ fn cell_flags(cseed: u64, cell: u32, phys: u32) -> u32 {
     flags
 }
 
-/// Reusable dense scratch for one materialization's flip accumulation.
+/// Reusable dense scratch for one layer's flip accumulation.
 ///
 /// Flip decisions read the row's *pre-flip* data (neighbor bits, charge
 /// state), so flips found by the candidate scan are staged here and XORed
@@ -266,11 +379,11 @@ struct RowParams {
     cluster64_words: Vec<u32>,
     /// Word indices carrying a 128 ms-window weak cell (Fig. 11b).
     cluster128_words: Vec<u32>,
-    /// RowHammer flip candidates (`SALT_HC`), built on the first
-    /// materialization that can hammer-flip (see [`SaltIndex`]).
+    /// RowHammer flip candidates (`SALT_HC`), built when the first layer
+    /// that can hammer-flip lands (see [`SaltIndex`]).
     hc_index: Option<SaltIndex>,
-    /// Retention flip candidates (`SALT_RET`), built on the first
-    /// materialization with a nonzero retention cutoff.
+    /// Retention flip candidates (`SALT_RET`), built when the first layer
+    /// with a nonzero retention cutoff lands.
     ret_index: Option<SaltIndex>,
 }
 
@@ -546,8 +659,10 @@ impl DramModule {
         self.clock_ns += dt_ns.max(0.0);
     }
 
-    /// Activates a row: materializes pending failures, restores charge, and
-    /// opens the row for column access.
+    /// Activates a row: disturbs its neighbours, draws the flips its own
+    /// disturbance and retention time have earned as a pending layer,
+    /// restores its charge, and opens it for column access. The layer lands
+    /// at the row's next read; writes before that overwrite it word by word.
     ///
     /// # Errors
     ///
@@ -563,7 +678,7 @@ impl DramModule {
         let phys = self.mapping.logical_to_physical(row);
         self.disturb_neighbors(bank, phys, 1.0);
         self.trr.record_activations(row, 1);
-        self.materialize_and_restore(bank, phys);
+        self.restore_row(bank, phys);
         let b = &mut self.banks[bank as usize];
         b.open_row = Some(row);
         b.open_phys = phys;
@@ -574,7 +689,8 @@ impl DramModule {
     ///
     /// `t_rcd_used_ns` is the ACT→RD delay the controller actually used; if
     /// it is shorter than the row's requirement at the current `V_PP`, the
-    /// returned word is (transiently) corrupted (§6.1).
+    /// returned word is (transiently) corrupted (§6.1). The row's pending
+    /// flip layers land first, on every word, so the read sees them all.
     ///
     /// # Errors
     ///
@@ -582,13 +698,14 @@ impl DramModule {
     pub fn read(&mut self, bank: u32, column: u32, t_rcd_used_ns: f64) -> Result<u64, DramError> {
         self.geometry.check_bank(bank)?;
         self.geometry.check_column(column)?;
-        let b = &self.banks[bank as usize];
-        if b.open_row.is_none() {
+        if self.banks[bank as usize].open_row.is_none() {
             return Err(DramError::IllegalCommand {
                 reason: format!("read from bank {bank} with no open row"),
             });
         }
-        let phys = b.open_phys;
+        let phys = self.banks[bank as usize].open_phys;
+        self.land_pending(bank, phys);
+        let b = &self.banks[bank as usize];
         let (stored, written) = match b.state_slot(phys) {
             Some(slot) => {
                 let r = &b.states[slot];
@@ -614,6 +731,11 @@ impl DramModule {
 
     /// Writes a 64-bit word into the open row.
     ///
+    /// The word is overwritten in every flip layer pending on the row, so
+    /// none of them lands on it; a layer with no word left is dropped. The
+    /// first write to a row behind on-die ECC snapshots the whole array as
+    /// the code's reference, so it lands the pending layers first.
+    ///
     /// # Errors
     ///
     /// Fails on bad addresses or if no row is open.
@@ -627,15 +749,19 @@ impl DramModule {
             });
         }
         let phys = b.open_phys;
-        let slot = self.ensure_row_phys(bank, phys);
+        let slot = self.begin_write(bank, phys);
         let clock = self.clock_ns;
         let ecc = self.ondie_ecc;
         let state = &mut self.banks[bank as usize].states[slot];
+        let dropped = state.overwrite_pending(column, column + 1);
         state.data[column as usize] = value;
         if ecc != OnDieEcc::None {
             state.written.get_or_insert_with(|| state.data.clone())[column as usize] = value;
         }
         state.restored_at_ns = clock;
+        if dropped > 0 {
+            counter_add!("dram_flip_layers_dropped", dropped);
+        }
         Ok(())
     }
 
@@ -671,6 +797,10 @@ impl DramModule {
     /// but O(neighbors) instead of O(count). Advances the device clock by
     /// `count × period_ns`.
     ///
+    /// The aggressor's own restore pushes one pending flip layer, as an
+    /// activation does; the victims only accumulate disturbance, which
+    /// their next activation turns into a layer of their own.
+    ///
     /// # Errors
     ///
     /// Fails on bad addresses or if the bank has an open row.
@@ -692,13 +822,16 @@ impl DramModule {
         self.disturb_neighbors(bank, phys, count as f64);
         self.trr.record_activations(row, count);
         // The aggressor row itself is refreshed by its own activations.
-        self.materialize_and_restore(bank, phys);
+        self.restore_row(bank, phys);
         self.clock_ns += count as f64 * period_ns.max(0.0);
         Ok(())
     }
 
     /// Issues a REF command: refreshes every tracked row and lets the TRR
     /// engine refresh the neighbors of sampled aggressors.
+    ///
+    /// A refresh is an activation: each refreshed row pushes a pending flip
+    /// layer and is restored, and nothing lands until the row is read.
     ///
     /// The paper's methodology never calls this during tests — that is
     /// exactly how it disables TRR.
@@ -713,15 +846,15 @@ impl DramModule {
                     let victim_phys = self.mapping.logical_to_physical(victim);
                     for bank in 0..banks {
                         if self.banks[bank as usize].is_tracked(victim_phys) {
-                            self.materialize_and_restore(bank, victim_phys);
+                            self.restore_row(bank, victim_phys);
                         }
                     }
                 }
             }
         }
         // Regular refresh of all tracked rows, in ascending physical order.
-        // Materialization never adds tracked rows, so a copied bitmap word
-        // stays accurate while its bits are drained.
+        // Restoring never adds tracked rows, so a copied bitmap word stays
+        // accurate while its bits are drained.
         for bank in 0..banks {
             let words = self.banks[bank as usize].tracked.len();
             for wi in 0..words {
@@ -729,7 +862,7 @@ impl DramModule {
                 while word != 0 {
                     let bit = word.trailing_zeros();
                     word &= word - 1;
-                    self.materialize_and_restore(bank, wi as u32 * 64 + bit);
+                    self.restore_row(bank, wi as u32 * 64 + bit);
                 }
             }
         }
@@ -808,6 +941,12 @@ impl DramModule {
     /// per-column calls, the row's restore stamp is the *current* clock, so
     /// the caller advances time to the final write's command slot first.
     ///
+    /// The written columns are overwritten in every pending flip layer, and
+    /// layers left with no word are dropped: a whole-row fill clears the
+    /// row's stack, so the flip work its activation drew is never done. On
+    /// a row behind on-die ECC the first write lands the stack first, as
+    /// the per-column calls do.
+    ///
     /// # Errors
     ///
     /// Fails on a bad bank, more columns than the geometry has, or no open
@@ -818,7 +957,8 @@ impl DramModule {
 
     /// Writes one word per column into columns `0..data.len()` of the open
     /// row — the bulk equivalent of one [`DramModule::write`] per column.
-    /// Clock contract as for [`DramModule::fill_open_row`].
+    /// Clock and pending-layer contract as for
+    /// [`DramModule::fill_open_row`].
     ///
     /// # Errors
     ///
@@ -851,11 +991,12 @@ impl DramModule {
             });
         }
         let phys = b.open_phys;
-        let slot = self.ensure_row_phys(bank, phys);
+        let slot = self.begin_write(bank, phys);
         let clock = self.clock_ns;
         let ecc = self.ondie_ecc;
         let n = columns as usize;
         let state = &mut self.banks[bank as usize].states[slot];
+        let dropped = state.overwrite_pending(0, columns);
         match data {
             Some(words) => state.data[..n].copy_from_slice(words),
             None => state.data[..n].fill(value),
@@ -872,6 +1013,9 @@ impl DramModule {
             }
         }
         state.restored_at_ns = clock;
+        if dropped > 0 {
+            counter_add!("dram_flip_layers_dropped", dropped);
+        }
         Ok(())
     }
 
@@ -886,6 +1030,9 @@ impl DramModule {
     /// t_rcd_ns)`, each later column one more slot — bit-identical to the
     /// controller issuing the reads one at a time, and the clock is left at
     /// the final read's slot.
+    ///
+    /// The row's pending flip layers land first, as at the first per-column
+    /// read.
     ///
     /// A later column never issues earlier, so its `t_RCD` shortfall never
     /// grows: the per-column corruption check runs only until the first
@@ -920,6 +1067,7 @@ impl DramModule {
             });
         }
         let phys = self.banks[bank as usize].open_phys;
+        self.land_pending(bank, phys);
         // Hoisted per-row work: parameters (derived on first touch, exactly
         // as the first per-column read would), the tRCD requirement, and the
         // row's hash seed.
@@ -1198,11 +1346,11 @@ impl DramModule {
     /// first build's cap.
     ///
     /// Pure per-cell hash draws — no observable behaviour depends on *when*
-    /// or *how deep* this runs, so it is deferred until a materialization
-    /// actually has flip work for the salt.
-    fn ensure_index(&mut self, bank: u32, pslot: usize, phys: u32, salt: u64, p: f64) {
+    /// or *how deep* this runs, so it is deferred until a landing layer
+    /// actually has flip work for the salt. Returns whether it built.
+    fn ensure_index(&mut self, bank: u32, pslot: usize, phys: u32, salt: u64, p: f64) -> bool {
         let builds = match self.banks[bank as usize].params[pslot].index_slot(salt) {
-            Some(index) if !index.too_shallow_for(p) => return,
+            Some(index) if !index.too_shallow_for(p) => return false,
             Some(index) => index.builds + 1,
             None => 1,
         };
@@ -1211,6 +1359,7 @@ impl DramModule {
         let rseed = hash::row_seed(self.seed, bank, phys);
         let index = SaltIndex::build(rseed, phys, cells, salt, SaltIndex::cap_for(p), builds);
         *self.banks[bank as usize].params[pslot].index_slot(salt) = Some(index);
+        true
     }
 
     /// Accumulates disturbance on the physical neighbors of an activated row.
@@ -1229,7 +1378,7 @@ impl DramModule {
             return;
         }
         // Each victim tracks which side the aggressor activity came from so
-        // the two-sided synergy term can be evaluated at materialization.
+        // the two-sided synergy term can be evaluated at restore.
         // From a victim at phys v, an aggressor at v−1 or v−2 is "below".
         let contributions = [
             (phys.wrapping_sub(1), count, false), // victim below the aggressor → aggressor is its above-neighbor
@@ -1252,12 +1401,15 @@ impl DramModule {
         }
     }
 
-    /// Converts a row's accumulated disturbance and elapsed retention time
-    /// into materialized bit flips, then restores the row in place.
+    /// The activation half of a row's flip process: converts the row's
+    /// accumulated disturbance and elapsed retention time into flip
+    /// cutoffs, pushes them as a pending [`FlipLayer`] when any cell can
+    /// flip, and restores the row in place.
     ///
-    /// The row's state and parameters stay in their arenas throughout —
-    /// disjoint field borrows replace the old remove/clone/reinsert dance.
-    fn materialize_and_restore(&mut self, bank: u32, phys: u32) {
+    /// Everything that draws from the sequenced noise stream or reads the
+    /// row's timing happens here, in activation order; the index builds,
+    /// candidate scans and XORs wait for [`DramModule::land_pending`].
+    fn restore_row(&mut self, bank: u32, phys: u32) {
         let pslot = self.ensure_params(bank, phys);
         let slot = self.ensure_row_phys(bank, phys);
         let clock = self.clock_ns;
@@ -1265,7 +1417,6 @@ impl DramModule {
         let temp = self.temp_c;
         let retention = self.profile.retention;
         let columns = self.geometry.columns_per_row;
-        let vpp_min = self.spec.vpp_min;
 
         let (mu_ln, sigma, coeffs, has_cluster) = {
             let p = &self.banks[bank as usize].params[pslot];
@@ -1300,10 +1451,14 @@ impl DramModule {
                 p_hammer[class] = hash::normal_cdf((ln_d - ln_thresh) / sigma);
             }
         }
+        // Under 1e-4 expected flips at the smaller cutoff: no hammer work.
+        if p_hammer[1] * (columns as f64) * 64.0 <= 1e-4 {
+            p_hammer = [0.0; 2];
+        }
 
         // --- Retention flip probability ---------------------------------
         let mut p_ret = 0.0f64;
-        let mut cluster_relevant = false;
+        let mut cluster = false;
         if elapsed_s > 0.0 {
             let scale = retention.temperature_scale(temp)
                 * retention.vpp_scale(vpp)
@@ -1316,29 +1471,100 @@ impl DramModule {
             // Weak clusters live in the tens-of-ms band at 80 degC; at lower
             // temperatures and nominal V_PP they scale out of reach.
             let min_cluster_s = 0.03 * retention.temperature_scale(temp) * retention.vpp_scale(vpp);
-            cluster_relevant = has_cluster && elapsed_s >= min_cluster_s;
+            cluster = has_cluster && elapsed_s >= min_cluster_s;
         }
 
+        if p_hammer[1] > 0.0 || p_ret > 0.0 || cluster {
+            if self.banks[bank as usize].states[slot].pending.len() == MAX_PENDING_LAYERS {
+                self.land_pending(bank, phys);
+            }
+            let pending = &mut self.banks[bank as usize].states[slot].pending;
+            pending.push(FlipLayer {
+                p_hammer,
+                p_ret,
+                cluster,
+                elapsed_s,
+                temp_c: temp,
+                vpp,
+                charge_penalty,
+                killed: vec![0; columns.div_ceil(64) as usize],
+                live: columns,
+            });
+            debug_assert!(pending.len() <= MAX_PENDING_LAYERS);
+        }
+        // Restore in place.
+        let state = &mut self.banks[bank as usize].states[slot];
+        state.restored_at_ns = clock;
+        state.disturb_below = 0.0;
+        state.disturb_above = 0.0;
+        state.charge_penalty = 1.0;
+    }
+
+    /// The access half of a row's flip process: lands the row's pending
+    /// flip layers, oldest first, and empties its stack. A no-op for an
+    /// untracked row and for a row with nothing pending.
+    fn land_pending(&mut self, bank: u32, phys: u32) {
+        let b = &mut self.banks[bank as usize];
+        let Some(slot) = b.state_slot(phys) else {
+            return;
+        };
+        if b.states[slot].pending.is_empty() {
+            return;
+        }
+        let pslot = b
+            .params_slot(phys)
+            .expect("the activation that pushed a layer derived the row's parameters");
+        let mut layers = std::mem::take(&mut b.states[slot].pending);
+        let mut tally = LandTally::default();
+        for layer in &layers {
+            self.land_layer(bank, phys, pslot, slot, layer, &mut tally);
+        }
+        // Hand the emptied stack back so its allocation is reused.
+        layers.clear();
+        self.banks[bank as usize].states[slot].pending = layers;
+        tally.flush();
+    }
+
+    /// Applies one layer's flips to the row's words that no write has
+    /// overwritten since the layer was pushed. Each decision reads the word
+    /// as the older layers left it, so a stack lands in push order.
+    fn land_layer(
+        &mut self,
+        bank: u32,
+        phys: u32,
+        pslot: usize,
+        slot: usize,
+        layer: &FlipLayer,
+        tally: &mut LandTally,
+    ) {
+        let retention = self.profile.retention;
+        let vpp_min = self.spec.vpp_min;
         let rseed = hash::row_seed(self.seed, bank, phys);
-        let hammer_possible = p_hammer[1] * (columns as f64) * 64.0 > 1e-4;
-        // Flip attribution for the metrics registry: tallied locally (plain
-        // integer adds), flushed once per materialization. Pure observation —
-        // nothing below reads these.
-        let mut n_hammer = 0u64;
-        let mut n_ret = 0u64;
-        let mut n_cluster = 0u64;
+        let columns = self.geometry.columns_per_row;
+        let FlipLayer {
+            p_hammer,
+            p_ret,
+            cluster: cluster_relevant,
+            elapsed_s,
+            temp_c: temp,
+            vpp,
+            charge_penalty,
+            ..
+        } = *layer;
+        let hammer_possible = p_hammer[1] > 0.0;
         // RowHammer flips need a cell to clear the aligned-class cutoff (the
         // larger of the two), so that is the depth the hc index must reach.
         let p_hammer_max = p_hammer[0].max(p_hammer[1]);
         if hammer_possible {
-            self.ensure_index(bank, pslot, phys, SALT_HC, p_hammer_max);
+            tally.index_builds +=
+                u64::from(self.ensure_index(bank, pslot, phys, SALT_HC, p_hammer_max));
         }
         if p_ret > 0.0 {
-            self.ensure_index(bank, pslot, phys, SALT_RET, p_ret);
+            tally.index_builds += u64::from(self.ensure_index(bank, pslot, phys, SALT_RET, p_ret));
         }
-        // All noise draws are done; borrow the arenas and the staging
-        // scratch disjointly so the candidate scans mutate the state while
-        // reading the parameters in place.
+        // Borrow the arenas and the staging scratch disjointly so the
+        // candidate scans mutate the state while reading the parameters in
+        // place.
         let Bank {
             params,
             states,
@@ -1364,6 +1590,9 @@ impl DramModule {
                 let index = params.hc_index.as_ref().expect("ensured");
                 for &IndexEntry { u, cell, flags } in index.candidates(p_hammer_max) {
                     let word = (cell >> 6) as usize;
+                    if layer.is_killed(word) {
+                        continue;
+                    }
                     let bit = cell & 63;
                     let current = state.data[word];
                     let stored = (current >> bit) & 1;
@@ -1390,7 +1619,7 @@ impl DramModule {
                             touched.push(word as u32);
                         }
                         flips[word] |= 1 << bit;
-                        n_hammer += 1;
+                        tally.hammer += 1;
                     }
                 }
             }
@@ -1406,6 +1635,9 @@ impl DramModule {
                         continue;
                     }
                     let word = (cell >> 6) as usize;
+                    if layer.is_killed(word) {
+                        continue;
+                    }
                     let bit = cell & 63;
                     if (state.data[word] >> bit) & 1 != u64::from(flags & FLAG_POLARITY) {
                         continue;
@@ -1415,7 +1647,7 @@ impl DramModule {
                             touched.push(word as u32);
                         }
                         flips[word] |= 1 << bit;
-                        n_ret += 1;
+                        tally.retention += 1;
                     }
                 }
             }
@@ -1453,6 +1685,9 @@ impl DramModule {
                         (None, None) => unreachable!(),
                     };
                     let w = word as usize;
+                    if layer.is_killed(w) {
+                        continue;
+                    }
                     let cluster = cluster_flips(
                         params,
                         &retention,
@@ -1467,7 +1702,7 @@ impl DramModule {
                         charge_penalty,
                     );
                     if cluster != 0 {
-                        n_cluster += u64::from((cluster & !flips[w]).count_ones());
+                        tally.cluster += u64::from((cluster & !flips[w]).count_ones());
                         if flips[w] == 0 {
                             touched.push(word);
                         }
@@ -1479,10 +1714,9 @@ impl DramModule {
             // Deferred apply: every decision above read pre-flip words, so
             // one XOR per touched word lands all of them at once. Staged
             // bits are cleared on the way out, leaving the scratch zeroed
-            // for the next materialization. Dense rows take the wide-word
-            // whole-row pass (XOR with a zero mask is the identity, so the
-            // result is the same either way); sparse rows walk the touched
-            // list.
+            // for the next layer. Dense rows take the wide-word whole-row
+            // pass (XOR with a zero mask is the identity, so the result is
+            // the same either way); sparse rows walk the touched list.
             let row_words = flips.len().min(state.data.len());
             if crate::wide::dense_apply_pays(touched.len(), row_words) {
                 crate::wide::xor_apply_clear(&mut state.data[..row_words], &mut flips[..row_words]);
@@ -1497,6 +1731,9 @@ impl DramModule {
                 } else {
                     params.cluster128_words[wi - params.cluster64_words.len()]
                 };
+                if layer.is_killed(word as usize) {
+                    continue;
+                }
                 let current = state.data[word as usize];
                 let flips = cluster_flips(
                     params,
@@ -1511,20 +1748,23 @@ impl DramModule {
                     vpp,
                     charge_penalty,
                 );
-                n_cluster += u64::from(flips.count_ones());
+                tally.cluster += u64::from(flips.count_ones());
                 state.data[word as usize] ^= flips;
             }
         }
-        // Restore in place.
-        state.restored_at_ns = clock;
-        state.disturb_below = 0.0;
-        state.disturb_above = 0.0;
-        state.charge_penalty = 1.0;
-        if n_hammer + n_ret + n_cluster > 0 {
-            counter_add!("dram_flips_hammer", n_hammer);
-            counter_add!("dram_flips_retention", n_ret);
-            counter_add!("dram_flips_cluster", n_cluster);
+    }
+
+    /// The arena slot of the open row about to be written. The first write
+    /// to a row behind on-die ECC copies the array into the code's
+    /// reference, so the row's pending layers land before it.
+    fn begin_write(&mut self, bank: u32, phys: u32) -> usize {
+        let slot = self.ensure_row_phys(bank, phys);
+        if self.ondie_ecc != OnDieEcc::None
+            && self.banks[bank as usize].states[slot].written.is_none()
+        {
+            self.land_pending(bank, phys);
         }
+        slot
     }
 
     /// Transient read corruption when the used `t_RCD` is below the row's
@@ -1602,6 +1842,7 @@ impl DramModule {
             disturb_below: 0.0,
             disturb_above: 0.0,
             charge_penalty: 1.0,
+            pending: Vec::new(),
         });
         b.state_index[phys as usize] = slot as u32;
         b.tracked[(phys / 64) as usize] |= 1u64 << (phys % 64);
@@ -2385,5 +2626,244 @@ mod tests {
             params.ret_index.is_none(),
             "a short test never needs retention draws"
         );
+    }
+
+    #[test]
+    fn a_rewrite_before_any_read_drops_the_flip_work() {
+        let mut m = small_module(ModuleId::B0, 3);
+        let victim = 100;
+        let (below, above) = m.mapping().physical_neighbors(victim);
+        let (below, above) = (below.unwrap(), above.unwrap());
+        let data = pattern_row(&m, 0xAAAA_AAAA_AAAA_AAAA);
+        let inv = pattern_row(&m, !0xAAAA_AAAA_AAAA_AAAAu64);
+        m.write_row(0, victim, &data).unwrap();
+        m.write_row(0, below, &inv).unwrap();
+        m.write_row(0, above, &inv).unwrap();
+        m.hammer(0, below, 300_000, 48.5).unwrap();
+        m.hammer(0, above, 300_000, 48.5).unwrap();
+        // The rewrite's ACT draws the victim's flips as a layer; its writes
+        // overwrite every word of it, so the layer goes without an index
+        // build or a scan.
+        m.write_row(0, victim, &data).unwrap();
+        let phys = m.mapping().logical_to_physical(victim);
+        let slot = m.banks[0].state_slot(phys).unwrap();
+        assert!(m.banks[0].states[slot].pending.is_empty());
+        let pslot = m.banks[0].params_slot(phys).unwrap();
+        assert!(m.banks[0].params[pslot].hc_index.is_none());
+        assert_eq!(m.read_row(0, victim, 13.5).unwrap(), data);
+    }
+
+    /// A tracked row's final `(bank, phys, data, on-die ECC reference)`.
+    type FinalRow = (u32, u32, Vec<u64>, Option<Vec<u64>>);
+
+    /// What a lazy-vs-eager session observes: every word read, in order,
+    /// and every tracked row's final contents.
+    #[derive(Debug, PartialEq)]
+    struct SessionTrace {
+        reads: Vec<u64>,
+        rows: Vec<FinalRow>,
+    }
+
+    /// Lands the pending layers of every tracked row.
+    fn land_all(m: &mut DramModule) {
+        for bank in 0..m.geometry().banks {
+            for phys in 0..m.geometry().rows_per_bank {
+                if m.banks[bank as usize].is_tracked(phys) {
+                    m.land_pending(bank, phys);
+                }
+            }
+        }
+    }
+
+    /// The deepest pending stack of any row.
+    fn max_depth(m: &DramModule) -> usize {
+        m.banks
+            .iter()
+            .flat_map(|b| b.states.iter().map(|s| s.pending.len()))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// A random session over seven physically adjacent rows of both banks,
+    /// generated from `seed`: whole-row and partial writes (per column and
+    /// bulk), hammers repeated past the depth bound with no access between
+    /// them, REFs, 80 °C waits of seconds, early precharges, `V_PP` changes
+    /// and whole-row and partial reads (per column and bulk).
+    ///
+    /// With `eager`, every tracked row's layers land right after each
+    /// activate, hammer and refresh — the semantics of applying each
+    /// activation's flips on the spot. Returns the trace and the deepest
+    /// stack seen.
+    fn random_session(seed: u64, ecc: OnDieEcc, eager: bool) -> (SessionTrace, usize) {
+        let id = if seed.is_multiple_of(2) {
+            ModuleId::B0
+        } else {
+            ModuleId::B6 // weak clusters in 15.5 % of rows
+        };
+        let mut m = small_module(id, seed);
+        m.set_ondie_ecc(ecc);
+        let cols = m.geometry().columns_per_row;
+        let rows: Vec<u32> = (100..107)
+            .map(|p| m.mapping().physical_to_logical(p))
+            .collect();
+        let mut draws = 0u64;
+        let mut next = |n: u64| {
+            draws += 1;
+            hash::splitmix64(hash::combine(seed, draws)) % n
+        };
+        let settle = |m: &mut DramModule| {
+            if eager {
+                land_all(m);
+            }
+        };
+        let patterns = [0xAAAA_AAAA_AAAA_AAAAu64, 0x5555_5555_5555_5555, 0, !0];
+        let mut reads = Vec::new();
+        let mut deepest = 0;
+        for _ in 0..40 {
+            let bank = u32::from(next(4) == 0);
+            let row = rows[next(rows.len() as u64) as usize];
+            let word = patterns[next(4) as usize];
+            m.advance_ns(100.0);
+            match next(11) {
+                0 => {
+                    // Whole row, one write per column, non-uniform data.
+                    m.activate(bank, row).unwrap();
+                    settle(&mut m);
+                    for c in 0..cols {
+                        m.write(bank, c, word ^ u64::from(c % 3)).unwrap();
+                    }
+                    m.precharge(bank, 35.0).unwrap();
+                }
+                1 => {
+                    // Bulk fill of the whole row or a prefix.
+                    let n = if next(2) == 0 {
+                        cols
+                    } else {
+                        1 + next(u64::from(cols)) as u32
+                    };
+                    m.activate(bank, row).unwrap();
+                    settle(&mut m);
+                    m.fill_open_row(bank, n, word).unwrap();
+                    m.precharge(bank, 35.0).unwrap();
+                }
+                2 => {
+                    // Bulk slice write of a prefix.
+                    let n = 1 + next(u64::from(cols)) as u32;
+                    let data: Vec<u64> = (0..n).map(|c| word.rotate_left(c % 64)).collect();
+                    m.activate(bank, row).unwrap();
+                    settle(&mut m);
+                    m.write_open_row(bank, &data).unwrap();
+                    m.precharge(bank, 35.0).unwrap();
+                }
+                3 => {
+                    // A few random columns, one write each.
+                    m.activate(bank, row).unwrap();
+                    settle(&mut m);
+                    for _ in 0..1 + next(8) {
+                        let c = next(u64::from(cols)) as u32;
+                        m.write(bank, c, word).unwrap();
+                    }
+                    m.precharge(bank, 35.0).unwrap();
+                }
+                4 => {
+                    // Hammer one row up to six times with no access between.
+                    for _ in 0..1 + next(6) {
+                        m.hammer(bank, row, 20_000 + next(280_000), 48.5).unwrap();
+                        settle(&mut m);
+                        deepest = deepest.max(max_depth(&m));
+                    }
+                }
+                5 => {
+                    m.refresh();
+                    settle(&mut m);
+                }
+                6 => {
+                    m.set_temperature_c(80.0);
+                    m.advance_ns((1 + next(8)) as f64 * 1e9);
+                }
+                7 => {
+                    m.set_temperature_c(50.0);
+                    let vpp = if next(2) == 0 { 2.5 } else { m.spec().vpp_min };
+                    m.set_vpp(vpp).unwrap();
+                }
+                8 => {
+                    // Whole row, one read per column.
+                    m.activate(bank, row).unwrap();
+                    settle(&mut m);
+                    for c in 0..cols {
+                        reads.push(m.read(bank, c, 40.0).unwrap());
+                    }
+                    m.precharge(bank, 35.0).unwrap();
+                }
+                9 => {
+                    // Bulk read of a prefix.
+                    let n = 1 + next(u64::from(cols)) as u32;
+                    m.activate(bank, row).unwrap();
+                    settle(&mut m);
+                    m.read_open_row_into(bank, 40.0, n, &mut reads).unwrap();
+                    m.precharge(bank, 35.0).unwrap();
+                }
+                _ => {
+                    // A few random columns read, then an early precharge
+                    // now and then, which leaves the row partly charged.
+                    m.activate(bank, row).unwrap();
+                    settle(&mut m);
+                    for _ in 0..1 + next(8) {
+                        let c = next(u64::from(cols)) as u32;
+                        reads.push(m.read(bank, c, 40.0).unwrap());
+                    }
+                    let open_ns = if next(3) == 0 { 5.0 } else { 35.0 };
+                    m.precharge(bank, open_ns).unwrap();
+                }
+            }
+            deepest = deepest.max(max_depth(&m));
+        }
+        land_all(&mut m);
+        let mut final_rows = Vec::new();
+        for (bank, b) in m.banks.iter().enumerate() {
+            for phys in 0..m.geometry().rows_per_bank {
+                if let Some(slot) = b.state_slot(phys) {
+                    let s = &b.states[slot];
+                    final_rows.push((bank as u32, phys, s.data.clone(), s.written.clone()));
+                }
+            }
+        }
+        let trace = SessionTrace {
+            reads,
+            rows: final_rows,
+        };
+        (trace, deepest)
+    }
+
+    #[test]
+    fn lazy_landing_matches_eager_landing() {
+        let was_on = hammervolt_obs::metrics_enabled();
+        hammervolt_obs::set_metrics(true);
+        let scope = hammervolt_obs::scope::Scope::new(&[("test", "lazy_vs_eager")]);
+        let mut deepest = 0;
+        {
+            let _guard = hammervolt_obs::scope::enter(&scope);
+            for ecc in [OnDieEcc::None, OnDieEcc::Secded64] {
+                for seed in 0..40 {
+                    let (lazy, depth) = random_session(seed, ecc, false);
+                    let (eager, _) = random_session(seed, ecc, true);
+                    assert_eq!(lazy, eager, "seed {seed}, {ecc:?}");
+                    deepest = deepest.max(depth);
+                }
+            }
+        }
+        hammervolt_obs::set_metrics(was_on);
+        // The sessions exercise every mechanism: stacks reach the bound,
+        // writes drop layers, and every flip cause lands.
+        assert_eq!(deepest, MAX_PENDING_LAYERS);
+        for name in [
+            "dram_flip_layers_dropped",
+            "dram_index_builds",
+            "dram_flips_hammer",
+            "dram_flips_retention",
+            "dram_flips_cluster",
+        ] {
+            assert!(scope.counter_value(name) > 0, "{name} did not move");
+        }
     }
 }

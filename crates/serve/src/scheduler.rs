@@ -9,7 +9,9 @@
 //!
 //! Execution itself happens *outside* the lock: a worker claims a job,
 //! releases the mutex, runs [`JobSpec::run`] under the job's [`JobControl`],
-//! then re-locks to record the outcome and wake waiters. Cancellation fires
+//! then re-locks to record the outcome and wake waiters. A job that panics
+//! fails alone, as `Failed("panic: …")`: the worker catches the unwind,
+//! records it like any other outcome and takes the next job. Cancellation fires
 //! the running job's token; the engine returns [`StudyError::Cancelled`] at
 //! the next unit boundary and (with checkpoints enabled) the finished chunks
 //! stay on disk for the next submission of the same spec to resume from.
@@ -19,8 +21,10 @@ use hammervolt_core::error::StudyError;
 use hammervolt_core::exec::ExecConfig;
 use hammervolt_core::job::{JobControl, JobOutput, JobSpec, ProgressSnapshot};
 use hammervolt_obs::scope::Scope;
-use hammervolt_obs::{histogram_record, metrics};
+use hammervolt_obs::{counter_add, histogram_record, metrics};
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -405,7 +409,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 histogram_record!("sched_queue_wait_us", wait_us);
             }
             let run_started = Instant::now();
-            let result = spec.run(&shared.exec, &ctl);
+            let (phase, output) = job_outcome(|| spec.run(&shared.exec, &ctl));
             if hammervolt_obs::metrics_enabled() {
                 let run_us = u64::try_from(run_started.elapsed().as_micros()).unwrap_or(u64::MAX);
                 histogram_record!("sched_job_run_us", run_us);
@@ -413,14 +417,8 @@ fn worker_loop(shared: &Shared, worker: usize) {
             inner = shared.core.lock().expect("scheduler poisoned");
             inner.core.complete(id);
             if let Some(rec) = inner.jobs.get_mut(&id) {
-                match result {
-                    Ok(output) => {
-                        rec.output = Some(output);
-                        rec.phase = JobPhase::Done;
-                    }
-                    Err(StudyError::Cancelled) => rec.phase = JobPhase::Cancelled,
-                    Err(e) => rec.phase = JobPhase::Failed(e.to_string()),
-                }
+                rec.phase = phase;
+                rec.output = output;
             }
             refresh_gauges(&inner.core);
             // Wake result waiters (and idle peers, harmlessly).
@@ -434,6 +432,37 @@ fn worker_loop(shared: &Shared, worker: usize) {
     }
 }
 
+/// Runs a job and maps its result to the job's terminal phase and output.
+///
+/// A panic anywhere inside `run` is caught here and fails only this job,
+/// as `Failed("panic: <payload>")`, counted in `sched_job_panics`. The
+/// scheduler lock is not held while a job runs, so the unwind poisons
+/// nothing and the worker goes on to its next job.
+fn job_outcome(
+    run: impl FnOnce() -> Result<JobOutput, StudyError>,
+) -> (JobPhase, Option<JobOutput>) {
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(output)) => (JobPhase::Done, Some(output)),
+        Ok(Err(StudyError::Cancelled)) => (JobPhase::Cancelled, None),
+        Ok(Err(e)) => (JobPhase::Failed(e.to_string()), None),
+        Err(payload) => {
+            counter_add!("sched_job_panics", 1);
+            let message = format!("panic: {}", panic_message(payload.as_ref()));
+            (JobPhase::Failed(message), None)
+        }
+    }
+}
+
+/// The text of a panic payload: the message `panic!` was given, whether
+/// it arrived as a literal or formatted.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string payload")
+}
+
 /// Parks an idle worker until something changes; a timeout guards against a
 /// missed wakeup ever stranding a queued job.
 fn self_wait<'a>(
@@ -445,4 +474,52 @@ fn self_wait<'a>(
         .wait_timeout(inner, Duration::from_millis(50))
         .expect("scheduler poisoned");
     guard
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_run_fails_only_its_job() {
+        let (phase, output) = job_outcome(|| panic!("literal payload"));
+        assert_eq!(
+            phase,
+            JobPhase::Failed("panic: literal payload".to_string())
+        );
+        assert!(output.is_none());
+        let n = 7;
+        let (phase, output) = job_outcome(|| panic!("formatted payload {n}"));
+        assert_eq!(
+            phase,
+            JobPhase::Failed("panic: formatted payload 7".to_string())
+        );
+        assert!(output.is_none());
+        let (phase, _) = job_outcome(|| std::panic::panic_any(42u8));
+        assert_eq!(
+            phase,
+            JobPhase::Failed("panic: non-string payload".to_string())
+        );
+    }
+
+    #[test]
+    fn run_results_map_to_their_phases() {
+        let done = JobOutput {
+            spec_hash: 1,
+            records_jsonl: "{}\n".to_string(),
+        };
+        let (phase, output) = job_outcome(|| Ok(done));
+        assert_eq!(phase, JobPhase::Done);
+        assert_eq!(output.map(|o| o.records_jsonl), Some("{}\n".to_string()));
+        let (phase, output) = job_outcome(|| Err(StudyError::Cancelled));
+        assert_eq!(phase, JobPhase::Cancelled);
+        assert!(output.is_none());
+        let err = StudyError::InvalidConfig {
+            reason: "bad spec".to_string(),
+        };
+        let text = err.to_string();
+        let (phase, output) = job_outcome(|| Err(err));
+        assert_eq!(phase, JobPhase::Failed(text));
+        assert!(output.is_none());
+    }
 }

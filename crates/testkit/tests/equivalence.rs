@@ -26,6 +26,10 @@
 //! half-nanosecond grid, the literal recurrence off it (an off-grid wait or
 //! `t_RCD`) — and every branch of the bulk read: a corrupt-prone prefix
 //! that ends mid-row, a never-written row, and rows behind on-die ECC.
+//! Finally they cover the device's pending flip layers, which both paths
+//! must overwrite and land alike: a partial write run and out-of-order
+//! single writes over a hammered row, layers stacked past the depth bound,
+//! and the first write to a hammered row behind on-die ECC.
 
 use hammervolt_dram::geometry::Geometry;
 use hammervolt_dram::module::DramModule;
@@ -527,4 +531,139 @@ fn t_rcd_just_under_the_requirement_corrupts_a_prefix_only() {
         word,
         "the last column reads clean"
     );
+}
+
+/// The init and double-sided hammer that leave `victim` with flips pending.
+fn init_and_hammer(victim: u32, below: u32, above: u32) -> Vec<Step> {
+    let word = 0xAAAA_AAAA_AAAA_AAAAu64;
+    vec![
+        Step::nominal(Program::init_row(0, victim, COLS, word)),
+        Step::nominal(Program::init_row(0, below, COLS, !word)),
+        Step::nominal(Program::init_row(0, above, COLS, !word)),
+        Step::nominal(Program::hammer_double_sided(0, below, above, 60_000)),
+    ]
+}
+
+#[test]
+fn partial_write_run_over_a_hammered_row_is_identical() {
+    // The write's ACT pushes the victim's hammer flips as a pending layer;
+    // the write run overwrites half the row, so the read lands the flips on
+    // the other half only. The bulk slice copy and the interpreter's single
+    // writes must overwrite the same words of the layer.
+    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
+    let half = COLS / 2;
+    let mut wr = Program::new();
+    wr.push(Instruction::Act {
+        bank: 0,
+        row: victim,
+    });
+    for column in 0..half {
+        wr.push(Instruction::Wr {
+            bank: 0,
+            column,
+            data: 0xAAAA_AAAA_AAAA_AAAA ^ u64::from(column % 7),
+        });
+    }
+    wr.push(Instruction::Pre { bank: 0 });
+    let mut steps = init_and_hammer(victim, below, above);
+    steps.push(Step::nominal(wr));
+    steps.push(Step::nominal(Program::read_row(0, victim, COLS)));
+    assert_equivalent("partial-write-run", ModuleId::B0, 3, None, None, &steps);
+    let mut m = fresh_module(ModuleId::B0, 3, None, None);
+    let out = run_session(&mut m, &steps, true);
+    let words = out[5].result.as_ref().expect("read succeeds");
+    assert!(
+        flipped_bits(&words[half as usize..], 0xAAAA_AAAA_AAAA_AAAA) > 0,
+        "the unwritten half keeps the hammer flips"
+    );
+}
+
+#[test]
+fn out_of_sequence_writes_over_a_hammered_row_are_identical() {
+    // Out-of-order columns fall back to single writes on the compiled path
+    // too; each overwrites its word in the pending layer.
+    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
+    let mut wr = Program::new();
+    wr.push(Instruction::Act {
+        bank: 0,
+        row: victim,
+    });
+    for &column in &[700u32, 2, 0, 1, 5, 1023] {
+        wr.push(Instruction::Wr {
+            bank: 0,
+            column,
+            data: 0xAAAA_AAAA_AAAA_AAAA,
+        });
+    }
+    wr.push(Instruction::Pre { bank: 0 });
+    let mut steps = init_and_hammer(victim, below, above);
+    steps.push(Step::nominal(wr));
+    steps.push(Step::nominal(Program::read_row(0, victim, COLS)));
+    assert_equivalent(
+        "out-of-sequence-hammered",
+        ModuleId::B0,
+        3,
+        None,
+        None,
+        &steps,
+    );
+}
+
+#[test]
+fn stacked_pending_layers_land_identically() {
+    // Each one-ACT hammer of the victim restores it and pushes the flips its
+    // neighbours' hammering earned as one more layer; six of them, with no
+    // access between, outgrow the row's depth bound before the read lands
+    // the rest.
+    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
+    let mut steps = init_and_hammer(victim, below, above);
+    for _ in 0..6 {
+        steps.push(Step::nominal(Program::hammer_single_sided(0, victim, 1)));
+        steps.push(Step::nominal(Program::hammer_double_sided(
+            0, below, above, 30_000,
+        )));
+    }
+    steps.push(Step::nominal(Program::read_row(0, victim, COLS)));
+    assert_equivalent("stacked-layers", ModuleId::B0, 3, None, None, &steps);
+    let mut m = fresh_module(ModuleId::B0, 3, None, None);
+    let out = run_session(&mut m, &steps, true);
+    let words = out.last().unwrap().result.as_ref().expect("read succeeds");
+    assert!(
+        flipped_bits(words, 0xAAAA_AAAA_AAAA_AAAA) > 0,
+        "the stacked layers flip"
+    );
+}
+
+#[test]
+fn first_write_to_a_hammered_unwritten_row_under_on_die_ecc_is_identical() {
+    // The victim is tracked by a read of its power-on content but never
+    // written, so the partial fill below is its first write: the code's
+    // reference copies the array then, and must see the hammer flips the
+    // fill's ACT drew. Both paths land them before the copy.
+    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
+    let prefix = 256;
+    let steps = vec![
+        Step::nominal(Program::read_row(0, victim, COLS)),
+        Step::nominal(Program::init_row(0, below, COLS, !0)),
+        Step::nominal(Program::init_row(0, above, COLS, !0)),
+        Step::nominal(Program::hammer_double_sided(0, below, above, 60_000)),
+        Step::nominal(Program::init_row(0, victim, prefix, 0)),
+        Step::nominal(Program::read_row(0, victim, COLS)),
+    ];
+    let fresh = || {
+        let mut m = fresh_module(ModuleId::B0, 3, None, None);
+        m.set_ondie_ecc(OnDieEcc::Secded64);
+        m
+    };
+    assert_equivalent_on("ondie-ecc-first-write", fresh, &steps);
+    let mut m = fresh();
+    let out = run_session(&mut m, &steps, true);
+    let power_on = out[0].result.as_ref().expect("read succeeds");
+    let after = out[5].result.as_ref().expect("read succeeds");
+    let flipped: u32 = power_on[prefix as usize..]
+        .iter()
+        .zip(&after[prefix as usize..])
+        .map(|(a, b)| (a ^ b).count_ones())
+        .sum();
+    assert!(flipped > 0, "the unwritten columns keep the hammer flips");
 }
