@@ -754,15 +754,18 @@ enum CacheRead<T> {
     Hit(T),
     /// No entry on disk (or the file is unreadable).
     Miss,
-    /// An entry exists but failed envelope or payload verification; it will
-    /// be recomputed and rewritten, never served.
+    /// An entry exists but is not UTF-8 or failed envelope or payload
+    /// verification; it will be recomputed and rewritten, never served.
     Corrupt,
 }
 
 /// Reads and classifies one cache entry (see [`CacheRead`]).
 fn cache_read<T: for<'de> Deserialize<'de>>(path: &Path, expected_key: u64) -> CacheRead<T> {
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Ok(bytes) = std::fs::read(path) else {
         return CacheRead::Miss;
+    };
+    let Ok(text) = String::from_utf8(bytes) else {
+        return CacheRead::Corrupt;
     };
     let Some(line) = text.lines().find(|l| !l.trim().is_empty()) else {
         return CacheRead::Corrupt;

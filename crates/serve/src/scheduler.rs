@@ -463,8 +463,11 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
         .unwrap_or("non-string payload")
 }
 
-/// Parks an idle worker until something changes; a timeout guards against a
-/// missed wakeup ever stranding a queued job.
+/// Parks an idle worker until something changes. Every change a worker acts
+/// on is made under the lock and followed by `notify_all`: `submit_with`,
+/// `cancel` of a queued job, every job settling and `begin_shutdown`. So
+/// the 50 ms timeout is not on a request's path; it only guards against a
+/// missed wake-up ever stranding a queued job.
 fn self_wait<'a>(
     shared: &'a Shared,
     inner: std::sync::MutexGuard<'a, Inner>,

@@ -31,6 +31,19 @@
 //! carry read/write timeouts ([`ServerConfig::read_timeout`] /
 //! [`ServerConfig::write_timeout`]) so a stalled client cannot pin a handler
 //! thread forever.
+//!
+//! # Accepting and shutting down
+//!
+//! The accept thread blocks in `accept`, so a connection is handed to its
+//! handler thread as soon as the kernel completes it; no timer sits on a
+//! request's path. [`Server::shutdown`] (and `Drop`) sets the stop flag and
+//! then wakes that `accept` by connecting to the server's own address, with
+//! a wildcard bind (`0.0.0.0`, `::`) reached through the loopback of its
+//! family. The loop checks the flag after every accept and returns without
+//! serving, so the wake connection never reaches a handler, the access log
+//! or the `http_requests_*` counters. If the wake connection cannot be made
+//! (descriptors exhausted, say), shutdown warns and returns without joining
+//! the accept thread, which exits at the next connection it accepts.
 
 use crate::api;
 use crate::http::{read_request, write_response, write_stream_head, Request};
@@ -40,14 +53,19 @@ use hammervolt_core::exec::ExecConfig;
 use hammervolt_core::job::ProgressSnapshot;
 use hammervolt_obs::{histogram_record, metrics, prometheus, Span};
 use std::io::{self, BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often streaming progress emits a snapshot and the accept loop polls
-/// for shutdown.
+/// How long the accept loop backs off after a failed accept, and the
+/// longest gap between `?stream=1` progress snapshots while a job runs.
 const POLL: Duration = Duration::from_millis(25);
+
+/// How long shutdown's wake connection may take to connect. A loopback
+/// connect completes or is refused at once; this only bounds a full accept
+/// backlog.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Default cap on how long `/result` blocks before answering `202`.
 const DEFAULT_WAIT: Duration = Duration::from_secs(600);
@@ -103,7 +121,6 @@ impl Server {
     /// Propagates bind/configuration failures from the listener.
     pub fn start(addr: &str, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let timeouts = (config.read_timeout, config.write_timeout);
         let sched = Arc::new(Scheduler::start(config.sched, config.exec));
@@ -137,15 +154,30 @@ impl Server {
 
     /// Stops accepting connections, then drains and joins the scheduler
     /// workers.
+    ///
+    /// The accept thread is blocked in `accept`: shutdown sets the stop flag,
+    /// wakes it with one connection to [`Server::addr`] (a wildcard address
+    /// is reached through the loopback of its family) and joins it. The
+    /// loop drops that connection unserved. If the connection cannot be made,
+    /// shutdown warns through [`hammervolt_obs::warn`] and returns without
+    /// joining: the accept thread exits at the next connection it accepts,
+    /// and the scheduler drains when that thread releases it.
     pub fn shutdown(mut self) {
         self.stop_accepting();
     }
 
     fn stop_accepting(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+        self.stop.store(true, Ordering::SeqCst);
+        let Some(handle) = self.accept.take() else {
+            return;
+        };
+        let addr = wake_addr(self.addr);
+        wake_then_join(
+            || TcpStream::connect_timeout(&addr, WAKE_TIMEOUT),
+            || {
+                let _ = handle.join();
+            },
+        );
     }
 }
 
@@ -154,6 +186,32 @@ impl Drop for Server {
         self.stop_accepting();
         // The scheduler's own Drop drains workers once the last Arc (accept
         // loop joined above; handler threads are short-lived) releases.
+    }
+}
+
+/// Where shutdown connects to wake the accept loop: the bound address, with
+/// an unspecified IP replaced by the loopback of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Wakes the accept loop out of its blocking `accept` with `connect`, then
+/// `join`s it, holding the wake connection open until the join returns. A
+/// failed `connect` (`EMFILE`, say) warns and returns without joining: the
+/// stop flag is already set, so the loop exits at the next connection it
+/// accepts instead of hanging shutdown now.
+fn wake_then_join<C>(connect: impl FnOnce() -> io::Result<C>, join: impl FnOnce()) {
+    match connect() {
+        Ok(_wake) => join(),
+        Err(e) => hammervolt_obs::warn(
+            "serve",
+            &format!("cannot wake the accept loop ({e}); shutting down without joining it"),
+        ),
     }
 }
 
@@ -167,7 +225,6 @@ fn accept_loop(
         stop,
         || listener.accept().map(|(stream, _peer)| stream),
         |stream| {
-            let _ = stream.set_nonblocking(false);
             let _ = stream.set_read_timeout(timeouts.0);
             let _ = stream.set_write_timeout(timeouts.1);
             let sched = Arc::clone(sched);
@@ -180,25 +237,25 @@ fn accept_loop(
     );
 }
 
-/// Hands each accepted connection to `serve` until `stop` is set. Every
-/// accept error checks `stop` and then sleeps [`POLL`] before retrying:
-/// `WouldBlock` is the idle poll of the non-blocking listener, and a
-/// persistent error such as `EMFILE` (descriptors exhausted) must not spin
-/// a core the scheduler workers need.
+/// Hands each accepted connection to `serve` until `stop` is set. `accept`
+/// blocks until a connection arrives. `stop` is checked after every accept,
+/// whatever it returned, and a connection accepted once `stop` is set (the
+/// shutdown wake-up among them) is dropped unserved. An accept error sleeps
+/// [`POLL`] before retrying: a persistent error such as `EMFILE`
+/// (descriptors exhausted) must not spin a core the scheduler workers need.
 fn accept_until_stopped<C>(
     stop: &AtomicBool,
     mut accept: impl FnMut() -> io::Result<C>,
     mut serve: impl FnMut(C),
 ) {
     loop {
-        match accept() {
+        let accepted = accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok(conn) => serve(conn),
-            Err(_) => {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                std::thread::sleep(POLL);
-            }
+            Err(_) => std::thread::sleep(POLL),
         }
     }
 }
@@ -481,8 +538,9 @@ fn progress(sched: &Scheduler, req: &Request, id: u64, out: &mut TcpStream) -> i
     let Some(mut view) = sched.view(id) else {
         return not_found(out);
     };
-    // Close-delimited JSONL stream: one snapshot per poll tick, final
-    // snapshot carries the terminal state, then the connection closes.
+    // Close-delimited JSONL stream: a snapshot at least every `POLL` while
+    // the job runs, and the one carrying the terminal state as soon as it
+    // settles; then the connection closes.
     write_stream_head(out, "application/x-ndjson")?;
     loop {
         writeln!(out, "{}", view_body(&view))?;
@@ -490,9 +548,8 @@ fn progress(sched: &Scheduler, req: &Request, id: u64, out: &mut TcpStream) -> i
         if view.phase.is_settled() {
             return Ok(200);
         }
-        std::thread::sleep(POLL);
-        match sched.view(id) {
-            Some(v) => view = v,
+        match sched.wait(id, POLL) {
+            Some((v, _)) => view = v,
             None => return Ok(200),
         }
     }
@@ -640,5 +697,52 @@ mod tests {
         );
         assert_eq!(attempts, 4);
         assert!(started.elapsed() >= 3 * POLL, "retried without backing off");
+    }
+
+    #[test]
+    fn a_connection_accepted_after_stop_is_not_served() {
+        // The shutdown wake-up: stop is already set when the blocked accept
+        // returns its connection, which must be dropped unserved.
+        let stop = AtomicBool::new(false);
+        let mut served = 0;
+        let mut attempts = 0;
+        accept_until_stopped(
+            &stop,
+            || {
+                attempts += 1;
+                assert!(attempts <= 3, "accepted again after stop was set");
+                if attempts == 3 {
+                    stop.store(true, Ordering::SeqCst);
+                }
+                Ok::<_, io::Error>(attempts)
+            },
+            |_| served += 1,
+        );
+        assert_eq!((attempts, served), (3, 2));
+    }
+
+    #[test]
+    fn a_failed_wake_returns_without_joining() {
+        let started = Instant::now();
+        wake_then_join(
+            || Err::<(), _>(io::Error::from_raw_os_error(24)),
+            || panic!("joined an accept loop that was never woken"),
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "a failed wake-up held shutdown"
+        );
+        let mut joined = false;
+        wake_then_join(|| Ok(()), || joined = true);
+        assert!(joined, "a successful wake-up must join the loop");
+    }
+
+    #[test]
+    fn wildcard_binds_wake_through_their_loopback() {
+        let wake = |bound: &str| wake_addr(bound.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:8077"), "127.0.0.1:8077");
+        assert_eq!(wake("[::]:8077"), "[::1]:8077");
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80");
+        assert_eq!(wake("[fe80::1]:80"), "[fe80::1]:80");
     }
 }

@@ -16,6 +16,7 @@ use hammervolt_core::exec::{
     cache_path, rowhammer_sweep, rowhammer_sweeps, seal_entry, sweep_key, ExecConfig,
 };
 use hammervolt_dram::registry::ModuleId;
+use hammervolt_obs::scope::Scope;
 use hammervolt_softmc::program::Program;
 use hammervolt_softmc::SoftMcError;
 use hammervolt_testkit::{faults, golden_config};
@@ -48,25 +49,26 @@ fn corrupted_cache_entries_are_recomputed_never_served() {
     // Every recovery from a corrupt entry must also be *visible*: the
     // `cache_corrupt_recovered` counter is how an operator distinguishes a
     // cache that silently never loads from one that detects and recomputes.
-    // Other tests in this binary may run concurrently and add their own
-    // recoveries, so the assertions below are lower bounds on the deltas.
+    // The drill counts in a metric scope of its own, so recoveries made by
+    // other tests running alongside cannot stand in for a missed one, and
+    // every count below is exact.
     hammervolt_obs::set_metrics(true);
-    let recovered_0 = hammervolt_obs::metrics::counter_value("cache_corrupt_recovered");
+    let scope = Scope::new(&[("drill", "corrupt_cache")]);
+    let _entered = hammervolt_obs::scope::enter(&scope);
+    let recovered = || scope.counter_value("cache_corrupt_recovered");
 
     // Drill 1: truncation (a crash mid-write, a full disk).
     faults::truncate_file(&path, sealed.len() / 2).unwrap();
     let after = canon(&rowhammer_sweep(&cfg, id, &exec).expect("run after truncation"));
     assert_eq!(after, cold, "truncated entry must be recomputed");
-    let recovered_1 = hammervolt_obs::metrics::counter_value("cache_corrupt_recovered");
-    assert!(
-        recovered_1 > recovered_0,
-        "truncation recovery must be counted ({recovered_0} -> {recovered_1})"
-    );
+    assert_eq!(recovered(), 1, "truncation recovery must be counted");
 
     // Drill 2: single bit flips at several offsets (media corruption).
     // Offsets land in the header, the checksum region, and the payload.
+    // Flipping bit 7 of an ASCII byte leaves the entry invalid UTF-8.
     for &(byte, bit) in &[
         (10usize, 0u8),
+        (10, 7),
         (40, 3),
         (sealed.len() / 2, 6),
         (sealed.len() - 5, 1),
@@ -79,17 +81,17 @@ fn corrupted_cache_entries_are_recomputed_never_served() {
         );
         // The recompute rewrote a clean entry; corrupt again from fresh state.
     }
-    let recovered_2 = hammervolt_obs::metrics::counter_value("cache_corrupt_recovered");
-    assert!(
-        recovered_2 >= recovered_1.saturating_add(4),
-        "each of the four bit-flip recoveries must be counted \
-         ({recovered_1} -> {recovered_2})"
+    assert_eq!(
+        recovered(),
+        1 + 5,
+        "each of the five bit-flip recoveries must be counted"
     );
 
     // A *served* (uncorrupted) warm hit is not a recovery; it must still be
     // byte-identical to the cold run.
     let warm = canon(&rowhammer_sweep(&cfg, id, &exec).expect("clean warm run"));
     assert_eq!(warm, cold);
+    assert_eq!(recovered(), 1 + 5, "a clean warm hit is not a recovery");
     hammervolt_obs::set_metrics(false);
 
     let _ = std::fs::remove_dir_all(&dir);

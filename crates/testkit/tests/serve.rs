@@ -1,7 +1,8 @@
 //! End-to-end conformance for the study server: concurrent HTTP clients
 //! with overlapping specs get byte-identical results to serial engine runs,
 //! identical in-flight specs share one execution, cancel-then-resubmit
-//! resumes from chunk checkpoints, and queue bounds reject as configured.
+//! resumes from chunk checkpoints, queue bounds reject as configured, no
+//! timer sits on an exchange's path, and shutdown wakes the blocking accept.
 //!
 //! The client side is a deliberately tiny hand-rolled HTTP/1.1 exchange over
 //! `std::net::TcpStream` (one request, read to close) — the same strict
@@ -13,8 +14,9 @@ use hammervolt_core::study::StudyConfig;
 use hammervolt_dram::registry::ModuleId;
 use hammervolt_serve::{OverflowPolicy, SchedConfig, Server, ServerConfig};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("testkit-serve-{tag}-{}", std::process::id()));
@@ -632,6 +634,193 @@ fn malformed_submissions_and_unknown_jobs_are_clean_errors() {
     assert_eq!(status, 404);
     let (status, body) = http(addr, "GET", "/healthz", "");
     assert_eq!((status, body.as_slice()), (200, &b"{\"ok\":true}"[..]));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With a blocking accept, an exchange with an idle server waits on no
+/// timer: 20 sequential `/healthz` exchanges take a few milliseconds, and a
+/// 25 ms accept poll would make them take about half a second. The best of
+/// three rounds is checked, so a burst of load from a test running
+/// alongside cannot fail it.
+#[test]
+fn idle_healthz_exchanges_wait_on_no_timer() {
+    let (server, dir) = server("healthz", 1, false);
+    let addr = server.addr();
+    let best = (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            for _ in 0..20 {
+                let (status, _) = http(addr, "GET", "/healthz", "");
+                assert_eq!(status, 200);
+            }
+            started.elapsed()
+        })
+        .min()
+        .expect("three rounds ran");
+    assert!(
+        best < Duration::from_millis(250),
+        "20 idle /healthz exchanges took {best:?}"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shutdown wakes the blocking accept by connecting to the server's own
+/// address, through the loopback of the family for a wildcard bind. It
+/// returns promptly, and the accept thread has been joined: its listener is
+/// closed, so a new connection is refused. The IPv6 case is skipped on a
+/// host without IPv6 or its loopback.
+#[test]
+fn wildcard_bound_servers_shut_down_promptly() {
+    for (bind, loopback) in [("0.0.0.0:0", "127.0.0.1"), ("[::]:0", "[::1]")] {
+        let ipv6 = bind.starts_with('[');
+        if ipv6 && TcpListener::bind("[::1]:0").is_err() {
+            eprintln!("skipping {bind}: no IPv6 loopback here");
+            continue;
+        }
+        let dir = temp_dir("wildcard");
+        let config = ServerConfig {
+            sched: SchedConfig {
+                workers: 1,
+                ..SchedConfig::default()
+            },
+            exec: ExecConfig {
+                jobs: 1,
+                cache_dir: Some(dir.clone()),
+                ..ExecConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        let server = match Server::start(bind, config) {
+            Ok(server) => server,
+            Err(e) if ipv6 => {
+                eprintln!("skipping {bind}: no IPv6 here ({e})");
+                continue;
+            }
+            Err(e) => panic!("bind {bind}: {e}"),
+        };
+        let local: SocketAddr = format!("{loopback}:{}", server.addr().port())
+            .parse()
+            .expect("loopback address");
+        let (status, _) = http(local, "GET", "/healthz", "");
+        assert_eq!(status, 200, "{bind} serves through {loopback}");
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "shutdown of a {bind} server took {took:?}"
+        );
+        assert!(
+            TcpStream::connect(local).is_err(),
+            "{bind}: the listener outlived shutdown, so the accept loop was not joined"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `GET /studies/{id}/progress?stream=1`, read until the server closes the
+/// connection (a read timeout fails a stream that never ends). Returns the
+/// body's lines.
+fn progress_stream(addr: SocketAddr, job: u64) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).expect("connect to test server");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("set read timeout");
+    write!(
+        stream,
+        "GET /studies/{job}/progress?stream=1 HTTP/1.1\r\nHost: test\r\n\r\n"
+    )
+    .expect("send request");
+    let mut raw = Vec::new();
+    stream
+        .read_to_end(&mut raw)
+        .expect("the stream ends with the connection closed");
+    let text = String::from_utf8(raw).expect("UTF-8 stream");
+    let (head, body) = text
+        .split_once("\r\n\r\n")
+        .expect("response has a header block");
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+    assert!(head.contains("application/x-ndjson"), "{head}");
+    body.lines().map(str::to_string).collect()
+}
+
+/// Checks that `line` is a job view of `job` and returns its state.
+fn stream_state(line: &str, job: u64) -> String {
+    let view: serde::Value =
+        serde_json::from_str(line).unwrap_or_else(|e| panic!("unparsable line {line:?}: {e}"));
+    assert_eq!(
+        view.field("job"),
+        &serde::Value::Int(i128::from(job)),
+        "{line}"
+    );
+    for key in ["spec_hash", "request_id"] {
+        assert!(
+            matches!(view.field(key), serde::Value::Str(_)),
+            "{key}: {line}"
+        );
+    }
+    assert!(
+        matches!(view.field("subscribers"), serde::Value::Int(_)),
+        "{line}"
+    );
+    for key in ["progress", "metrics"] {
+        assert!(view.field(key).as_object().is_some(), "{key}: {line}");
+    }
+    match view.field("state") {
+        serde::Value::Str(state) => state.clone(),
+        other => panic!("state is {other:?} in {line}"),
+    }
+}
+
+/// The progress stream of a running job: every line is a job view, the
+/// state never goes backwards, the last line is `done` with every unit
+/// finished, and then the connection closes. A settled job streams exactly
+/// one line.
+#[test]
+fn progress_stream_follows_a_job_until_it_settles() {
+    let (server, dir) = server("stream", 1, false);
+    let addr = server.addr();
+    // All six smoke modules: the job runs for many snapshot intervals.
+    let spec = JobSpec {
+        kind: SweepKind::Hammer,
+        config: StudyConfig {
+            rows_per_chunk: 2,
+            ..StudyConfig::smoke()
+        },
+    };
+    let job = submit(addr, &spec);
+    let lines = progress_stream(addr, job);
+    let rank = |state: &str| match state {
+        "queued" => 0,
+        "running" => 1,
+        "done" => 2,
+        other => panic!("unexpected state {other:?}"),
+    };
+    let states: Vec<String> = lines.iter().map(|l| stream_state(l, job)).collect();
+    assert!(
+        rank(&states[0]) < 2,
+        "the stream opened on a job that had already settled"
+    );
+    assert!(
+        states.windows(2).all(|w| rank(&w[0]) <= rank(&w[1])),
+        "state went backwards: {states:?}"
+    );
+    assert_eq!(states.last().map(String::as_str), Some("done"));
+    let last = lines.last().expect("at least one line");
+    assert_eq!(
+        json_u64(last.as_bytes(), "units_done"),
+        json_u64(last.as_bytes(), "units_total")
+    );
+
+    let settled = progress_stream(addr, job);
+    assert_eq!(
+        settled.len(),
+        1,
+        "a settled job streams one line: {settled:?}"
+    );
+    assert_eq!(stream_state(&settled[0], job), "done");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
