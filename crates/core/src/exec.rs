@@ -116,29 +116,7 @@ impl ExecConfig {
     /// reported through the observability event sink (stderr when no sink
     /// is installed) before falling back, never silently ignored.
     pub fn from_env() -> Self {
-        let jobs = match std::env::var("HAMMERVOLT_JOBS") {
-            Ok(v) => match v.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    hammervolt_obs::warn(
-                        "exec",
-                        &format!(
-                            "HAMMERVOLT_JOBS={v:?} is not a valid worker count; \
-                             using auto (one worker per CPU)"
-                        ),
-                    );
-                    0
-                }
-            },
-            Err(std::env::VarError::NotPresent) => 0,
-            Err(std::env::VarError::NotUnicode(_)) => {
-                hammervolt_obs::warn(
-                    "exec",
-                    "HAMMERVOLT_JOBS is set but not valid UTF-8; using auto",
-                );
-                0
-            }
-        };
+        let jobs = hammervolt_par::jobs_from_env();
         let cache_dir = match std::env::var("HAMMERVOLT_CACHE_DIR") {
             Ok(v) if v.is_empty() => None,
             Ok(v) => {

@@ -61,6 +61,35 @@ impl CancelToken {
     }
 }
 
+/// Reads the worker count from `HAMMERVOLT_JOBS` (`0` = one worker per CPU).
+///
+/// Unset means `0`. A value that is set but is not a valid count, or is not
+/// valid UTF-8, is reported through [`hammervolt_obs::warn`] (stderr when no
+/// event sink is installed) and then also falls back to `0`, never
+/// silently.
+pub fn jobs_from_env() -> usize {
+    match std::env::var("HAMMERVOLT_JOBS") {
+        Ok(v) => v.parse::<usize>().unwrap_or_else(|_| {
+            hammervolt_obs::warn(
+                "par",
+                &format!(
+                    "HAMMERVOLT_JOBS={v:?} is not a valid worker count; \
+                     using auto (one worker per CPU)"
+                ),
+            );
+            0
+        }),
+        Err(std::env::VarError::NotPresent) => 0,
+        Err(std::env::VarError::NotUnicode(_)) => {
+            hammervolt_obs::warn(
+                "par",
+                "HAMMERVOLT_JOBS is set but not valid UTF-8; using auto",
+            );
+            0
+        }
+    }
+}
+
 /// Resolves a job count: `0` means one worker per available CPU.
 pub fn resolve_jobs(jobs: usize) -> usize {
     if jobs == 0 {

@@ -493,7 +493,8 @@ impl McActivationStats {
 ///
 /// Delegates to the batched runner ([`crate::batch::BatchedActivation`]);
 /// worker count comes from the `HAMMERVOLT_JOBS` environment variable
-/// (0 or unset = all cores). Results are bit-identical to
+/// (0 or unset = all cores; a malformed value warns and means all cores,
+/// see [`hammervolt_par::jobs_from_env`]). Results are bit-identical to
 /// [`monte_carlo_activation_serial`] for any worker count.
 ///
 /// # Errors
@@ -507,11 +508,7 @@ pub fn monte_carlo_activation(
     vpp: f64,
     mc: &MonteCarlo,
 ) -> Result<McActivationStats, SpiceError> {
-    let jobs = std::env::var("HAMMERVOLT_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0);
-    crate::batch::BatchedActivation::new(base, vpp)?.run(mc, jobs)
+    crate::batch::BatchedActivation::new(base, vpp)?.run(mc, hammervolt_par::jobs_from_env())
 }
 
 /// The serial reference for [`monte_carlo_activation`]: one fresh circuit,

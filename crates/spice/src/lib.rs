@@ -11,7 +11,8 @@
 //! - [`mosfet`] — a level-1 (Shichman–Hodges) MOSFET model with body effect
 //!   and channel-length modulation, parameterized by a PTM-like 22 nm card
 //!   ([`ptm`]),
-//! - [`linear`] — dense LU factorization with partial pivoting,
+//! - [`linear`] — dense LU factorization with partial pivoting, plus
+//!   bit-identical fixed-size kernels for small systems,
 //! - [`mna`] / [`transient`] — modified nodal analysis with Newton–Raphson
 //!   iteration and backward-Euler companion models for capacitors,
 //! - [`dc`] — `.op`-style DC operating-point analysis,

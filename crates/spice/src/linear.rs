@@ -2,6 +2,9 @@
 //!
 //! The MNA systems produced by the DRAM-cell netlist are tiny (≈10 unknowns),
 //! so a dense solver is both simpler and faster than sparse machinery.
+//! [`Matrix::solve_in_place`] takes any dimension; [`fixed_lu`] returns the
+//! same solve compiled for one fixed dimension up to [`FIXED_LU_MAX`], which
+//! the batched transient solver uses.
 
 use crate::error::SpiceError;
 
@@ -130,6 +133,111 @@ impl Matrix {
         }
         Ok(())
     }
+}
+
+/// An in-place solve of `A · x = b` under [`Matrix::solve_in_place`]'s
+/// contract: `A` is overwritten with its factors, `b` with the solution.
+pub type Solve = fn(&mut Matrix, &mut [f64]) -> Result<(), SpiceError>;
+
+/// The largest dimension with a fixed-size kernel in [`fixed_lu`].
+pub const FIXED_LU_MAX: usize = 16;
+
+/// The fixed-size LU kernel for `n × n` systems, for `1 ≤ n ≤`
+/// [`FIXED_LU_MAX`].
+///
+/// Each kernel repeats [`Matrix::solve_in_place`] operation for operation:
+/// the same strict-`>` pivot search and pivot threshold, whole-row swaps,
+/// the same skipped zero factors, row updates and back substitution, each
+/// in the same order and without fused or reciprocal arithmetic. Its
+/// results therefore match bit for bit, errors included. It gains its
+/// speed from the dimension being a constant: the rows are `[f64; N]`
+/// arrays, so the loops have fixed trip counts and no bounds checks.
+pub fn fixed_lu(n: usize) -> Option<Solve> {
+    const KERNELS: [Solve; FIXED_LU_MAX] = [
+        solve_fixed::<1>,
+        solve_fixed::<2>,
+        solve_fixed::<3>,
+        solve_fixed::<4>,
+        solve_fixed::<5>,
+        solve_fixed::<6>,
+        solve_fixed::<7>,
+        solve_fixed::<8>,
+        solve_fixed::<9>,
+        solve_fixed::<10>,
+        solve_fixed::<11>,
+        solve_fixed::<12>,
+        solve_fixed::<13>,
+        solve_fixed::<14>,
+        solve_fixed::<15>,
+        solve_fixed::<16>,
+    ];
+    KERNELS.get(n.checked_sub(1)?).copied()
+}
+
+/// Views the matrix as `N` rows of `[f64; N]` and runs [`lu_rows`].
+///
+/// # Panics
+///
+/// Panics if the matrix is not `N × N` or `b.len() != N`.
+fn solve_fixed<const N: usize>(m: &mut Matrix, b: &mut [f64]) -> Result<(), SpiceError> {
+    assert_eq!(m.n, N, "matrix dimension must match the kernel");
+    let (rows, _) = m.data.as_chunks_mut::<N>();
+    let a: &mut [[f64; N]; N] = rows.try_into().expect("N × N matrix has N rows");
+    let b: &mut [f64; N] = b
+        .try_into()
+        .expect("rhs length must match matrix dimension");
+    lu_rows(a, b)
+}
+
+/// LU with partial pivoting on a fixed-size system, in the exact operation
+/// order of [`Matrix::solve_in_place`].
+fn lu_rows<const N: usize>(a: &mut [[f64; N]; N], b: &mut [f64; N]) -> Result<(), SpiceError> {
+    // The threshold of `Matrix::solve_in_place`.
+    const PIVOT_EPS: f64 = 1e-30;
+    for col in 0..N {
+        // partial pivot: the first row holding the largest magnitude
+        let mut pivot_row = col;
+        let mut pivot_val = a[col][col].abs();
+        for (row, r) in a.iter().enumerate().skip(col + 1) {
+            let v = r[col].abs();
+            if v > pivot_val {
+                pivot_val = v;
+                pivot_row = row;
+            }
+        }
+        if pivot_val < PIVOT_EPS {
+            return Err(SpiceError::SingularMatrix { time: 0.0 });
+        }
+        if pivot_row != col {
+            a.swap(col, pivot_row);
+            b.swap(col, pivot_row);
+        }
+        let (upper, lower) = a.split_at_mut(col + 1);
+        let pivot_r = &upper[col];
+        let pivot = pivot_r[col];
+        let (b_upper, b_lower) = b.split_at_mut(col + 1);
+        let b_pivot = b_upper[col];
+        for (r, br) in lower.iter_mut().zip(b_lower) {
+            let factor = r[col] / pivot;
+            if factor == 0.0 {
+                continue;
+            }
+            r[col] = 0.0;
+            for (x, &p) in r[col + 1..].iter_mut().zip(&pivot_r[col + 1..]) {
+                *x -= factor * p;
+            }
+            *br -= factor * b_pivot;
+        }
+    }
+    // back substitution
+    for row in (0..N).rev() {
+        let mut sum = b[row];
+        for (&x, &bk) in a[row][row + 1..].iter().zip(&b[row + 1..]) {
+            sum -= x * bk;
+        }
+        b[row] = sum / a[row][row];
+    }
+    Ok(())
 }
 
 #[cfg(test)]

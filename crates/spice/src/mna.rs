@@ -105,8 +105,17 @@ impl Stamper {
         }
     }
 
-    /// Stamps voltage source `k` forcing `v(plus) − v(minus) = volts`.
+    /// Stamps voltage source `k` forcing `v(plus) − v(minus) = volts`: the
+    /// ±1 incidence entries in the matrix, then `volts` in the right-hand
+    /// side.
     pub fn voltage_source(&mut self, k: usize, plus: NodeId, minus: NodeId, volts: f64) {
+        self.source_incidence(k, plus, minus);
+        self.source_value(k, volts);
+    }
+
+    /// Stamps the matrix half of voltage source `k`: the ±1 entries tying
+    /// its branch current to its terminals.
+    pub(crate) fn source_incidence(&mut self, k: usize, plus: NodeId, minus: NodeId) {
         let br = self.layout.source_index(k);
         if let Some(i) = self.layout.node_index(plus) {
             self.matrix.add(i, br, 1.0);
@@ -116,7 +125,11 @@ impl Stamper {
             self.matrix.add(j, br, -1.0);
             self.matrix.add(br, j, -1.0);
         }
-        self.rhs[br] += volts;
+    }
+
+    /// Stamps the right-hand-side half of voltage source `k`: its value.
+    pub(crate) fn source_value(&mut self, k: usize, volts: f64) {
+        self.rhs[self.layout.source_index(k)] += volts;
     }
 
     /// Stamps a linearized transconductor: a current into terminal `d` (and

@@ -14,22 +14,31 @@
 //!   matrix per solve. Simple, obviously correct, and retained as the
 //!   equivalence oracle for the fast path.
 //! - [`TransientSolver`] — the batched fast path: symbolic analysis
-//!   (layout, validation, workspace sizing) happens once at construction,
-//!   the iteration-invariant linear stamps (gmin, resistors, capacitor
-//!   companions, sources) are assembled once per *timestep* into a base
-//!   system, and each Newton iteration only copies the base and adds the
-//!   MOSFET linearizations — no heap allocation anywhere in the stepping
-//!   loop. Designed for Monte-Carlo batches that patch element values into
-//!   a template circuit and re-run thousands of times.
+//!   (layout, validation, workspace sizing, choice of LU kernel) happens
+//!   once at construction. Per run, the step-invariant matrix of the base
+//!   system (gmin, resistors, capacitor companion conductances, source
+//!   incidence) is stamped once; per *timestep* only the base right-hand
+//!   side (capacitor history currents, source values) is rebuilt; each
+//!   Newton iteration copies the base, adds the MOSFET linearizations and
+//!   solves with a fixed-size LU kernel ([`crate::linear::fixed_lu`]) — no
+//!   heap allocation anywhere in the stepping loop. Designed for
+//!   Monte-Carlo batches that patch element values into a template circuit
+//!   and re-run thousands of times.
 //!
-//! The two are bit-identical by construction: the fast path performs the
-//! same floating-point additions in the same order on every matrix entry
-//! (base stamps first, MOSFET stamps last — exactly the reference's
-//! stamping order), and the LU solve is a pure function of the assembled
-//! bits. `hammervolt-testkit`'s `mc_equivalence` suite enforces this the
-//! same way the compiled-SoftMC-plan suites enforce interpreter parity.
+//! The two are bit-identical by construction. Matrix and right-hand side
+//! accumulate independently, so splitting the base stamps between run and
+//! step still gives every entry the same floating-point additions in the
+//! same order (base stamps first, MOSFET stamps last — exactly the
+//! reference's stamping order). The fixed-size kernel repeats
+//! [`Matrix::solve_in_place`], which the reference uses, operation for
+//! operation, so the solve is the same pure function of the assembled bits;
+//! the crate's property tests compare the two on adversarial systems.
+//! `hammervolt-testkit`'s `mc_equivalence` suite enforces the whole
+//! contract against the reference engine the same way the
+//! compiled-SoftMC-plan suites enforce interpreter parity.
 
 use crate::error::SpiceError;
+use crate::linear::{fixed_lu, Matrix, Solve};
 use crate::mna::{Layout, Stamper};
 use crate::netlist::{Circuit, NodeId};
 
@@ -126,12 +135,15 @@ fn validate(circuit: &Circuit, config: &TransientConfig) -> Result<(), SpiceErro
             reason: "max_newton and record_stride must be at least 1".to_string(),
         });
     }
-    if let Some(max) = circuit.max_referenced_node() {
-        if max >= circuit.node_count() {
-            return Err(SpiceError::UnknownNode { node: max });
-        }
+    check_nodes(circuit)
+}
+
+/// Rejects a circuit whose elements name a node it does not have.
+fn check_nodes(circuit: &Circuit) -> Result<(), SpiceError> {
+    match circuit.max_referenced_node() {
+        Some(max) if max >= circuit.node_count() => Err(SpiceError::UnknownNode { node: max }),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Seeds the initial node-voltage vector (UIC semantics): capacitor initial
@@ -402,18 +414,24 @@ impl TraceSink for FullTraces {
 /// A reusable transient workspace sharing one symbolic analysis across many
 /// solves of same-shaped circuits.
 ///
-/// Construction performs the full layout/validation work once; [`run`]
-/// accepts any circuit with the same *shape* (node, source, and element
-/// structure) — typically the same template with element values patched in
-/// place — and integrates it without allocating. Per timestep, the
-/// iteration-invariant stamps (gmin conditioning, resistors, capacitor
-/// companion models, source constraints) are assembled once into a base
-/// system; each Newton iteration copies the base into the working system,
-/// adds the MOSFET linearizations, and solves in place.
+/// Construction performs the full layout/validation work once and picks the
+/// LU solve for the layout's unknown count: the fixed-size kernel from
+/// [`fixed_lu`] up to [`FIXED_LU_MAX`](crate::linear::FIXED_LU_MAX)
+/// unknowns, [`Matrix::solve_in_place`] above. [`run`] accepts any circuit
+/// with the same *shape* (node, source, and element structure) — typically
+/// the same template with element values patched in place — and integrates
+/// it without allocating. Per run, the step-invariant matrix of the base
+/// system (gmin conditioning, resistors, capacitor companion conductances,
+/// source incidence) is stamped once; per timestep, only the base
+/// right-hand side (capacitor history currents, source values) is rebuilt;
+/// each Newton iteration copies the base into the working system, adds the
+/// MOSFET linearizations, and solves in place.
 ///
 /// Results are bit-identical to [`Transient::run`] on the same circuit: the
 /// per-entry stamp order (base first, MOSFETs last) matches the reference's
-/// assembly order, so every f64 accumulation happens in the same sequence.
+/// assembly order, so every f64 accumulation happens in the same sequence,
+/// and the kernel performs [`Matrix::solve_in_place`]'s operations in its
+/// order.
 ///
 /// [`run`]: TransientSolver::run
 #[derive(Debug, Clone)]
@@ -421,6 +439,7 @@ pub struct TransientSolver {
     config: TransientConfig,
     n_nodes: usize,
     n_sources: usize,
+    solve: Solve,
     base: Stamper,
     work: Stamper,
     volts: Vec<f64>,
@@ -443,6 +462,7 @@ impl TransientSolver {
             config,
             n_nodes,
             n_sources: circuit.sources.len(),
+            solve: fixed_lu(layout.unknowns()).unwrap_or(Matrix::solve_in_place),
             base: Stamper::new(layout.clone()),
             work: Stamper::new(layout),
             volts: vec![0.0; n_nodes],
@@ -466,8 +486,8 @@ impl TransientSolver {
     ///
     /// # Errors
     ///
-    /// Fails on a shape mismatch, a singular MNA matrix, or Newton
-    /// non-convergence.
+    /// Fails on a shape mismatch, an element naming a node outside the
+    /// circuit, a singular MNA matrix, or Newton non-convergence.
     pub fn run(
         &mut self,
         circuit: &Circuit,
@@ -485,11 +505,29 @@ impl TransientSolver {
                 ),
             });
         }
+        check_nodes(circuit)?;
         let cfg = self.config;
         let n_nodes = self.n_nodes;
 
         self.volts.iter_mut().for_each(|v| *v = 0.0);
         seed_initial_volts(circuit, &mut self.volts);
+
+        // The base matrix is step-invariant: stamp it once, in the reference
+        // engine's stamp order (gmin, resistors, capacitors, sources). Only
+        // the right-hand side changes from step to step.
+        self.base.clear();
+        for node in 1..n_nodes {
+            self.base.conductance(node, 0, cfg.gmin);
+        }
+        for r in &circuit.resistors {
+            self.base.conductance(r.a, r.b, 1.0 / r.ohms);
+        }
+        for cap in &circuit.capacitors {
+            self.base.conductance(cap.a, cap.b, cap.farads / cfg.dt);
+        }
+        for (k, s) in circuit.sources.iter().enumerate() {
+            self.base.source_incidence(k, s.plus, s.minus);
+        }
 
         let steps = (cfg.t_stop / cfg.dt).ceil() as usize;
         sink.begin(n_nodes, steps / cfg.record_stride + 2);
@@ -499,26 +537,18 @@ impl TransientSolver {
         for step in 1..=steps {
             let t = (step as f64) * cfg.dt;
 
-            // Iteration-invariant base system for this step, assembled in
-            // the reference engine's stamp order: gmin, resistors,
-            // capacitors, sources. MOSFETs are the only re-linearized
-            // stamps and land last, per iteration, in the working copy.
-            self.base.clear();
-            for node in 1..n_nodes {
-                self.base.conductance(node, 0, cfg.gmin);
-            }
-            for r in &circuit.resistors {
-                self.base.conductance(r.a, r.b, 1.0 / r.ohms);
-            }
+            // This step's base right-hand side, in the same order:
+            // capacitor history currents, then source values. MOSFETs are
+            // the only re-linearized stamps and land last, per iteration,
+            // in the working copy.
+            self.base.rhs.fill(0.0);
             for cap in &circuit.capacitors {
                 let geq = cap.farads / cfg.dt;
                 let v_hist = self.volts[cap.a] - self.volts[cap.b];
-                self.base.conductance(cap.a, cap.b, geq);
                 self.base.current_source(cap.b, cap.a, geq * v_hist);
             }
             for (k, s) in circuit.sources.iter().enumerate() {
-                self.base
-                    .voltage_source(k, s.plus, s.minus, s.waveform.value(t));
+                self.base.source_value(k, s.waveform.value(t));
             }
 
             self.candidate.copy_from_slice(&self.volts);
@@ -540,13 +570,10 @@ impl TransientSolver {
 
                 // The working system is already a scratch copy: factorize it
                 // in place, solution lands in the working RHS.
-                self.work
-                    .matrix
-                    .solve_in_place(&mut self.work.rhs)
-                    .map_err(|e| match e {
-                        SpiceError::SingularMatrix { .. } => SpiceError::SingularMatrix { time: t },
-                        other => other,
-                    })?;
+                (self.solve)(&mut self.work.matrix, &mut self.work.rhs).map_err(|e| match e {
+                    SpiceError::SingularMatrix { .. } => SpiceError::SingularMatrix { time: t },
+                    other => other,
+                })?;
 
                 let x = &self.work.rhs;
                 let mut max_err = 0.0f64;
@@ -824,6 +851,27 @@ mod tests {
         assert!(matches!(
             solver.run(&other, &mut sink),
             Err(SpiceError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn solver_rejects_an_element_naming_a_missing_node() {
+        // Same node and source counts as the solver's circuit, but the load
+        // capacitor names a node the circuit does not have: an error, as
+        // `Transient::new` gives, not an out-of-bounds panic.
+        let c = follower_circuit(1.0);
+        let mut solver = TransientSolver::new(&c, TransientConfig::default()).unwrap();
+        let mut bad = c.clone();
+        let missing = c.node_count() + 3;
+        bad.capacitors[0].a = missing;
+        let mut sink = FullTraces::default();
+        assert_eq!(
+            solver.run(&bad, &mut sink).unwrap_err(),
+            SpiceError::UnknownNode { node: missing }
+        );
+        assert!(matches!(
+            Transient::new(&bad, TransientConfig::default()),
+            Err(SpiceError::UnknownNode { node }) if node == missing
         ));
     }
 

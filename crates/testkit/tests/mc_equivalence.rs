@@ -9,7 +9,10 @@
 //! at worker counts {1, 2, 8}, then asserts the resulting
 //! [`McActivationStats`] agree field by field with every `f64` compared via
 //! `to_bits` — an ulp of drift from reordered arithmetic or schedule-
-//! dependent folding fails.
+//! dependent folding fails. The two paths solve with different LU code:
+//! the reference with `Matrix::solve_in_place`, the batched solver with a
+//! fixed-size kernel (`linear::fixed_lu`), so these tests also pin the
+//! kernel to the old LU on the activation system itself.
 //!
 //! The fault-injection tests pin the no-abort contract: a parameter draw
 //! that makes the solver fail numerically is counted as a failed trial
@@ -55,15 +58,31 @@ fn assert_bit_identical(fast: &McActivationStats, reference: &McActivationStats,
 
 #[test]
 fn batched_matches_serial_across_worker_counts() {
-    let base = quick_params();
-    let mc = MonteCarlo::quick(10);
-    for vpp in [2.5, 1.8] {
-        let reference = monte_carlo_activation_serial(&base, vpp, &mc).unwrap();
-        assert_eq!(reference.v_restore.len(), mc.trials, "all trials complete");
-        let batch = BatchedActivation::new(&base, vpp).unwrap();
-        for jobs in [1usize, 2, 8] {
-            let fast = batch.run(&mc, jobs).unwrap();
-            assert_bit_identical(&fast, &reference, &format!("vpp {vpp}, jobs {jobs}"));
+    // The coarse configuration, then the default one: 5,000 steps at 10 ps,
+    // what `spice_mc` and the Fig. 8b/9b harnesses run, with its lowest
+    // V_PP level.
+    let studies = [
+        ("quick", quick_params(), MonteCarlo::quick(10), [2.5, 1.8]),
+        (
+            "default",
+            DramCellParams::default(),
+            MonteCarlo::quick(3),
+            [2.5, 1.6],
+        ),
+    ];
+    for (name, base, mc, levels) in studies {
+        for vpp in levels {
+            let reference = monte_carlo_activation_serial(&base, vpp, &mc).unwrap();
+            assert_eq!(reference.v_restore.len(), mc.trials, "all trials complete");
+            let batch = BatchedActivation::new(&base, vpp).unwrap();
+            for jobs in [1usize, 2, 8] {
+                let fast = batch.run(&mc, jobs).unwrap();
+                assert_bit_identical(
+                    &fast,
+                    &reference,
+                    &format!("{name} params, vpp {vpp}, jobs {jobs}"),
+                );
+            }
         }
     }
 }
