@@ -1,6 +1,7 @@
 //! Regenerates Fig. 8b: probability density of `t_RCDmin` across Monte-Carlo
 //! trials, per `V_PP` level, with worst-case lines.
 
+use hammervolt_bench::Scale;
 use hammervolt_spice::dram_cell::{monte_carlo_activation, DramCellParams};
 use hammervolt_spice::montecarlo::MonteCarlo;
 use hammervolt_stats::plot::{render, PlotConfig};
@@ -9,10 +10,10 @@ use hammervolt_stats::{KernelDensity, Series};
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     println!("Fig. 8b: t_RCDmin distribution across Monte-Carlo trials (SPICE)\n");
-    let trials = match std::env::var("HAMMERVOLT_SCALE").as_deref() {
-        Ok("paper") => 10_000,
-        Ok("smoke") => 60,
-        _ => 400,
+    let trials = match Scale::from_env() {
+        Scale::Paper => 10_000,
+        Scale::Smoke => 60,
+        Scale::Quick => 400,
     };
     println!("trials per V_PP level: {trials} (paper: 10 000)\n");
     let mc = MonteCarlo::quick(trials);

@@ -1,6 +1,7 @@
 //! Regenerates Fig. 9b: probability density of `t_RASmin` across Monte-Carlo
 //! trials, per `V_PP` level.
 
+use hammervolt_bench::Scale;
 use hammervolt_spice::dram_cell::{monte_carlo_activation, DramCellParams};
 use hammervolt_spice::montecarlo::MonteCarlo;
 use hammervolt_stats::plot::{render, PlotConfig};
@@ -12,10 +13,10 @@ const NOMINAL_T_RAS_NS: f64 = 32.0;
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     println!("Fig. 9b: t_RASmin distribution across Monte-Carlo trials (SPICE)\n");
-    let trials = match std::env::var("HAMMERVOLT_SCALE").as_deref() {
-        Ok("paper") => 10_000,
-        Ok("smoke") => 60,
-        _ => 400,
+    let trials = match Scale::from_env() {
+        Scale::Paper => 10_000,
+        Scale::Smoke => 60,
+        Scale::Quick => 400,
     };
     println!("trials per V_PP level: {trials} (paper: 10 000)\n");
     let mc = MonteCarlo::quick(trials);

@@ -12,7 +12,7 @@
 pub mod figures;
 
 use hammervolt_core::exec::ExecConfig;
-use hammervolt_core::study::StudyConfig;
+use hammervolt_core::study::{self, StudyConfig};
 
 /// Installs the shared observability wiring for a harness bin: reads the
 /// `HAMMERVOLT_TRACE_OUT`/`HAMMERVOLT_MANIFEST_OUT`/`HAMMERVOLT_METRICS`/
@@ -41,11 +41,12 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment.
+    /// Reads the scale from the environment; a malformed value warns and
+    /// means the default (see [`study::scale_from_env`]).
     pub fn from_env() -> Self {
-        match std::env::var("HAMMERVOLT_SCALE").as_deref() {
-            Ok("paper") => Scale::Paper,
-            Ok("smoke") => Scale::Smoke,
+        match study::scale_from_env() {
+            "paper" => Scale::Paper,
+            "smoke" => Scale::Smoke,
             _ => Scale::Quick,
         }
     }

@@ -163,6 +163,34 @@ impl StudyConfig {
     }
 }
 
+/// The protocol `HAMMERVOLT_SCALE` names: `"smoke"`, `"quick"` or
+/// `"paper"`. Unset or empty means `"quick"`. Any other value, or one that
+/// is not UTF-8, is reported through [`hammervolt_obs::warn`] before falling
+/// back to `"quick"`, never silently run as the default.
+pub fn scale_from_env() -> &'static str {
+    match std::env::var("HAMMERVOLT_SCALE") {
+        Ok(v) if v.is_empty() => "quick",
+        Ok(v) => ["smoke", "quick", "paper"]
+            .into_iter()
+            .find(|&scale| scale == v)
+            .unwrap_or_else(|| {
+                hammervolt_obs::warn(
+                    "study",
+                    &format!("HAMMERVOLT_SCALE={v:?} is not smoke, quick or paper; using quick"),
+                );
+                "quick"
+            }),
+        Err(std::env::VarError::NotPresent) => "quick",
+        Err(std::env::VarError::NotUnicode(_)) => {
+            hammervolt_obs::warn(
+                "study",
+                "HAMMERVOLT_SCALE is set but not valid UTF-8; using quick",
+            );
+            "quick"
+        }
+    }
+}
+
 /// One module's RowHammer sweep across its `V_PP` ladder.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModuleHammerSweep {

@@ -60,7 +60,89 @@ pub fn chunk_seed(module_seed: u64, bank: u32, chunk: u64) -> u64 {
 /// Uniform value in `[0, 1)` from a seed (53-bit precision).
 #[inline]
 pub fn uniform01(seed: u64) -> f64 {
-    (splitmix64(seed) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    unit_of_draw(splitmix64(seed) >> 11)
+}
+
+/// [`uniform01`]'s scaling of a 53-bit draw into `[0, 1)`. Exact: every
+/// draw below `2^53` is an `f64`, and the scale is a power of two.
+#[inline]
+pub(crate) fn unit_of_draw(draw: u64) -> f64 {
+    draw as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A cell's flip draw for `salt` as a 53-bit integer:
+/// `unit_of_draw(cell_draw(r, c, s)) == uniform01(combine(cell_seed(r, c), s))`.
+/// For a power-of-two cap `2^-k`, `uniform01(…) < 2^-k` is exactly
+/// `cell_draw(…) < 2^(53 - k)`.
+#[inline]
+pub(crate) fn cell_draw(row_seed: u64, bit: u32, salt: u64) -> u64 {
+    splitmix64(combine(cell_seed(row_seed, bit), salt)) >> 11
+}
+
+/// Cells per block of the wide hash pass.
+pub(crate) const DRAW_BLOCK: usize = 64;
+
+/// Proof that this host runs AVX-512F, DQ and VL, the features
+/// [`block_draws_avx512`] is compiled for. Its field is private, so only
+/// [`Avx512::detect`] makes one.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Avx512(());
+
+#[cfg(target_arch = "x86_64")]
+impl Avx512 {
+    /// The proof, if this host has all three features.
+    /// `is_x86_feature_detected!` caches its answer, so a call costs a few
+    /// loads.
+    pub(crate) fn detect() -> Option<Self> {
+        let wide = std::is_x86_feature_detected!("avx512f")
+            && std::is_x86_feature_detected!("avx512dq")
+            && std::is_x86_feature_detected!("avx512vl");
+        wide.then_some(Avx512(()))
+    }
+
+    /// [`cell_draw`] for the cells `start ..= start + 63`, written to
+    /// `draws`, and the mask of the cells whose draw is below `limit` (bit
+    /// `i` for cell `start + i`), through the AVX-512 kernel.
+    #[allow(unsafe_code)]
+    #[inline]
+    pub(crate) fn block_draws(
+        self,
+        row_seed: u64,
+        salt: u64,
+        start: u32,
+        limit: u64,
+        draws: &mut [u64; DRAW_BLOCK],
+    ) -> u64 {
+        // SAFETY: `block_draws_avx512` is safe Rust compiled with
+        // `target_feature(enable = "avx512f,avx512dq,avx512vl")`; calling it
+        // is sound exactly when the CPU has those features. `self` exists
+        // only because `Avx512::detect` found all three on this host.
+        unsafe { block_draws_avx512(row_seed, salt, start, limit, draws) }
+    }
+}
+
+/// [`Avx512::block_draws`]'s kernel. The loops carry nothing from lane to
+/// lane, so under these target features they compile to eight-lane 64-bit
+/// multiplies (`vpmullq` needs AVX512DQ; VL allows the narrower vectors)
+/// and a vector compare into the mask. `start + 63` must not overflow.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn block_draws_avx512(
+    row_seed: u64,
+    salt: u64,
+    start: u32,
+    limit: u64,
+    draws: &mut [u64; DRAW_BLOCK],
+) -> u64 {
+    for (i, d) in draws.iter_mut().enumerate() {
+        *d = cell_draw(row_seed, start + i as u32, salt);
+    }
+    let mut keep = 0u64;
+    for (i, &d) in draws.iter().enumerate() {
+        keep |= u64::from(d < limit) << i;
+    }
+    keep
 }
 
 /// Uniform value in `[lo, hi)` from a seed.

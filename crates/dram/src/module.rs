@@ -193,12 +193,18 @@ impl LandTally {
     }
 }
 
-/// Cap of a row's first index build for a salt: deep enough for the
-/// cutoffs a typical landing asks (an average RowHammer layer reads ~1,800
-/// of a row's 65,536 cells), shallow enough that the build keeps ~3 % of
-/// the row. A power of two, so `u < cap` is a whole number of exponent
-/// buckets.
+/// The bottom rung of the cap ladder ([`SaltIndex::cap_for`]): the cap of
+/// any build whose cutoff is at most 1/32. Deep enough for the cutoffs a
+/// typical landing asks (an average RowHammer layer reads ~1,800 of a row's
+/// 65,536 cells), shallow enough that the build keeps ~3 % of the row. The
+/// rungs above it are 1/16, 1/8, 1/4, 1/2 and 1, so a `(row, salt)` index
+/// is built at most six times. Every rung is a power of two, so `u < cap`
+/// is a whole number of exponent buckets.
 const FIRST_CAP: f64 = 1.0 / 32.0;
+
+/// Rungs on the cap ladder, `FIRST_CAP` through 1: the bound on a
+/// `(row, salt)` index's builds.
+const MAX_BUILDS: u32 = 6;
 
 /// Entry flag: the cell's charged polarity (the value it stores when
 /// charged).
@@ -219,6 +225,77 @@ struct IndexEntry {
     flags: u32,
 }
 
+impl IndexEntry {
+    /// The entry for a kept cell: its draw scaled exactly as `uniform01`
+    /// scales it, and its flags hashed from the cell's seed.
+    #[inline]
+    fn kept(draw: u64, cell: u32, rseed: u64, phys: u32) -> Self {
+        IndexEntry {
+            u: hash::unit_of_draw(draw),
+            cell,
+            flags: cell_flags(hash::cell_seed(rseed, cell), cell, phys),
+        }
+    }
+}
+
+/// The code an index build hashes its cells with. Both passes keep the
+/// same cells with the same draws in the same order; they differ only in
+/// speed, and the wide one is chosen per build when the host has it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HashPass {
+    /// One cell at a time. The only pass off x86-64 or without AVX-512,
+    /// and the reference the wide pass is tested against.
+    Portable,
+    /// 64-cell blocks through the AVX-512 kernel, carrying the proof that
+    /// this host has it.
+    #[cfg(target_arch = "x86_64")]
+    Avx512(hash::Avx512),
+}
+
+impl HashPass {
+    /// The widest pass this host runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(wide) = hash::Avx512::detect() {
+            return HashPass::Avx512(wide);
+        }
+        HashPass::Portable
+    }
+
+    /// Appends the cells `start ..= start + 63` whose draw is below `limit`
+    /// to `kept`, in cell order, with their entries' `u` and flags.
+    fn keep_block(
+        self,
+        rseed: u64,
+        phys: u32,
+        salt: u64,
+        start: u32,
+        limit: u64,
+        kept: &mut Vec<IndexEntry>,
+    ) {
+        match self {
+            HashPass::Portable => {
+                for cell in (0..hash::DRAW_BLOCK as u32).map(|i| start + i) {
+                    let draw = hash::cell_draw(rseed, cell, salt);
+                    if draw < limit {
+                        kept.push(IndexEntry::kept(draw, cell, rseed, phys));
+                    }
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            HashPass::Avx512(wide) => {
+                let mut draws = [0u64; hash::DRAW_BLOCK];
+                let mut keep = wide.block_draws(rseed, salt, start, limit, &mut draws);
+                while keep != 0 {
+                    let i = keep.trailing_zeros();
+                    keep &= keep - 1;
+                    kept.push(IndexEntry::kept(draws[i as usize], start + i, rseed, phys));
+                }
+            }
+        }
+    }
+}
+
 /// A row's flip candidates for one salt, indexed for cutoff queries and
 /// capped at the depth landing layers have asked for so far.
 ///
@@ -236,7 +313,8 @@ struct IndexEntry {
 /// are hashed only for kept cells and ride in each entry's flags.
 #[derive(Debug, Clone)]
 struct SaltIndex {
-    /// Exclusive upper bound on the kept uniforms; a power of two, at most 1.
+    /// Exclusive upper bound on the kept uniforms: a rung of the cap ladder,
+    /// a power of two from [`FIRST_CAP`] to 1.
     cap: f64,
     /// Kept entries grouped by the uniform's biased exponent, ascending
     /// bucket order, cell order within a bucket.
@@ -245,8 +323,9 @@ struct SaltIndex {
     /// whose uniform has biased exponent `e`; one slot per bucket below
     /// `cap`'s exponent, plus the end.
     bucket_start: Vec<u32>,
-    /// Builds of this `(row, salt)` index so far, this one included — at
-    /// most two (a first build, then at most one rebuild at `cap = 1`).
+    /// Builds of this `(row, salt)` index so far, this one included. Each
+    /// rebuild climbs at least one rung of the cap ladder, so this is at
+    /// most [`MAX_BUILDS`].
     builds: u32,
 }
 
@@ -257,13 +336,24 @@ impl SaltIndex {
         (u.to_bits() >> 52) as usize
     }
 
-    /// The cap a build for cutoff `p` uses: [`FIRST_CAP`] when it suffices,
-    /// else the whole row.
+    /// The cap a build for cutoff `p` uses: the smallest power of two at or
+    /// above `p`, never below [`FIRST_CAP`] and never above 1. Cutoffs that
+    /// are not positive (NaN included) select nothing and take the bottom
+    /// rung.
     fn cap_for(p: f64) -> f64 {
-        if p > FIRST_CAP {
+        if p.is_nan() || p <= FIRST_CAP {
+            FIRST_CAP
+        } else if p >= 1.0 {
             1.0
         } else {
-            FIRST_CAP
+            // `p` is normal here, so clearing its mantissa leaves the power
+            // of two at or below it.
+            let floor = f64::from_bits(p.to_bits() & !((1u64 << 52) - 1));
+            if floor == p {
+                p
+            } else {
+                2.0 * floor
+            }
         }
     }
 
@@ -275,21 +365,31 @@ impl SaltIndex {
 
     /// Hashes every cell of a row once for `salt`, keeps the cells with
     /// `u < cap` (deriving their flags), and counting-sorts them into
-    /// exponent buckets — O(cells) hashes, O(kept) everything else.
+    /// exponent buckets — O(cells) hashes, O(kept) everything else. The
+    /// hash pass is the widest this host runs ([`HashPass::detect`]).
     fn build(rseed: u64, phys: u32, cells: u32, salt: u64, cap: f64, builds: u32) -> Self {
-        debug_assert!(cap > 0.0 && cap <= 1.0 && cap.log2().fract() == 0.0);
+        Self::build_with(HashPass::detect(), rseed, phys, cells, salt, cap, builds)
+    }
+
+    /// [`SaltIndex::build`] through a given hash pass. With `cap = 2^-k`,
+    /// `u < cap` is the exact integer test `draw < 2^(53 - k)` on the
+    /// cell's 53-bit draw, so only kept draws are scaled to `u`.
+    fn build_with(
+        pass: HashPass,
+        rseed: u64,
+        phys: u32,
+        cells: u32,
+        salt: u64,
+        cap: f64,
+        builds: u32,
+    ) -> Self {
+        debug_assert!((FIRST_CAP..=1.0).contains(&cap) && cap.log2().fract() == 0.0);
+        debug_assert_eq!(cells % hash::DRAW_BLOCK as u32, 0, "rows are whole words");
         let top = Self::bucket(cap);
+        let limit = (cap * (1u64 << 53) as f64) as u64;
         let mut kept: Vec<IndexEntry> = Vec::with_capacity((f64::from(cells) * cap) as usize);
-        for cell in 0..cells {
-            let cseed = hash::cell_seed(rseed, cell);
-            let u = hash::uniform01(hash::combine(cseed, salt));
-            if u < cap {
-                kept.push(IndexEntry {
-                    u,
-                    cell,
-                    flags: cell_flags(cseed, cell, phys),
-                });
-            }
+        for start in (0..cells).step_by(hash::DRAW_BLOCK) {
+            pass.keep_block(rseed, phys, salt, start, limit, &mut kept);
         }
         let mut bucket_start = vec![0u32; top + 1];
         for e in &kept {
@@ -1342,8 +1442,11 @@ impl DramModule {
     }
 
     /// Makes the row's `salt` index deep enough for cutoff `p`: builds it on
-    /// first use, and rebuilds it once at `cap = 1` if `p` outgrows the
-    /// first build's cap.
+    /// first use, and rebuilds it whenever `p` outgrows its cap, each time
+    /// at `p`'s rung of the cap ladder ([`SaltIndex::cap_for`]). A rebuild
+    /// climbs at least one rung, so a `(row, salt)` index is built at most
+    /// [`MAX_BUILDS`] times, and each build keeps only the cells a cutoff
+    /// seen so far can reach.
     ///
     /// Pure per-cell hash draws — no observable behaviour depends on *when*
     /// or *how deep* this runs, so it is deferred until a landing layer
@@ -1354,7 +1457,10 @@ impl DramModule {
             Some(index) => index.builds + 1,
             None => 1,
         };
-        debug_assert!(builds <= 2, "index of row {phys} built {builds} times");
+        debug_assert!(
+            builds <= MAX_BUILDS,
+            "index of row {phys} built {builds} times"
+        );
         let cells = self.geometry.bits_per_row();
         let rseed = hash::row_seed(self.seed, bank, phys);
         let index = SaltIndex::build(rseed, phys, cells, salt, SaltIndex::cap_for(p), builds);
@@ -2524,28 +2630,37 @@ mod tests {
         cells
     }
 
+    /// One ulp above `x`.
+    fn next_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
     #[test]
     fn salt_index_matches_brute_force_at_every_cutoff() {
         let mut m = small_module(ModuleId::B0, 3);
         let below_cap = f64::from_bits(FIRST_CAP.to_bits() - 1);
-        let above_cap = f64::from_bits(FIRST_CAP.to_bits() + 1);
-        // A rising sequence: the partial first build serves everything up
-        // to the cap, one ulp above it forces the single full rebuild.
-        let cutoffs = [
-            (0.0, 1),
-            (1e-12, 1),
-            (below_cap, 1),
-            (FIRST_CAP, 1),
-            (above_cap, 2),
-            (0.5, 2),
-            (1.0, 2),
-            (f64::NAN, 2),
-        ];
+        // A rising sequence: the first build at the bottom rung serves
+        // everything up to 1/32. Each power of two up to 1 is still served
+        // by the rung it sits on, and one ulp above it climbs exactly one
+        // rung; past 1 nothing rebuilds.
+        let mut cutoffs = vec![(0.0, 1), (1e-12, 1), (below_cap, 1)];
+        let mut builds = 1;
+        for k in (0..=5).rev() {
+            let rung = 1.0 / f64::from(1u32 << k);
+            cutoffs.push((rung, builds));
+            if k > 0 {
+                builds += 1;
+            }
+            cutoffs.push((next_up(rung), builds));
+        }
+        cutoffs.extend([(0.75, 6), (1.0, 6), (f64::NAN, 6)]);
+        assert_eq!(cutoffs[4], (next_up(FIRST_CAP), 2));
+        assert_eq!(cutoffs[14], (next_up(1.0), 6));
         for phys in [0u32, 17, 255, 511] {
             let pslot = m.ensure_params(0, phys);
             for salt in [SALT_HC, SALT_RET] {
                 let oracle = brute_force_row(&m, 0, phys, salt);
-                for (p, builds) in cutoffs {
+                for &(p, builds) in &cutoffs {
                     m.ensure_index(0, pslot, phys, salt, p);
                     let expected: Vec<OracleCell> =
                         oracle.iter().copied().filter(|c| c.1 < p).collect();
@@ -2577,27 +2692,172 @@ mod tests {
     }
 
     #[test]
-    fn salt_index_builds_at_most_twice_per_row_and_salt() {
+    fn salt_index_climbs_the_cap_ladder_one_build_per_rung() {
         let mut m = small_module(ModuleId::C2, 9);
         let pslot = m.ensure_params(1, 300);
-        // A first cutoff above the first cap builds the full index at once;
-        // nothing after it rebuilds.
-        m.ensure_index(1, pslot, 300, SALT_RET, 0.2);
-        for p in [1e-9, FIRST_CAP, 0.9, 1.0] {
-            m.ensure_index(1, pslot, 300, SALT_RET, p);
+        let ret = |m: &DramModule| {
+            let index = m.banks[1].params[pslot].ret_index.as_ref().unwrap();
+            (index.builds, index.cap)
+        };
+        // A first cutoff above the bottom rung builds once, at its own rung;
+        // smaller cutoffs after it do not rebuild.
+        assert!(m.ensure_index(1, pslot, 300, SALT_RET, 0.2));
+        assert_eq!(ret(&m), (1, 0.25));
+        for p in [1e-9, FIRST_CAP, 0.25] {
+            assert!(!m.ensure_index(1, pslot, 300, SALT_RET, p));
         }
-        let ret = m.banks[1].params[pslot].ret_index.as_ref().unwrap();
-        assert_eq!((ret.builds, ret.cap), (1, 1.0));
-        // Salts are independent: the hc index is still unbuilt, then follows
-        // a rising ladder with exactly one rebuild.
+        assert_eq!(ret(&m), (1, 0.25));
+        // 0.9 outgrows it and rebuilds at the top; nothing rebuilds after.
+        assert!(m.ensure_index(1, pslot, 300, SALT_RET, 0.9));
+        assert_eq!(ret(&m), (2, 1.0));
+        assert!(!m.ensure_index(1, pslot, 300, SALT_RET, 1.0));
+        assert_eq!(ret(&m), (2, 1.0));
+        // Salts are independent: the hc index is still unbuilt. A rising
+        // sequence with ratio 1.7 < 2 crosses each power of two from 1/32 to
+        // 1/2 once, and builds once at the bottom plus once per power of
+        // two it crosses, ending at the top rung.
         assert!(m.banks[1].params[pslot].hc_index.is_none());
-        let mut p = 1e-15;
+        let rungs = [1.0 / 32.0, 1.0 / 16.0, 0.125, 0.25, 0.5, 1.0];
+        let mut p: f64 = 1e-15;
+        let (mut expected_builds, mut expected_cap) = (0, 0.0);
         while p < 1.0 {
-            m.ensure_index(1, pslot, 300, SALT_HC, p);
+            let built = m.ensure_index(1, pslot, 300, SALT_HC, p);
+            let rung = rungs.into_iter().find(|&r| r >= p).unwrap();
+            assert_eq!(built, rung > expected_cap, "p {p}");
+            if built {
+                (expected_builds, expected_cap) = (expected_builds + 1, rung);
+            }
+            let hc = m.banks[1].params[pslot].hc_index.as_ref().unwrap();
+            assert_eq!(
+                (hc.builds, hc.cap),
+                (expected_builds, expected_cap),
+                "p {p}"
+            );
             p *= 1.7;
         }
-        let hc = m.banks[1].params[pslot].hc_index.as_ref().unwrap();
-        assert_eq!((hc.builds, hc.cap), (2, 1.0));
+        assert_eq!((expected_builds, expected_cap), (6, 1.0));
+    }
+
+    #[test]
+    fn cap_for_climbs_powers_of_two_from_the_first_cap_to_one() {
+        // Exact powers of two in range map to themselves; one ulp above
+        // maps to the next.
+        for k in 0..=5 {
+            let rung = 1.0 / f64::from(1u32 << k);
+            assert_eq!(SaltIndex::cap_for(rung), rung);
+            if k > 0 {
+                assert_eq!(SaltIndex::cap_for(next_up(rung)), 2.0 * rung);
+            }
+        }
+        for (p, cap) in [(0.3, 0.5), (0.05, 0.0625), (0.1, 0.125), (0.999, 1.0)] {
+            assert_eq!(SaltIndex::cap_for(p), cap, "p {p}");
+        }
+        // At or below the first cap: the first cap.
+        let low = [
+            FIRST_CAP,
+            f64::from_bits(FIRST_CAP.to_bits() - 1),
+            1e-300,
+            f64::MIN_POSITIVE / 4.0,
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for p in low {
+            assert_eq!(SaltIndex::cap_for(p), FIRST_CAP, "p {p}");
+        }
+        // At or above 1: 1.
+        for p in [1.0, next_up(1.0), 1.5, 2.0, 1e300, f64::INFINITY] {
+            assert_eq!(SaltIndex::cap_for(p), 1.0, "p {p}");
+        }
+    }
+
+    /// One block's kept entries through a pass, as comparable bits:
+    /// `(u.to_bits(), cell, flags)`.
+    fn kept_block(
+        pass: HashPass,
+        rseed: u64,
+        salt: u64,
+        start: u32,
+        cap: f64,
+    ) -> Vec<(u64, u32, u32)> {
+        let limit = (cap * (1u64 << 53) as f64) as u64;
+        let mut kept = Vec::new();
+        pass.keep_block(rseed, 7, salt, start, limit, &mut kept);
+        kept.iter()
+            .map(|e| (e.u.to_bits(), e.cell, e.flags))
+            .collect()
+    }
+
+    #[test]
+    fn wide_hash_pass_matches_portable_bit_for_bit() {
+        let rungs: Vec<f64> = (0..=5).map(|k| 1.0 / f64::from(1u32 << k)).collect();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            rng = hash::splitmix64(rng);
+            rng
+        };
+        let mut cases: Vec<(u64, u64, u32)> = Vec::new();
+        for rseed in [0, u64::MAX, next()] {
+            for start in [0, u32::MAX - 63, 64 * 1023] {
+                cases.push((rseed, SALT_HC, start));
+                cases.push((rseed, SALT_RET, start));
+            }
+        }
+        for _ in 0..64 {
+            let start = (next() as u32) & !63;
+            cases.push((next(), next(), start));
+        }
+        // The portable pass against per-cell `uniform01`: kept exactly when
+        // `u < cap`, with its bits, in cell order.
+        for &(rseed, salt, start) in &cases {
+            for &cap in &rungs {
+                let expected: Vec<(u64, u32, u32)> = (0..64)
+                    .map(|i| start + i)
+                    .filter_map(|cell| {
+                        let cseed = hash::cell_seed(rseed, cell);
+                        let u = hash::uniform01(hash::combine(cseed, salt));
+                        (u < cap).then(|| (u.to_bits(), cell, cell_flags(cseed, cell, 7)))
+                    })
+                    .collect();
+                let got = kept_block(HashPass::Portable, rseed, salt, start, cap);
+                assert_eq!(
+                    got, expected,
+                    "rseed {rseed:#x} salt {salt:#x} start {start} cap {cap}"
+                );
+            }
+        }
+        let wide = HashPass::detect();
+        if wide == HashPass::Portable {
+            println!("this host has no AVX-512F/DQ/VL: skipped the wide hash pass");
+            return;
+        }
+        for &(rseed, salt, start) in &cases {
+            for &cap in &rungs {
+                assert_eq!(
+                    kept_block(wide, rseed, salt, start, cap),
+                    kept_block(HashPass::Portable, rseed, salt, start, cap),
+                    "rseed {rseed:#x} salt {salt:#x} start {start} cap {cap}"
+                );
+            }
+        }
+        // Whole-row indexes through each pass, entry by entry.
+        let cells = 65_536;
+        for (rseed, salt) in [(0, SALT_HC), (u64::MAX, SALT_RET), (next(), next())] {
+            for &cap in &rungs {
+                let a = SaltIndex::build_with(wide, rseed, 3, cells, salt, cap, 1);
+                let b = SaltIndex::build_with(HashPass::Portable, rseed, 3, cells, salt, cap, 1);
+                assert_eq!(a.bucket_start, b.bucket_start);
+                assert_eq!(a.entries.len(), b.entries.len());
+                for (x, y) in a.entries.iter().zip(&b.entries) {
+                    assert_eq!(
+                        (x.u.to_bits(), x.cell, x.flags),
+                        (y.u.to_bits(), y.cell, y.flags)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

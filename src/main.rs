@@ -24,7 +24,8 @@
 //!   unfinished chunks — with byte-identical final output.
 //!
 //! `HAMMERVOLT_SCALE` selects the protocol (`smoke`, `quick` (default), or
-//! `paper`); `HAMMERVOLT_ROWS` overrides the per-chunk row sample.
+//! `paper`); `HAMMERVOLT_ROWS` overrides the per-chunk row sample with a
+//! positive count. A malformed value of either warns and is ignored.
 //!
 //! Observability (side-channel only; record output is byte-identical with
 //! these on or off):
@@ -40,10 +41,10 @@
 
 use hammervolt::dram::registry::{self, ModuleId};
 use hammervolt::obs::cli::ObsOptions;
-use hammervolt::obs::manifest;
+use hammervolt::obs::{manifest, warn};
 use hammervolt::study::exec::{self, ExecConfig};
 use hammervolt::study::records;
-use hammervolt::study::study::StudyConfig;
+use hammervolt::study::study::{self, StudyConfig};
 use std::io::Write as _;
 
 const USAGE: &str = "usage: hammervolt <sweep|trcd|retention|vppmin|list> \
@@ -121,21 +122,37 @@ fn parse_modules(args: &[String]) -> Vec<ModuleId> {
 
 /// The study configuration for this invocation: `HAMMERVOLT_SCALE` picks the
 /// protocol, `HAMMERVOLT_ROWS` overrides the row sample, and any module
-/// labels on the command line restrict the fleet.
+/// labels on the command line restrict the fleet. A malformed variable is
+/// reported through [`warn`] and ignored.
 fn config(modules: Vec<ModuleId>) -> StudyConfig {
-    let mut cfg = match std::env::var("HAMMERVOLT_SCALE").as_deref() {
-        Ok("paper") => StudyConfig::paper(),
-        Ok("smoke") => StudyConfig::smoke(),
+    let mut cfg = match study::scale_from_env() {
+        "paper" => StudyConfig::paper(),
+        "smoke" => StudyConfig::smoke(),
         _ => StudyConfig {
             rows_per_chunk: 8,
             ..StudyConfig::quick()
         },
     };
-    if let Some(rows) = std::env::var("HAMMERVOLT_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        cfg.rows_per_chunk = rows;
+    match std::env::var("HAMMERVOLT_ROWS") {
+        Ok(v) if v.is_empty() => {}
+        Ok(v) => match v.parse::<u32>() {
+            Ok(rows) if rows > 0 => cfg.rows_per_chunk = rows,
+            _ => warn(
+                "cli",
+                &format!(
+                    "HAMMERVOLT_ROWS={v:?} is not a positive row count; using {}",
+                    cfg.rows_per_chunk
+                ),
+            ),
+        },
+        Err(std::env::VarError::NotPresent) => {}
+        Err(std::env::VarError::NotUnicode(_)) => warn(
+            "cli",
+            &format!(
+                "HAMMERVOLT_ROWS is set but not valid UTF-8; using {}",
+                cfg.rows_per_chunk
+            ),
+        ),
     }
     if !modules.is_empty() {
         cfg.modules = modules;

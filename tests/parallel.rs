@@ -76,6 +76,63 @@ fn cli_sweep_is_byte_identical_across_jobs() {
     assert_eq!(serial, run("0"), "--jobs 0 (auto) must match as well");
 }
 
+/// A malformed `HAMMERVOLT_SCALE` or `HAMMERVOLT_ROWS` is named in a warning
+/// on stderr and ignored: the records on stdout are the fallback run's,
+/// byte for byte, and a well-formed run warns about neither.
+#[test]
+fn cli_warns_on_malformed_study_env_and_falls_back() {
+    let run = |scale: Option<&str>, rows: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_hammervolt"));
+        cmd.args(["sweep", "--jobs", "2", "B3"])
+            .env_remove("HAMMERVOLT_SCALE")
+            .env_remove("HAMMERVOLT_ROWS")
+            .env_remove("HAMMERVOLT_CACHE_DIR")
+            .env_remove("HAMMERVOLT_JOBS")
+            .env_remove("HAMMERVOLT_TRACE_OUT");
+        if let Some(scale) = scale {
+            cmd.env("HAMMERVOLT_SCALE", scale);
+        }
+        if let Some(rows) = rows {
+            cmd.env("HAMMERVOLT_ROWS", rows);
+        }
+        let out = cmd.output().expect("run hammervolt");
+        assert!(out.status.success(), "CLI failed: {out:?}");
+        assert!(!out.stdout.is_empty());
+        (
+            out.stdout,
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    // The smoke protocol's own row sample, then the default protocol at two
+    // rows (for B3 alone the same study as smoke at two rows).
+    let (smoke, stderr) = run(Some("smoke"), None);
+    assert!(!stderr.contains("warning"), "{stderr}");
+    for rows in ["abc", "0", "-3", "2.5"] {
+        let (stdout, stderr) = run(Some("smoke"), Some(rows));
+        assert!(
+            stderr.contains("HAMMERVOLT_ROWS"),
+            "rows {rows:?}: {stderr}"
+        );
+        assert!(
+            stdout == smoke,
+            "rows {rows:?} must fall back to smoke's sample"
+        );
+    }
+    let (default, stderr) = run(None, Some("2"));
+    assert!(!stderr.contains("warning"), "{stderr}");
+    for scale in ["papr", "SMOKE", " quick"] {
+        let (stdout, stderr) = run(Some(scale), Some("2"));
+        assert!(
+            stderr.contains("HAMMERVOLT_SCALE"),
+            "scale {scale:?}: {stderr}"
+        );
+        assert!(stdout == default, "scale {scale:?} must fall back to quick");
+    }
+    let (quick, stderr) = run(Some("quick"), Some("2"));
+    assert!(!stderr.contains("warning"), "{stderr}");
+    assert!(quick == default, "quick is the default protocol");
+}
+
 /// A warm cache serves every sweep kind from disk with byte-identical
 /// output: cold (compute + store) and warm (load) runs must serialize
 /// identically for the rowhammer, t_RCD (Alg. 2), and retention (Alg. 3)
