@@ -60,7 +60,14 @@ pub fn chunk_seed(module_seed: u64, bank: u32, chunk: u64) -> u64 {
 /// Uniform value in `[0, 1)` from a seed (53-bit precision).
 #[inline]
 pub fn uniform01(seed: u64) -> f64 {
-    unit_of_draw(splitmix64(seed) >> 11)
+    unit_of_draw(draw53(seed))
+}
+
+/// The 53-bit integer draw behind [`uniform01`]: `uniform01(seed) ==
+/// unit_of_draw(draw53(seed))`.
+#[inline]
+pub(crate) fn draw53(seed: u64) -> u64 {
+    splitmix64(seed) >> 11
 }
 
 /// [`uniform01`]'s scaling of a 53-bit draw into `[0, 1)`. Exact: every
@@ -70,20 +77,91 @@ pub(crate) fn unit_of_draw(draw: u64) -> f64 {
     draw as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// The exact integer limit of a cutoff `p`: `unit_of_draw(d) < p` exactly
+/// when `d < draw_limit(p)`, for every 53-bit draw `d`. It is
+/// `ceil(p · 2^53)`, clamped to `0..=2^53`: 0 for a cutoff that is not
+/// positive (NaN included), `2^53` (every draw) from 1 up.
+pub(crate) const fn draw_limit(p: f64) -> u64 {
+    if p.is_nan() || p <= 0.0 {
+        0
+    } else if p >= 1.0 {
+        1 << 53
+    } else {
+        // Scaling by a power of two is exact (subnormals included), so
+        // `d < p · 2^53` is the compare `unit_of_draw(d) < p` makes, and
+        // for an integer `d` that is `d < ceil(p · 2^53)`.
+        let scaled = p * (1u64 << 53) as f64;
+        let floor = scaled as u64;
+        if (floor as f64) < scaled {
+            floor + 1
+        } else {
+            floor
+        }
+    }
+}
+
 /// A cell's flip draw for `salt` as a 53-bit integer:
 /// `unit_of_draw(cell_draw(r, c, s)) == uniform01(combine(cell_seed(r, c), s))`.
-/// For a power-of-two cap `2^-k`, `uniform01(…) < 2^-k` is exactly
-/// `cell_draw(…) < 2^(53 - k)`.
+/// So `uniform01(…) < p` is exactly `cell_draw(…) < draw_limit(p)`.
 #[inline]
 pub(crate) fn cell_draw(row_seed: u64, bit: u32, salt: u64) -> u64 {
-    splitmix64(combine(cell_seed(row_seed, bit), salt)) >> 11
+    draw53(combine(cell_seed(row_seed, bit), salt))
 }
 
 /// Cells per block of the wide hash pass.
 pub(crate) const DRAW_BLOCK: usize = 64;
 
+/// A block of safe code that [`Avx512::run`] compiles for AVX-512F, DQ and
+/// VL. Each implementation marks `run` `#[inline(always)]`, so its body is
+/// inlined into the feature-enabled caller and vectorized there; called
+/// directly, the same body is the portable build.
+pub(crate) trait Kernel {
+    /// What the kernel returns.
+    type Output;
+    /// Runs the kernel.
+    fn run(self) -> Self::Output;
+}
+
+/// [`cell_draw`] for the cells `start ..= start + 63`, written to `draws`,
+/// and the mask of the cells whose draw is below `limit` (bit `i` for cell
+/// `start + i`). The loops carry nothing from lane to lane, so under the
+/// AVX-512 features they compile to eight-lane 64-bit multiplies
+/// (`vpmullq` needs AVX512DQ; VL allows the narrower vectors) and a vector
+/// compare into the mask. All 64 cell seeds are hashed before any draw, so
+/// each stage is eight independent vector chains the core can overlap,
+/// rather than one long chain per eight cells. `start + 63` must not
+/// overflow.
+#[cfg(target_arch = "x86_64")]
+pub(crate) struct BlockDraws<'a> {
+    pub(crate) row_seed: u64,
+    pub(crate) salt: u64,
+    pub(crate) start: u32,
+    pub(crate) limit: u64,
+    pub(crate) draws: &'a mut [u64; DRAW_BLOCK],
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Kernel for BlockDraws<'_> {
+    type Output = u64;
+
+    #[inline(always)]
+    fn run(self) -> u64 {
+        for (i, d) in self.draws.iter_mut().enumerate() {
+            *d = cell_seed(self.row_seed, self.start + i as u32);
+        }
+        for d in self.draws.iter_mut() {
+            *d = draw53(combine(*d, self.salt));
+        }
+        let mut keep = 0u64;
+        for (i, &d) in self.draws.iter().enumerate() {
+            keep |= u64::from(d < self.limit) << i;
+        }
+        keep
+    }
+}
+
 /// Proof that this host runs AVX-512F, DQ and VL, the features
-/// [`block_draws_avx512`] is compiled for. Its field is private, so only
+/// [`Avx512::run`] compiles kernels for. Its field is private, so only
 /// [`Avx512::detect`] makes one.
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,48 +179,24 @@ impl Avx512 {
         wide.then_some(Avx512(()))
     }
 
-    /// [`cell_draw`] for the cells `start ..= start + 63`, written to
-    /// `draws`, and the mask of the cells whose draw is below `limit` (bit
-    /// `i` for cell `start + i`), through the AVX-512 kernel.
+    /// Runs `kernel` compiled for AVX-512F, DQ and VL.
     #[allow(unsafe_code)]
     #[inline]
-    pub(crate) fn block_draws(
-        self,
-        row_seed: u64,
-        salt: u64,
-        start: u32,
-        limit: u64,
-        draws: &mut [u64; DRAW_BLOCK],
-    ) -> u64 {
-        // SAFETY: `block_draws_avx512` is safe Rust compiled with
+    pub(crate) fn run<K: Kernel>(self, kernel: K) -> K::Output {
+        // SAFETY: `run_avx512` is safe Rust compiled with
         // `target_feature(enable = "avx512f,avx512dq,avx512vl")`; calling it
         // is sound exactly when the CPU has those features. `self` exists
         // only because `Avx512::detect` found all three on this host.
-        unsafe { block_draws_avx512(row_seed, salt, start, limit, draws) }
+        unsafe { run_avx512(kernel) }
     }
 }
 
-/// [`Avx512::block_draws`]'s kernel. The loops carry nothing from lane to
-/// lane, so under these target features they compile to eight-lane 64-bit
-/// multiplies (`vpmullq` needs AVX512DQ; VL allows the narrower vectors)
-/// and a vector compare into the mask. `start + 63` must not overflow.
+/// [`Avx512::run`]'s feature-enabled frame: one instantiation per kernel,
+/// with the kernel's `#[inline(always)]` body compiled inside it.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn block_draws_avx512(
-    row_seed: u64,
-    salt: u64,
-    start: u32,
-    limit: u64,
-    draws: &mut [u64; DRAW_BLOCK],
-) -> u64 {
-    for (i, d) in draws.iter_mut().enumerate() {
-        *d = cell_draw(row_seed, start + i as u32, salt);
-    }
-    let mut keep = 0u64;
-    for (i, &d) in draws.iter().enumerate() {
-        keep |= u64::from(d < limit) << i;
-    }
-    keep
+fn run_avx512<K: Kernel>(kernel: K) -> K::Output {
+    kernel.run()
 }
 
 /// Uniform value in `[lo, hi)` from a seed.

@@ -48,8 +48,8 @@
 //! assert!(module.set_vpp(1.0).is_err()); // below V_PPmin: chip stops responding
 //! ```
 
-// Denied rather than forbidden so that one item, the call into the
-// AVX-512 hash kernel in `hash`, can opt back in; no other code here may
+// Denied rather than forbidden so that one item, `hash::Avx512::run`, the
+// call into the AVX-512 kernels, can opt back in; no other code here may
 // use `unsafe`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

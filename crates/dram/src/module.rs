@@ -146,7 +146,13 @@ impl FlipLayer {
     /// Whether a write has overwritten `word` since the layer was pushed.
     #[inline]
     fn is_killed(&self, word: usize) -> bool {
-        (self.killed[word / 64] >> (word % 64)) & 1 == 1
+        self.live_mask(word) == 0
+    }
+
+    /// All ones if `word` is live, zero if a write has overwritten it.
+    #[inline]
+    fn live_mask(&self, word: usize) -> u64 {
+        ((self.killed[word / 64] >> (word % 64)) & 1).wrapping_sub(1)
     }
 
     /// Marks columns `lo..hi` overwritten. Returns whether a live word is
@@ -193,18 +199,25 @@ impl LandTally {
     }
 }
 
-/// The bottom rung of the cap ladder ([`SaltIndex::cap_for`]): the cap of
-/// any build whose cutoff is at most 1/32. Deep enough for the cutoffs a
-/// typical landing asks (an average RowHammer layer reads ~1,800 of a row's
-/// 65,536 cells), shallow enough that the build keeps ~3 % of the row. The
-/// rungs above it are 1/16, 1/8, 1/4, 1/2 and 1, so a `(row, salt)` index
-/// is built at most six times. Every rung is a power of two, so `u < cap`
-/// is a whole number of exponent buckets.
+/// The cutoff that picks a landing's index, and the list index's cap. A
+/// cutoff at or below it reads the row's [`SaltIndex`], which keeps only
+/// the cells with `u < FIRST_CAP` (about 2,048 of a 65,536-cell row): deep
+/// enough for the `HC_first` search, whose many small cutoffs are most
+/// landings, and cheap to scan entry by entry. A cutoff above it reads the
+/// row's [`DenseIndex`], which decides 64 cells per word operation; once a
+/// few percent of the row sits below the cutoff, that beats visiting
+/// entries one at a time. It is a power of two, so `u < FIRST_CAP` is a
+/// whole number of exponent buckets and the integer test `draw < 2^48`.
 const FIRST_CAP: f64 = 1.0 / 32.0;
 
-/// Rungs on the cap ladder, `FIRST_CAP` through 1: the bound on a
-/// `(row, salt)` index's builds.
-const MAX_BUILDS: u32 = 6;
+/// [`FIRST_CAP`] as an exact draw limit ([`hash::draw_limit`]): `2^48`.
+const FIRST_LIMIT: u64 = hash::draw_limit(FIRST_CAP);
+
+/// Share of cells whose charged polarity inverts the true-/anti-cell
+/// checkerboard.
+const ORI_SHARE: f64 = 0.05;
+/// Share of cells that invert their horizontal-coupling class.
+const PREF_SHARE: f64 = 0.10;
 
 /// Entry flag: the cell's charged polarity (the value it stores when
 /// charged).
@@ -238,15 +251,16 @@ impl IndexEntry {
     }
 }
 
-/// The code an index build hashes its cells with. Both passes keep the
-/// same cells with the same draws in the same order; they differ only in
-/// speed, and the wide one is chosen per build when the host has it.
+/// The code an index build hashes its cells with. Both passes give the
+/// same bits; they differ only in speed, and the wide one is chosen per
+/// build when the host has it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HashPass {
-    /// One cell at a time. The only pass off x86-64 or without AVX-512,
-    /// and the reference the wide pass is tested against.
+    /// One cell at a time for a list build, and the dense block kernel's
+    /// body compiled for the baseline target. The only pass off x86-64 or
+    /// without AVX-512, and the reference the wide pass is tested against.
     Portable,
-    /// 64-cell blocks through the AVX-512 kernel, carrying the proof that
+    /// The hashing kernels compiled for AVX-512, carrying the proof that
     /// this host has it.
     #[cfg(target_arch = "x86_64")]
     Avx512(hash::Avx512),
@@ -260,6 +274,16 @@ impl HashPass {
             return HashPass::Avx512(wide);
         }
         HashPass::Portable
+    }
+
+    /// Runs a kernel's body through this pass.
+    #[inline]
+    fn run<K: hash::Kernel>(self, kernel: K) -> K::Output {
+        match self {
+            HashPass::Portable => kernel.run(),
+            #[cfg(target_arch = "x86_64")]
+            HashPass::Avx512(wide) => wide.run(kernel),
+        }
     }
 
     /// Appends the cells `start ..= start + 63` whose draw is below `limit`
@@ -285,7 +309,13 @@ impl HashPass {
             #[cfg(target_arch = "x86_64")]
             HashPass::Avx512(wide) => {
                 let mut draws = [0u64; hash::DRAW_BLOCK];
-                let mut keep = wide.block_draws(rseed, salt, start, limit, &mut draws);
+                let mut keep = wide.run(hash::BlockDraws {
+                    row_seed: rseed,
+                    salt,
+                    start,
+                    limit,
+                    draws: &mut draws,
+                });
                 while keep != 0 {
                     let i = keep.trailing_zeros();
                     keep &= keep - 1;
@@ -296,37 +326,33 @@ impl HashPass {
     }
 }
 
-/// A row's flip candidates for one salt, indexed for cutoff queries and
-/// capped at the depth landing layers have asked for so far.
+/// A row's flip candidates for one salt below [`FIRST_CAP`], indexed for
+/// the cutoffs at or below it.
 ///
 /// A cell's flip draw `u = uniform01(combine(cell_seed(rseed, cell), salt))`
 /// is a pure function of `(row, cell, salt)` — constant across
 /// activations — and the flip decision is `u < p` for a per-activation
-/// cutoff `p`. The index keeps only the cells with `u < cap` and groups
-/// them by the uniform's binary exponent, which turns
-/// "which cells can flip at cutoff p" (for `p <= cap`) into a prefix of
-/// `entries`: every entry in a bucket below `p`'s exponent is `< p`, the
-/// bucket holding `p`'s exponent needs the exact per-entry compare, and
-/// everything above is `>= p`. Because `cap` is a power of two, the cells
-/// it drops all sit in buckets at or above `cap`'s own, so no cell with
-/// `u < p` is ever missing. The charged polarity and coupling preference
-/// are hashed only for kept cells and ride in each entry's flags.
+/// cutoff `p`. The list keeps only the cells with `u < FIRST_CAP` and
+/// groups them by the uniform's binary exponent, which turns "which cells
+/// can flip at cutoff p" (for `p <= FIRST_CAP`) into a prefix of `entries`:
+/// every entry in a bucket below `p`'s exponent is `< p`, the bucket holding
+/// `p`'s exponent needs the exact per-entry compare, and everything above
+/// is `>= p`. Because `FIRST_CAP` is a power of two, the cells it drops all
+/// sit in buckets at or above its own, so no cell with `u < p` is ever
+/// missing. The charged polarity and coupling preference ride in each
+/// entry's flags.
+///
+/// It is built once per `(row, salt)`, the first time a cutoff at or below
+/// [`FIRST_CAP`] lands.
 #[derive(Debug, Clone)]
 struct SaltIndex {
-    /// Exclusive upper bound on the kept uniforms: a rung of the cap ladder,
-    /// a power of two from [`FIRST_CAP`] to 1.
-    cap: f64,
     /// Kept entries grouped by the uniform's biased exponent, ascending
     /// bucket order, cell order within a bucket.
     entries: Vec<IndexEntry>,
     /// `entries[bucket_start[e] .. bucket_start[e + 1]]` holds the entries
     /// whose uniform has biased exponent `e`; one slot per bucket below
-    /// `cap`'s exponent, plus the end.
+    /// [`FIRST_CAP`]'s exponent, plus the end.
     bucket_start: Vec<u32>,
-    /// Builds of this `(row, salt)` index so far, this one included. Each
-    /// rebuild climbs at least one rung of the cap ladder, so this is at
-    /// most [`MAX_BUILDS`].
-    builds: u32,
 }
 
 impl SaltIndex {
@@ -336,61 +362,18 @@ impl SaltIndex {
         (u.to_bits() >> 52) as usize
     }
 
-    /// The cap a build for cutoff `p` uses: the smallest power of two at or
-    /// above `p`, never below [`FIRST_CAP`] and never above 1. Cutoffs that
-    /// are not positive (NaN included) select nothing and take the bottom
-    /// rung.
-    fn cap_for(p: f64) -> f64 {
-        if p.is_nan() || p <= FIRST_CAP {
-            FIRST_CAP
-        } else if p >= 1.0 {
-            1.0
-        } else {
-            // `p` is normal here, so clearing its mantissa leaves the power
-            // of two at or below it.
-            let floor = f64::from_bits(p.to_bits() & !((1u64 << 52) - 1));
-            if floor == p {
-                p
-            } else {
-                2.0 * floor
-            }
-        }
-    }
-
-    /// Whether `candidates(p)` would miss cells: `p` lies above a partial
-    /// cap. A full (`cap = 1`) index covers every cutoff.
-    fn too_shallow_for(&self, p: f64) -> bool {
-        p > self.cap && self.cap < 1.0
-    }
-
-    /// Hashes every cell of a row once for `salt`, keeps the cells with
-    /// `u < cap` (deriving their flags), and counting-sorts them into
-    /// exponent buckets — O(cells) hashes, O(kept) everything else. The
-    /// hash pass is the widest this host runs ([`HashPass::detect`]).
-    fn build(rseed: u64, phys: u32, cells: u32, salt: u64, cap: f64, builds: u32) -> Self {
-        Self::build_with(HashPass::detect(), rseed, phys, cells, salt, cap, builds)
-    }
-
-    /// [`SaltIndex::build`] through a given hash pass. With `cap = 2^-k`,
-    /// `u < cap` is the exact integer test `draw < 2^(53 - k)` on the
-    /// cell's 53-bit draw, so only kept draws are scaled to `u`.
-    fn build_with(
-        pass: HashPass,
-        rseed: u64,
-        phys: u32,
-        cells: u32,
-        salt: u64,
-        cap: f64,
-        builds: u32,
-    ) -> Self {
-        debug_assert!((FIRST_CAP..=1.0).contains(&cap) && cap.log2().fract() == 0.0);
+    /// Hashes every cell of a row once for `salt` through `pass`, keeps the
+    /// cells with `u < FIRST_CAP` — the exact integer test `draw < 2^48` —
+    /// scaling only kept draws to `u` and hashing only their flags, and
+    /// counting-sorts them into exponent buckets. O(cells) hashes, O(kept)
+    /// everything else.
+    fn build(pass: HashPass, rseed: u64, phys: u32, cells: u32, salt: u64) -> Self {
         debug_assert_eq!(cells % hash::DRAW_BLOCK as u32, 0, "rows are whole words");
-        let top = Self::bucket(cap);
-        let limit = (cap * (1u64 << 53) as f64) as u64;
-        let mut kept: Vec<IndexEntry> = Vec::with_capacity((f64::from(cells) * cap) as usize);
+        let mut kept: Vec<IndexEntry> = Vec::with_capacity((f64::from(cells) * FIRST_CAP) as usize);
         for start in (0..cells).step_by(hash::DRAW_BLOCK) {
-            pass.keep_block(rseed, phys, salt, start, limit, &mut kept);
+            pass.keep_block(rseed, phys, salt, start, FIRST_LIMIT, &mut kept);
         }
+        let top = Self::bucket(FIRST_CAP);
         let mut bucket_start = vec![0u32; top + 1];
         for e in &kept {
             bucket_start[Self::bucket(e.u) + 1] += 1;
@@ -406,25 +389,21 @@ impl SaltIndex {
             *c += 1;
         }
         SaltIndex {
-            cap,
             entries,
             bucket_start,
-            builds,
         }
     }
 
     /// A superset of the entries with `u < p`: complete buckets below `p`'s
     /// exponent plus `p`'s own (partial) bucket. Callers re-check `u < p`
     /// per entry, which also keeps the comparison bit-identical to the
-    /// original per-cell hash-and-compare. Requires `p <= cap` unless the
-    /// index is full; `p` that is not positive (NaN included) selects
-    /// nothing.
+    /// original per-cell hash-and-compare. Requires `p <= FIRST_CAP`; `p`
+    /// that is not positive (NaN included) selects nothing.
     #[inline]
     fn candidates(&self, p: f64) -> &[IndexEntry] {
         debug_assert!(
-            !self.too_shallow_for(p),
-            "cutoff {p} above cap {}",
-            self.cap
+            p.is_nan() || p <= FIRST_CAP,
+            "cutoff {p} above the list's cap"
         );
         if p.is_nan() || p <= 0.0 {
             return &[];
@@ -434,16 +413,218 @@ impl SaltIndex {
     }
 }
 
+/// Code planes of a [`DenseIndex`]. A cell's code is the top 16 bits of
+/// its 53-bit draw, `draw >> CODE_SHIFT`, and plane `j` holds code bit `j`.
+const CODE_PLANES: usize = 16;
+/// The draw bit that code plane 0 holds.
+const CODE_SHIFT: u32 = 53 - CODE_PLANES as u32;
+/// A dense index's plane of ORI exceptions: the cells whose charged
+/// polarity inverts the checkerboard.
+const ORI_PLANE: usize = CODE_PLANES;
+/// A dense index's plane of coupling-preference bits.
+const PREF_PLANE: usize = CODE_PLANES + 1;
+/// Planes per word of a dense index.
+const PLANES: usize = CODE_PLANES + 2;
+/// Words per comparator step.
+const COMPARE_STEP: usize = 8;
+
+/// Every cell of a row for one salt, bit-sliced for the cutoffs above
+/// [`FIRST_CAP`].
+///
+/// Word `w`'s 64 cells take 18 `u64`s. Sixteen are code planes: a cell's
+/// code is bits 52..37 of its 53-bit draw (`hash::cell_draw`). Then come
+/// its ORI-exception and PREF bits, the two hashed halves of
+/// [`cell_flags`]. The layout is plane-major, plane `j` of word `w` at
+/// `planes[j * words + w]`, so the comparator loads one plane of 8 words at
+/// a time. A 65,536-cell row takes 144 KiB.
+///
+/// A cutoff `p` becomes the exact integer limit `L = hash::draw_limit(p)`,
+/// since `u < p` ⇔ `draw < L`. The comparator ([`DenseIndex::below`])
+/// decides `code < L >> 37` for 64 cells per word operation. The cells
+/// whose code equals `L >> 37` (about one per row) are ties: each re-hashes
+/// its draw and compares it with `L`. So the masks are exactly the per-cell
+/// `u < p`, and a landing decides whole words from them with the same rule
+/// the list scan applies cell by cell.
+#[derive(Debug, Clone)]
+struct DenseIndex {
+    /// Plane `j` of word `w` at `j * words + w`: [`CODE_PLANES`] code
+    /// planes, then [`ORI_PLANE`] and [`PREF_PLANE`].
+    planes: Vec<u64>,
+}
+
+impl DenseIndex {
+    /// Hashes every cell of a row of `words` words for `salt` through
+    /// `pass`, one 64-cell [`DenseBlock`] per word.
+    fn build(pass: HashPass, rseed: u64, words: usize, salt: u64) -> Self {
+        let mut planes = vec![0u64; PLANES * words];
+        for w in 0..words {
+            let block = pass.run(DenseBlock {
+                row_seed: rseed,
+                salt,
+                start: w as u32 * 64,
+            });
+            for (j, bits) in block.into_iter().enumerate() {
+                planes[j * words + w] = bits;
+            }
+        }
+        DenseIndex { planes }
+    }
+
+    /// Words in the row.
+    fn words(&self) -> usize {
+        self.planes.len() / PLANES
+    }
+
+    /// Plane `j`, one `u64` per word.
+    fn plane(&self, j: usize) -> &[u64] {
+        let words = self.words();
+        &self.planes[j * words..(j + 1) * words]
+    }
+
+    /// The comparator: writes to `out[w]` the mask of word `w`'s cells
+    /// whose draw is below `limit` ([`hash::draw_limit`] of a cutoff).
+    fn below(&self, rseed: u64, salt: u64, limit: u64, out: &mut [u64]) {
+        let words = self.words();
+        debug_assert_eq!(out.len(), words);
+        if limit == 0 {
+            out.fill(0);
+            return;
+        }
+        if limit >= 1 << 53 {
+            out.fill(!0);
+            return;
+        }
+        let code = limit >> CODE_SHIFT;
+        // A tie's draw is at least `code << CODE_SHIFT`; when that is the
+        // limit itself, no tie is below it.
+        let ties = limit & ((1 << CODE_SHIFT) - 1) != 0;
+        let settle = |below: &mut u64, word: usize, mut tie: u64| {
+            while tie != 0 {
+                let bit = tie.trailing_zeros();
+                tie &= tie - 1;
+                if hash::cell_draw(rseed, word as u32 * 64 + bit, salt) < limit {
+                    *below |= 1 << bit;
+                }
+            }
+        };
+        let steps = words / COMPARE_STEP * COMPARE_STEP;
+        for w0 in (0..steps).step_by(COMPARE_STEP) {
+            let (lt, eq) = compare_codes::<COMPARE_STEP>(&self.planes, words, w0, code);
+            let chunk = &mut out[w0..w0 + COMPARE_STEP];
+            chunk.copy_from_slice(&lt);
+            if ties && eq.iter().fold(0, |any, &e| any | e) != 0 {
+                for (i, (below, &tie)) in chunk.iter_mut().zip(&eq).enumerate() {
+                    settle(below, w0 + i, tie);
+                }
+            }
+        }
+        for (w, below) in out.iter_mut().enumerate().skip(steps) {
+            let ([lt], [eq]) = compare_codes::<1>(&self.planes, words, w, code);
+            *below = lt;
+            if ties {
+                settle(below, w, eq);
+            }
+        }
+    }
+}
+
+/// The dense block kernel: one word's [`PLANES`] planes for the cells
+/// `start ..= start + 63`, in [`DenseIndex`]'s plane order. Each cell's
+/// seed is hashed once and then for its draw, its ORI exception and its
+/// preference; both flags are exact integer compares of their draws. All
+/// 64 seeds come first, so the draws start from independent vector chains.
+struct DenseBlock {
+    row_seed: u64,
+    salt: u64,
+    start: u32,
+}
+
+impl hash::Kernel for DenseBlock {
+    type Output = [u64; PLANES];
+
+    #[inline(always)]
+    fn run(self) -> [u64; PLANES] {
+        const ORI_LIMIT: u64 = hash::draw_limit(ORI_SHARE);
+        const PREF_LIMIT: u64 = hash::draw_limit(PREF_SHARE);
+        let mut seeds = [0u64; hash::DRAW_BLOCK];
+        for (i, seed) in seeds.iter_mut().enumerate() {
+            *seed = hash::cell_seed(self.row_seed, self.start + i as u32);
+        }
+        let mut draws = [0u64; hash::DRAW_BLOCK];
+        let mut ori = [0u64; hash::DRAW_BLOCK];
+        let mut pref = [0u64; hash::DRAW_BLOCK];
+        for (((d, o), p), &seed) in draws.iter_mut().zip(&mut ori).zip(&mut pref).zip(&seeds) {
+            *d = hash::draw53(hash::combine(seed, self.salt));
+            *o = hash::draw53(hash::combine(seed, SALT_ORI));
+            *p = hash::draw53(hash::combine(seed, SALT_PREF));
+        }
+        let mut planes = [0u64; PLANES];
+        for (j, plane) in planes[..CODE_PLANES].iter_mut().enumerate() {
+            for (i, &d) in draws.iter().enumerate() {
+                *plane |= ((d >> (CODE_SHIFT + j as u32)) & 1) << i;
+            }
+        }
+        for (i, (&o, &p)) in ori.iter().zip(&pref).enumerate() {
+            planes[ORI_PLANE] |= u64::from(o < ORI_LIMIT) << i;
+            planes[PREF_PLANE] |= u64::from(p < PREF_LIMIT) << i;
+        }
+        planes
+    }
+}
+
+/// Bit-sliced `code < limit_code` and `code == limit_code` for the `N`
+/// words from `w0`: walks the code planes from the top bit down, with no
+/// early exit, so every step is the same few word operations.
+#[inline(always)]
+fn compare_codes<const N: usize>(
+    planes: &[u64],
+    words: usize,
+    w0: usize,
+    limit_code: u64,
+) -> ([u64; N], [u64; N]) {
+    let (mut lt, mut eq) = ([0u64; N], [!0u64; N]);
+    for j in (0..CODE_PLANES).rev() {
+        let bit = 0u64.wrapping_sub((limit_code >> j) & 1);
+        let plane = &planes[j * words + w0..][..N];
+        for ((lt, eq), &x) in lt.iter_mut().zip(&mut eq).zip(plane) {
+            *lt |= *eq & !x & bit;
+            *eq &= !(x ^ bit);
+        }
+    }
+    (lt, eq)
+}
+
+/// The true-/anti-cell checkerboard of row `phys`: bit `b` of every word
+/// is the charged polarity `(b ^ phys) & 1` before ORI exceptions.
+#[inline]
+fn checkerboard(phys: u32) -> u64 {
+    if phys & 1 == 0 {
+        0xAAAA_AAAA_AAAA_AAAA
+    } else {
+        0x5555_5555_5555_5555
+    }
+}
+
+/// The cells of word `d` whose horizontal neighbours both store the
+/// opposite value — the aligned coupling class, before a cell's preference
+/// bit inverts it. A word edge counts as opposite-valued.
+#[inline]
+fn opposite_neighbours(d: u64) -> u64 {
+    let left = (d << 1) | (!d & 1);
+    let right = (d >> 1) | (!d & (1 << 63));
+    (left ^ d) & (right ^ d)
+}
+
 /// A cell's flag bits: its charged polarity — the checkerboard of
 /// true-/anti-cells, inverted for 5 % of cells — and whether it inverts its
 /// horizontal-coupling class (10 % of cells).
 #[inline]
 fn cell_flags(cseed: u64, cell: u32, phys: u32) -> u32 {
     let mut flags = (cell ^ phys) & FLAG_POLARITY;
-    if hash::uniform01(hash::combine(cseed, SALT_ORI)) < 0.05 {
+    if hash::uniform01(hash::combine(cseed, SALT_ORI)) < ORI_SHARE {
         flags ^= FLAG_POLARITY;
     }
-    if hash::uniform01(hash::combine(cseed, SALT_PREF)) < 0.10 {
+    if hash::uniform01(hash::combine(cseed, SALT_PREF)) < PREF_SHARE {
         flags |= FLAG_PREF;
     }
     flags
@@ -454,12 +635,35 @@ fn cell_flags(cseed: u64, cell: u32, phys: u32) -> u32 {
 /// Flip decisions read the row's *pre-flip* data (neighbor bits, charge
 /// state), so flips found by the candidate scan are staged here and XORed
 /// into the row in one deferred pass. `flips` is a one-word-per-column
-/// bitmap; `touched` lists the words with staged bits so the apply/reset
-/// pass never walks the whole row.
+/// bitmap; `touched` lists the words the list scans staged bits in, so
+/// their apply/reset pass never walks the whole row.
 #[derive(Debug, Clone, Default)]
 struct FlipScratch {
     flips: Vec<u64>,
     touched: Vec<u32>,
+    /// Whether a dense landing staged bits in `flips` directly, without
+    /// listing their words, so the apply must walk the whole row.
+    whole_row: bool,
+}
+
+impl FlipScratch {
+    /// Stages the bits of `mask` in `word`.
+    #[inline]
+    fn stage(&mut self, word: usize, mask: u64) {
+        if self.flips[word] == 0 {
+            self.touched.push(word as u32);
+        }
+        self.flips[word] |= mask;
+    }
+}
+
+/// A row's flip indexes for one salt, each built the first time a landing
+/// needs it and then kept: the list for cutoffs at or below
+/// [`FIRST_CAP`], the dense index above it.
+#[derive(Debug, Clone, Default)]
+struct FlipIndexes {
+    list: Option<SaltIndex>,
+    dense: Option<DenseIndex>,
 }
 
 /// Cached per-row model parameters, derived from the physical row address.
@@ -479,20 +683,20 @@ struct RowParams {
     cluster64_words: Vec<u32>,
     /// Word indices carrying a 128 ms-window weak cell (Fig. 11b).
     cluster128_words: Vec<u32>,
-    /// RowHammer flip candidates (`SALT_HC`), built when the first layer
-    /// that can hammer-flip lands (see [`SaltIndex`]).
-    hc_index: Option<SaltIndex>,
-    /// Retention flip candidates (`SALT_RET`), built when the first layer
-    /// with a nonzero retention cutoff lands.
-    ret_index: Option<SaltIndex>,
+    /// RowHammer flip indexes (`SALT_HC`), built as layers that can
+    /// hammer-flip land.
+    hc: FlipIndexes,
+    /// Retention flip indexes (`SALT_RET`), built as layers with a nonzero
+    /// retention cutoff land.
+    ret: FlipIndexes,
 }
 
 impl RowParams {
-    /// The row's index slot for a flip salt.
-    fn index_slot(&mut self, salt: u64) -> &mut Option<SaltIndex> {
+    /// The row's indexes for a flip salt.
+    fn indexes(&mut self, salt: u64) -> &mut FlipIndexes {
         match salt {
-            SALT_HC => &mut self.hc_index,
-            SALT_RET => &mut self.ret_index,
+            SALT_HC => &mut self.hc,
+            SALT_RET => &mut self.ret,
             _ => unreachable!("no flip index for salt {salt:#x}"),
         }
     }
@@ -529,6 +733,9 @@ struct Bank {
     params: Vec<RowParams>,
     /// Materialization staging scratch, reused across calls.
     flip_scratch: FlipScratch,
+    /// A dense landing's below-masks, two rows of words (the two RowHammer
+    /// classes, or retention in the first), reused across calls.
+    below: Vec<u64>,
 }
 
 impl Bank {
@@ -1436,35 +1643,36 @@ impl DramModule {
             trcd_base_ns,
             cluster64_words,
             cluster128_words,
-            hc_index: None,
-            ret_index: None,
+            hc: FlipIndexes::default(),
+            ret: FlipIndexes::default(),
         }
     }
 
-    /// Makes the row's `salt` index deep enough for cutoff `p`: builds it on
-    /// first use, and rebuilds it whenever `p` outgrows its cap, each time
-    /// at `p`'s rung of the cap ladder ([`SaltIndex::cap_for`]). A rebuild
-    /// climbs at least one rung, so a `(row, salt)` index is built at most
-    /// [`MAX_BUILDS`] times, and each build keeps only the cells a cutoff
-    /// seen so far can reach.
+    /// Makes the row's `salt` index for cutoff `p` ready: the list
+    /// ([`SaltIndex`]) for `p <= FIRST_CAP`, the dense index
+    /// ([`DenseIndex`]) above it. Each is built the first time a cutoff
+    /// needs it and kept for the row's life, so a `(row, salt)` builds at
+    /// most one list and one dense index.
     ///
     /// Pure per-cell hash draws — no observable behaviour depends on *when*
-    /// or *how deep* this runs, so it is deferred until a landing layer
-    /// actually has flip work for the salt. Returns whether it built.
+    /// this runs, so it is deferred until a landing layer actually has flip
+    /// work for the salt. Returns whether it built.
     fn ensure_index(&mut self, bank: u32, pslot: usize, phys: u32, salt: u64, p: f64) -> bool {
-        let builds = match self.banks[bank as usize].params[pslot].index_slot(salt) {
-            Some(index) if !index.too_shallow_for(p) => return false,
-            Some(index) => index.builds + 1,
-            None => 1,
-        };
-        debug_assert!(
-            builds <= MAX_BUILDS,
-            "index of row {phys} built {builds} times"
-        );
-        let cells = self.geometry.bits_per_row();
+        let columns = self.geometry.columns_per_row;
         let rseed = hash::row_seed(self.seed, bank, phys);
-        let index = SaltIndex::build(rseed, phys, cells, salt, SaltIndex::cap_for(p), builds);
-        *self.banks[bank as usize].params[pslot].index_slot(salt) = Some(index);
+        let pass = HashPass::detect();
+        let indexes = self.banks[bank as usize].params[pslot].indexes(salt);
+        if p > FIRST_CAP {
+            if indexes.dense.is_some() {
+                return false;
+            }
+            indexes.dense = Some(DenseIndex::build(pass, rseed, columns as usize, salt));
+        } else {
+            if indexes.list.is_some() {
+                return false;
+            }
+            indexes.list = Some(SaltIndex::build(pass, rseed, phys, columns * 64, salt));
+        }
         true
     }
 
@@ -1668,32 +1876,53 @@ impl DramModule {
         if p_ret > 0.0 {
             tally.index_builds += u64::from(self.ensure_index(bank, pslot, phys, SALT_RET, p_ret));
         }
+        let words = columns as usize;
         // Borrow the arenas and the staging scratch disjointly so the
         // candidate scans mutate the state while reading the parameters in
         // place.
         let Bank {
             params,
             states,
-            flip_scratch,
+            flip_scratch: scratch,
+            below,
             ..
         } = &mut self.banks[bank as usize];
         let params = &params[pslot];
         let state = &mut states[slot];
         if hammer_possible || p_ret > 0.0 {
-            flip_scratch.flips.resize(columns as usize, 0);
-            let FlipScratch { flips, touched } = flip_scratch;
-            debug_assert!(touched.is_empty());
+            scratch.flips.resize(words, 0);
+            debug_assert!(scratch.touched.is_empty());
+            let checker = checkerboard(phys);
 
-            // RowHammer flips: only cells whose fixed draw can clear the
-            // aligned-class cutoff are candidates. Each candidate is then
-            // charge-filtered and classed from the pre-flip word exactly as
-            // the per-cell loop did: only charged cells lose charge (a cell
-            // is charged when it stores its polarity), and the
-            // horizontal-coupling class — neighbors storing the opposite
-            // value couple hardest, occasionally inverted by a per-cell
-            // preference bit — picks the cutoff.
-            if hammer_possible {
-                let index = params.hc_index.as_ref().expect("ensured");
+            // RowHammer flips. A cell flips when it is charged (it stores
+            // its polarity) and its draw is below its coupling class's
+            // cutoff. The class comes from the pre-flip word: neighbours
+            // storing the opposite value couple hardest (the aligned class,
+            // cutoff `p_hammer[0]`), occasionally inverted by a per-cell
+            // preference bit. Both indexes apply this rule; the list to the
+            // cells whose draw can clear the larger cutoff, one at a time,
+            // and the dense index to whole words.
+            if hammer_possible && p_hammer_max > FIRST_CAP {
+                let dense = params.hc.dense.as_ref().expect("ensured");
+                below.resize(2 * words, 0);
+                let (below_aligned, below_anti) = below.split_at_mut(words);
+                let limits = p_hammer.map(hash::draw_limit);
+                dense.below(rseed, SALT_HC, limits[0], below_aligned);
+                dense.below(rseed, SALT_HC, limits[1], below_anti);
+                let (ori, pref) = (dense.plane(ORI_PLANE), dense.plane(PREF_PLANE));
+                for (w, staged) in scratch.flips[..words].iter_mut().enumerate() {
+                    let current = state.data[w];
+                    let charged = !(current ^ checker ^ ori[w]);
+                    let aligned = opposite_neighbours(current) ^ pref[w];
+                    let flips = layer.live_mask(w)
+                        & charged
+                        & ((aligned & below_aligned[w]) | (!aligned & below_anti[w]));
+                    *staged |= flips;
+                    tally.hammer += u64::from(flips.count_ones());
+                }
+                scratch.whole_row = true;
+            } else if hammer_possible {
+                let index = params.hc.list.as_ref().expect("ensured");
                 for &IndexEntry { u, cell, flags } in index.candidates(p_hammer_max) {
                     let word = (cell >> 6) as usize;
                     if layer.is_killed(word) {
@@ -1701,41 +1930,41 @@ impl DramModule {
                     }
                     let bit = cell & 63;
                     let current = state.data[word];
-                    let stored = (current >> bit) & 1;
-                    if stored != u64::from(flags & FLAG_POLARITY) {
+                    if (current >> bit) & 1 != u64::from(flags & FLAG_POLARITY) {
                         continue; // discharged
                     }
-                    let left = if bit > 0 {
-                        (current >> (bit - 1)) & 1
-                    } else {
-                        stored ^ 1
-                    };
-                    let right = if bit < 63 {
-                        (current >> (bit + 1)) & 1
-                    } else {
-                        stored ^ 1
-                    };
-                    let mut aligned = left != stored && right != stored;
+                    let mut aligned = (opposite_neighbours(current) >> bit) & 1 == 1;
                     if flags & FLAG_PREF != 0 {
                         aligned = !aligned;
                     }
                     let p = if aligned { p_hammer[0] } else { p_hammer[1] };
                     if u < p {
-                        if flips[word] == 0 {
-                            touched.push(word as u32);
-                        }
-                        flips[word] |= 1 << bit;
+                        scratch.stage(word, 1 << bit);
                         tally.hammer += 1;
                     }
                 }
             }
 
-            // Retention flips: charged cells that did not already flip by
-            // hammer. Each cell appears at most once per salt table, so a
-            // staged bit seen here can only be a hammer flip — matching the
-            // per-cell loop's `continue` after a hammer flip.
-            if p_ret > 0.0 {
-                let index = params.ret_index.as_ref().expect("ensured");
+            // Retention flips: charged cells below the cutoff that did not
+            // already flip by hammer. Each cell appears at most once per
+            // salt index, so a staged bit seen here can only be a hammer
+            // flip — matching the per-cell loop's `continue` after a hammer
+            // flip.
+            if p_ret > FIRST_CAP {
+                let dense = params.ret.dense.as_ref().expect("ensured");
+                below.resize(2 * words, 0);
+                let below = &mut below[..words];
+                dense.below(rseed, SALT_RET, hash::draw_limit(p_ret), below);
+                let ori = dense.plane(ORI_PLANE);
+                for (w, staged) in scratch.flips[..words].iter_mut().enumerate() {
+                    let charged = !(state.data[w] ^ checker ^ ori[w]);
+                    let flips = layer.live_mask(w) & charged & below[w] & !*staged;
+                    *staged |= flips;
+                    tally.retention += u64::from(flips.count_ones());
+                }
+                scratch.whole_row = true;
+            } else if p_ret > 0.0 {
+                let index = params.ret.list.as_ref().expect("ensured");
                 for &IndexEntry { u, cell, flags } in index.candidates(p_ret) {
                     if u >= p_ret {
                         continue;
@@ -1748,11 +1977,8 @@ impl DramModule {
                     if (state.data[word] >> bit) & 1 != u64::from(flags & FLAG_POLARITY) {
                         continue;
                     }
-                    if (flips[word] >> bit) & 1 == 0 {
-                        if flips[word] == 0 {
-                            touched.push(word as u32);
-                        }
-                        flips[word] |= 1 << bit;
+                    if (scratch.flips[word] >> bit) & 1 == 0 {
+                        scratch.stage(word, 1 << bit);
                         tally.retention += 1;
                     }
                 }
@@ -1808,11 +2034,8 @@ impl DramModule {
                         charge_penalty,
                     );
                     if cluster != 0 {
-                        tally.cluster += u64::from((cluster & !flips[w]).count_ones());
-                        if flips[w] == 0 {
-                            touched.push(word);
-                        }
-                        flips[w] |= cluster;
+                        tally.cluster += u64::from((cluster & !scratch.flips[w]).count_ones());
+                        scratch.stage(w, cluster);
                     }
                 }
             }
@@ -1820,16 +2043,23 @@ impl DramModule {
             // Deferred apply: every decision above read pre-flip words, so
             // one XOR per touched word lands all of them at once. Staged
             // bits are cleared on the way out, leaving the scratch zeroed
-            // for the next layer. Dense rows take the wide-word whole-row
-            // pass (XOR with a zero mask is the identity, so the result is
-            // the same either way); sparse rows walk the touched list.
+            // for the next layer. A dense landing, or many touched words,
+            // takes the wide-word whole-row pass (XOR with a zero mask is
+            // the identity, so the result is the same either way); sparse
+            // list landings walk the touched list.
+            let FlipScratch {
+                flips,
+                touched,
+                whole_row,
+            } = scratch;
             let row_words = flips.len().min(state.data.len());
-            if crate::wide::dense_apply_pays(touched.len(), row_words) {
+            if *whole_row || crate::wide::dense_apply_pays(touched.len(), row_words) {
                 crate::wide::xor_apply_clear(&mut state.data[..row_words], &mut flips[..row_words]);
             } else {
                 crate::wide::xor_apply_clear_sparse(&mut state.data, flips, touched);
             }
             touched.clear();
+            *whole_row = false;
         } else if cluster_relevant {
             for wi in 0..params.cluster64_words.len() + params.cluster128_words.len() {
                 let word = if wi < params.cluster64_words.len() {
@@ -2613,11 +2843,10 @@ mod tests {
             .collect()
     }
 
-    /// The cells the row's `salt` index reports below `p`, after the exact
-    /// `u < p` re-check every consumer applies, in cell order.
-    fn indexed_below(m: &mut DramModule, pslot: usize, salt: u64, p: f64) -> Vec<OracleCell> {
-        let index = m.banks[0].params[pslot].index_slot(salt).as_ref().unwrap();
-        let mut cells: Vec<OracleCell> = index
+    /// The cells a list reports below `p`, after the exact `u < p` re-check
+    /// every consumer applies, in cell order.
+    fn listed_below(list: &SaltIndex, p: f64) -> Vec<OracleCell> {
+        let mut cells: Vec<OracleCell> = list
             .candidates(p)
             .iter()
             .filter(|e| e.u < p)
@@ -2630,147 +2859,296 @@ mod tests {
         cells
     }
 
+    /// A list's entries as comparable bits: `(u.to_bits(), cell, flags)`.
+    fn entry_bits(list: &SaltIndex) -> Vec<(u64, u32, u32)> {
+        list.entries
+            .iter()
+            .map(|e| (e.u.to_bits(), e.cell, e.flags))
+            .collect()
+    }
+
     /// One ulp above `x`.
     fn next_up(x: f64) -> f64 {
         f64::from_bits(x.to_bits() + 1)
     }
 
+    /// One ulp below a positive `x`.
+    fn next_down(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
+    }
+
+    /// The passes this host runs: the portable one, and the wide one when
+    /// the host has it.
+    fn passes() -> Vec<HashPass> {
+        let mut passes = vec![HashPass::Portable];
+        if HashPass::detect() != HashPass::Portable {
+            passes.push(HashPass::detect());
+        }
+        passes
+    }
+
     #[test]
     fn salt_index_matches_brute_force_at_every_cutoff() {
         let mut m = small_module(ModuleId::B0, 3);
-        let below_cap = f64::from_bits(FIRST_CAP.to_bits() - 1);
-        // A rising sequence: the first build at the bottom rung serves
-        // everything up to 1/32. Each power of two up to 1 is still served
-        // by the rung it sits on, and one ulp above it climbs exactly one
-        // rung; past 1 nothing rebuilds.
-        let mut cutoffs = vec![(0.0, 1), (1e-12, 1), (below_cap, 1)];
-        let mut builds = 1;
-        for k in (0..=5).rev() {
-            let rung = 1.0 / f64::from(1u32 << k);
-            cutoffs.push((rung, builds));
-            if k > 0 {
-                builds += 1;
-            }
-            cutoffs.push((next_up(rung), builds));
-        }
-        cutoffs.extend([(0.75, 6), (1.0, 6), (f64::NAN, 6)]);
-        assert_eq!(cutoffs[4], (next_up(FIRST_CAP), 2));
-        assert_eq!(cutoffs[14], (next_up(1.0), 6));
+        // Every cutoff the list serves, up to 1/32 itself; cutoffs that
+        // are not positive select nothing.
+        let cutoffs = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            1e-12,
+            1e-3,
+            next_down(FIRST_CAP),
+            FIRST_CAP,
+            f64::NAN,
+        ];
         for phys in [0u32, 17, 255, 511] {
             let pslot = m.ensure_params(0, phys);
             for salt in [SALT_HC, SALT_RET] {
                 let oracle = brute_force_row(&m, 0, phys, salt);
-                for &(p, builds) in &cutoffs {
-                    m.ensure_index(0, pslot, phys, salt, p);
+                assert!(m.ensure_index(0, pslot, phys, salt, FIRST_CAP));
+                let list = m.banks[0].params[pslot]
+                    .indexes(salt)
+                    .list
+                    .as_ref()
+                    .unwrap();
+                for p in cutoffs {
                     let expected: Vec<OracleCell> =
                         oracle.iter().copied().filter(|c| c.1 < p).collect();
-                    let got = indexed_below(&mut m, pslot, salt, p);
-                    assert_eq!(got, expected, "row {phys}, salt {salt:#x}, p {p}");
-                    let index = m.banks[0].params[pslot].index_slot(salt).as_ref().unwrap();
-                    assert_eq!(index.builds, builds, "row {phys}, salt {salt:#x}, p {p}");
+                    assert_eq!(
+                        listed_below(list, p),
+                        expected,
+                        "row {phys}, salt {salt:#x}, p {p}"
+                    );
                 }
-                let index = m.banks[0].params[pslot].index_slot(salt).as_ref().unwrap();
-                assert_eq!(index.cap, 1.0);
-                assert_eq!(
-                    index.entries.len(),
-                    oracle.len(),
-                    "a full index keeps every cell"
-                );
+                // The list keeps exactly the cells below 1/32: a few percent
+                // of the row.
+                let kept = oracle.iter().filter(|c| c.1 < FIRST_CAP).count();
+                assert_eq!(list.entries.len(), kept);
+                assert!(kept < oracle.len() / 16, "{kept} of {}", oracle.len());
             }
         }
-        // The cutoff 1/32 keeps a few percent of the row, not all of it.
-        let mut fresh = small_module(ModuleId::B0, 3);
-        let pslot = fresh.ensure_params(0, 17);
-        fresh.ensure_index(0, pslot, 17, SALT_HC, FIRST_CAP);
-        let index = fresh.banks[0].params[pslot].hc_index.as_ref().unwrap();
-        let cells = fresh.geometry().bits_per_row() as usize;
-        assert!(
-            index.entries.len() < cells / 16,
-            "{} of {cells}",
-            index.entries.len()
-        );
     }
 
     #[test]
-    fn salt_index_climbs_the_cap_ladder_one_build_per_rung() {
-        let mut m = small_module(ModuleId::C2, 9);
-        let pslot = m.ensure_params(1, 300);
-        let ret = |m: &DramModule| {
-            let index = m.banks[1].params[pslot].ret_index.as_ref().unwrap();
-            (index.builds, index.cap)
+    fn dense_index_matches_brute_force_at_every_cutoff() {
+        // The small geometry's 1,024 words, and 13 words: not a multiple of
+        // the comparator's 8-word step, so its tail runs too.
+        let odd = Geometry {
+            columns_per_row: 13,
+            ..Geometry::small_test()
         };
-        // A first cutoff above the bottom rung builds once, at its own rung;
-        // smaller cutoffs after it do not rebuild.
-        assert!(m.ensure_index(1, pslot, 300, SALT_RET, 0.2));
-        assert_eq!(ret(&m), (1, 0.25));
-        for p in [1e-9, FIRST_CAP, 0.25] {
-            assert!(!m.ensure_index(1, pslot, 300, SALT_RET, p));
+        let modules = [
+            (small_module(ModuleId::B0, 3), vec![0u32, 17, 255, 511]),
+            (
+                DramModule::with_geometry(registry::spec(ModuleId::C2), 9, odd).unwrap(),
+                vec![6u32],
+            ),
+        ];
+        let mut cutoffs = vec![0.2, 0.75, 1.0, 1.5, 0.0, -0.0, f64::from_bits(1), f64::NAN];
+        for k in [1u32, 5, 2047, 2048, 2049, 32_768, 65_535] {
+            let p = f64::from(k) / 65_536.0;
+            cutoffs.extend([next_down(p), p, next_up(p)]);
         }
-        assert_eq!(ret(&m), (1, 0.25));
-        // 0.9 outgrows it and rebuilds at the top; nothing rebuilds after.
-        assert!(m.ensure_index(1, pslot, 300, SALT_RET, 0.9));
-        assert_eq!(ret(&m), (2, 1.0));
-        assert!(!m.ensure_index(1, pslot, 300, SALT_RET, 1.0));
-        assert_eq!(ret(&m), (2, 1.0));
-        // Salts are independent: the hc index is still unbuilt. A rising
-        // sequence with ratio 1.7 < 2 crosses each power of two from 1/32 to
-        // 1/2 once, and builds once at the bottom plus once per power of
-        // two it crosses, ending at the top rung.
-        assert!(m.banks[1].params[pslot].hc_index.is_none());
-        let rungs = [1.0 / 32.0, 1.0 / 16.0, 0.125, 0.25, 0.5, 1.0];
-        let mut p: f64 = 1e-15;
-        let (mut expected_builds, mut expected_cap) = (0, 0.0);
-        while p < 1.0 {
-            let built = m.ensure_index(1, pslot, 300, SALT_HC, p);
-            let rung = rungs.into_iter().find(|&r| r >= p).unwrap();
-            assert_eq!(built, rung > expected_cap, "p {p}");
-            if built {
-                (expected_builds, expected_cap) = (expected_builds + 1, rung);
+        assert!(cutoffs.contains(&FIRST_CAP));
+        let passes = passes();
+        for (m, rows) in &modules {
+            let words = m.geometry().columns_per_row as usize;
+            for &phys in rows {
+                let rseed = hash::row_seed(m.seed, 0, phys);
+                for salt in [SALT_HC, SALT_RET] {
+                    let oracle = brute_force_row(m, 0, phys, salt);
+                    // Ties: cutoffs at and just above a few cells' own
+                    // draws, so cells share the limit's code.
+                    let mut cutoffs = cutoffs.clone();
+                    for c in [0usize, 64, oracle.len() - 1] {
+                        cutoffs.extend([oracle[c].1, next_up(oracle[c].1)]);
+                    }
+                    for &pass in &passes {
+                        let dense = DenseIndex::build(pass, rseed, words, salt);
+                        assert_eq!(dense.planes.len(), PLANES * words);
+                        let checker = checkerboard(phys);
+                        for &(cell, _, polarity, pref) in &oracle {
+                            let (w, bit) = ((cell / 64) as usize, cell % 64);
+                            let draw = hash::cell_draw(rseed, cell, salt);
+                            let code: u64 = (0..CODE_PLANES)
+                                .map(|j| ((dense.plane(j)[w] >> bit) & 1) << j)
+                                .sum();
+                            assert_eq!(code, draw >> 37, "row {phys}, cell {cell}, {pass:?}");
+                            let flags = cell_flags(hash::cell_seed(rseed, cell), cell, phys);
+                            let ori = (dense.plane(ORI_PLANE)[w] >> bit) & 1;
+                            assert_eq!((checker ^ (ori << bit)) >> bit & 1 == 1, polarity);
+                            assert_eq!(
+                                u64::from(flags & FLAG_POLARITY),
+                                ((checker >> bit) & 1) ^ ori
+                            );
+                            assert_eq!((dense.plane(PREF_PLANE)[w] >> bit) & 1 == 1, pref);
+                            assert_eq!(flags & FLAG_PREF != 0, pref);
+                        }
+                        let mut below = vec![0u64; words];
+                        for &p in &cutoffs {
+                            let mut expected = vec![0u64; words];
+                            for &(cell, u, _, _) in &oracle {
+                                expected[(cell / 64) as usize] |= u64::from(u < p) << (cell % 64);
+                            }
+                            dense.below(rseed, salt, hash::draw_limit(p), &mut below);
+                            assert_eq!(
+                                below, expected,
+                                "row {phys}, salt {salt:#x}, p {p}, {pass:?}"
+                            );
+                        }
+                    }
+                }
             }
-            let hc = m.banks[1].params[pslot].hc_index.as_ref().unwrap();
-            assert_eq!(
-                (hc.builds, hc.cap),
-                (expected_builds, expected_cap),
-                "p {p}"
-            );
+        }
+    }
+
+    /// Serializes the tests that switch metrics collection on, so that one
+    /// restoring the flag cannot switch it off under another.
+    static METRICS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Runs `f` with metrics on, inside a fresh scope labelled `test`, and
+    /// returns the scope with `f`'s result.
+    fn with_metrics<R>(
+        test: &str,
+        f: impl FnOnce() -> R,
+    ) -> (std::sync::Arc<hammervolt_obs::scope::Scope>, R) {
+        let _lock = METRICS_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let was_on = hammervolt_obs::metrics_enabled();
+        hammervolt_obs::set_metrics(true);
+        let scope = hammervolt_obs::scope::Scope::new(&[("test", test)]);
+        let out = {
+            let _guard = hammervolt_obs::scope::enter(&scope);
+            f()
+        };
+        hammervolt_obs::set_metrics(was_on);
+        (scope, out)
+    }
+
+    #[test]
+    fn landings_match_the_per_cell_rule_on_both_indexes() {
+        let mut m = small_module(ModuleId::B0, 3);
+        let phys = 100;
+        let slot = m.ensure_row_phys(0, phys);
+        let pslot = m.ensure_params(0, phys);
+        let columns = m.geometry().columns_per_row;
+        let hc = brute_force_row(&m, 0, phys, SALT_HC);
+        let ret = brute_force_row(&m, 0, phys, SALT_RET);
+        // `[aligned, anti-aligned]` RowHammer cutoffs and the retention
+        // cutoff: each index alone, each salt on each side of 1/32, and
+        // cutoffs that keep the whole row.
+        let cases = [
+            ([0.01, 0.005], 0.02),
+            ([0.3, 0.2], 0.5),
+            ([0.3, 0.01], 0.02),
+            ([0.02, 0.01], 0.4),
+            ([0.0, 0.0], 0.6),
+            ([0.25, 0.1], 0.0),
+            ([1.0, 0.9], 1.0),
+        ];
+        // A cell below both cutoffs flips once and counts as a hammer flip.
+        let (scope, (hammer_flips, retention_flips)) = with_metrics("per_cell_rule", || {
+            let (mut hammer_flips, mut retention_flips) = (0u64, 0u64);
+            for (case, &(p_hammer, p_ret)) in cases.iter().enumerate() {
+                let before: Vec<u64> = (0..u64::from(columns))
+                    .map(|c| hash::splitmix64(hash::combine(case as u64, c)))
+                    .collect();
+                let mut layer = FlipLayer {
+                    p_hammer,
+                    p_ret,
+                    cluster: false,
+                    elapsed_s: 0.0,
+                    temp_c: 50.0,
+                    vpp: m.vpp,
+                    charge_penalty: 1.0,
+                    killed: vec![0; columns.div_ceil(64) as usize],
+                    live: columns,
+                };
+                assert!(layer.kill(3, 5) && layer.kill(700, 701));
+                let state = &mut m.banks[0].states[slot];
+                state.data.clone_from(&before);
+                state.pending.push(layer.clone());
+                m.land_pending(0, phys);
+                // The rule, cell by cell, on the pre-flip words.
+                let mut expected = before.clone();
+                for (cell, (h, r)) in hc.iter().zip(&ret).enumerate() {
+                    let (w, bit) = (cell / 64, cell % 64);
+                    let current = before[w];
+                    let stored = (current >> bit) & 1 == 1;
+                    if layer.is_killed(w) || stored != h.2 {
+                        continue;
+                    }
+                    let left = if bit > 0 {
+                        (current >> (bit - 1)) & 1 == 1
+                    } else {
+                        !stored
+                    };
+                    let right = if bit < 63 {
+                        (current >> (bit + 1)) & 1 == 1
+                    } else {
+                        !stored
+                    };
+                    let aligned = (left != stored && right != stored) != h.3;
+                    let p = if aligned { p_hammer[0] } else { p_hammer[1] };
+                    let hammer = p_hammer[1] > 0.0 && h.1 < p;
+                    let retention = !hammer && p_ret > 0.0 && r.1 < p_ret;
+                    if hammer || retention {
+                        expected[w] ^= 1 << bit;
+                    }
+                    hammer_flips += u64::from(hammer);
+                    retention_flips += u64::from(retention);
+                }
+                let landed = &m.banks[0].states[slot].data;
+                assert_eq!(landed, &expected, "p_hammer {p_hammer:?}, p_ret {p_ret}");
+                assert_ne!(landed, &before, "p_hammer {p_hammer:?}, p_ret {p_ret}");
+            }
+            (hammer_flips, retention_flips)
+        });
+        assert_eq!(scope.counter_value("dram_flips_hammer"), hammer_flips);
+        assert_eq!(scope.counter_value("dram_flips_retention"), retention_flips);
+        let params = &m.banks[0].params[pslot];
+        for indexes in [&params.hc, &params.ret] {
+            assert!(indexes.list.is_some() && indexes.dense.is_some());
+        }
+    }
+
+    #[test]
+    fn each_row_and_salt_builds_one_list_and_one_dense_index() {
+        let mut m = small_module(ModuleId::C2, 9);
+        let (bank, phys) = (1, 300);
+        let pslot = m.ensure_params(bank, phys);
+        let kinds = |m: &mut DramModule, salt: u64| {
+            let indexes = m.banks[1].params[pslot].indexes(salt);
+            (indexes.list.is_some(), indexes.dense.is_some())
+        };
+        // Retention, dense first: a cutoff above 1/32 builds the dense index
+        // once, the first cutoff at or below 1/32 builds the list, and
+        // nothing builds after that.
+        assert!(m.ensure_index(bank, pslot, phys, SALT_RET, 0.2));
+        assert_eq!(kinds(&mut m, SALT_RET), (false, true));
+        for p in [0.9, 1.0, next_up(FIRST_CAP), 1.5] {
+            assert!(!m.ensure_index(bank, pslot, phys, SALT_RET, p));
+        }
+        assert!(m.ensure_index(bank, pslot, phys, SALT_RET, 1e-9));
+        assert_eq!(kinds(&mut m, SALT_RET), (true, true));
+        for p in [FIRST_CAP, 1e-300, 0.2, 1.0] {
+            assert!(!m.ensure_index(bank, pslot, phys, SALT_RET, p));
+        }
+        assert_eq!(kinds(&mut m, SALT_RET), (true, true));
+        // RowHammer, list first: salts are independent. A rising sequence
+        // with ratio 1.7 builds the list at its first cutoff and the dense
+        // index at the first one above 1/32, and nothing else.
+        assert_eq!(kinds(&mut m, SALT_HC), (false, false));
+        let mut p: f64 = 1e-15;
+        let mut builds = 0;
+        while p < 2.0 {
+            builds += u32::from(m.ensure_index(bank, pslot, phys, SALT_HC, p));
+            assert_eq!(kinds(&mut m, SALT_HC), (true, p > FIRST_CAP), "p {p}");
             p *= 1.7;
         }
-        assert_eq!((expected_builds, expected_cap), (6, 1.0));
-    }
-
-    #[test]
-    fn cap_for_climbs_powers_of_two_from_the_first_cap_to_one() {
-        // Exact powers of two in range map to themselves; one ulp above
-        // maps to the next.
-        for k in 0..=5 {
-            let rung = 1.0 / f64::from(1u32 << k);
-            assert_eq!(SaltIndex::cap_for(rung), rung);
-            if k > 0 {
-                assert_eq!(SaltIndex::cap_for(next_up(rung)), 2.0 * rung);
-            }
-        }
-        for (p, cap) in [(0.3, 0.5), (0.05, 0.0625), (0.1, 0.125), (0.999, 1.0)] {
-            assert_eq!(SaltIndex::cap_for(p), cap, "p {p}");
-        }
-        // At or below the first cap: the first cap.
-        let low = [
-            FIRST_CAP,
-            f64::from_bits(FIRST_CAP.to_bits() - 1),
-            1e-300,
-            f64::MIN_POSITIVE / 4.0,
-            0.0,
-            -0.0,
-            -1.0,
-            f64::NEG_INFINITY,
-            f64::NAN,
-        ];
-        for p in low {
-            assert_eq!(SaltIndex::cap_for(p), FIRST_CAP, "p {p}");
-        }
-        // At or above 1: 1.
-        for p in [1.0, next_up(1.0), 1.5, 2.0, 1e300, f64::INFINITY] {
-            assert_eq!(SaltIndex::cap_for(p), 1.0, "p {p}");
-        }
+        assert_eq!(builds, 2);
     }
 
     /// One block's kept entries through a pass, as comparable bits:
@@ -2780,9 +3158,8 @@ mod tests {
         rseed: u64,
         salt: u64,
         start: u32,
-        cap: f64,
+        limit: u64,
     ) -> Vec<(u64, u32, u32)> {
-        let limit = (cap * (1u64 << 53) as f64) as u64;
         let mut kept = Vec::new();
         pass.keep_block(rseed, 7, salt, start, limit, &mut kept);
         kept.iter()
@@ -2792,7 +3169,7 @@ mod tests {
 
     #[test]
     fn wide_hash_pass_matches_portable_bit_for_bit() {
-        let rungs: Vec<f64> = (0..=5).map(|k| 1.0 / f64::from(1u32 << k)).collect();
+        let cutoffs: Vec<f64> = (0..=5).map(|k| 1.0 / f64::from(1u32 << k)).collect();
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = || {
             rng = hash::splitmix64(rng);
@@ -2810,21 +3187,21 @@ mod tests {
             cases.push((next(), next(), start));
         }
         // The portable pass against per-cell `uniform01`: kept exactly when
-        // `u < cap`, with its bits, in cell order.
+        // `u < p`, with its bits, in cell order.
         for &(rseed, salt, start) in &cases {
-            for &cap in &rungs {
+            for &p in &cutoffs {
                 let expected: Vec<(u64, u32, u32)> = (0..64)
                     .map(|i| start + i)
                     .filter_map(|cell| {
                         let cseed = hash::cell_seed(rseed, cell);
                         let u = hash::uniform01(hash::combine(cseed, salt));
-                        (u < cap).then(|| (u.to_bits(), cell, cell_flags(cseed, cell, 7)))
+                        (u < p).then(|| (u.to_bits(), cell, cell_flags(cseed, cell, 7)))
                     })
                     .collect();
-                let got = kept_block(HashPass::Portable, rseed, salt, start, cap);
+                let got = kept_block(HashPass::Portable, rseed, salt, start, hash::draw_limit(p));
                 assert_eq!(
                     got, expected,
-                    "rseed {rseed:#x} salt {salt:#x} start {start} cap {cap}"
+                    "rseed {rseed:#x} salt {salt:#x} start {start} p {p}"
                 );
             }
         }
@@ -2834,29 +3211,41 @@ mod tests {
             return;
         }
         for &(rseed, salt, start) in &cases {
-            for &cap in &rungs {
+            for &p in &cutoffs {
+                let limit = hash::draw_limit(p);
                 assert_eq!(
-                    kept_block(wide, rseed, salt, start, cap),
-                    kept_block(HashPass::Portable, rseed, salt, start, cap),
-                    "rseed {rseed:#x} salt {salt:#x} start {start} cap {cap}"
+                    kept_block(wide, rseed, salt, start, limit),
+                    kept_block(HashPass::Portable, rseed, salt, start, limit),
+                    "rseed {rseed:#x} salt {salt:#x} start {start} p {p}"
                 );
             }
+            // The dense block kernel: every plane, flags included.
+            let block = |pass: HashPass| {
+                pass.run(DenseBlock {
+                    row_seed: rseed,
+                    salt,
+                    start,
+                })
+            };
+            assert_eq!(
+                block(wide),
+                block(HashPass::Portable),
+                "rseed {rseed:#x} salt {salt:#x} start {start}"
+            );
         }
-        // Whole-row indexes through each pass, entry by entry.
+        // Whole-row lists through each pass, entry by entry, and whole-row
+        // dense indexes, plane by plane.
         let cells = 65_536;
         for (rseed, salt) in [(0, SALT_HC), (u64::MAX, SALT_RET), (next(), next())] {
-            for &cap in &rungs {
-                let a = SaltIndex::build_with(wide, rseed, 3, cells, salt, cap, 1);
-                let b = SaltIndex::build_with(HashPass::Portable, rseed, 3, cells, salt, cap, 1);
-                assert_eq!(a.bucket_start, b.bucket_start);
-                assert_eq!(a.entries.len(), b.entries.len());
-                for (x, y) in a.entries.iter().zip(&b.entries) {
-                    assert_eq!(
-                        (x.u.to_bits(), x.cell, x.flags),
-                        (y.u.to_bits(), y.cell, y.flags)
-                    );
-                }
-            }
+            let a = SaltIndex::build(wide, rseed, 3, cells, salt);
+            let b = SaltIndex::build(HashPass::Portable, rseed, 3, cells, salt);
+            assert_eq!(a.bucket_start, b.bucket_start);
+            assert_eq!(entry_bits(&a), entry_bits(&b));
+            let words = cells as usize / 64;
+            assert_eq!(
+                DenseIndex::build(wide, rseed, words, salt).planes,
+                DenseIndex::build(HashPass::Portable, rseed, words, salt).planes
+            );
         }
     }
 
@@ -2878,12 +3267,14 @@ mod tests {
         let phys = m.mapping().logical_to_physical(victim);
         let pslot = m.banks[0].params_slot(phys).unwrap();
         let params = &m.banks[0].params[pslot];
+        // 300K hammers put the victim's cutoff above 1/32: the read lands
+        // it through the dense index alone.
         assert!(
-            params.hc_index.is_some(),
-            "hammered victim indexes its hc draws"
+            params.hc.dense.is_some() && params.hc.list.is_none(),
+            "hammered victim indexes its hc draws densely"
         );
         assert!(
-            params.ret_index.is_none(),
+            params.ret.dense.is_none() && params.ret.list.is_none(),
             "a short test never needs retention draws"
         );
     }
@@ -2909,12 +3300,17 @@ mod tests {
         let slot = m.banks[0].state_slot(phys).unwrap();
         assert!(m.banks[0].states[slot].pending.is_empty());
         let pslot = m.banks[0].params_slot(phys).unwrap();
-        assert!(m.banks[0].params[pslot].hc_index.is_none());
+        let hc = &m.banks[0].params[pslot].hc;
+        assert!(hc.list.is_none() && hc.dense.is_none());
         assert_eq!(m.read_row(0, victim, 13.5).unwrap(), data);
     }
 
     /// A tracked row's final `(bank, phys, data, on-die ECC reference)`.
     type FinalRow = (u32, u32, Vec<u64>, Option<Vec<u64>>);
+
+    /// Which index kinds a session built, `[salt][kind]`: salts `SALT_HC`
+    /// and `SALT_RET`; a list, a dense index, and both on one row.
+    type IndexKinds = [[bool; 3]; 2];
 
     /// What a lazy-vs-eager session observes: every word read, in order,
     /// and every tracked row's final contents.
@@ -2946,15 +3342,16 @@ mod tests {
 
     /// A random session over seven physically adjacent rows of both banks,
     /// generated from `seed`: whole-row and partial writes (per column and
-    /// bulk), hammers repeated past the depth bound with no access between
-    /// them, REFs, 80 °C waits of seconds, early precharges, `V_PP` changes
-    /// and whole-row and partial reads (per column and bulk).
+    /// bulk), hammers of 1K–300K activations repeated past the depth bound
+    /// with no access between them, REFs, 80 °C waits of 1–16 s, early
+    /// precharges, `V_PP` changes and whole-row and partial reads (per
+    /// column and bulk).
     ///
     /// With `eager`, every tracked row's layers land right after each
     /// activate, hammer and refresh — the semantics of applying each
-    /// activation's flips on the spot. Returns the trace and the deepest
-    /// stack seen.
-    fn random_session(seed: u64, ecc: OnDieEcc, eager: bool) -> (SessionTrace, usize) {
+    /// activation's flips on the spot. Returns the trace, the deepest stack
+    /// seen and the index kinds built.
+    fn random_session(seed: u64, ecc: OnDieEcc, eager: bool) -> (SessionTrace, usize, IndexKinds) {
         let id = if seed.is_multiple_of(2) {
             ModuleId::B0
         } else {
@@ -3028,7 +3425,7 @@ mod tests {
                 4 => {
                     // Hammer one row up to six times with no access between.
                     for _ in 0..1 + next(6) {
-                        m.hammer(bank, row, 20_000 + next(280_000), 48.5).unwrap();
+                        m.hammer(bank, row, 1_000 + next(299_000), 48.5).unwrap();
                         settle(&mut m);
                         deepest = deepest.max(max_depth(&m));
                     }
@@ -3039,7 +3436,7 @@ mod tests {
                 }
                 6 => {
                     m.set_temperature_c(80.0);
-                    m.advance_ns((1 + next(8)) as f64 * 1e9);
+                    m.advance_ns((1 + next(16)) as f64 * 1e9);
                 }
                 7 => {
                     m.set_temperature_c(50.0);
@@ -3088,34 +3485,46 @@ mod tests {
                 }
             }
         }
+        let mut kinds = [[false; 3]; 2];
+        for params in m.banks.iter().flat_map(|b| &b.params) {
+            for (built, indexes) in kinds.iter_mut().zip([&params.hc, &params.ret]) {
+                let (list, dense) = (indexes.list.is_some(), indexes.dense.is_some());
+                built[0] |= list;
+                built[1] |= dense;
+                built[2] |= list && dense;
+            }
+        }
         let trace = SessionTrace {
             reads,
             rows: final_rows,
         };
-        (trace, deepest)
+        (trace, deepest, kinds)
     }
 
     #[test]
     fn lazy_landing_matches_eager_landing() {
-        let was_on = hammervolt_obs::metrics_enabled();
-        hammervolt_obs::set_metrics(true);
-        let scope = hammervolt_obs::scope::Scope::new(&[("test", "lazy_vs_eager")]);
-        let mut deepest = 0;
-        {
-            let _guard = hammervolt_obs::scope::enter(&scope);
+        let (scope, (deepest, kinds)) = with_metrics("lazy_vs_eager", || {
+            let mut deepest = 0;
+            let mut kinds = [[false; 3]; 2];
             for ecc in [OnDieEcc::None, OnDieEcc::Secded64] {
                 for seed in 0..40 {
-                    let (lazy, depth) = random_session(seed, ecc, false);
-                    let (eager, _) = random_session(seed, ecc, true);
+                    let (lazy, depth, built) = random_session(seed, ecc, false);
+                    let (eager, _, _) = random_session(seed, ecc, true);
                     assert_eq!(lazy, eager, "seed {seed}, {ecc:?}");
                     deepest = deepest.max(depth);
+                    for (all, one) in kinds.iter_mut().flatten().zip(built.iter().flatten()) {
+                        *all |= one;
+                    }
                 }
             }
-        }
-        hammervolt_obs::set_metrics(was_on);
+            (deepest, kinds)
+        });
         // The sessions exercise every mechanism: stacks reach the bound,
-        // writes drop layers, and every flip cause lands.
+        // writes drop layers, and every flip cause lands. Cutoffs fall on
+        // both sides of 1/32 for both salts, so each salt builds lists and
+        // dense indexes, and some row holds both.
         assert_eq!(deepest, MAX_PENDING_LAYERS);
+        assert_eq!(kinds, [[true; 3]; 2], "[salt][list, dense, both]");
         for name in [
             "dram_flip_layers_dropped",
             "dram_index_builds",
