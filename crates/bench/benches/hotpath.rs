@@ -17,6 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hammervolt_core::exec::{self, ExecConfig};
+use hammervolt_core::job::JobControl;
 use hammervolt_core::study::StudyConfig;
 use hammervolt_dram::geometry::Geometry;
 use hammervolt_dram::module::DramModule;
@@ -64,10 +65,10 @@ fn bench_sweep_unit(c: &mut Criterion) {
     };
     c.bench_function("sweep_unit", |b| {
         b.iter(|| {
-            black_box(exec::rowhammer_sweep(
+            black_box(exec::rowhammer_sweeps(
                 &cfg,
-                ModuleId::B3,
                 &ExecConfig::serial(),
+                &JobControl::new(),
             ))
         })
     });

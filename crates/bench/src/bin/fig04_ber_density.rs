@@ -4,6 +4,7 @@
 use hammervolt_bench::figures::fig04_series;
 use hammervolt_bench::{paper, Scale};
 use hammervolt_core::exec::rowhammer_sweeps;
+use hammervolt_core::job::JobControl;
 use hammervolt_core::study::ratios_by_manufacturer;
 use hammervolt_dram::vendor::Manufacturer;
 use hammervolt_stats::plot::{render, PlotConfig};
@@ -14,7 +15,7 @@ fn main() {
     println!("Fig. 4: Population density of normalized BER at V_PPmin, per Mfr.");
     println!("{}\n", scale.banner());
     let cfg = scale.config();
-    let sweeps = rowhammer_sweeps(&cfg, &scale.exec()).expect("sweep");
+    let sweeps = rowhammer_sweeps(&cfg, &scale.exec(), &JobControl::new()).expect("sweep");
     let grouped = ratios_by_manufacturer(&sweeps);
     for mfr in Manufacturer::ALL {
         let Some((ber, _)) = grouped.get(&mfr) else {

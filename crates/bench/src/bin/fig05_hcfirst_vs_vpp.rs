@@ -4,6 +4,7 @@
 use hammervolt_bench::figures::fig05_series;
 use hammervolt_bench::Scale;
 use hammervolt_core::exec::rowhammer_sweeps;
+use hammervolt_core::job::JobControl;
 use hammervolt_stats::plot::{render, PlotConfig};
 
 fn main() {
@@ -12,7 +13,7 @@ fn main() {
     println!("Fig. 5: Normalized HC_first values across different V_PP levels");
     println!("{}\n", scale.banner());
     let cfg = scale.config();
-    let sweeps = rowhammer_sweeps(&cfg, &scale.exec()).expect("sweep");
+    let sweeps = rowhammer_sweeps(&cfg, &scale.exec(), &JobControl::new()).expect("sweep");
     let series = fig05_series(&sweeps);
     for s in &series {
         let sweep = sweeps

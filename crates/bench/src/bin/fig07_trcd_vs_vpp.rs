@@ -4,6 +4,7 @@
 use hammervolt_bench::figures::fig07_series;
 use hammervolt_bench::Scale;
 use hammervolt_core::exec::trcd_sweeps;
+use hammervolt_core::job::JobControl;
 use hammervolt_dram::timing::NOMINAL_T_RCD_NS;
 use hammervolt_stats::plot::{render, PlotConfig};
 
@@ -17,7 +18,7 @@ fn main() {
         Scale::Paper => 12,
         _ => 4,
     };
-    let sweeps = trcd_sweeps(&cfg, levels_cap, &scale.exec()).expect("sweep");
+    let sweeps = trcd_sweeps(&cfg, levels_cap, &scale.exec(), &JobControl::new()).expect("sweep");
     let series = fig07_series(&sweeps);
     let mut exceeders = Vec::new();
     for s in &series {

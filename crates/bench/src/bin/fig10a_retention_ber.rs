@@ -4,6 +4,7 @@
 use hammervolt_bench::figures::fig10a_series;
 use hammervolt_bench::Scale;
 use hammervolt_core::exec::retention_sweeps;
+use hammervolt_core::job::JobControl;
 use hammervolt_stats::plot::{render, PlotConfig};
 
 fn main() {
@@ -12,7 +13,7 @@ fn main() {
     println!("Fig. 10a: Retention BER across refresh windows per V_PP (80 °C)");
     println!("{}\n", scale.banner());
     let cfg = scale.config();
-    let sweeps = retention_sweeps(&cfg, &scale.exec()).expect("sweep");
+    let sweeps = retention_sweeps(&cfg, &scale.exec(), &JobControl::new()).expect("sweep");
     let series = fig10a_series(&sweeps);
     let four_s_log = 4.0f64.log10();
     for s in &series {

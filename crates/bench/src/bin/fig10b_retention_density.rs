@@ -4,6 +4,7 @@
 use hammervolt_bench::figures::fig10b_series;
 use hammervolt_bench::Scale;
 use hammervolt_core::exec::retention_sweeps;
+use hammervolt_core::job::JobControl;
 use hammervolt_dram::vendor::Manufacturer;
 use hammervolt_stats::plot::{render, PlotConfig};
 use std::collections::BTreeMap;
@@ -14,7 +15,7 @@ fn main() {
     println!("Fig. 10b: Per-row retention BER distribution at t_REFW = 4 s (80 °C)");
     println!("{}\n", scale.banner());
     let cfg = scale.config();
-    let sweeps = retention_sweeps(&cfg, &scale.exec()).expect("sweep");
+    let sweeps = retention_sweeps(&cfg, &scale.exec(), &JobControl::new()).expect("sweep");
     // (mfr, vpp mV) → row BERs at 4 s, for the prose summary
     let mut pops: BTreeMap<(char, u64), Vec<f64>> = BTreeMap::new();
     for sweep in &sweeps {

@@ -5,6 +5,7 @@
 use hammervolt_bench::figures::guardband_summary;
 use hammervolt_bench::{compare_line, paper, Scale};
 use hammervolt_core::exec::trcd_sweeps;
+use hammervolt_core::job::JobControl;
 use hammervolt_stats::table::AsciiTable;
 
 fn main() {
@@ -13,7 +14,7 @@ fn main() {
     println!("§6.1: t_RCD guardband under reduced V_PP");
     println!("{}\n", scale.banner());
     let cfg = scale.config();
-    let sweeps = trcd_sweeps(&cfg, 2, &scale.exec()).expect("sweep");
+    let sweeps = trcd_sweeps(&cfg, 2, &scale.exec(), &JobControl::new()).expect("sweep");
     let summary = guardband_summary(&sweeps);
     let mut t = AsciiTable::new(vec![
         "DIMM".into(),

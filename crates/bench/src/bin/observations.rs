@@ -4,6 +4,7 @@
 use hammervolt_bench::figures::observation_findings;
 use hammervolt_bench::{compare_line, paper, Scale};
 use hammervolt_core::exec::rowhammer_sweeps;
+use hammervolt_core::job::JobControl;
 
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
@@ -11,7 +12,7 @@ fn main() {
     println!("Takeaway 1: effect of V_PP on RowHammer — aggregate findings");
     println!("{}\n", scale.banner());
     let cfg = scale.config();
-    let sweeps = rowhammer_sweeps(&cfg, &scale.exec()).expect("sweep");
+    let sweeps = rowhammer_sweeps(&cfg, &scale.exec(), &JobControl::new()).expect("sweep");
     for sweep in &sweeps {
         let id = sweep.module;
         let (ber, hc) = sweep.row_ratios_at_vppmin();

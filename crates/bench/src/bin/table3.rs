@@ -6,6 +6,7 @@
 use hammervolt_bench::figures::table3_rows;
 use hammervolt_bench::Scale;
 use hammervolt_core::exec::rowhammer_sweeps;
+use hammervolt_core::job::JobControl;
 use hammervolt_dram::registry::spec;
 use hammervolt_stats::table::{fmt_ber, fmt_kilo, AsciiTable};
 
@@ -28,7 +29,7 @@ fn main() {
         "BER@min".into(),
         "paper(HCf/BER@2.5)".into(),
     ]);
-    let sweeps = rowhammer_sweeps(&cfg, &scale.exec()).expect("sweep");
+    let sweeps = rowhammer_sweeps(&cfg, &scale.exec(), &JobControl::new()).expect("sweep");
     let rows = table3_rows(&sweeps);
     // table3_rows preserves sweep order, so rows and sweeps zip cleanly.
     for (row, sweep) in rows.iter().zip(&sweeps) {

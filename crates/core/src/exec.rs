@@ -22,9 +22,16 @@
 //!
 //! A unit's records are then a pure function of the study configuration and
 //! the unit's coordinates — never of scheduling — so sweep output is
-//! **byte-identical for any worker count**, including one. The
-//! single-threaded entry points in [`crate::study`] delegate here with
-//! [`ExecConfig::serial`], so there is exactly one semantics.
+//! **byte-identical for any worker count**, including one.
+//!
+//! The three public sweeps — [`rowhammer_sweeps`], [`trcd_sweeps`] and
+//! [`retention_sweeps`] — run on one private driver that owns the protocol
+//! they share (§4): the `sweep:{kind}` phase and `exec.sweep` span, the
+//! module cache, sharding and checkpoints, and assembly into the kind's
+//! module struct. A kind supplies only its unit body, its cache-key
+//! parameter and its struct. Population studies
+//! ([`crate::population`]) run their batches through the same cache-lookup,
+//! unit and landing steps.
 //!
 //! # Sweep cache
 //!
@@ -59,9 +66,10 @@ use crate::study::{
 use hammervolt_dram::hash;
 use hammervolt_dram::registry::ModuleId;
 use hammervolt_dram::ModuleBlueprint;
-use hammervolt_obs::{counter_add, histogram_record, manifest, progress, Span};
+use hammervolt_obs::{counter_add, histogram_record, manifest, Span};
 use hammervolt_softmc::SoftMc;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -110,8 +118,9 @@ impl ExecConfig {
 
     /// Reads `HAMMERVOLT_JOBS` (worker count, `0` = auto),
     /// `HAMMERVOLT_CACHE_DIR` (cache directory), and `HAMMERVOLT_RESUME`
-    /// (chunk checkpoints, truthy = on) from the environment. Unset (or
-    /// empty) variables leave the defaults: one worker per CPU, no cache, no
+    /// (chunk checkpoints, a boolean flag read by
+    /// [`hammervolt_obs::env_flag`]) from the environment. Unset (or empty)
+    /// variables leave the defaults: one worker per CPU, no cache, no
     /// checkpoints. A variable that is set but unparsable or unusable is
     /// reported through the observability event sink (stderr when no sink
     /// is installed) before falling back, never silently ignored.
@@ -146,20 +155,26 @@ impl ExecConfig {
                 None
             }
         };
-        let checkpoints = match std::env::var("HAMMERVOLT_RESUME") {
-            Ok(v) => !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false"),
-            Err(_) => false,
-        };
         ExecConfig {
             jobs,
             cache_dir,
-            checkpoints,
+            checkpoints: hammervolt_obs::env_flag("HAMMERVOLT_RESUME"),
         }
     }
 
     /// The concrete worker count this configuration resolves to.
     pub fn effective_jobs(&self) -> usize {
         hammervolt_par::resolve_jobs(self.jobs)
+    }
+
+    /// Where unit checkpoints live: the cache directory when checkpoints are
+    /// on, else `None`.
+    pub(crate) fn checkpoint_dir(&self) -> Option<&Path> {
+        if self.checkpoints {
+            self.cache_dir.as_deref()
+        } else {
+            None
+        }
     }
 }
 
@@ -181,58 +196,27 @@ use hammervolt_par::parallel_map_cancellable_with;
 
 /// One `(module, chunk)` work unit.
 struct Unit {
-    /// Index of the module in the driver's module list.
+    /// Index of the module in the driver's list of modules to compute.
     module_index: usize,
     id: ModuleId,
     chunk: u64,
     rows: Vec<u32>,
 }
 
-/// A unit's output: the module-wide sweep metadata (identical across the
-/// module's units by determinism) plus records grouped by ladder level.
-struct UnitOut<R> {
-    vpp_min: f64,
-    levels: Vec<f64>,
-    per_level: Vec<Vec<R>>,
-}
+/// A unit's output, `(vpp_min, levels, per_level)`: the module-wide sweep
+/// metadata (identical across the module's units by determinism) plus
+/// records grouped by ladder level. A tuple, because it is also the unit's
+/// checkpoint payload.
+type UnitOut<R> = (f64, Vec<f64>, Vec<Vec<R>>);
 
-/// Starts a unit sub-phase timer when metrics are enabled; the disabled
-/// path costs one relaxed load, like every instrumentation site here.
-fn subphase_timer() -> Option<Instant> {
-    hammervolt_obs::metrics_enabled().then(Instant::now)
-}
-
-/// Closes a unit bring-up timing window: one sample in the `exec_bringup_us`
-/// histogram plus the manifest's accumulated `unit:bringup` phase — the
-/// bring-up half of the bring-up-vs-steady profiling split (ROADMAP item 4).
-fn record_bringup(t0: Option<Instant>) {
-    if let Some(t0) = t0 {
-        let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-        histogram_record!("exec_bringup_us", us);
-        manifest::add_phase_us("unit:bringup", us);
-    }
-}
-
-/// Closes a unit steady-state timing window (`exec_steady_us` histogram,
-/// `unit:steady` manifest phase): everything after bring-up — the ladder's
-/// measurement loops and record assembly.
-fn record_steady(t0: Option<Instant>) {
-    if let Some(t0) = t0 {
-        let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-        histogram_record!("exec_steady_us", us);
-        manifest::add_phase_us("unit:steady", us);
-    }
-}
-
-/// Brings up a unit's private session, timed as the unit's bring-up
-/// window: a pristine clone of the module's shared blueprint (spec, vendor
-/// profile, `calibrate_eta_mean` and the `V_PPmin` search are paid once per
-/// module, not per chunk), the thermal loop re-settled at `temp_c` when
-/// given (retention runs at 80 °C; the other kinds stay at bring-up's
-/// 50 °C), then the noise stream rebased onto the unit's chunk seed so
-/// results are independent of scheduling. The chunk's row-parameter table
-/// is pre-derived so the ladder's hammer loops never derive parameters
-/// mid-sweep.
+/// Brings up a unit's private session: a pristine clone of the module's
+/// shared blueprint (spec, vendor profile, `calibrate_eta_mean` and the
+/// `V_PPmin` search are paid once per module, not per chunk), the thermal
+/// loop re-settled at `temp_c` when given (retention runs at 80 °C; the
+/// other kinds stay at bring-up's 50 °C), then the noise stream rebased onto
+/// the unit's chunk seed so results are independent of scheduling. The
+/// chunk's row-parameter table is pre-derived so the ladder's hammer loops
+/// never derive parameters mid-sweep.
 fn bring_up_unit(
     config: &StudyConfig,
     blueprint: &ModuleBlueprint,
@@ -241,7 +225,6 @@ fn bring_up_unit(
     rows: &[u32],
     temp_c: Option<f64>,
 ) -> Result<(SoftMc, f64), StudyError> {
-    let timer = subphase_timer();
     let mut mc = SoftMc::new(blueprint.instantiate());
     let (vpp_min, _) = blueprint
         .vppmin_memo()
@@ -252,7 +235,6 @@ fn bring_up_unit(
     mc.module_mut()
         .reseed_noise(hash::chunk_seed(config.module_seed(id), config.bank, chunk));
     mc.module_mut().prepare_rows(config.bank, rows);
-    record_bringup(timer);
     Ok((mc, vpp_min))
 }
 
@@ -267,7 +249,6 @@ fn hammer_unit(
     rows: &[u32],
 ) -> Result<UnitOut<RowHammerRecord>, StudyError> {
     let (mut mc, vpp_min) = bring_up_unit(config, blueprint, id, chunk, rows, None)?;
-    let timer = subphase_timer();
     let levels = vpp_ladder(vpp_min);
     let mut per_level: Vec<Vec<RowHammerRecord>> = levels.iter().map(|_| Vec::new()).collect();
     // Per-row WCDP memo, dense over the chunk's row list: the ladder probes
@@ -306,12 +287,7 @@ fn hammer_unit(
             });
         }
     }
-    record_steady(timer);
-    Ok(UnitOut {
-        vpp_min,
-        levels,
-        per_level,
-    })
+    Ok((vpp_min, levels, per_level))
 }
 
 /// Alg. 2 unit: the thinned ladder over this chunk's rows.
@@ -324,7 +300,6 @@ fn trcd_unit(
     rows: &[u32],
 ) -> Result<UnitOut<TrcdRecord>, StudyError> {
     let (mut mc, vpp_min) = bring_up_unit(config, blueprint, id, chunk, rows, None)?;
-    let timer = subphase_timer();
     let levels = thin_levels(&vpp_ladder(vpp_min), levels_cap.max(2));
     let mut per_level: Vec<Vec<TrcdRecord>> = levels.iter().map(|_| Vec::new()).collect();
     for (li, &vpp) in levels.iter().enumerate() {
@@ -340,12 +315,7 @@ fn trcd_unit(
             });
         }
     }
-    record_steady(timer);
-    Ok(UnitOut {
-        vpp_min,
-        levels,
-        per_level,
-    })
+    Ok((vpp_min, levels, per_level))
 }
 
 /// Alg. 3 unit: the retention levels over this chunk's rows at 80 °C.
@@ -357,7 +327,6 @@ fn retention_unit(
     rows: &[u32],
 ) -> Result<UnitOut<RetentionRecord>, StudyError> {
     let (mut mc, vpp_min) = bring_up_unit(config, blueprint, id, chunk, rows, Some(80.0))?;
-    let timer = subphase_timer();
     let mut levels: Vec<f64> = config
         .retention_vpp_levels
         .iter()
@@ -381,39 +350,30 @@ fn retention_unit(
             }
         }
     }
-    record_steady(timer);
-    Ok(UnitOut {
-        vpp_min,
-        levels,
-        per_level,
-    })
+    Ok((vpp_min, levels, per_level))
 }
 
 // ---------------------------------------------------------------------------
-// Sharded driver
+// Sharded fan-out
 // ---------------------------------------------------------------------------
 
-/// One module's assembled sweep: `(vpp_min, levels, records)`.
-type Assembled<R> = (f64, Vec<f64>, Vec<R>);
-
-/// Plans the `(module, chunk)` units for a module list, runs them on the
-/// worker pool, and reassembles each module's records in canonical order
-/// (level-major, chunks ascending — the order a serial sweep produces).
+/// Plans the `(module, chunk)` units for `modules` (each with its sweep
+/// key, which addresses its units' checkpoints), runs each on the worker
+/// pool through [`run_unit`], and returns each module's unit outputs in
+/// chunk order.
 ///
 /// `parent_span` is the sweep-wide span id shard spans attach to (`0` for
 /// none); instrumentation is a pure side channel and never affects which
 /// units run or how their outputs assemble.
-#[allow(clippy::too_many_arguments)]
 fn run_sharded<R, F>(
     config: &StudyConfig,
-    modules: &[ModuleId],
+    modules: &[(ModuleId, u64)],
     exec: &ExecConfig,
     kind: &str,
-    extra: u64,
     parent_span: u64,
     ctl: &JobControl,
-    run_unit: F,
-) -> Result<Vec<Assembled<R>>, StudyError>
+    unit: F,
+) -> Result<Vec<Vec<UnitOut<R>>>, StudyError>
 where
     R: Send + Serialize + for<'de> Deserialize<'de>,
     F: Fn(&ModuleBlueprint, ModuleId, u64, &[u32]) -> Result<UnitOut<R>, StudyError> + Sync,
@@ -422,16 +382,20 @@ where
     // module (V_PPmin memo included), served to every work unit.
     let blueprints: Vec<ModuleBlueprint> = modules
         .iter()
-        .map(|&id| config.blueprint(id))
+        .map(|&(id, _)| config.blueprint(id))
         .collect::<Result<_, _>>()?;
     let mut units: Vec<Unit> = Vec::new();
-    for (module_index, &id) in modules.iter().enumerate() {
+    // Per-module outstanding-unit counts so the progress line can tick a
+    // module the moment its last unit completes, whichever worker ran it.
+    let mut outstanding: Vec<AtomicUsize> = Vec::with_capacity(modules.len());
+    for (module_index, &(id, _)) in modules.iter().enumerate() {
         let groups = config.sample(config.geometry_for(id)).groups();
         if groups.is_empty() {
             return Err(StudyError::InvalidConfig {
                 reason: format!("module {} has an empty row sample", id.label()),
             });
         }
+        outstanding.push(AtomicUsize::new(groups.len()));
         for (chunk, rows) in groups.into_iter().enumerate() {
             units.push(Unit {
                 module_index,
@@ -443,32 +407,13 @@ where
     }
     counter_add!("exec_modules", modules.len());
     counter_add!("exec_units", units.len());
-    progress::add_totals(modules.len() as u64, units.len() as u64);
     ctl.progress()
         .add_totals(modules.len() as u64, units.len() as u64);
     // Chunk checkpoints live in the sweep-cache directory, addressed by the
     // module's sweep key continued over the chunk index — so they share the
     // cache's envelope verification and its any-config-change-changes-the-key
     // invalidation-free property.
-    let ckpt_dir = if exec.checkpoints {
-        exec.cache_dir.as_deref()
-    } else {
-        None
-    };
-    let module_keys: Vec<u64> = if ckpt_dir.is_some() {
-        modules
-            .iter()
-            .map(|&id| sweep_key(config, id, kind, extra))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    // Per-module outstanding-unit counts so the progress line can tick a
-    // module the moment its last unit completes, whichever worker ran it.
-    let outstanding: Vec<AtomicUsize> = modules.iter().map(|_| AtomicUsize::new(0)).collect();
-    for u in &units {
-        outstanding[u.module_index].fetch_add(1, Ordering::Relaxed);
-    }
+    let ckpt_dir = exec.checkpoint_dir();
     let outputs = parallel_map_cancellable_with(
         &units,
         exec.effective_jobs(),
@@ -480,114 +425,41 @@ where
             span.field_u64("bank", u64::from(config.bank));
             span.field_u64("chunk", u.chunk);
             span.field_u64("rows", u.rows.len() as u64);
-            // Resume: a verified checkpoint replaces the unit's computation
-            // outright — restored bytes equal recomputed bytes because the
-            // unit is a pure function of (config, coordinates).
-            let restored = ckpt_dir.and_then(|dir| {
-                let skey = module_keys[u.module_index];
-                let ukey = unit_key(skey, u.chunk);
-                let path = unit_checkpoint_path(dir, kind, u.id, skey, u.chunk);
-                match cache_read::<(f64, Vec<f64>, Vec<Vec<R>>)>(&path, ukey) {
-                    CacheRead::Hit((vpp_min, levels, per_level)) => {
-                        counter_add!("ckpt_hits", 1);
-                        ctl.progress().checkpoint_hit();
-                        Some(UnitOut {
-                            vpp_min,
-                            levels,
-                            per_level,
-                        })
-                    }
-                    CacheRead::Miss => None,
-                    CacheRead::Corrupt => {
-                        counter_add!("ckpt_corrupt_recovered", 1);
-                        None
-                    }
-                }
+            let checkpoint = ckpt_dir.map(|dir| {
+                let key = modules[u.module_index].1;
+                (unit_checkpoint_path(dir, kind, u.id, key, u.chunk), key)
             });
-            let out = match restored {
-                Some(unit_out) => Ok(unit_out),
-                None => {
-                    let timed = hammervolt_obs::metrics_enabled().then(Instant::now);
-                    let out = run_unit(&blueprints[u.module_index], u.id, u.chunk, &u.rows);
-                    if let Some(t0) = timed {
-                        histogram_record!("exec_unit_us", t0.elapsed().as_micros());
-                    }
-                    if let Ok(unit_out) = &out {
-                        ctl.progress().unit_executed();
-                        if let Some(dir) = ckpt_dir {
-                            let skey = module_keys[u.module_index];
-                            let ukey = unit_key(skey, u.chunk);
-                            // Written inside the work item, so cooperative
-                            // cancellation can never tear a checkpoint: the
-                            // item either completes (checkpoint sealed) or
-                            // never starts.
-                            cache_store(
-                                &unit_checkpoint_path(dir, kind, u.id, skey, u.chunk),
-                                ukey,
-                                &(unit_out.vpp_min, &unit_out.levels, &unit_out.per_level),
-                            );
-                        }
-                    }
-                    out
-                }
-            };
+            let out = run_unit(checkpoint, u.chunk, ctl, || {
+                unit(&blueprints[u.module_index], u.id, u.chunk, &u.rows)
+            });
             ctl.progress().unit_done();
-            if hammervolt_obs::progress_enabled() {
-                progress::unit_done();
-            }
             if outstanding[u.module_index].fetch_sub(1, Ordering::Relaxed) == 1 {
                 ctl.progress().module_done();
-                if hammervolt_obs::progress_enabled() {
-                    progress::module_done();
-                }
             }
             out
         },
-    );
-    let Some(outputs) = outputs else {
-        return Err(StudyError::Cancelled);
-    };
+    )
+    .ok_or(StudyError::Cancelled)?;
     let mut per_module: Vec<Vec<UnitOut<R>>> = modules.iter().map(|_| Vec::new()).collect();
     for (unit, out) in units.iter().zip(outputs) {
         per_module[unit.module_index].push(out?);
     }
-    // Surface the bring-up share of total unit time (ROADMAP item 4's
-    // profiling question) from the cumulative phase totals; recomputed after
-    // every sweep so the manifest's value covers the whole run.
-    if hammervolt_obs::collecting() {
-        let phases = manifest::phases_snapshot();
-        let total_of = |name: &str| {
-            phases
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |&(_, us)| us)
-        };
-        let bringup = total_of("unit:bringup");
-        let steady = total_of("unit:steady");
-        if bringup + steady > 0 {
-            manifest::annotate(
-                "bringup_ratio",
-                &format!("{:.4}", bringup as f64 / (bringup + steady) as f64),
-            );
-        }
-    }
-    Ok(per_module.into_iter().map(stitch).collect())
+    Ok(per_module)
 }
 
 /// Concatenates a module's unit outputs into one record list: level-major,
 /// then chunks in ascending order — matching a serial sweep of the whole
-/// sample.
-fn stitch<R>(mut units: Vec<UnitOut<R>>) -> Assembled<R> {
-    let vpp_min = units[0].vpp_min;
-    let levels = units[0].levels.clone();
+/// sample. Returns `(vpp_min, levels, records)`.
+fn stitch<R>(mut units: Vec<UnitOut<R>>) -> (f64, Vec<f64>, Vec<R>) {
+    let (vpp_min, levels) = (units[0].0, units[0].1.clone());
     debug_assert!(
-        units.iter().all(|u| u.levels.len() == levels.len()),
+        units.iter().all(|(_, l, _)| l.len() == levels.len()),
         "units of one module must agree on the ladder"
     );
     let mut records = Vec::new();
     for li in 0..levels.len() {
-        for unit in &mut units {
-            records.append(&mut unit.per_level[li]);
+        for (_, _, per_level) in &mut units {
+            records.append(&mut per_level[li]);
         }
     }
     (vpp_min, levels, records)
@@ -661,8 +533,7 @@ pub fn unit_key(sweep_key: u64, chunk: u64) -> u64 {
 }
 
 /// The checkpoint file path for one `(module, chunk)` unit. The name embeds
-/// the module's sweep key so a whole module's checkpoints share a prefix and
-/// can be swept away together once its sweep-level entry lands.
+/// the module's sweep key, so a module's checkpoints share a prefix.
 pub fn unit_checkpoint_path(
     dir: &Path,
     kind: &str,
@@ -674,20 +545,6 @@ pub fn unit_checkpoint_path(
         "ckpt-{kind}-{}-{sweep_key:016x}-{chunk}.jsonl",
         id.label()
     ))
-}
-
-/// Removes every checkpoint for one module's sweep (best-effort — leftover
-/// checkpoints are harmless, merely stale disk).
-fn clear_unit_checkpoints(dir: &Path, kind: &str, id: ModuleId, sweep_key: u64) {
-    let prefix = format!("ckpt-{kind}-{}-{sweep_key:016x}-", id.label());
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        if entry.file_name().to_string_lossy().starts_with(&prefix) {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
 }
 
 /// Seals a payload into its single-line envelope form: the exact line
@@ -795,21 +652,154 @@ pub fn cache_store<T: Serialize>(path: &Path, key: u64, value: &T) {
     }
 }
 
-/// Runs `compute` for the modules missing from the cache, merging cached
-/// and fresh sweeps back into the caller's module order.
-fn with_cache<T, G>(
-    config: &StudyConfig,
-    modules: &[ModuleId],
-    exec: &ExecConfig,
-    kind: &str,
-    extra: u64,
+/// Looks up one cache entry and accounts for it. Every lookup ticks
+/// `cache_hits` or `cache_misses` and the job's progress; a corrupt entry
+/// is also counted in `cache_corrupt_recovered` and warned about, then
+/// recomputed by the caller, never served. `what` names the entry in the
+/// warning.
+pub(crate) fn cache_lookup<T: for<'de> Deserialize<'de>>(
+    path: &Path,
+    key: u64,
     ctl: &JobControl,
-    compute: G,
-) -> Result<Vec<T>, StudyError>
+    what: fmt::Arguments<'_>,
+) -> Option<T> {
+    let read = cache_read(path, key);
+    let hit = matches!(read, CacheRead::Hit(_));
+    if hit {
+        counter_add!("cache_hits", 1);
+    } else {
+        counter_add!("cache_misses", 1);
+    }
+    ctl.progress().cache_lookup(hit);
+    match read {
+        CacheRead::Hit(value) => Some(value),
+        CacheRead::Miss => None,
+        CacheRead::Corrupt => {
+            counter_add!("cache_corrupt_recovered", 1);
+            hammervolt_obs::warn(
+                "exec",
+                &format!("corrupt cache entry for {what} rejected; recomputing"),
+            );
+            None
+        }
+    }
+}
+
+/// Runs one unit through its checkpoint: restores the unit's verified
+/// checkpoint when there is one, or computes the unit (timed in the
+/// `exec_unit_us` histogram), counts it as executed and seals its output as
+/// the checkpoint. `checkpoint` is the unit's file and the key of the
+/// result the unit belongs to (a sweep or population key, continued over
+/// `index` by [`unit_key`]); `None` runs without checkpoints. A corrupt
+/// checkpoint is counted in `ckpt_corrupt_recovered`, warned about and
+/// recomputed, never served.
+pub(crate) fn run_unit<T>(
+    checkpoint: Option<(PathBuf, u64)>,
+    index: u64,
+    ctl: &JobControl,
+    compute: impl FnOnce() -> Result<T, StudyError>,
+) -> Result<T, StudyError>
 where
     T: Serialize + for<'de> Deserialize<'de>,
-    G: FnOnce(&[ModuleId]) -> Result<Vec<T>, StudyError>,
 {
+    let checkpoint = checkpoint.map(|(path, owner)| (path, unit_key(owner, index)));
+    if let Some((path, key)) = &checkpoint {
+        // Resume: a verified checkpoint replaces the unit's computation
+        // outright — restored bytes equal recomputed bytes because the unit
+        // is a pure function of (config, coordinates).
+        match cache_read(path, *key) {
+            CacheRead::Hit(out) => {
+                counter_add!("ckpt_hits", 1);
+                ctl.progress().checkpoint_hit();
+                return Ok(out);
+            }
+            CacheRead::Miss => {}
+            CacheRead::Corrupt => {
+                counter_add!("ckpt_corrupt_recovered", 1);
+                let msg = format!(
+                    "corrupt checkpoint {} rejected; recomputing",
+                    path.display()
+                );
+                hammervolt_obs::warn("exec", &msg);
+            }
+        }
+    }
+    let timed = hammervolt_obs::metrics_enabled().then(Instant::now);
+    let out = compute();
+    if let Some(t0) = timed {
+        histogram_record!("exec_unit_us", t0.elapsed().as_micros());
+    }
+    let out = out?;
+    ctl.progress().unit_executed();
+    if let Some((path, key)) = &checkpoint {
+        // Sealed inside the work item, so cooperative cancellation can never
+        // tear a checkpoint: the item either completes (checkpoint sealed)
+        // or never starts.
+        cache_store(path, *key, &out);
+    }
+    Ok(out)
+}
+
+/// Lands a finished result: seals `value` as the cache entry at `entry`,
+/// then clears the checkpoints of the `units` units it covers. Clearing
+/// happens only with checkpoints on (a run without them wrote none) and by
+/// the units' known paths, `checkpoint(dir, index)`; it is best-effort, as a
+/// leftover checkpoint is stale disk, never wrong output.
+pub(crate) fn land<T: Serialize>(
+    exec: &ExecConfig,
+    entry: &Path,
+    key: u64,
+    value: &T,
+    units: u64,
+    checkpoint: impl Fn(&Path, u64) -> PathBuf,
+) {
+    cache_store(entry, key, value);
+    if let Some(dir) = exec.checkpoint_dir() {
+        for index in 0..units {
+            let _ = std::fs::remove_file(checkpoint(dir, index));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The sweep driver
+// ---------------------------------------------------------------------------
+
+/// Runs one sweep kind over every configured module, in configuration
+/// order: the `sweep:{kind}` phase and `exec.sweep` span, one cache lookup
+/// per module, the `(module, chunk)` units of the modules the cache could
+/// not serve (each through its checkpoint), and each computed module
+/// assembled by `module_sweep` and landed in the cache.
+///
+/// A kind supplies only `unit`, its per-chunk body; `extra`, its cache-key
+/// parameter; and `module_sweep`, its module struct's constructor.
+fn sweep<R, S>(
+    config: &StudyConfig,
+    exec: &ExecConfig,
+    ctl: &JobControl,
+    kind: &'static str,
+    extra: u64,
+    unit: impl Fn(&ModuleBlueprint, ModuleId, u64, &[u32]) -> Result<UnitOut<R>, StudyError> + Sync,
+    module_sweep: fn(ModuleId, f64, Vec<f64>, Vec<R>) -> S,
+) -> Result<Vec<S>, StudyError>
+where
+    R: Send + Serialize + for<'de> Deserialize<'de>,
+    S: Serialize + for<'de> Deserialize<'de>,
+{
+    let _phase = manifest::phase(&format!("sweep:{kind}"));
+    // The manifest's `config_hash`: FNV-1a-64 over the configuration's exact
+    // JSON, so any parameter change produces a new hash (as for cache keys).
+    if hammervolt_obs::collecting() {
+        let json = serde_json::to_string(config).expect("StudyConfig serializes");
+        manifest::annotate(
+            "config_hash",
+            &format!("{:016x}", fnv1a64(json.as_bytes(), FNV_OFFSET)),
+        );
+        manifest::annotate("jobs", &exec.effective_jobs().to_string());
+    }
+    let mut sweep_span = Span::begin("exec.sweep");
+    sweep_span.field_str("kind", kind);
+    sweep_span.field_u64("modules", config.modules.len() as u64);
     // Touch-register the cache counters so every manifest reports them,
     // zero included — a run without a cache dir should say "0 hits", not
     // omit the counter.
@@ -819,340 +809,146 @@ where
         hammervolt_obs::metrics::counter("cache_corrupt_recovered");
         hammervolt_obs::metrics::counter("cache_stores");
     }
-    let Some(dir) = exec.cache_dir.as_deref() else {
-        return compute(modules);
-    };
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(modules.len());
-    let mut missing: Vec<ModuleId> = Vec::new();
-    for &id in modules {
-        let key = sweep_key(config, id, kind, extra);
-        let hit = match cache_read::<T>(&cache_path(dir, kind, id, key), key) {
-            CacheRead::Hit(value) => {
-                counter_add!("cache_hits", 1);
-                progress::cache_lookup(true);
-                ctl.progress().cache_lookup(true);
-                Some(value)
-            }
-            CacheRead::Miss => {
-                counter_add!("cache_misses", 1);
-                progress::cache_lookup(false);
-                ctl.progress().cache_lookup(false);
-                None
-            }
-            CacheRead::Corrupt => {
-                counter_add!("cache_misses", 1);
-                counter_add!("cache_corrupt_recovered", 1);
-                progress::cache_lookup(false);
-                ctl.progress().cache_lookup(false);
-                hammervolt_obs::warn(
-                    "exec",
-                    &format!(
-                        "corrupt cache entry for {kind}/{} rejected; recomputing",
-                        id.label()
-                    ),
-                );
-                None
-            }
-        };
-        if hit.is_none() {
-            missing.push(id);
+    // A module's sweep key addresses its cache entry and its units'
+    // checkpoints, so it is derived only when there is a cache directory.
+    let dir = exec.cache_dir.as_deref();
+    let modules: Vec<(ModuleId, u64)> = config
+        .modules
+        .iter()
+        .map(|&id| (id, dir.map_or(0, |_| sweep_key(config, id, kind, extra))))
+        .collect();
+    let mut sweeps: Vec<Option<S>> = modules
+        .iter()
+        .map(|&(id, key)| {
+            let path = cache_path(dir?, kind, id, key);
+            cache_lookup(&path, key, ctl, format_args!("{kind}/{id}"))
+        })
+        .collect();
+    let missing: Vec<usize> = (0..modules.len())
+        .filter(|&i| sweeps[i].is_none())
+        .collect();
+    let todo: Vec<(ModuleId, u64)> = missing.iter().map(|&i| modules[i]).collect();
+    let computed = run_sharded(config, &todo, exec, kind, sweep_span.id(), ctl, unit)?;
+    for (&i, units) in missing.iter().zip(computed) {
+        let (id, key) = modules[i];
+        let chunks = units.len() as u64;
+        let (vpp_min, levels, records) = stitch(units);
+        let sweep = module_sweep(id, vpp_min, levels, records);
+        if let Some(dir) = dir {
+            land(
+                exec,
+                &cache_path(dir, kind, id, key),
+                key,
+                &sweep,
+                chunks,
+                |dir, chunk| unit_checkpoint_path(dir, kind, id, key, chunk),
+            );
         }
-        slots.push(hit);
+        sweeps[i] = Some(sweep);
     }
-    let fresh = compute(&missing)?;
-    let mut fresh = fresh.into_iter();
-    for (slot, &id) in slots.iter_mut().zip(modules) {
-        if slot.is_none() {
-            let sweep = fresh.next().expect("compute returns one sweep per module");
-            let key = sweep_key(config, id, kind, extra);
-            cache_store(&cache_path(dir, kind, id, key), key, &sweep);
-            // The sweep-level entry supersedes the module's chunk
-            // checkpoints; sweep them away so a cache dir doesn't
-            // accumulate one file per chunk forever.
-            if exec.checkpoints {
-                clear_unit_checkpoints(dir, kind, id, key);
-            }
-            *slot = Some(sweep);
-        }
-    }
-    Ok(slots
+    Ok(sweeps
         .into_iter()
-        .map(|s| s.expect("every slot filled"))
+        .map(|s| s.expect("every module is served or computed"))
         .collect())
 }
 
 // ---------------------------------------------------------------------------
-// Public sweep drivers
+// Public sweeps
 // ---------------------------------------------------------------------------
 
-/// Opens the sweep-wide trace span and records the study-configuration hash
-/// as the manifest's `config_hash` annotation. The hash is an FNV-1a-64
-/// over the configuration's exact JSON serialization, so any parameter
-/// change produces a new hash (the same property the sweep cache keys rely
-/// on). Inert when nothing collects.
-fn begin_sweep(config: &StudyConfig, exec: &ExecConfig, kind: &str, modules: usize) -> Span {
-    if hammervolt_obs::collecting() {
-        let json = serde_json::to_string(config).expect("StudyConfig serializes");
-        manifest::annotate(
-            "config_hash",
-            &format!("{:016x}", fnv1a64(json.as_bytes(), FNV_OFFSET)),
-        );
-        manifest::annotate("jobs", &exec.effective_jobs().to_string());
-    }
-    let mut span = Span::begin("exec.sweep");
-    span.field_str("kind", kind);
-    span.field_u64("modules", modules as u64);
-    span
-}
-
-fn hammer_sweeps_for(
-    config: &StudyConfig,
-    modules: &[ModuleId],
-    exec: &ExecConfig,
-    ctl: &JobControl,
-) -> Result<Vec<ModuleHammerSweep>, StudyError> {
-    let _phase = manifest::phase("sweep:hammer");
-    let sweep_span = begin_sweep(config, exec, "hammer", modules.len());
-    let parent = sweep_span.id();
-    with_cache(config, modules, exec, "hammer", 0, ctl, |missing| {
-        let assembled = run_sharded(
-            config,
-            missing,
-            exec,
-            "hammer",
-            0,
-            parent,
-            ctl,
-            |bp, id, chunk, rows| hammer_unit(config, bp, id, chunk, rows),
-        )?;
-        Ok(missing
-            .iter()
-            .zip(assembled)
-            .map(|(&id, (vpp_min, vpp_levels, records))| ModuleHammerSweep {
-                module: id,
-                vpp_min,
-                vpp_levels,
-                records,
-            })
-            .collect())
-    })
-}
-
-/// Runs the Alg. 1 RowHammer sweep for every module in the configuration,
-/// sharded across modules *and* row chunks within each module.
+/// Runs the Alg. 1 RowHammer sweep for every configured module, sharded
+/// across modules *and* row chunks within each module: per row, the WCDP
+/// search at nominal `V_PP`, then the full ladder down to `V_PPmin` reusing
+/// the row's WCDP (§4.1/footnote 9).
 ///
-/// # Errors
-///
-/// Propagates infrastructure errors from any work unit.
-pub fn rowhammer_sweeps(
-    config: &StudyConfig,
-    exec: &ExecConfig,
-) -> Result<Vec<ModuleHammerSweep>, StudyError> {
-    hammer_sweeps_for(config, &config.modules, exec, &JobControl::new())
-}
-
-/// [`rowhammer_sweeps`] under a caller-supplied [`JobControl`]: the token
-/// cancels cooperatively (returning [`StudyError::Cancelled`]) and the
-/// control's progress counters tick as units and modules finish.
+/// `ctl`'s token cancels cooperatively and its progress counters tick as
+/// units and modules finish; pass `&JobControl::new()` when neither
+/// matters. To sweep one module, pass a config whose `modules` holds just
+/// that module: cache keys normalize `modules`, so its entries are shared
+/// with every run that includes it.
 ///
 /// # Errors
 ///
 /// Propagates infrastructure errors from any work unit; `Cancelled` when
 /// the control's token fires first.
-pub fn rowhammer_sweeps_ctl(
+pub fn rowhammer_sweeps(
     config: &StudyConfig,
     exec: &ExecConfig,
     ctl: &JobControl,
 ) -> Result<Vec<ModuleHammerSweep>, StudyError> {
-    hammer_sweeps_for(config, &config.modules, exec, ctl)
-}
-
-/// Runs the Alg. 1 sweep for one module (its chunks still run in parallel).
-///
-/// # Errors
-///
-/// Propagates infrastructure errors from any work unit.
-pub fn rowhammer_sweep(
-    config: &StudyConfig,
-    id: ModuleId,
-    exec: &ExecConfig,
-) -> Result<ModuleHammerSweep, StudyError> {
-    Ok(hammer_sweeps_for(config, &[id], exec, &JobControl::new())?
-        .pop()
-        .expect("one module in, one sweep out"))
-}
-
-fn trcd_sweeps_for(
-    config: &StudyConfig,
-    modules: &[ModuleId],
-    levels_cap: usize,
-    exec: &ExecConfig,
-    ctl: &JobControl,
-) -> Result<Vec<ModuleTrcdSweep>, StudyError> {
-    let _phase = manifest::phase("sweep:trcd");
-    let sweep_span = begin_sweep(config, exec, "trcd", modules.len());
-    let parent = sweep_span.id();
-    with_cache(
+    sweep(
         config,
-        modules,
         exec,
-        "trcd",
-        levels_cap as u64,
         ctl,
-        |missing| {
-            let assembled = run_sharded(
-                config,
-                missing,
-                exec,
-                "trcd",
-                levels_cap as u64,
-                parent,
-                ctl,
-                |bp, id, chunk, rows| trcd_unit(config, bp, id, levels_cap, chunk, rows),
-            )?;
-            Ok(missing
-                .iter()
-                .zip(assembled)
-                .map(|(&id, (vpp_min, vpp_levels, records))| ModuleTrcdSweep {
-                    module: id,
-                    vpp_min,
-                    vpp_levels,
-                    records,
-                })
-                .collect())
+        "hammer",
+        0,
+        |bp, id, chunk, rows| hammer_unit(config, bp, id, chunk, rows),
+        |module, vpp_min, vpp_levels, records| ModuleHammerSweep {
+            module,
+            vpp_min,
+            vpp_levels,
+            records,
         },
     )
 }
 
 /// Runs the Alg. 2 activation-latency sweep for every configured module.
+/// To bound cost it sweeps nominal `V_PP` and `V_PPmin` plus evenly spaced
+/// intermediate levels, `levels_cap` in total. `ctl` and single-module runs
+/// as for [`rowhammer_sweeps`].
 ///
 /// # Errors
 ///
-/// Propagates infrastructure errors from any work unit.
+/// Propagates infrastructure errors from any work unit; `Cancelled` when
+/// the control's token fires first.
 pub fn trcd_sweeps(
     config: &StudyConfig,
     levels_cap: usize,
     exec: &ExecConfig,
+    ctl: &JobControl,
 ) -> Result<Vec<ModuleTrcdSweep>, StudyError> {
-    trcd_sweeps_for(
+    sweep(
         config,
-        &config.modules,
-        levels_cap,
         exec,
-        &JobControl::new(),
+        ctl,
+        "trcd",
+        levels_cap as u64,
+        |bp, id, chunk, rows| trcd_unit(config, bp, id, levels_cap, chunk, rows),
+        |module, vpp_min, vpp_levels, records| ModuleTrcdSweep {
+            module,
+            vpp_min,
+            vpp_levels,
+            records,
+        },
     )
 }
 
-/// [`trcd_sweeps`] under a caller-supplied [`JobControl`] (cancellation +
-/// progress; see [`rowhammer_sweeps_ctl`]).
+/// Runs the Alg. 3 retention sweep for every configured module at 80 °C
+/// across the configured retention `V_PP` levels. `ctl` and single-module
+/// runs as for [`rowhammer_sweeps`].
 ///
 /// # Errors
 ///
 /// Propagates infrastructure errors from any work unit; `Cancelled` when
 /// the control's token fires first.
-pub fn trcd_sweeps_ctl(
-    config: &StudyConfig,
-    levels_cap: usize,
-    exec: &ExecConfig,
-    ctl: &JobControl,
-) -> Result<Vec<ModuleTrcdSweep>, StudyError> {
-    trcd_sweeps_for(config, &config.modules, levels_cap, exec, ctl)
-}
-
-/// Runs the Alg. 2 sweep for one module (its chunks still run in parallel).
-///
-/// # Errors
-///
-/// Propagates infrastructure errors from any work unit.
-pub fn trcd_sweep(
-    config: &StudyConfig,
-    id: ModuleId,
-    levels_cap: usize,
-    exec: &ExecConfig,
-) -> Result<ModuleTrcdSweep, StudyError> {
-    Ok(
-        trcd_sweeps_for(config, &[id], levels_cap, exec, &JobControl::new())?
-            .pop()
-            .expect("one module in, one sweep out"),
-    )
-}
-
-fn retention_sweeps_for(
-    config: &StudyConfig,
-    modules: &[ModuleId],
-    exec: &ExecConfig,
-    ctl: &JobControl,
-) -> Result<Vec<ModuleRetentionSweep>, StudyError> {
-    let _phase = manifest::phase("sweep:retention");
-    let sweep_span = begin_sweep(config, exec, "retention", modules.len());
-    let parent = sweep_span.id();
-    with_cache(config, modules, exec, "retention", 0, ctl, |missing| {
-        let assembled = run_sharded(
-            config,
-            missing,
-            exec,
-            "retention",
-            0,
-            parent,
-            ctl,
-            |bp, id, chunk, rows| retention_unit(config, bp, id, chunk, rows),
-        )?;
-        Ok(missing
-            .iter()
-            .zip(assembled)
-            .map(
-                |(&id, (vpp_min, vpp_levels, records))| ModuleRetentionSweep {
-                    module: id,
-                    vpp_min,
-                    vpp_levels,
-                    records,
-                },
-            )
-            .collect())
-    })
-}
-
-/// Runs the Alg. 3 retention sweep for every configured module.
-///
-/// # Errors
-///
-/// Propagates infrastructure errors from any work unit.
 pub fn retention_sweeps(
     config: &StudyConfig,
     exec: &ExecConfig,
-) -> Result<Vec<ModuleRetentionSweep>, StudyError> {
-    retention_sweeps_for(config, &config.modules, exec, &JobControl::new())
-}
-
-/// [`retention_sweeps`] under a caller-supplied [`JobControl`] (cancellation
-/// + progress; see [`rowhammer_sweeps_ctl`]).
-///
-/// # Errors
-///
-/// Propagates infrastructure errors from any work unit; `Cancelled` when
-/// the control's token fires first.
-pub fn retention_sweeps_ctl(
-    config: &StudyConfig,
-    exec: &ExecConfig,
     ctl: &JobControl,
 ) -> Result<Vec<ModuleRetentionSweep>, StudyError> {
-    retention_sweeps_for(config, &config.modules, exec, ctl)
-}
-
-/// Runs the Alg. 3 sweep for one module (its chunks still run in parallel).
-///
-/// # Errors
-///
-/// Propagates infrastructure errors from any work unit.
-pub fn retention_sweep(
-    config: &StudyConfig,
-    id: ModuleId,
-    exec: &ExecConfig,
-) -> Result<ModuleRetentionSweep, StudyError> {
-    Ok(
-        retention_sweeps_for(config, &[id], exec, &JobControl::new())?
-            .pop()
-            .expect("one module in, one sweep out"),
+    sweep(
+        config,
+        exec,
+        ctl,
+        "retention",
+        0,
+        |bp, id, chunk, rows| retention_unit(config, bp, id, chunk, rows),
+        |module, vpp_min, vpp_levels, records| ModuleRetentionSweep {
+            module,
+            vpp_min,
+            vpp_levels,
+            records,
+        },
     )
 }
 
@@ -1167,6 +963,13 @@ mod tests {
             rows_per_chunk: 3,
             ..StudyConfig::quick_subset(modules)
         }
+    }
+
+    /// The RowHammer sweep of `cfg`'s one module.
+    fn hammer_one(cfg: &StudyConfig, exec: &ExecConfig) -> ModuleHammerSweep {
+        let mut sweeps = rowhammer_sweeps(cfg, exec, &JobControl::new()).unwrap();
+        assert_eq!(sweeps.len(), 1, "one module in, one sweep out");
+        sweeps.pop().unwrap()
     }
 
     fn unique_temp_dir(tag: &str) -> PathBuf {
@@ -1188,10 +991,9 @@ mod tests {
     #[test]
     fn hammer_sweep_is_identical_across_worker_counts() {
         let cfg = tiny_config(&[ModuleId::B3]);
-        let serial = rowhammer_sweep(&cfg, ModuleId::B3, &ExecConfig::serial()).unwrap();
+        let serial = hammer_one(&cfg, &ExecConfig::serial());
         for jobs in [2, 4, 16] {
-            let parallel =
-                rowhammer_sweep(&cfg, ModuleId::B3, &ExecConfig::with_jobs(jobs)).unwrap();
+            let parallel = hammer_one(&cfg, &ExecConfig::with_jobs(jobs));
             assert_eq!(
                 serde_json::to_string(&serial).unwrap(),
                 serde_json::to_string(&parallel).unwrap(),
@@ -1203,10 +1005,11 @@ mod tests {
     #[test]
     fn multi_module_sweeps_match_single_module_runs() {
         let cfg = tiny_config(&[ModuleId::B3, ModuleId::C0]);
-        let together = rowhammer_sweeps(&cfg, &ExecConfig::with_jobs(4)).unwrap();
+        let together =
+            rowhammer_sweeps(&cfg, &ExecConfig::with_jobs(4), &JobControl::new()).unwrap();
         assert_eq!(together.len(), 2);
         for (i, &id) in cfg.modules.iter().enumerate() {
-            let alone = rowhammer_sweep(&cfg, id, &ExecConfig::serial()).unwrap();
+            let alone = hammer_one(&tiny_config(&[id]), &ExecConfig::serial());
             assert_eq!(
                 serde_json::to_string(&together[i]).unwrap(),
                 serde_json::to_string(&alone).unwrap(),
@@ -1223,12 +1026,12 @@ mod tests {
             cache_dir: Some(dir.clone()),
             ..ExecConfig::default()
         };
-        let cold = rowhammer_sweep(&cfg, ModuleId::B3, &exec).unwrap();
+        let cold = hammer_one(&cfg, &exec);
         // The entry exists on disk now.
         let key = sweep_key(&cfg, ModuleId::B3, "hammer", 0);
         assert!(cache_path(&dir, "hammer", ModuleId::B3, key).exists());
         // Warm run: loaded, not recomputed, identical bytes.
-        let warm = rowhammer_sweep(&cfg, ModuleId::B3, &exec).unwrap();
+        let warm = hammer_one(&cfg, &exec);
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
             serde_json::to_string(&warm).unwrap()
@@ -1280,7 +1083,7 @@ mod tests {
         let path = cache_path(&dir, "hammer", ModuleId::B3, key);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(&path, "not json\n").unwrap();
-        let sweep = rowhammer_sweep(&cfg, ModuleId::B3, &exec).unwrap();
+        let sweep = hammer_one(&cfg, &exec);
         assert!(!sweep.records.is_empty());
         // The corrupt entry was replaced by a valid one.
         assert!(cache_load::<ModuleHammerSweep>(&path, key).is_some());
@@ -1364,7 +1167,7 @@ mod tests {
             cache_dir: Some(dir.clone()),
             ..ExecConfig::default()
         };
-        let cold = rowhammer_sweep(&cfg, ModuleId::B3, &exec).unwrap();
+        let cold = hammer_one(&cfg, &exec);
         let key = sweep_key(&cfg, ModuleId::B3, "hammer", 0);
         let path = cache_path(&dir, "hammer", ModuleId::B3, key);
 
@@ -1377,7 +1180,7 @@ mod tests {
         envelope.payload = serde_json::to_string(&sweep).unwrap();
         std::fs::write(&path, serde_json::to_string(&envelope).unwrap()).unwrap();
 
-        let reread = rowhammer_sweep(&cfg, ModuleId::B3, &exec).unwrap();
+        let reread = hammer_one(&cfg, &exec);
         assert_ne!(reread.records[0].ber, 0.123_456_789);
         assert_eq!(
             serde_json::to_string(&reread).unwrap(),
@@ -1396,6 +1199,13 @@ mod tests {
         std::env::set_var("HAMMERVOLT_JOBS", "not-a-number");
         let cfg = ExecConfig::from_env();
         std::env::remove_var("HAMMERVOLT_JOBS");
+        // Boolean flags share one rule: `off` is a spelling of off, and an
+        // unparsable value warns and means off.
+        std::env::set_var("HAMMERVOLT_RESUME", "off");
+        let resume_off = ExecConfig::from_env();
+        std::env::set_var("HAMMERVOLT_RESUME", "maybe");
+        let resume_maybe = ExecConfig::from_env();
+        std::env::remove_var("HAMMERVOLT_RESUME");
         hammervolt_obs::set_sink(None);
 
         assert_eq!(cfg.jobs, 0, "unparsable HAMMERVOLT_JOBS falls back to auto");
@@ -1406,19 +1216,33 @@ mod tests {
                 .any(|l| l.contains("\"type\":\"warn\"") && l.contains("HAMMERVOLT_JOBS")),
             "a warn event must be emitted for the bad value: {lines:?}"
         );
+        assert!(!resume_off.checkpoints, "HAMMERVOLT_RESUME=off means off");
+        assert!(
+            !resume_maybe.checkpoints,
+            "an unparsable HAMMERVOLT_RESUME means off"
+        );
+        let resume_warnings = lines
+            .iter()
+            .filter(|l| l.contains("\"type\":\"warn\"") && l.contains("HAMMERVOLT_RESUME"))
+            .count();
+        assert_eq!(
+            resume_warnings, 1,
+            "`maybe` warns and `off` does not: {lines:?}"
+        );
     }
 
     #[test]
     fn trcd_and_retention_are_identical_across_worker_counts() {
         let cfg = tiny_config(&[ModuleId::A0]);
-        let t1 = trcd_sweep(&cfg, ModuleId::A0, 3, &ExecConfig::serial()).unwrap();
-        let t4 = trcd_sweep(&cfg, ModuleId::A0, 3, &ExecConfig::with_jobs(4)).unwrap();
+        let ctl = JobControl::new();
+        let t1 = trcd_sweeps(&cfg, 3, &ExecConfig::serial(), &ctl).unwrap();
+        let t4 = trcd_sweeps(&cfg, 3, &ExecConfig::with_jobs(4), &ctl).unwrap();
         assert_eq!(
             serde_json::to_string(&t1).unwrap(),
             serde_json::to_string(&t4).unwrap()
         );
-        let r1 = retention_sweep(&cfg, ModuleId::A0, &ExecConfig::serial()).unwrap();
-        let r4 = retention_sweep(&cfg, ModuleId::A0, &ExecConfig::with_jobs(4)).unwrap();
+        let r1 = retention_sweeps(&cfg, &ExecConfig::serial(), &ctl).unwrap();
+        let r4 = retention_sweeps(&cfg, &ExecConfig::with_jobs(4), &ctl).unwrap();
         assert_eq!(
             serde_json::to_string(&r1).unwrap(),
             serde_json::to_string(&r4).unwrap()

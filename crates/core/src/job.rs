@@ -8,7 +8,8 @@
 //! which is what lets a scheduler dedup identical in-flight specs onto one
 //! execution and serve warm resubmissions from the content-addressed cache.
 //!
-//! Jobs run through [`JobSpec::run`] under a [`JobControl`]:
+//! Jobs run through [`JobSpec::run`] (or [`JobSpec::write_records`], which
+//! streams the same bytes to any writer) under a [`JobControl`]:
 //!
 //! - **cancellation** — the control's [`CancelToken`] is threaded through
 //!   the `hammervolt-par` workers; workers stop claiming `(module, chunk)`
@@ -25,8 +26,8 @@
 //!   any thread without perturbing the run (pure side channel, like the
 //!   `hammervolt-obs` counters it mirrors).
 //!
-//! The CLI's `--resume` flag and the `hammervolt-serve` study server are
-//! both thin layers over this module.
+//! The CLI's sweep commands (and their `--resume` flag) and the
+//! `hammervolt-serve` study server are thin layers over this module.
 
 use crate::error::StudyError;
 use crate::exec::{self, ExecConfig};
@@ -34,9 +35,10 @@ use crate::population::{self, PopulationConfig};
 use crate::records::write_jsonl;
 use crate::study::StudyConfig;
 use hammervolt_obs::scope::Scope;
-use hammervolt_obs::Span;
+use hammervolt_obs::{manifest, progress, Span};
 use hammervolt_par::CancelToken;
 use serde::{Deserialize, Serialize};
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -62,20 +64,15 @@ pub enum SweepKind {
 }
 
 impl SweepKind {
-    /// The cache-kind string this sweep stores entries under (shared with
-    /// [`crate::exec::sweep_key`]).
-    pub fn cache_kind(&self) -> &'static str {
+    /// Short lowercase label for logs and API payloads; also the kind
+    /// string the sweep's cache entries are stored under.
+    pub fn label(&self) -> &'static str {
         match self {
             SweepKind::Hammer => "hammer",
             SweepKind::Trcd { .. } => "trcd",
             SweepKind::Retention => "retention",
             SweepKind::Population(_) => "population",
         }
-    }
-
-    /// Short lowercase label for logs and API payloads.
-    pub fn label(&self) -> &'static str {
-        self.cache_kind()
     }
 }
 
@@ -117,63 +114,79 @@ impl JobSpec {
     /// Propagates engine errors; returns [`StudyError::Cancelled`] when
     /// `ctl.cancel` fires before the run completes.
     pub fn run(&self, exec: &ExecConfig, ctl: &JobControl) -> Result<JobOutput, StudyError> {
-        // Root the job's span tree at the submitter's span (an HTTP
-        // request, for server jobs) and activate its metric scope so every
-        // counter the engine ticks — on this thread or any `hammervolt-par`
-        // worker — attributes to this job. Both are pure side channels.
-        let mut span = if ctl.trace_parent() != 0 {
-            Span::begin_child_of(ctl.trace_parent(), "job.run")
-        } else {
-            Span::begin("job.run")
-        };
-        span.field_str("kind", self.kind.label());
-        span.field_str("spec_hash", &format!("{:016x}", self.spec_hash()));
-        let _scope_guard = ctl.scope().map(hammervolt_obs::scope::enter);
         let mut buf: Vec<u8> = Vec::new();
-        match &self.kind {
-            SweepKind::Hammer => {
-                for sweep in exec::rowhammer_sweeps_ctl(&self.config, exec, ctl)? {
-                    write_jsonl(&sweep.records, &mut buf).map_err(|e| {
-                        StudyError::InvalidConfig {
-                            reason: format!("cannot serialize records: {e}"),
-                        }
-                    })?;
-                }
-            }
-            SweepKind::Trcd { levels_cap } => {
-                for sweep in exec::trcd_sweeps_ctl(&self.config, *levels_cap, exec, ctl)? {
-                    write_jsonl(&sweep.records, &mut buf).map_err(|e| {
-                        StudyError::InvalidConfig {
-                            reason: format!("cannot serialize records: {e}"),
-                        }
-                    })?;
-                }
-            }
-            SweepKind::Retention => {
-                for sweep in exec::retention_sweeps_ctl(&self.config, exec, ctl)? {
-                    write_jsonl(&sweep.records, &mut buf).map_err(|e| {
-                        StudyError::InvalidConfig {
-                            reason: format!("cannot serialize records: {e}"),
-                        }
-                    })?;
-                }
-            }
-            SweepKind::Population(cfg) => {
-                let (records, summary) = population::population_run(cfg, exec, ctl)?;
-                // Payload: one line per batch, then the summary as the
-                // final line.
-                write_jsonl(&records, &mut buf)
-                    .and_then(|()| write_jsonl(std::slice::from_ref(&summary), &mut buf))
-                    .map_err(|e| StudyError::InvalidConfig {
-                        reason: format!("cannot serialize records: {e}"),
-                    })?;
-            }
-        }
+        self.write_records(exec, ctl, &mut buf)?;
         Ok(JobOutput {
             spec_hash: self.spec_hash(),
             records_jsonl: String::from_utf8(buf).expect("JSON is UTF-8"),
         })
     }
+
+    /// Runs the job under `ctl` and writes its records to `out` as JSONL:
+    /// the one dispatch from [`SweepKind`] to a driver, behind both
+    /// [`JobSpec::run`] and the CLI's sweep commands. A population writes
+    /// one line per batch, then its summary. The writing is timed as the
+    /// manifest's `emit` phase.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine errors; returns [`StudyError::Cancelled`] when
+    /// `ctl.cancel` fires before the run completes, and
+    /// [`StudyError::InvalidConfig`] when `out` fails.
+    pub fn write_records(
+        &self,
+        exec: &ExecConfig,
+        ctl: &JobControl,
+        mut out: impl Write,
+    ) -> Result<(), StudyError> {
+        // Root the job's span tree at the submitter's span (an HTTP
+        // request, for server jobs) and activate its metric scope so every
+        // counter the engine ticks — on this thread or any `hammervolt-par`
+        // worker — attributes to this job. Both are pure side channels.
+        let mut span = if ctl.trace_parent != 0 {
+            Span::begin_child_of(ctl.trace_parent, "job.run")
+        } else {
+            Span::begin("job.run")
+        };
+        span.field_str("kind", self.kind.label());
+        span.field_str("spec_hash", &format!("{:016x}", self.spec_hash()));
+        let _scope_guard = ctl.scope.as_ref().map(hammervolt_obs::scope::enter);
+        let written = match &self.kind {
+            SweepKind::Hammer => {
+                let sweeps = exec::rowhammer_sweeps(&self.config, exec, ctl)?;
+                emit(sweeps.iter().map(|s| s.records.as_slice()), &mut out)
+            }
+            SweepKind::Trcd { levels_cap } => {
+                let sweeps = exec::trcd_sweeps(&self.config, *levels_cap, exec, ctl)?;
+                emit(sweeps.iter().map(|s| s.records.as_slice()), &mut out)
+            }
+            SweepKind::Retention => {
+                let sweeps = exec::retention_sweeps(&self.config, exec, ctl)?;
+                emit(sweeps.iter().map(|s| s.records.as_slice()), &mut out)
+            }
+            SweepKind::Population(cfg) => {
+                let (records, summary) = population::population_run(cfg, exec, ctl)?;
+                emit([records.as_slice()], &mut out)
+                    .and_then(|()| emit([std::slice::from_ref(&summary)], &mut out))
+            }
+        };
+        written.map_err(|e| StudyError::InvalidConfig {
+            reason: format!("cannot serialize records: {e}"),
+        })
+    }
+}
+
+/// Writes groups of records to `out` as JSONL, timed as the manifest's
+/// `emit` phase.
+fn emit<'a, T: Serialize + 'a>(
+    groups: impl IntoIterator<Item = &'a [T]>,
+    mut out: impl Write,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let _emit = manifest::phase("emit");
+    for records in groups {
+        write_jsonl(records, &mut out)?;
+    }
+    Ok(())
 }
 
 /// A completed job's payload.
@@ -187,7 +200,8 @@ pub struct JobOutput {
 
 /// Lock-free per-job progress, ticked by the execution engine as units
 /// complete. A pure side channel: reading or ignoring it never affects the
-/// run.
+/// run. Each tick with a process-wide counterpart also feeds the stderr
+/// progress line ([`hammervolt_obs::progress`], inert unless enabled).
 #[derive(Debug, Default)]
 pub struct JobProgress {
     units_total: AtomicU64,
@@ -204,17 +218,21 @@ impl JobProgress {
     pub(crate) fn add_totals(&self, modules: u64, units: u64) {
         self.modules_total.fetch_add(modules, Ordering::Relaxed);
         self.units_total.fetch_add(units, Ordering::Relaxed);
+        progress::add_totals(modules, units);
     }
 
     pub(crate) fn unit_done(&self) {
         self.units_done.fetch_add(1, Ordering::Relaxed);
+        progress::unit_done();
     }
 
     pub(crate) fn module_done(&self) {
         self.modules_done.fetch_add(1, Ordering::Relaxed);
+        progress::module_done();
     }
 
     pub(crate) fn cache_lookup(&self, hit: bool) {
+        progress::cache_lookup(hit);
         if hit {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -293,16 +311,6 @@ impl JobControl {
         self
     }
 
-    /// The span id the job's root span parents to (`0` = root).
-    pub fn trace_parent(&self) -> u64 {
-        self.trace_parent
-    }
-
-    /// The metric scope the job runs under, if any.
-    pub fn scope(&self) -> Option<&Arc<Scope>> {
-        self.scope.as_ref()
-    }
-
     /// The shared progress the engine ticks (for wiring, prefer
     /// [`JobControl::snapshot`] for reading).
     pub(crate) fn progress(&self) -> &JobProgress {
@@ -376,24 +384,46 @@ mod tests {
 
     #[test]
     fn job_run_matches_direct_engine_output() {
-        let spec = tiny_spec(SweepKind::Hammer);
-        let ctl = JobControl::new();
-        let out = spec.run(&ExecConfig::serial(), &ctl).unwrap();
-        assert_eq!(out.spec_hash, spec.spec_hash());
+        for kind in [
+            SweepKind::Hammer,
+            SweepKind::Trcd { levels_cap: 3 },
+            SweepKind::Retention,
+        ] {
+            let spec = tiny_spec(kind);
+            let ctl = JobControl::new();
+            let out = spec.run(&ExecConfig::serial(), &ctl).unwrap();
+            assert_eq!(out.spec_hash, spec.spec_hash());
 
-        let sweeps = exec::rowhammer_sweeps(&spec.config, &ExecConfig::serial()).unwrap();
-        let mut buf = Vec::new();
-        for sweep in &sweeps {
-            write_jsonl(&sweep.records, &mut buf).unwrap();
+            let (serial, direct) = (ExecConfig::serial(), JobControl::new());
+            let mut buf = Vec::new();
+            match spec.kind {
+                SweepKind::Hammer => {
+                    for sweep in &exec::rowhammer_sweeps(&spec.config, &serial, &direct).unwrap() {
+                        write_jsonl(&sweep.records, &mut buf).unwrap();
+                    }
+                }
+                SweepKind::Trcd { levels_cap } => {
+                    let sweeps = exec::trcd_sweeps(&spec.config, levels_cap, &serial, &direct);
+                    for sweep in &sweeps.unwrap() {
+                        write_jsonl(&sweep.records, &mut buf).unwrap();
+                    }
+                }
+                SweepKind::Retention => {
+                    for sweep in &exec::retention_sweeps(&spec.config, &serial, &direct).unwrap() {
+                        write_jsonl(&sweep.records, &mut buf).unwrap();
+                    }
+                }
+                SweepKind::Population(_) => unreachable!("only sweeps are listed"),
+            }
+            assert_eq!(out.records_jsonl.as_bytes(), buf.as_slice());
+
+            let snap = ctl.snapshot();
+            assert!(snap.units_total > 0);
+            assert_eq!(snap.units_done, snap.units_total);
+            assert_eq!(snap.modules_done, snap.modules_total);
+            assert_eq!(snap.units_executed, snap.units_total);
+            assert_eq!(snap.checkpoint_hits, 0);
         }
-        assert_eq!(out.records_jsonl.as_bytes(), buf.as_slice());
-
-        let snap = ctl.snapshot();
-        assert!(snap.units_total > 0);
-        assert_eq!(snap.units_done, snap.units_total);
-        assert_eq!(snap.modules_done, snap.modules_total);
-        assert_eq!(snap.units_executed, snap.units_total);
-        assert_eq!(snap.checkpoint_hits, 0);
     }
 
     #[test]

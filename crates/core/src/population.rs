@@ -23,7 +23,8 @@
 //! Cache/resume: the whole run is cached under an FNV key of the exact
 //! config JSON (warm re-runs execute zero units), and with checkpoints
 //! enabled every finished batch is persisted as a sealed envelope, so a
-//! cancelled run resumes re-running only unfinished batches.
+//! cancelled run resumes re-running only unfinished batches. Both use the
+//! sweep engine's cache-lookup, unit and landing steps ([`crate::exec`]).
 
 use crate::alg1::{self, Alg1Config, RowScratch};
 use crate::error::StudyError;
@@ -315,14 +316,6 @@ fn batch_checkpoint_path(dir: &Path, key: u64, batch: u64) -> PathBuf {
     dir.join(format!("ckpt-population-{key:016x}-{batch:05}.jsonl"))
 }
 
-/// Removes a run's batch checkpoints once its population-level cache entry
-/// has landed.
-fn clear_batch_checkpoints(dir: &Path, key: u64, batches: u64) {
-    for batch in 0..batches {
-        let _ = std::fs::remove_file(batch_checkpoint_path(dir, key, batch));
-    }
-}
-
 /// Measures one generated module: `rows_per_module` Alg. 1 rows at nominal
 /// `V_PP` and at the module's `V_PPmin`.
 fn measure_module(
@@ -469,16 +462,13 @@ pub fn population_run(
     span.field_u64("size", config.population.size);
     span.field_u64("planned_batches", planned);
     span.field_str("key", &format!("{key:016x}"));
-    if let Some(dir) = &exec_cfg.cache_dir {
+    if let Some(dir) = exec_cfg.cache_dir.as_deref() {
+        let path = result_path(dir, key);
         if let Some(cached) =
-            exec::cache_load::<(Vec<BatchRecord>, PopulationSummary)>(&result_path(dir, key), key)
+            exec::cache_lookup(&path, key, ctl, format_args!("population/{key:016x}"))
         {
-            ctl.progress().cache_lookup(true);
-            counter_add!("population_cache_hits", 1);
             return Ok(cached);
         }
-        ctl.progress().cache_lookup(false);
-        counter_add!("population_cache_misses", 1);
     }
     ctl.progress().add_totals(config.population.size, planned);
     let sampler = config.population.sampler();
@@ -489,41 +479,20 @@ pub fn population_run(
         if ctl.cancel.is_cancelled() {
             return Err(StudyError::Cancelled);
         }
-        let restored = if exec_cfg.checkpoints {
-            exec_cfg.cache_dir.as_ref().and_then(|dir| {
-                exec::cache_load::<BatchOutcome>(
-                    &batch_checkpoint_path(dir, key, batch),
-                    exec::unit_key(key, batch),
-                )
-            })
-        } else {
-            None
-        };
-        let outcome = match restored {
-            Some(out) => {
-                ctl.progress().checkpoint_hit();
-                for _ in 0..out.record.modules {
-                    ctl.progress().module_done();
-                }
-                out
+        let checkpoint = exec_cfg
+            .checkpoint_dir()
+            .map(|dir| (batch_checkpoint_path(dir, key, batch), key));
+        let mut computed = false;
+        let outcome = exec::run_unit(checkpoint, batch, ctl, || {
+            computed = true;
+            run_batch(&sampler, config, batch, exec_cfg, ctl)
+        })?;
+        if !computed {
+            // A restored batch's modules all finish at once.
+            for _ in 0..outcome.record.modules {
+                ctl.progress().module_done();
             }
-            None => {
-                let out = run_batch(&sampler, config, batch, exec_cfg, ctl)?;
-                if exec_cfg.checkpoints {
-                    if let Some(dir) = &exec_cfg.cache_dir {
-                        // Sealed after the batch fully completes, so a
-                        // cancellation can never tear a checkpoint.
-                        exec::cache_store(
-                            &batch_checkpoint_path(dir, key, batch),
-                            exec::unit_key(key, batch),
-                            &out,
-                        );
-                    }
-                }
-                ctl.progress().unit_executed();
-                out
-            }
-        };
+        }
         ctl.progress().unit_done();
         acc.absorb(&outcome);
         let (ps, rel) = acc.bounds(config.stopping.ci_level);
@@ -586,9 +555,15 @@ pub fn population_run(
         );
         manifest::annotate("population_modules_measured", &acc.measured.to_string());
     }
-    if let Some(dir) = &exec_cfg.cache_dir {
-        exec::cache_store(&result_path(dir, key), key, &(&records, &summary));
-        clear_batch_checkpoints(dir, key, planned);
+    if let Some(dir) = exec_cfg.cache_dir.as_deref() {
+        exec::land(
+            exec_cfg,
+            &result_path(dir, key),
+            key,
+            &(&records, &summary),
+            stopped_at_batch,
+            |dir, batch| batch_checkpoint_path(dir, key, batch),
+        );
     }
     Ok((records, summary))
 }

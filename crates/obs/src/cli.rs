@@ -33,23 +33,19 @@ pub struct ObsOptions {
 impl ObsOptions {
     /// Options from environment variables alone (`HAMMERVOLT_TRACE_OUT`,
     /// `HAMMERVOLT_METRICS`, `HAMMERVOLT_PROGRESS`,
-    /// `HAMMERVOLT_MANIFEST_OUT`). Boolean vars accept `1`/`true`/`yes`.
+    /// `HAMMERVOLT_MANIFEST_OUT`). The boolean vars are read by
+    /// [`crate::env_flag`].
     pub fn from_env() -> ObsOptions {
         let path_var = |name: &str| -> Option<PathBuf> {
             std::env::var_os(name)
                 .filter(|v| !v.is_empty())
                 .map(PathBuf::from)
         };
-        let bool_var = |name: &str| -> bool {
-            std::env::var(name)
-                .map(|v| matches!(v.as_str(), "1" | "true" | "yes"))
-                .unwrap_or(false)
-        };
         ObsOptions {
             trace_out: path_var("HAMMERVOLT_TRACE_OUT"),
             manifest_out: path_var("HAMMERVOLT_MANIFEST_OUT"),
-            metrics: bool_var("HAMMERVOLT_METRICS"),
-            progress: bool_var("HAMMERVOLT_PROGRESS"),
+            metrics: crate::env_flag("HAMMERVOLT_METRICS"),
+            progress: crate::env_flag("HAMMERVOLT_PROGRESS"),
         }
     }
 

@@ -178,6 +178,37 @@ pub fn warn(source: &str, msg: &str) {
     }
 }
 
+/// Reads a boolean environment flag. Every flag follows one rule: `1`,
+/// `true`, `yes` and `on` mean on and `0`, `false`, `no` and `off` mean off,
+/// in any case; an unset or empty variable means off. Any other value is
+/// reported through [`warn`], naming the variable, and means off.
+pub fn env_flag(name: &str) -> bool {
+    let Some(value) = std::env::var_os(name) else {
+        return false;
+    };
+    let value = value.to_string_lossy();
+    flag_value(&value).unwrap_or_else(|| {
+        warn(
+            "env",
+            &format!(
+                "{name}={value:?} is not a boolean (1/true/yes/on or \
+                 0/false/no/off); treating it as off"
+            ),
+        );
+        false
+    })
+}
+
+/// The rule behind [`env_flag`]: `Some(on)` for a recognized spelling,
+/// `None` for anything else.
+fn flag_value(value: &str) -> Option<bool> {
+    match value.to_ascii_lowercase().as_str() {
+        "1" | "true" | "yes" | "on" => Some(true),
+        "" | "0" | "false" | "no" | "off" => Some(false),
+        _ => None,
+    }
+}
+
 /// A sink that appends each event line to a buffered file.
 pub struct FileSink {
     writer: Mutex<std::io::BufWriter<std::fs::File>>,
@@ -340,6 +371,19 @@ mod tests {
         assert!(metrics_enabled());
         assert!(collecting());
         set_metrics(false);
+    }
+
+    #[test]
+    fn boolean_flags_follow_one_rule() {
+        for on in ["1", "true", "yes", "on", "TRUE", "Yes", "ON"] {
+            assert_eq!(flag_value(on), Some(true), "{on:?} means on");
+        }
+        for off in ["", "0", "false", "no", "off", "FALSE", "No", "Off"] {
+            assert_eq!(flag_value(off), Some(false), "{off:?} means off");
+        }
+        for unknown in ["maybe", "2", "enabled", " on", "y"] {
+            assert_eq!(flag_value(unknown), None, "{unknown:?} is not a flag");
+        }
     }
 
     #[test]

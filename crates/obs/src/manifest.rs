@@ -50,22 +50,6 @@ impl Drop for PhaseGuard {
     }
 }
 
-/// Adds already-measured wall time to a named phase, for callers that time
-/// sub-phases themselves (e.g. `core::exec` splitting each work unit into
-/// `unit:bringup` / `unit:steady`). Accumulates exactly like a
-/// [`PhaseGuard`] drop. Inert unless tracing or metrics is enabled.
-pub fn add_phase_us(name: &str, us: u64) {
-    if !crate::collecting() {
-        return;
-    }
-    let mut phases = PHASES.lock().expect("phase table poisoned");
-    if let Some(entry) = phases.iter_mut().find(|(n, _)| *n == name) {
-        entry.1 = entry.1.saturating_add(us);
-    } else {
-        phases.push((name.to_string(), us));
-    }
-}
-
 /// Attaches a key/value annotation to the manifest (e.g. `config_hash`,
 /// `jobs`). Later writes to the same key win. Inert unless tracing or
 /// metrics is enabled.
@@ -228,22 +212,6 @@ mod tests {
             .map(|(k, _)| k.as_str())
             .collect();
         assert_eq!(keys, vec!["config_hash", "counters"]);
-        reset();
-    }
-
-    #[test]
-    fn add_phase_us_accumulates_like_guards() {
-        let _guard = METRICS_TEST_LOCK.lock().unwrap();
-        reset();
-        crate::set_metrics(true);
-        add_phase_us("manifest_test_split", 5);
-        add_phase_us("manifest_test_split", 7);
-        crate::set_metrics(false);
-        add_phase_us("manifest_test_split", 100); // inert: nothing collects
-        assert_eq!(
-            phases_snapshot(),
-            vec![("manifest_test_split".to_string(), 12)]
-        );
         reset();
     }
 

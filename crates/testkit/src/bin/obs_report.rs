@@ -7,10 +7,10 @@
 //! ```
 //!
 //! With two manifests the diff lists every counter and phase present in
-//! either, with its value in A, in B, the delta (B − A), and the B/A ratio —
-//! the table ROADMAP item 4 calls for when comparing a profiled run against
-//! a baseline (e.g. bring-up-heavy vs steady-state-heavy configurations).
-//! Rows missing from one side print `-` and ratio is omitted when A is 0.
+//! either, with its value in A, in B, the delta (B − A), and the B/A ratio,
+//! for comparing a run against a baseline (e.g. the `sweep:*` and `emit`
+//! phases of two worker counts). Rows missing from one side print `-` and
+//! ratio is omitted when A is 0.
 //!
 //! Exit status: 0 on success, 1 on unreadable/invalid manifests, 2 on usage
 //! errors.
@@ -40,7 +40,7 @@ fn section(m: &Value, key: &str) -> Vec<(String, u64)> {
 }
 
 /// Flattens the manifest's string-valued `annotations` object into sorted
-/// `(name, value)` pairs (config hash, worker count, `bringup_ratio`, ...).
+/// `(name, value)` pairs (config hash, worker count, ...).
 fn annotations(m: &Value) -> Vec<(String, String)> {
     let mut out: Vec<(String, String)> = m
         .field("annotations")

@@ -36,6 +36,7 @@ use hammervolt_bench::figures::{
 };
 use hammervolt_core::error::StudyError;
 use hammervolt_core::exec::{retention_sweeps, rowhammer_sweeps, trcd_sweeps, ExecConfig};
+use hammervolt_core::job::JobControl;
 use hammervolt_core::study::StudyConfig;
 use hammervolt_dram::registry::ModuleId;
 
@@ -101,10 +102,11 @@ pub const GOLDEN_NAMES: [&str; 12] = [
 /// Propagates infrastructure errors from the underlying sweeps.
 pub fn compute_goldens(exec: &ExecConfig) -> Result<Vec<Golden>, StudyError> {
     let cfg = golden_config();
-    let hammer = rowhammer_sweeps(&cfg, exec)?;
-    let trcd_guard = trcd_sweeps(&cfg, GUARDBAND_LEVELS_CAP, exec)?;
-    let trcd_fig07 = trcd_sweeps(&cfg, FIG07_LEVELS_CAP, exec)?;
-    let retention = retention_sweeps(&cfg, exec)?;
+    let ctl = JobControl::new();
+    let hammer = rowhammer_sweeps(&cfg, exec, &ctl)?;
+    let trcd_guard = trcd_sweeps(&cfg, GUARDBAND_LEVELS_CAP, exec, &ctl)?;
+    let trcd_fig07 = trcd_sweeps(&cfg, FIG07_LEVELS_CAP, exec, &ctl)?;
+    let retention = retention_sweeps(&cfg, exec, &ctl)?;
     Ok(vec![
         Golden::from_items("table1", &table1_rows()),
         Golden::from_items("table3", &table3_rows(&hammer)),
@@ -141,7 +143,7 @@ fn obs_manifest_golden(cfg: &StudyConfig) -> Result<Golden, StudyError> {
     hammervolt_obs::metrics::reset();
     hammervolt_obs::manifest::reset();
     hammervolt_obs::set_metrics(true);
-    let run = rowhammer_sweeps(cfg, &ExecConfig::serial());
+    let run = rowhammer_sweeps(cfg, &ExecConfig::serial(), &JobControl::new());
     let line = hammervolt_obs::manifest::stable_subset_json();
     hammervolt_obs::set_metrics(was_on);
     hammervolt_obs::manifest::reset();

@@ -9,6 +9,7 @@
 //! suite.
 
 use hammervolt_core::exec::{retention_sweeps, rowhammer_sweeps, trcd_sweeps, ExecConfig};
+use hammervolt_core::job::JobControl;
 use hammervolt_obs::MemorySink;
 use hammervolt_testkit::{golden_config, FIG07_LEVELS_CAP};
 use serde::Serialize;
@@ -51,7 +52,7 @@ where
 fn rowhammer_sweeps_are_schedule_and_cache_invariant() {
     let cfg = golden_config();
     assert_differential("hammer", |exec| {
-        rowhammer_sweeps(&cfg, exec).expect("hammer sweep")
+        rowhammer_sweeps(&cfg, exec, &JobControl::new()).expect("hammer sweep")
     });
 }
 
@@ -59,7 +60,7 @@ fn rowhammer_sweeps_are_schedule_and_cache_invariant() {
 fn trcd_sweeps_are_schedule_and_cache_invariant() {
     let cfg = golden_config();
     assert_differential("trcd", |exec| {
-        trcd_sweeps(&cfg, FIG07_LEVELS_CAP, exec).expect("trcd sweep")
+        trcd_sweeps(&cfg, FIG07_LEVELS_CAP, exec, &JobControl::new()).expect("trcd sweep")
     });
 }
 
@@ -67,7 +68,7 @@ fn trcd_sweeps_are_schedule_and_cache_invariant() {
 fn retention_sweeps_are_schedule_and_cache_invariant() {
     let cfg = golden_config();
     assert_differential("retention", |exec| {
-        retention_sweeps(&cfg, exec).expect("retention sweep")
+        retention_sweeps(&cfg, exec, &JobControl::new()).expect("retention sweep")
     });
 }
 
@@ -83,13 +84,14 @@ fn retention_sweeps_are_schedule_and_cache_invariant() {
 #[test]
 fn traced_sweeps_match_untraced_byte_for_byte() {
     let cfg = golden_config();
-    let plain = canon(&rowhammer_sweeps(&cfg, &ExecConfig::with_jobs(3)).expect("plain sweep"));
+    let (exec, ctl) = (ExecConfig::with_jobs(3), JobControl::new());
+    let plain = canon(&rowhammer_sweeps(&cfg, &exec, &ctl).expect("plain sweep"));
 
     let sink = Arc::new(MemorySink::new());
     hammervolt_obs::set_sink(Some(sink.clone()));
     hammervolt_obs::set_tracing(true);
     hammervolt_obs::set_metrics(true);
-    let traced = canon(&rowhammer_sweeps(&cfg, &ExecConfig::with_jobs(3)).expect("traced sweep"));
+    let traced = canon(&rowhammer_sweeps(&cfg, &exec, &ctl).expect("traced sweep"));
     hammervolt_obs::set_tracing(false);
     hammervolt_obs::set_metrics(false);
     hammervolt_obs::set_sink(None);
@@ -128,13 +130,14 @@ fn traced_sweeps_match_untraced_byte_for_byte() {
 #[test]
 fn scoped_sweeps_match_bare_byte_for_byte() {
     let cfg = golden_config();
-    let bare = canon(&rowhammer_sweeps(&cfg, &ExecConfig::with_jobs(3)).expect("bare sweep"));
+    let (exec, ctl) = (ExecConfig::with_jobs(3), JobControl::new());
+    let bare = canon(&rowhammer_sweeps(&cfg, &exec, &ctl).expect("bare sweep"));
 
     let scope = hammervolt_obs::scope::Scope::new(&[("job_id", "diff"), ("tenant", "oracle")]);
     hammervolt_obs::set_metrics(true);
     let scoped = {
         let _guard = hammervolt_obs::scope::enter(&scope);
-        canon(&rowhammer_sweeps(&cfg, &ExecConfig::with_jobs(3)).expect("scoped sweep"))
+        canon(&rowhammer_sweeps(&cfg, &exec, &ctl).expect("scoped sweep"))
     };
     hammervolt_obs::set_metrics(false);
 

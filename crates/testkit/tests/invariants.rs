@@ -8,6 +8,7 @@
 //! case brings up a simulated module).
 
 use hammervolt_core::exec::{retention_sweeps, ExecConfig};
+use hammervolt_core::job::JobControl;
 use hammervolt_dram::physics::{
     dq_relative, hc_multiplier, qcrit_relative, restore_fraction, restore_level, solve_coeffs,
     t_ras_required_ns, t_rcd_required_ns, RetentionProfile, TrcdCoeffs, VDD, VPP_NOMINAL,
@@ -229,7 +230,8 @@ proptest! {
 #[test]
 fn retention_ber_monotone_in_refresh_window() {
     let cfg = golden_config();
-    let sweeps = retention_sweeps(&cfg, &ExecConfig::serial()).expect("retention sweep");
+    let sweeps = retention_sweeps(&cfg, &ExecConfig::serial(), &JobControl::new());
+    let sweeps = sweeps.expect("retention sweep");
     assert_eq!(sweeps.len(), 3);
     for sweep in &sweeps {
         for &vpp in &sweep.vpp_levels {
@@ -262,7 +264,8 @@ fn retention_ber_monotone_in_refresh_window() {
 #[test]
 fn retention_ber_at_4s_no_better_at_lowest_vpp() {
     let cfg = golden_config();
-    let sweeps = retention_sweeps(&cfg, &ExecConfig::serial()).expect("retention sweep");
+    let sweeps = retention_sweeps(&cfg, &ExecConfig::serial(), &JobControl::new());
+    let sweeps = sweeps.expect("retention sweep");
     for sweep in &sweeps {
         let mean_at = |vpp: f64| {
             let rows = sweep.row_bers_at(vpp, 4.0);

@@ -9,7 +9,9 @@
 //! hammervolt list                # Table 3 module inventory
 //! ```
 //!
-//! The sweep commands run on the parallel execution engine:
+//! The sweep commands run as jobs (`JobSpec::write_records`, the same
+//! dispatch the study server uses) on the parallel execution engine,
+//! streaming records to stdout:
 //!
 //! - `--jobs N` (or `HAMMERVOLT_JOBS`) sets the worker count; `0` means one
 //!   per CPU. Output is byte-identical for any worker count.
@@ -38,12 +40,15 @@
 //!   summary to stderr at exit,
 //! - `--progress` (or `HAMMERVOLT_PROGRESS=1`) keeps a rate-limited progress
 //!   line on stderr during sweeps.
+//!
+//! The boolean variables accept `1`/`true`/`yes`/`on` and
+//! `0`/`false`/`no`/`off` in any case; any other value warns and means off.
 
 use hammervolt::dram::registry::{self, ModuleId};
 use hammervolt::obs::cli::ObsOptions;
-use hammervolt::obs::{manifest, warn};
-use hammervolt::study::exec::{self, ExecConfig};
-use hammervolt::study::records;
+use hammervolt::obs::warn;
+use hammervolt::study::exec::ExecConfig;
+use hammervolt::study::job::{JobControl, JobSpec, SweepKind};
 use hammervolt::study::study::{self, StudyConfig};
 use std::io::Write as _;
 
@@ -200,47 +205,24 @@ fn main() {
                 println!("{}: V_PPmin = {vppmin:.1} V", id.label());
             }
         }
-        "sweep" => {
+        "sweep" | "trcd" | "retention" => {
+            let kind = match cmd {
+                "sweep" => SweepKind::Hammer,
+                "trcd" => SweepKind::Trcd { levels_cap: 4 },
+                _ => SweepKind::Retention,
+            };
             let cli = parse_cli(&rest);
-            let cfg = config(cli.modules);
+            let spec = JobSpec {
+                kind,
+                config: config(cli.modules),
+            };
             eprintln!(
                 "sweeping {} module(s) with {} worker(s) ...",
-                cfg.modules.len(),
+                spec.config.modules.len(),
                 cli.exec.effective_jobs()
             );
-            let sweeps = exec::rowhammer_sweeps(&cfg, &cli.exec).expect("sweep");
-            let _emit = manifest::phase("emit");
-            for sweep in &sweeps {
-                records::write_jsonl(&sweep.records, &mut out).expect("write");
-            }
-        }
-        "trcd" => {
-            let cli = parse_cli(&rest);
-            let cfg = config(cli.modules);
-            eprintln!(
-                "sweeping {} module(s) with {} worker(s) ...",
-                cfg.modules.len(),
-                cli.exec.effective_jobs()
-            );
-            let sweeps = exec::trcd_sweeps(&cfg, 4, &cli.exec).expect("sweep");
-            let _emit = manifest::phase("emit");
-            for sweep in &sweeps {
-                records::write_jsonl(&sweep.records, &mut out).expect("write");
-            }
-        }
-        "retention" => {
-            let cli = parse_cli(&rest);
-            let cfg = config(cli.modules);
-            eprintln!(
-                "sweeping {} module(s) with {} worker(s) ...",
-                cfg.modules.len(),
-                cli.exec.effective_jobs()
-            );
-            let sweeps = exec::retention_sweeps(&cfg, &cli.exec).expect("sweep");
-            let _emit = manifest::phase("emit");
-            for sweep in &sweeps {
-                records::write_jsonl(&sweep.records, &mut out).expect("write");
-            }
+            spec.write_records(&cli.exec, &JobControl::new(), &mut out)
+                .expect("sweep");
         }
         other => {
             eprintln!("unknown command {other:?}\n{USAGE}");

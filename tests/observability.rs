@@ -12,6 +12,7 @@ use hammervolt::dram::registry::ModuleId;
 use hammervolt::obs;
 use hammervolt::obs::MemorySink;
 use hammervolt::study::exec::{rowhammer_sweeps, ExecConfig};
+use hammervolt::study::job::JobControl;
 use hammervolt::study::study::StudyConfig;
 use serde::Value;
 use std::process::Command;
@@ -66,7 +67,7 @@ fn traced_sweep_is_byte_identical_and_spans_mirror_shards() {
     let _guard = OBS_TEST_LOCK.lock().unwrap();
     let cfg = tiny(&[ModuleId::A0, ModuleId::B3]);
     let exec = ExecConfig::with_jobs(3);
-    let plain = canon(&rowhammer_sweeps(&cfg, &exec).expect("plain sweep"));
+    let plain = canon(&rowhammer_sweeps(&cfg, &exec, &JobControl::new()).expect("plain sweep"));
 
     obs::metrics::reset();
     obs::manifest::reset();
@@ -74,7 +75,7 @@ fn traced_sweep_is_byte_identical_and_spans_mirror_shards() {
     obs::set_sink(Some(sink.clone()));
     obs::set_tracing(true);
     obs::set_metrics(true);
-    let traced = canon(&rowhammer_sweeps(&cfg, &exec).expect("traced sweep"));
+    let traced = canon(&rowhammer_sweeps(&cfg, &exec, &JobControl::new()).expect("traced sweep"));
     obs::set_tracing(false);
     obs::set_metrics(false);
     obs::set_sink(None);
@@ -181,7 +182,7 @@ fn manifest_carries_counters_phases_and_config_hash() {
     obs::metrics::reset();
     obs::manifest::reset();
     obs::set_metrics(true);
-    rowhammer_sweeps(&cfg, &ExecConfig::serial()).expect("sweep");
+    rowhammer_sweeps(&cfg, &ExecConfig::serial(), &JobControl::new()).expect("sweep");
     let stable = obs::manifest::stable_subset_json();
     let full = obs::manifest::build_manifest("obs-test", 1, "");
     obs::set_metrics(false);

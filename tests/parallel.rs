@@ -6,6 +6,7 @@ use hammervolt::dram::registry::ModuleId;
 use hammervolt::study::exec::{
     retention_sweeps, rowhammer_sweeps, seal_entry, sweep_key, trcd_sweeps, ExecConfig,
 };
+use hammervolt::study::job::{JobControl, JobSpec, SweepKind};
 use hammervolt::study::study::StudyConfig;
 use std::path::PathBuf;
 use std::process::Command;
@@ -29,6 +30,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn all_sweep_kinds_are_deterministic_across_worker_counts() {
     let cfg = tiny(&[ModuleId::A0, ModuleId::B3]);
     let ncpu = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let ctl = JobControl::new();
     let runs: Vec<(String, String, String)> = [1, 4, ncpu]
         .iter()
         .map(|&jobs| {
@@ -38,9 +40,9 @@ fn all_sweep_kinds_are_deterministic_across_worker_counts() {
                 ..ExecConfig::default()
             };
             (
-                serde_json::to_string(&rowhammer_sweeps(&cfg, &exec).unwrap()).unwrap(),
-                serde_json::to_string(&trcd_sweeps(&cfg, 3, &exec).unwrap()).unwrap(),
-                serde_json::to_string(&retention_sweeps(&cfg, &exec).unwrap()).unwrap(),
+                serde_json::to_string(&rowhammer_sweeps(&cfg, &exec, &ctl).unwrap()).unwrap(),
+                serde_json::to_string(&trcd_sweeps(&cfg, 3, &exec, &ctl).unwrap()).unwrap(),
+                serde_json::to_string(&retention_sweeps(&cfg, &exec, &ctl).unwrap()).unwrap(),
             )
         })
         .collect();
@@ -51,29 +53,57 @@ fn all_sweep_kinds_are_deterministic_across_worker_counts() {
     }
 }
 
-/// `hammervolt sweep --jobs N` emits byte-identical JSONL for any N.
+/// `hammervolt sweep|trcd|retention --jobs N` emits byte-identical JSONL
+/// for any N, and the same bytes `JobSpec::run` returns for the matching
+/// spec (the CLI's smoke protocol narrowed to B3 at two rows per chunk).
 #[test]
 fn cli_sweep_is_byte_identical_across_jobs() {
-    let run = |jobs: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_hammervolt"))
-            .args(["sweep", "--jobs", jobs, "B3"])
-            .env("HAMMERVOLT_SCALE", "smoke")
-            .env("HAMMERVOLT_ROWS", "2")
-            .env_remove("HAMMERVOLT_CACHE_DIR")
-            .env_remove("HAMMERVOLT_JOBS")
-            .output()
-            .expect("run hammervolt");
-        assert!(out.status.success(), "CLI failed: {out:?}");
-        out.stdout
-    };
-    let serial = run("1");
-    assert!(!serial.is_empty());
-    assert_eq!(
-        serial,
-        run("4"),
-        "--jobs 4 must match --jobs 1 byte-for-byte"
-    );
-    assert_eq!(serial, run("0"), "--jobs 0 (auto) must match as well");
+    for (cmd, kind) in [
+        ("sweep", SweepKind::Hammer),
+        ("trcd", SweepKind::Trcd { levels_cap: 4 }),
+        ("retention", SweepKind::Retention),
+    ] {
+        let run = |jobs: &str| {
+            let out = Command::new(env!("CARGO_BIN_EXE_hammervolt"))
+                .args([cmd, "--jobs", jobs, "B3"])
+                .env("HAMMERVOLT_SCALE", "smoke")
+                .env("HAMMERVOLT_ROWS", "2")
+                .env_remove("HAMMERVOLT_CACHE_DIR")
+                .env_remove("HAMMERVOLT_JOBS")
+                .output()
+                .expect("run hammervolt");
+            assert!(out.status.success(), "CLI {cmd} failed: {out:?}");
+            out.stdout
+        };
+        let serial = run("1");
+        assert!(!serial.is_empty());
+        assert_eq!(
+            serial,
+            run("4"),
+            "{cmd}: --jobs 4 must match --jobs 1 byte-for-byte"
+        );
+        assert_eq!(
+            serial,
+            run("0"),
+            "{cmd}: --jobs 0 (auto) must match as well"
+        );
+
+        let spec = JobSpec {
+            kind,
+            config: StudyConfig {
+                modules: vec![ModuleId::B3],
+                rows_per_chunk: 2,
+                ..StudyConfig::smoke()
+            },
+        };
+        let job = spec
+            .run(&ExecConfig::with_jobs(2), &JobControl::new())
+            .expect("job run");
+        assert!(
+            serial == job.records_jsonl.as_bytes(),
+            "{cmd}: CLI stdout must equal JobSpec::run of the same spec"
+        );
+    }
 }
 
 /// A malformed `HAMMERVOLT_SCALE` or `HAMMERVOLT_ROWS` is named in a warning
@@ -146,15 +176,16 @@ fn warm_cache_round_trips_every_sweep_kind() {
         cache_dir: Some(dir.clone()),
         ..ExecConfig::default()
     };
+    let ctl = JobControl::new();
     let cold = (
-        serde_json::to_string(&rowhammer_sweeps(&cfg, &exec).unwrap()).unwrap(),
-        serde_json::to_string(&trcd_sweeps(&cfg, 3, &exec).unwrap()).unwrap(),
-        serde_json::to_string(&retention_sweeps(&cfg, &exec).unwrap()).unwrap(),
+        serde_json::to_string(&rowhammer_sweeps(&cfg, &exec, &ctl).unwrap()).unwrap(),
+        serde_json::to_string(&trcd_sweeps(&cfg, 3, &exec, &ctl).unwrap()).unwrap(),
+        serde_json::to_string(&retention_sweeps(&cfg, &exec, &ctl).unwrap()).unwrap(),
     );
     let warm = (
-        serde_json::to_string(&rowhammer_sweeps(&cfg, &exec).unwrap()).unwrap(),
-        serde_json::to_string(&trcd_sweeps(&cfg, 3, &exec).unwrap()).unwrap(),
-        serde_json::to_string(&retention_sweeps(&cfg, &exec).unwrap()).unwrap(),
+        serde_json::to_string(&rowhammer_sweeps(&cfg, &exec, &ctl).unwrap()).unwrap(),
+        serde_json::to_string(&trcd_sweeps(&cfg, 3, &exec, &ctl).unwrap()).unwrap(),
+        serde_json::to_string(&retention_sweeps(&cfg, &exec, &ctl).unwrap()).unwrap(),
     );
     assert_eq!(cold.0, warm.0, "warm rowhammer sweep must match cold");
     assert_eq!(cold.1, warm.1, "warm t_RCD sweep must match cold");
@@ -165,15 +196,15 @@ fn warm_cache_round_trips_every_sweep_kind() {
     let serial = ExecConfig::serial();
     assert_eq!(
         cold.0,
-        serde_json::to_string(&rowhammer_sweeps(&cfg, &serial).unwrap()).unwrap()
+        serde_json::to_string(&rowhammer_sweeps(&cfg, &serial, &ctl).unwrap()).unwrap()
     );
     assert_eq!(
         cold.1,
-        serde_json::to_string(&trcd_sweeps(&cfg, 3, &serial).unwrap()).unwrap()
+        serde_json::to_string(&trcd_sweeps(&cfg, 3, &serial, &ctl).unwrap()).unwrap()
     );
     assert_eq!(
         cold.2,
-        serde_json::to_string(&retention_sweeps(&cfg, &serial).unwrap()).unwrap()
+        serde_json::to_string(&retention_sweeps(&cfg, &serial, &ctl).unwrap()).unwrap()
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -191,7 +222,8 @@ fn cache_detects_tampering_but_serves_sealed_entries() {
         cache_dir: Some(dir.clone()),
         ..ExecConfig::default()
     };
-    let cold = rowhammer_sweeps(&cfg, &exec).unwrap();
+    let ctl = JobControl::new();
+    let cold = rowhammer_sweeps(&cfg, &exec, &ctl).unwrap();
     let entries: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -208,7 +240,7 @@ fn cache_detects_tampering_but_serves_sealed_entries() {
     // Corrupt the sealed line's checksum field so it no longer matches.
     let broken = tampered_line.replacen("\"checksum\":\"", "\"checksum\":\"0", 1);
     std::fs::write(&entries[0], broken).unwrap();
-    let recomputed = rowhammer_sweeps(&cfg, &exec).unwrap();
+    let recomputed = rowhammer_sweeps(&cfg, &exec, &ctl).unwrap();
     assert_ne!(
         recomputed[0].records[0].ber, SENTINEL,
         "poisoned entry must be recomputed, not served"
@@ -226,7 +258,7 @@ fn cache_detects_tampering_but_serves_sealed_entries() {
         seal_entry(key, &serde_json::to_string(&sweep).unwrap()) + "\n",
     )
     .unwrap();
-    let served = rowhammer_sweeps(&cfg, &exec).unwrap();
+    let served = rowhammer_sweeps(&cfg, &exec, &ctl).unwrap();
     assert_eq!(
         served[0].records[0].ber, SENTINEL,
         "a correctly sealed entry must be served from disk"
@@ -238,7 +270,7 @@ fn cache_detects_tampering_but_serves_sealed_entries() {
         rows_per_chunk: 4,
         ..cfg
     };
-    let fresh = rowhammer_sweeps(&other, &exec).unwrap();
+    let fresh = rowhammer_sweeps(&other, &exec, &ctl).unwrap();
     assert!(fresh[0].records.iter().all(|r| r.ber != SENTINEL));
 
     let _ = std::fs::remove_dir_all(&dir);
