@@ -221,6 +221,14 @@ impl JobProgress {
         progress::add_totals(modules, units);
     }
 
+    /// Takes back totals declared for work that will not run (a
+    /// population's modules and batches past its adaptive stop).
+    pub(crate) fn retract_totals(&self, modules: u64, units: u64) {
+        self.modules_total.fetch_sub(modules, Ordering::Relaxed);
+        self.units_total.fetch_sub(units, Ordering::Relaxed);
+        progress::retract_totals(modules, units);
+    }
+
     pub(crate) fn unit_done(&self) {
         self.units_done.fetch_add(1, Ordering::Relaxed);
         progress::unit_done();
@@ -424,6 +432,22 @@ mod tests {
             assert_eq!(snap.units_executed, snap.units_total);
             assert_eq!(snap.checkpoint_hits, 0);
         }
+    }
+
+    #[test]
+    fn population_progress_ends_at_its_totals() {
+        // A population declares its whole fleet before its adaptive stop
+        // falls; the stop takes back what it leaves unrun, so a converged
+        // study's progress ends at its totals.
+        let ctl = JobControl::new();
+        JobSpec::population(PopulationConfig::smoke(10_000, 1))
+            .run(&ExecConfig::with_jobs(2), &ctl)
+            .unwrap();
+        let snap = ctl.snapshot();
+        assert!(snap.modules_total < 10_000, "stopped early: {snap:?}");
+        assert_eq!(snap.modules_done, snap.modules_total, "{snap:?}");
+        assert_eq!(snap.units_done, snap.units_total, "{snap:?}");
+        assert_eq!(snap.units_executed, snap.units_total, "{snap:?}");
     }
 
     #[test]

@@ -528,6 +528,11 @@ pub fn population_run(
         }
     }
     let stopped_at_batch = records.len() as u64;
+    // The whole fleet was declared up front; take back what the stop left
+    // unrun, so progress ends at its totals.
+    let covered = (stopped_at_batch * config.batch_size).min(config.population.size);
+    ctl.progress()
+        .retract_totals(config.population.size - covered, planned - stopped_at_batch);
     let (ps, _) = acc.bounds(config.stopping.ci_level);
     let interval = if acc.hc_ratios.len() < 2 {
         None

@@ -57,6 +57,15 @@ pub fn add_totals(modules: u64, units: u64) {
     });
 }
 
+/// Takes back declared totals for work that will not run (an adaptive
+/// study stopping early).
+pub fn retract_totals(modules: u64, units: u64) {
+    with_state(|s| {
+        s.modules_total = s.modules_total.saturating_sub(modules);
+        s.units_total = s.units_total.saturating_sub(units);
+    });
+}
+
 /// Records one finished module and redraws (rate-limited).
 pub fn module_done() {
     with_state(|s| {

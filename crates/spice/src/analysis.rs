@@ -3,44 +3,84 @@
 //! These are the "`.meas`" equivalents used to extract `t_RCDmin` (time for
 //! the bitline to cross the read threshold, Fig. 8) and `t_RASmin` (time for
 //! the cell to complete charge restoration, Fig. 9) from transient traces.
+//! A threshold crossing ([`Crossing`]) is found in a recorded trace or
+//! sample by sample, without keeping the trace: one rule serves both.
 
-/// Returns the first time at which `trace` crosses `threshold` *rising*
-/// (from below to at-or-above), linearly interpolated between samples.
-///
-/// If the trace is already at or above the threshold at the first sample,
-/// that first time is returned (the condition holds from the start).
-///
-/// Returns `None` if the trace never reaches the threshold, or if
-/// `times`/`trace` lengths mismatch or are empty.
-pub fn first_rising_crossing(times: &[f64], trace: &[f64], threshold: f64) -> Option<f64> {
-    if times.len() != trace.len() || times.is_empty() {
-        return None;
-    }
-    if trace[0] >= threshold {
-        return Some(times[0]);
-    }
-    for i in 1..trace.len() {
-        if trace[i - 1] < threshold && trace[i] >= threshold {
-            let (t0, t1) = (times[i - 1], times[i]);
-            let (v0, v1) = (trace[i - 1], trace[i]);
-            if v1 == v0 {
-                return Some(t1);
-            }
-            let frac = (threshold - v0) / (v1 - v0);
-            return Some(t0 + (t1 - t0) * frac);
-        }
-    }
-    None
+/// The first crossing of a threshold by a trace, linearly interpolated
+/// between samples: fed one sample at a time ([`Crossing::push`]), so no
+/// trace need be kept, or run over a recorded trace ([`Crossing::first_in`]).
+/// A first sample already past the threshold is the crossing (the condition
+/// holds from the start). A falling crossing is the rising crossing of the
+/// negated trace past the negated threshold.
+#[derive(Debug, Clone, Copy)]
+pub struct Crossing {
+    falling: bool,
+    /// The threshold, negated for a falling crossing.
+    threshold: f64,
+    last: Option<(f64, f64)>,
+    at: Option<f64>,
 }
 
-/// Returns the first time at which `trace` crosses `threshold` *falling*
-/// (from above to at-or-below). If the first sample is already at or below
-/// the threshold, the first time is returned.
-///
-/// Returns `None` if the trace never reaches the threshold.
-pub fn first_falling_crossing(times: &[f64], trace: &[f64], threshold: f64) -> Option<f64> {
-    let negated: Vec<f64> = trace.iter().map(|v| -v).collect();
-    first_rising_crossing(times, &negated, -threshold)
+impl Crossing {
+    /// Watches for the first rise to at-or-above `threshold`.
+    pub fn rising(threshold: f64) -> Self {
+        Crossing {
+            falling: false,
+            threshold,
+            last: None,
+            at: None,
+        }
+    }
+
+    /// Watches for the first fall to at-or-below `threshold`.
+    pub fn falling(threshold: f64) -> Self {
+        Crossing {
+            falling: true,
+            threshold: -threshold,
+            ..Crossing::rising(threshold)
+        }
+    }
+
+    /// Feeds the next sample. A first sample already past the threshold is
+    /// the crossing; after that, the first sample past it whose predecessor
+    /// was short of it, linearly interpolated between the two.
+    pub fn push(&mut self, t: f64, v: f64) {
+        if self.at.is_some() {
+            return;
+        }
+        let v = if self.falling { -v } else { v };
+        self.at = match self.last {
+            None if v >= self.threshold => Some(t),
+            Some((t0, v0)) if v0 < self.threshold && v >= self.threshold => Some(if v == v0 {
+                t
+            } else {
+                let frac = (self.threshold - v0) / (v - v0);
+                t0 + (t - t0) * frac
+            }),
+            _ => None,
+        };
+        self.last = Some((t, v));
+    }
+
+    /// The crossing time, once a sample has crossed.
+    pub fn time(&self) -> Option<f64> {
+        self.at
+    }
+
+    /// The first crossing in a recorded trace; `None` if there is none, or
+    /// if `times`/`trace` lengths mismatch or are empty.
+    pub fn first_in(mut self, times: &[f64], trace: &[f64]) -> Option<f64> {
+        if times.len() != trace.len() {
+            return None;
+        }
+        for (&t, &v) in times.iter().zip(trace) {
+            self.push(t, v);
+            if self.at.is_some() {
+                break;
+            }
+        }
+        self.at
+    }
 }
 
 /// Final (steady-state) value of a trace: the last sample.
@@ -89,28 +129,36 @@ mod tests {
     fn rising_crossing_interpolates() {
         let times = [0.0, 1.0, 2.0];
         let trace = [0.0, 0.5, 1.0];
-        let t = first_rising_crossing(&times, &trace, 0.75).unwrap();
+        let t = Crossing::rising(0.75).first_in(&times, &trace).unwrap();
         assert!((t - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn rising_crossing_at_start() {
-        let t = first_rising_crossing(&[0.0, 1.0], &[2.0, 3.0], 1.0).unwrap();
+        let t = Crossing::rising(1.0)
+            .first_in(&[0.0, 1.0], &[2.0, 3.0])
+            .unwrap();
         assert_eq!(t, 0.0);
     }
 
     #[test]
     fn rising_crossing_none_when_never_crossing() {
-        assert_eq!(first_rising_crossing(&[0.0, 1.0], &[0.0, 0.5], 0.9), None);
+        assert_eq!(
+            Crossing::rising(0.9).first_in(&[0.0, 1.0], &[0.0, 0.5]),
+            None
+        );
     }
 
     #[test]
     fn rising_requires_rise_not_fall() {
         // Trace starts below the threshold and only falls: no rising crossing.
-        assert_eq!(first_rising_crossing(&[0.0, 1.0], &[0.5, 0.0], 0.7), None);
+        assert_eq!(
+            Crossing::rising(0.7).first_in(&[0.0, 1.0], &[0.5, 0.0]),
+            None
+        );
         // Already above at t0 counts as satisfied from the start.
         assert_eq!(
-            first_rising_crossing(&[0.0, 1.0], &[1.0, 0.0], 0.99),
+            Crossing::rising(0.99).first_in(&[0.0, 1.0], &[1.0, 0.0]),
             Some(0.0)
         );
     }
@@ -119,21 +167,44 @@ mod tests {
     fn falling_crossing() {
         let times = [0.0, 1.0, 2.0];
         let trace = [1.0, 0.5, 0.0];
-        let t = first_falling_crossing(&times, &trace, 0.25).unwrap();
+        let t = Crossing::falling(0.25).first_in(&times, &trace).unwrap();
         assert!((t - 1.5).abs() < 1e-12);
         // Starts above the threshold and never falls to it: no crossing.
-        assert_eq!(first_falling_crossing(&times, &[1.0, 0.9, 0.8], 0.5), None);
+        assert_eq!(
+            Crossing::falling(0.5).first_in(&times, &[1.0, 0.9, 0.8]),
+            None
+        );
         // Already below at t0 counts as satisfied from the start.
         assert_eq!(
-            first_falling_crossing(&times, &[0.0, 0.1, 0.2], 0.5),
+            Crossing::falling(0.5).first_in(&times, &[0.0, 0.1, 0.2]),
             Some(0.0)
         );
     }
 
     #[test]
+    fn crossing_fed_sample_by_sample_matches_the_recorded_trace() {
+        // A rise past 0.6 after a NaN (no crossing: NaN is not "below"),
+        // then a real crossing; and the same trace falling past 0.2.
+        let times = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
+        let trace = [0.3, f64::NAN, 0.7, 0.5, 0.9, 0.1];
+        for (crossing, expected) in [
+            (Crossing::rising(0.6), 3.25),
+            (Crossing::falling(0.2), 4.875),
+        ] {
+            let mut fed = crossing;
+            for (&t, &v) in times.iter().zip(&trace) {
+                fed.push(t, v);
+            }
+            let found = crossing.first_in(&times, &trace).unwrap();
+            assert_eq!(found.to_bits(), fed.time().unwrap().to_bits());
+            assert!((found - expected).abs() < 1e-12, "{found}");
+        }
+    }
+
+    #[test]
     fn mismatched_inputs_yield_none() {
-        assert_eq!(first_rising_crossing(&[0.0], &[0.0, 1.0], 0.5), None);
-        assert_eq!(first_rising_crossing(&[], &[], 0.5), None);
+        assert_eq!(Crossing::rising(0.5).first_in(&[0.0], &[0.0, 1.0]), None);
+        assert_eq!(Crossing::rising(0.5).first_in(&[], &[]), None);
         assert_eq!(settling_time(&[0.0], &[], 0.1), None);
     }
 

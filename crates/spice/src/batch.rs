@@ -8,20 +8,30 @@
 //! - **One symbolic analysis per netlist shape.** The circuit template,
 //!   node handles, element slots, and solver layout are computed once at
 //!   construction. Per trial, only element *values* are patched in place.
-//! - **Per-worker workspaces.** Each worker clones one pristine
-//!   [`TrialWorkspace`] (template circuit + [`TransientSolver`] + trace
-//!   sink) and reuses it for every trial it claims — the steady-state trial
-//!   loop performs no heap allocation.
-//! - **Data-parallel trials.** Trials fan out over
+//! - **Per-worker workspaces.** Each worker builds one [`TrialWorkspace`]
+//!   (a template circuit per lane + [`TransientSolver`] + trace sink) and
+//!   reuses it for every trial it claims — the steady-state trial loop
+//!   performs no heap allocation.
+//! - **Trial lanes.** Trials `[4g, 4g + 4)` run as lane group `g`: one
+//!   `TransientSolver<4>` pass steps all four in lockstep, each lane bit
+//!   for bit the trial it would be alone (see [`crate::transient`]). The
+//!   last group of a study may be partial. [`BatchedActivation::run_trial`]
+//!   runs one trial as the one-lane instance of the same code.
+//! - **Only what the measurements read.** A group keeps one time base and
+//!   per lane the cell trace; the sensed bitline's first crossing of the
+//!   read level is found as samples arrive, and both bitlines' final
+//!   voltages come from the solver's final state.
+//! - **Data-parallel groups.** Groups fan out over
 //!   [`hammervolt_par::parallel_map_with`] — the same deterministic
 //!   fork-join scheduler the engine crate uses. Because every trial's RNG
-//!   stream is derived from its index alone ([`MonteCarlo::trial_rng`]) and
-//!   results are folded in trial order, the statistics are **bit-identical**
-//!   to the serial path for any worker count.
+//!   stream is derived from its index alone ([`MonteCarlo::trial_rng`]),
+//!   lanes never mix, and results are folded in trial order, the
+//!   statistics are **bit-identical** to the serial path for any worker
+//!   count.
 //! - **No mid-study aborts.** A pathological parameter draw that makes the
 //!   solver fail (singular matrix, Newton non-convergence, degenerate
-//!   output) is counted as a failed trial; only deterministic
-//!   configuration/netlist errors propagate.
+//!   output) is counted as a failed trial, and its lane-mates complete;
+//!   only deterministic configuration/netlist errors propagate.
 //!
 //! The equivalence contract is enforced by `hammervolt-testkit`'s
 //! `mc_equivalence` suite, the same way the compiled-SoftMC-plan suites
@@ -29,15 +39,17 @@
 //!
 //! [`monte_carlo_activation_serial`]: crate::dram_cell::monte_carlo_activation_serial
 
+use crate::analysis::Crossing;
 use crate::dram_cell::{
     measure_activation, ActivationMeasurement, ActivationSim, CellNodes, DramCellParams,
     McActivationStats,
 };
 use crate::error::SpiceError;
 use crate::montecarlo::MonteCarlo;
-use crate::netlist::Circuit;
-use crate::transient::{SelectedTraces, TransientConfig, TransientSolver};
+use crate::netlist::{Circuit, NodeId};
+use crate::transient::{validate, TraceSink, TransientConfig, TransientSolver};
 use hammervolt_par::parallel_map_with;
+use std::ops::Range;
 
 /// Element indices of every per-trial-varied component in the activation
 /// circuit template, resolved once by name.
@@ -85,21 +97,62 @@ impl ElementSlots {
     }
 }
 
-/// One worker's reusable trial state: a patchable copy of the circuit
-/// template, a prepared transient solver, and a trace sink recording only
-/// the three measured nodes (cell, sat, saf). Cloned from the batch's
-/// pristine workspace once per worker; every per-trial buffer is reused.
+/// Trials per lane group of [`BatchedActivation::run`]: the width of the
+/// [`TransientSolver`] it steps them with.
+const LANES: usize = 4;
+
+/// One worker's reusable trial state for lane groups of `L` trials: a
+/// patchable copy of the circuit template per lane, a prepared transient
+/// solver, and a sink keeping only what the measurements read. Built once
+/// per worker; every per-trial buffer is reused.
 #[derive(Debug, Clone)]
-pub struct TrialWorkspace {
-    circuit: Circuit,
-    solver: TransientSolver,
-    sink: SelectedTraces,
+pub struct TrialWorkspace<const L: usize> {
+    circuits: [Circuit; L],
+    solver: TransientSolver<L>,
+    sink: ActivationTraces<L>,
+}
+
+/// The sink of an activation lane group: one time base, and per lane the
+/// cell trace and the sensed bitline's read-level crossing — all that
+/// [`measure_activation`] reads besides the bitlines' final voltages, which
+/// come from the solver's final state. Finding the crossing as the samples
+/// arrive, instead of keeping the sensed bitline's trace, halves the trace
+/// memory a lane needs.
+#[derive(Debug, Clone)]
+struct ActivationTraces<const L: usize> {
+    cell: NodeId,
+    sat: NodeId,
+    times: Vec<f64>,
+    v_cell: [Vec<f64>; L],
+    /// Each lane's read-level crossing, set for its trial before the run.
+    read: [Crossing; L],
+}
+
+impl<const L: usize> TraceSink<L> for ActivationTraces<L> {
+    fn begin(&mut self, _n_nodes: usize, capacity: usize) {
+        self.times.clear();
+        self.times.reserve(capacity);
+        for trace in &mut self.v_cell {
+            trace.clear();
+            trace.reserve(capacity);
+        }
+    }
+
+    fn record(&mut self, t: f64, volts: &[[f64; L]]) {
+        self.times.push(t);
+        let lanes = volts[self.cell].iter().zip(&volts[self.sat]);
+        for ((trace, read), (&cell, &sat)) in self.v_cell.iter_mut().zip(&mut self.read).zip(lanes)
+        {
+            trace.push(cell);
+            read.push(t, sat);
+        }
+    }
 }
 
 /// A prepared Monte-Carlo activation batch at one `V_PP` level.
 ///
 /// Construction performs the symbolic analysis (circuit build, element-slot
-/// resolution, solver layout/validation) once; [`run`] fans the trials
+/// resolution, layout/validation) once; [`run`] fans lane groups of trials
 /// across workers.
 ///
 /// [`run`]: BatchedActivation::run
@@ -110,7 +163,8 @@ pub struct BatchedActivation {
     store_one: bool,
     nodes: CellNodes,
     slots: ElementSlots,
-    pristine: TrialWorkspace,
+    template: Circuit,
+    config: TransientConfig,
 }
 
 impl BatchedActivation {
@@ -144,19 +198,15 @@ impl BatchedActivation {
             max_newton: base.max_newton,
             ..TransientConfig::default()
         };
-        let solver = TransientSolver::new(&template, config)?;
-        let sink = SelectedTraces::new(vec![nodes.cell, nodes.sat, nodes.saf]);
+        validate(&template, &config)?;
         Ok(BatchedActivation {
             base: *base,
             vpp,
             store_one,
             nodes,
             slots,
-            pristine: TrialWorkspace {
-                circuit: template,
-                solver,
-                sink,
-            },
+            template,
+            config,
         })
     }
 
@@ -165,9 +215,25 @@ impl BatchedActivation {
         self.nodes
     }
 
-    /// Clones a fresh per-worker workspace.
-    pub fn workspace(&self) -> TrialWorkspace {
-        self.pristine.clone()
+    /// A fresh one-trial workspace for [`run_trial`](Self::run_trial).
+    pub fn workspace(&self) -> TrialWorkspace<1> {
+        self.lanes()
+    }
+
+    /// A fresh workspace for lane groups of `L` trials.
+    fn lanes<const L: usize>(&self) -> TrialWorkspace<L> {
+        TrialWorkspace {
+            circuits: std::array::from_fn(|_| self.template.clone()),
+            solver: TransientSolver::new(&self.template, self.config)
+                .expect("`with_stored` validated the template and its configuration"),
+            sink: ActivationTraces {
+                cell: self.nodes.cell,
+                sat: self.nodes.sat,
+                times: Vec::new(),
+                v_cell: std::array::from_fn(|_| Vec::new()),
+                read: [self.base.read_crossing(self.store_one); L],
+            },
+        }
     }
 
     /// Patches the perturbed parameters into the workspace circuit, writing
@@ -208,25 +274,63 @@ impl BatchedActivation {
     /// with [`SpiceError::is_trial_failure`].
     pub fn run_trial(
         &self,
-        ws: &mut TrialWorkspace,
+        ws: &mut TrialWorkspace<1>,
         mc: &MonteCarlo,
         trial: usize,
     ) -> Result<ActivationMeasurement, SpiceError> {
-        let mut rng = mc.trial_rng(trial);
-        let p = self.base.perturbed(mc, &mut rng);
-        self.patch(&mut ws.circuit, &p);
-        ws.solver.run(&ws.circuit, &mut ws.sink)?;
-        measure_activation(
-            &p,
-            self.store_one,
-            ws.sink.times(),
-            ws.sink.trace(0),
-            ws.sink.trace(1),
-            ws.sink.trace(2),
-        )
+        let [outcome] = self.run_group(ws, mc, trial..trial + 1);
+        outcome.expect("a one-trial group fills its lane")
     }
 
-    /// Runs the full batch across `jobs` workers (0 = all cores), folding
+    /// Runs trials `trials` (at most `L` of them) as one lane group:
+    /// draws and patches each lane, integrates the group in lockstep, and
+    /// measures each lane that completed. Lane `l` holds trial
+    /// `trials.start + l`; lanes past the group are `None`. Each lane's
+    /// outcome is what [`run_trial`](Self::run_trial) gives for its trial.
+    fn run_group<const L: usize>(
+        &self,
+        ws: &mut TrialWorkspace<L>,
+        mc: &MonteCarlo,
+        trials: Range<usize>,
+    ) -> [Option<Result<ActivationMeasurement, SpiceError>>; L] {
+        let count = trials.len();
+        let mut params = [self.base; L];
+        let lanes = params
+            .iter_mut()
+            .zip(&mut ws.circuits)
+            .zip(&mut ws.sink.read);
+        for (((p, circuit), read), trial) in lanes.zip(trials) {
+            let mut rng = mc.trial_rng(trial);
+            *p = self.base.perturbed(mc, &mut rng);
+            self.patch(circuit, p);
+            *read = p.read_crossing(self.store_one);
+        }
+        let outcomes = ws.solver.run(&ws.circuits[..count], &mut ws.sink);
+        let [sat, saf] = [self.nodes.sat, self.nodes.saf].map(|node| ws.solver.final_volts(node));
+        std::array::from_fn(|lane| {
+            if lane >= count {
+                return None;
+            }
+            let newton = match &outcomes {
+                Ok(lanes) => lanes[lane].clone(),
+                Err(group) => Err(group.clone()),
+            };
+            Some(newton.and_then(|_| {
+                measure_activation(
+                    &params[lane],
+                    self.store_one,
+                    &ws.sink.times,
+                    &ws.sink.v_cell[lane],
+                    sat[lane],
+                    saf[lane],
+                    ws.sink.read[lane].time(),
+                )
+            }))
+        })
+    }
+
+    /// Runs the full batch across `jobs` workers (0 = all cores), stepping
+    /// trials `[4g, 4g + 4)` together as lane group `g`, and folds
     /// per-trial results in trial-index order.
     ///
     /// # Errors
@@ -234,12 +338,15 @@ impl BatchedActivation {
     /// Propagates the first (by trial index) non-trial error. Trial-level
     /// numerical failures are counted in the statistics instead.
     pub fn run(&self, mc: &MonteCarlo, jobs: usize) -> Result<McActivationStats, SpiceError> {
-        let trials: Vec<usize> = (0..mc.trials).collect();
+        let groups: Vec<Range<usize>> = (0..mc.trials)
+            .step_by(LANES)
+            .map(|first| first..(first + LANES).min(mc.trials))
+            .collect();
         let outcomes = parallel_map_with(
-            &trials,
+            &groups,
             jobs,
-            || self.workspace(),
-            |ws, &trial| self.run_trial(ws, mc, trial),
+            || self.lanes::<LANES>(),
+            |ws, trials| self.run_group(ws, mc, trials.clone()),
         );
 
         let mut stats = McActivationStats {
@@ -251,7 +358,7 @@ impl BatchedActivation {
             solver_failures: 0,
             trials: mc.trials,
         };
-        for outcome in outcomes {
+        for outcome in outcomes.into_iter().flatten().flatten() {
             match outcome {
                 Ok(m) => stats.fold_measurement(&self.base, &m),
                 Err(e) if e.is_trial_failure() => stats.fold_solver_failure(),
@@ -303,7 +410,7 @@ mod tests {
         let base = quick_params();
         let mc = MonteCarlo::quick(3);
         let batch = BatchedActivation::new(&base, 2.2).unwrap();
-        let mut circuit = batch.workspace().circuit;
+        let [mut circuit] = batch.workspace().circuits;
         for trial in 0..mc.trials {
             let mut rng = mc.trial_rng(trial);
             let p = base.perturbed(&mc, &mut rng);

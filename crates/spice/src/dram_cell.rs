@@ -28,7 +28,7 @@
 //!   differential lets device mismatch flip the latch the wrong way
 //!   (the mechanism behind the paper's footnote 13).
 
-use crate::analysis;
+use crate::analysis::{self, Crossing};
 use crate::error::SpiceError;
 use crate::montecarlo::MonteCarlo;
 use crate::mosfet::MosfetParams;
@@ -140,6 +140,17 @@ impl DramCellParams {
             dev.model.vt0 = mc.vary(dev.model.vt0, rng);
         }
         p
+    }
+
+    /// The sensed bitline's first crossing of the read level for the stored
+    /// value — `t_RCD`'s event: rising to `read_threshold_fraction · V_DD`
+    /// for a 1, falling to `(1 − read_threshold_fraction) · V_DD` for a 0.
+    pub fn read_crossing(&self, store_one: bool) -> Crossing {
+        if store_one {
+            Crossing::rising(self.read_threshold_fraction * self.vdd)
+        } else {
+            Crossing::falling((1.0 - self.read_threshold_fraction) * self.vdd)
+        }
     }
 
     /// Analytic self-consistent restored cell voltage at a given `V_PP`:
@@ -327,25 +338,25 @@ impl ActivationSim {
         let missing = |what: &str| SpiceError::DegenerateResult {
             reason: format!("missing {what} trace"),
         };
+        let empty = |what: &str| SpiceError::DegenerateResult {
+            reason: format!("empty {what} trace"),
+        };
         let times = result.times().to_vec();
         let v_cell = result
             .trace(nodes.cell)
             .ok_or_else(|| missing("cell"))?
             .to_vec();
-        let v_sat = result
-            .trace(nodes.sat)
-            .ok_or_else(|| missing("sat"))?
-            .to_vec();
-        let v_saf = result
-            .trace(nodes.saf)
-            .ok_or_else(|| missing("saf"))?
-            .to_vec();
+        let v_sat = result.trace(nodes.sat).ok_or_else(|| missing("sat"))?;
+        let v_saf = result.trace(nodes.saf).ok_or_else(|| missing("saf"))?;
+        let sat_final = *v_sat.last().ok_or_else(|| empty("sat"))?;
+        let saf_final = *v_saf.last().ok_or_else(|| empty("saf"))?;
+        let read_at = p.read_crossing(store_one).first_in(&times, v_sat);
 
-        let m = measure_activation(p, store_one, &times, &v_cell, &v_sat, &v_saf)?;
+        let m = measure_activation(p, store_one, &times, &v_cell, sat_final, saf_final, read_at)?;
         Ok(ActivationResult {
             times,
             v_cell,
-            v_bitline: v_sat,
+            v_bitline: v_sat.to_vec(),
             t_rcd_min: m.t_rcd_min,
             t_ras_min: m.t_ras_min,
             v_cell_final: m.v_cell_final,
@@ -369,30 +380,33 @@ pub struct ActivationMeasurement {
     pub sensed_correctly: bool,
 }
 
-/// Extracts the activation measurements from recorded traces. Shared by
-/// [`ActivationSim::run_stored`] and the batched Monte-Carlo runner so both
-/// produce identical verdicts from identical samples.
+/// Extracts the activation measurements from the cell trace and what the
+/// measurements read of the bitlines: the sensed (sat) and reference (saf)
+/// sides' final voltages and the sensed side's first crossing of the read
+/// level ([`DramCellParams::read_crossing`]). Shared by
+/// [`ActivationSim::run_stored`], which finds the crossing in its recorded
+/// trace, and the batched Monte-Carlo runner, which finds it as samples
+/// arrive, so both produce identical verdicts from identical samples.
 ///
 /// # Errors
 ///
-/// Returns [`SpiceError::DegenerateResult`] for empty traces — a property of
-/// one parameter draw, counted as a trial failure by batch runners.
+/// Returns [`SpiceError::DegenerateResult`] for an empty cell trace — a
+/// property of one parameter draw, counted as a trial failure by batch
+/// runners.
 pub fn measure_activation(
     p: &DramCellParams,
     store_one: bool,
     times: &[f64],
     v_cell: &[f64],
-    v_sat: &[f64],
-    v_saf: &[f64],
+    sat_final: f64,
+    saf_final: f64,
+    read_at: Option<f64>,
 ) -> Result<ActivationMeasurement, SpiceError> {
-    let empty = |what: &str| SpiceError::DegenerateResult {
-        reason: format!("empty {what} trace"),
-    };
     // Sense verdict: after the latch resolves, the true side must sit on
     // the rail matching the stored value.
-    let sat_final = *v_sat.last().ok_or_else(|| empty("sat"))?;
-    let saf_final = *v_saf.last().ok_or_else(|| empty("saf"))?;
-    let v_cell_final = *v_cell.last().ok_or_else(|| empty("cell"))?;
+    let v_cell_final = *v_cell.last().ok_or_else(|| SpiceError::DegenerateResult {
+        reason: "empty cell trace".to_string(),
+    })?;
     let sensed_correctly = if store_one {
         sat_final > saf_final + 0.1 * p.vdd
     } else {
@@ -400,14 +414,8 @@ pub fn measure_activation(
     };
 
     // t_RCD: the sensed bitline reaching the read level for the stored
-    // value (rising to 0.9·V_DD for a 1; falling to 0.1·V_DD for a 0).
-    let t_rcd_min = if !sensed_correctly {
-        None
-    } else if store_one {
-        analysis::first_rising_crossing(times, v_sat, p.read_threshold_fraction * p.vdd)
-    } else {
-        analysis::first_falling_crossing(times, v_sat, (1.0 - p.read_threshold_fraction) * p.vdd)
-    };
+    // value.
+    let t_rcd_min = if sensed_correctly { read_at } else { None };
 
     // t_RAS: cell settled to its restored level.
     let t_ras_min = if sensed_correctly {

@@ -11,19 +11,24 @@
 //! - [`mosfet`] — a level-1 (Shichman–Hodges) MOSFET model with body effect
 //!   and channel-length modulation, parameterized by a PTM-like 22 nm card
 //!   ([`ptm`]),
-//! - [`linear`] — dense LU factorization with partial pivoting, plus
-//!   bit-identical fixed-size kernels for small systems,
+//! - [`linear`] — dense LU factorization with partial pivoting, plus a
+//!   lane kernel that factors several same-sized systems at once, each
+//!   bit-identical to the one-system solve,
 //! - [`mna`] / [`transient`] — modified nodal analysis with Newton–Raphson
-//!   iteration and backward-Euler companion models for capacitors,
+//!   iteration and backward-Euler companion models for capacitors; the
+//!   reference engine steps one circuit, the lane solver steps several
+//!   same-shaped circuits in lockstep, each bit-identical to the reference,
 //! - [`dc`] — `.op`-style DC operating-point analysis,
-//! - [`analysis`] — trace measurements (threshold crossings, settling times),
+//! - [`analysis`] — trace measurements (threshold crossings, in a recorded
+//!   trace or sample by sample, and settling times),
 //! - [`montecarlo`] — ±5 % component variation across seeded trials (§4.5),
 //! - [`dram_cell`] — the paper's Table 2 netlist: 16.8 fF cell, 100.5 fF
 //!   bitline, access NMOS, and a cross-coupled sense amplifier, with
 //!   activation/restoration experiments that reproduce Figs. 8 and 9,
 //! - [`batch`] — the batched Monte-Carlo runner: one symbolic analysis per
-//!   netlist shape, per-worker solver workspaces, data-parallel trials with
-//!   results bit-identical to the serial reference for any worker count.
+//!   netlist shape, per-worker solver workspaces, trials stepped four at a
+//!   time as solver lanes, data-parallel lane groups with results
+//!   bit-identical to the serial reference for any worker count.
 //!
 //! # Example: RC step response
 //!

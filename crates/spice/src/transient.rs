@@ -13,32 +13,51 @@
 //!   re-stamps the full MNA system every Newton iteration and clones the
 //!   matrix per solve. Simple, obviously correct, and retained as the
 //!   equivalence oracle for the fast path.
-//! - [`TransientSolver`] — the batched fast path: symbolic analysis
-//!   (layout, validation, workspace sizing, choice of LU kernel) happens
-//!   once at construction. Per run, the step-invariant matrix of the base
-//!   system (gmin, resistors, capacitor companion conductances, source
-//!   incidence) is stamped once; per *timestep* only the base right-hand
-//!   side (capacitor history currents, source values) is rebuilt; each
-//!   Newton iteration copies the base, adds the MOSFET linearizations and
-//!   solves with a fixed-size LU kernel ([`crate::linear::fixed_lu`]) — no
-//!   heap allocation anywhere in the stepping loop. Designed for
-//!   Monte-Carlo batches that patch element values into a template circuit
-//!   and re-run thousands of times.
+//! - [`TransientSolver<L>`] — the fast path, stepping `L` same-shaped
+//!   circuits in lockstep, one per lane: every matrix, right-hand-side and
+//!   voltage entry is an `[f64; L]`. Symbolic analysis (layout, validation,
+//!   workspace sizing, choice of LU kernel) happens once at construction.
+//!   Per run, each lane's step-invariant base matrix (gmin, resistors,
+//!   capacitor companion conductances, source incidence) is stamped once;
+//!   per *timestep* only the base right-hand side (capacitor history
+//!   currents, source values) is rebuilt; each Newton iteration copies the
+//!   base, adds the running lanes' MOSFET linearizations and solves every
+//!   lane with one [`LaneLu`] pass — no heap allocation anywhere in the
+//!   stepping loop. Newton iterates until every running lane has
+//!   converged. Designed for Monte-Carlo batches that patch element values
+//!   into a template circuit and re-run thousands of times; the one-lane
+//!   instance `TransientSolver<1>` runs a single trial.
 //!
-//! The two are bit-identical by construction. Matrix and right-hand side
-//! accumulate independently, so splitting the base stamps between run and
-//! step still gives every entry the same floating-point additions in the
-//! same order (base stamps first, MOSFET stamps last — exactly the
-//! reference's stamping order). The fixed-size kernel repeats
-//! [`Matrix::solve_in_place`], which the reference uses, operation for
-//! operation, so the solve is the same pure function of the assembled bits;
-//! the crate's property tests compare the two on adversarial systems.
-//! `hammervolt-testkit`'s `mc_equivalence` suite enforces the whole
-//! contract against the reference engine the same way the
-//! compiled-SoftMC-plan suites enforce interpreter parity.
+//! Each lane is bit-identical to the reference by construction:
+//!
+//! - **Base system.** Matrix and right-hand side accumulate independently,
+//!   so splitting the base stamps between run and step still gives every
+//!   entry the same floating-point additions in the same order (base stamps
+//!   first, MOSFET stamps last — exactly the reference's stamping order).
+//!   Each lane's base matrix is stamped by the reference's own [`Stamper`]
+//!   calls; the right-hand side repeats them lane by lane.
+//! - **Devices.** Each running lane calls the same scalar
+//!   [`MosfetParams::evaluate`](crate::mosfet::MosfetParams::evaluate), and
+//!   its stamps land lane-wise in the reference's order.
+//! - **Solve.** [`LaneLu`] repeats [`Matrix::solve_in_place`], which the
+//!   reference uses, operation for operation in every lane, selecting per
+//!   lane where pivots or zero factors diverge, so each lane's solve is the
+//!   same pure function of its assembled bits; the crate's property tests
+//!   compare the two on adversarial systems.
+//! - **Newton.** A lane that has converged is frozen by select, never by
+//!   arithmetic, so its later group iterations cannot touch it; a lane that
+//!   fails leaves the group with the error the reference returns, and the
+//!   others go on. Per-lane Newton counts equal the reference's.
+//!
+//! The crate's `lane_solver_matches_reference_bit_for_bit` property test and
+//! `hammervolt-testkit`'s `mc_equivalence` suite enforce the contract
+//! against the reference engine the same way the compiled-SoftMC-plan
+//! suites enforce interpreter parity.
+//!
+//! [`Matrix::solve_in_place`]: crate::linear::Matrix::solve_in_place
 
 use crate::error::SpiceError;
-use crate::linear::{fixed_lu, Matrix, Solve};
+use crate::linear::{LaneLu, LaneMatrix};
 use crate::mna::{Layout, Stamper};
 use crate::netlist::{Circuit, NodeId};
 
@@ -118,8 +137,8 @@ impl TransientResult {
 }
 
 /// Validates a transient configuration against a circuit — shared by the
-/// reference engine and the batched solver so both reject identically.
-fn validate(circuit: &Circuit, config: &TransientConfig) -> Result<(), SpiceError> {
+/// reference engine and the lane solver so both reject identically.
+pub(crate) fn validate(circuit: &Circuit, config: &TransientConfig) -> Result<(), SpiceError> {
     if !(config.dt > 0.0 && config.dt.is_finite()) {
         return Err(SpiceError::InvalidConfig {
             reason: format!("dt must be positive, got {}", config.dt),
@@ -146,23 +165,23 @@ fn check_nodes(circuit: &Circuit) -> Result<(), SpiceError> {
     }
 }
 
-/// Seeds the initial node-voltage vector (UIC semantics): capacitor initial
-/// conditions pin their non-ground terminal; sources pin their terminals at
-/// `t = 0`. `volts` must be zeroed beforehand.
-fn seed_initial_volts(circuit: &Circuit, volts: &mut [f64]) {
+/// Seeds the initial node voltages (UIC semantics) through `set`:
+/// capacitor initial conditions pin their non-ground terminal; sources pin
+/// their terminals at `t = 0`. The voltages must be zeroed beforehand.
+fn seed_initial_volts(circuit: &Circuit, mut set: impl FnMut(NodeId, f64)) {
     for cap in &circuit.capacitors {
         if cap.b == 0 {
-            volts[cap.a] = cap.initial_volts;
+            set(cap.a, cap.initial_volts);
         } else if cap.a == 0 {
-            volts[cap.b] = -cap.initial_volts;
+            set(cap.b, -cap.initial_volts);
         }
     }
     for src in &circuit.sources {
         let v = src.waveform.value(0.0);
         if src.minus == 0 {
-            volts[src.plus] = v;
+            set(src.plus, v);
         } else if src.plus == 0 {
-            volts[src.minus] = -v;
+            set(src.minus, -v);
         }
     }
 }
@@ -206,7 +225,7 @@ impl<'c> Transient<'c> {
         // Initial node voltages (UIC semantics): capacitor initial conditions
         // pin their non-ground terminal; sources pin their terminals at t=0.
         let mut volts = vec![0.0f64; n_nodes];
-        seed_initial_volts(c, &mut volts);
+        seed_initial_volts(c, |node, v| volts[node] = v);
 
         let steps = (cfg.t_stop / cfg.dt).ceil() as usize;
         let mut times = Vec::with_capacity(steps / cfg.record_stride + 2);
@@ -309,38 +328,39 @@ impl<'c> Transient<'c> {
 }
 
 // ---------------------------------------------------------------------------
-// Batched fast path
+// Lane solver
 // ---------------------------------------------------------------------------
 
-/// Receives recorded samples from a [`TransientSolver`] run.
+/// Receives recorded samples from a [`TransientSolver`] run, every lane at
+/// once.
 ///
 /// Implementations own their storage and are re-initialized by `begin` at
 /// the start of every run, so a sink can be reused across thousands of
-/// trials without allocating after the first.
-pub trait TraceSink {
-    /// Called once before stepping with the circuit's node count and an
+/// runs without allocating after the first.
+pub trait TraceSink<const L: usize> {
+    /// Called once before stepping with the circuits' node count and an
     /// estimate of how many samples the run will record.
     fn begin(&mut self, n_nodes: usize, capacity: usize);
-    /// Called for every recorded sample with the full node-voltage vector
-    /// (indexed by `NodeId`, ground included).
-    fn record(&mut self, t: f64, volts: &[f64]);
+    /// Called for every recorded sample with every lane's node voltages
+    /// (indexed by `NodeId`, ground included). A lane whose run failed
+    /// records meaningless values from then on.
+    fn record(&mut self, t: f64, volts: &[[f64; L]]);
 }
 
-/// A [`TraceSink`] recording the time base plus a fixed subset of nodes
-/// into reusable buffers — the Monte-Carlo measurement sink, which needs
-/// only the handful of nodes the measurements read instead of every node
-/// in the netlist.
+/// A [`TraceSink`] recording a fixed subset of nodes: one time base shared
+/// by the lanes, and per lane one trace per selected node.
 #[derive(Debug, Clone)]
-pub struct SelectedTraces {
+pub struct SelectedTraces<const L: usize> {
     nodes: Vec<NodeId>,
     times: Vec<f64>,
+    /// `traces[k * L + lane]`: the `k`-th selected node in `lane`.
     traces: Vec<Vec<f64>>,
 }
 
-impl SelectedTraces {
+impl<const L: usize> SelectedTraces<L> {
     /// Creates a sink recording the given nodes, in the given order.
     pub fn new(nodes: Vec<NodeId>) -> Self {
-        let n = nodes.len();
+        let n = nodes.len() * L;
         SelectedTraces {
             nodes,
             times: Vec::new(),
@@ -353,17 +373,19 @@ impl SelectedTraces {
         &self.times
     }
 
-    /// Trace of the `k`-th selected node (selection order, not `NodeId`).
+    /// Trace of the `k`-th selected node (selection order, not `NodeId`)
+    /// in `lane`.
     ///
     /// # Panics
     ///
-    /// Panics if `k` is out of range of the selection.
-    pub fn trace(&self, k: usize) -> &[f64] {
-        &self.traces[k]
+    /// Panics if `k` is out of range of the selection or `lane >= L`.
+    pub fn trace(&self, k: usize, lane: usize) -> &[f64] {
+        assert!(lane < L, "lane {lane} out of range for {L} lanes");
+        &self.traces[k * L + lane]
     }
 }
 
-impl TraceSink for SelectedTraces {
+impl<const L: usize> TraceSink<L> for SelectedTraces<L> {
     fn begin(&mut self, n_nodes: usize, capacity: usize) {
         for &node in &self.nodes {
             assert!(node < n_nodes, "selected node {node} outside circuit");
@@ -376,78 +398,59 @@ impl TraceSink for SelectedTraces {
         }
     }
 
-    fn record(&mut self, t: f64, volts: &[f64]) {
+    fn record(&mut self, t: f64, volts: &[[f64; L]]) {
         self.times.push(t);
-        for (trace, &node) in self.traces.iter_mut().zip(&self.nodes) {
-            trace.push(volts[node]);
+        for (lanes, &node) in self.traces.chunks_mut(L).zip(&self.nodes) {
+            for (trace, &v) in lanes.iter_mut().zip(&volts[node]) {
+                trace.push(v);
+            }
         }
     }
 }
 
-/// A [`TraceSink`] recording every node — produces a full
-/// [`TransientResult`], for one-shot callers and oracle comparisons.
-#[derive(Debug, Clone, Default)]
-pub struct FullTraces {
-    times: Vec<f64>,
-    traces: Vec<Vec<f64>>,
-}
-
-impl TraceSink for FullTraces {
-    fn begin(&mut self, n_nodes: usize, capacity: usize) {
-        self.times.clear();
-        self.times.reserve(capacity);
-        self.traces.resize(n_nodes, Vec::new());
-        for trace in &mut self.traces {
-            trace.clear();
-            trace.reserve(capacity);
-        }
-    }
-
-    fn record(&mut self, t: f64, volts: &[f64]) {
-        self.times.push(t);
-        for (trace, &v) in self.traces.iter_mut().zip(volts) {
-            trace.push(v);
-        }
-    }
-}
-
-/// A reusable transient workspace sharing one symbolic analysis across many
-/// solves of same-shaped circuits.
+/// A reusable transient workspace that integrates up to `L` same-shaped
+/// circuits in lockstep, one per lane, sharing one symbolic analysis across
+/// many runs.
 ///
-/// Construction performs the full layout/validation work once and picks the
-/// LU solve for the layout's unknown count: the fixed-size kernel from
-/// [`fixed_lu`] up to [`FIXED_LU_MAX`](crate::linear::FIXED_LU_MAX)
-/// unknowns, [`Matrix::solve_in_place`] above. [`run`] accepts any circuit
-/// with the same *shape* (node, source, and element structure) — typically
-/// the same template with element values patched in place — and integrates
-/// it without allocating. Per run, the step-invariant matrix of the base
-/// system (gmin conditioning, resistors, capacitor companion conductances,
-/// source incidence) is stamped once; per timestep, only the base
-/// right-hand side (capacitor history currents, source values) is rebuilt;
-/// each Newton iteration copies the base into the working system, adds the
-/// MOSFET linearizations, and solves in place.
+/// Construction performs the layout/validation work once and picks the
+/// [`LaneLu`] solve for the layout's unknown count. [`run`] accepts any
+/// circuits with the same *shape* (node count, sources, and element
+/// wiring) — typically the same template with element values patched in
+/// place — and integrates them without allocating. Per run, each lane's
+/// step-invariant base matrix (gmin conditioning, resistors, capacitor
+/// companion conductances, source incidence) is stamped once; per
+/// timestep, only the base right-hand side (capacitor history currents,
+/// source values) is rebuilt; each Newton iteration copies the base into
+/// the working system, adds every running lane's MOSFET linearizations,
+/// and solves all lanes in place.
 ///
-/// Results are bit-identical to [`Transient::run`] on the same circuit: the
-/// per-entry stamp order (base first, MOSFETs last) matches the reference's
-/// assembly order, so every f64 accumulation happens in the same sequence,
-/// and the kernel performs [`Matrix::solve_in_place`]'s operations in its
-/// order.
+/// Every lane is bit-identical to [`Transient::run`] on its circuit: the
+/// lanes never mix, each lane receives the reference's floating-point
+/// operations in the reference's order, and where lanes diverge (a lane
+/// converged, a lane failed, a different pivot row) the solver selects per
+/// lane rather than computing. `TransientSolver<1>` is the one-lane
+/// instance of the same code.
 ///
 /// [`run`]: TransientSolver::run
 #[derive(Debug, Clone)]
-pub struct TransientSolver {
+pub struct TransientSolver<const L: usize> {
     config: TransientConfig,
     n_nodes: usize,
     n_sources: usize,
-    solve: Solve,
-    base: Stamper,
-    work: Stamper,
-    volts: Vec<f64>,
-    candidate: Vec<f64>,
-    newton_iterations: usize,
+    lu: LaneLu<L>,
+    /// Stamps one lane's base matrix at a time, in the reference's order.
+    stamper: Stamper,
+    base: LaneMatrix<L>,
+    base_rhs: Vec<[f64; L]>,
+    work: LaneMatrix<L>,
+    work_rhs: Vec<[f64; L]>,
+    /// Per capacitor, each lane's companion conductance `C/Δt`.
+    geq: Vec<[f64; L]>,
+    volts: Vec<[f64; L]>,
+    candidate: Vec<[f64; L]>,
 }
 
-impl TransientSolver {
+impl<const L: usize> TransientSolver<L> {
     /// Prepares a solver for circuits shaped like `circuit`.
     ///
     /// # Errors
@@ -457,162 +460,306 @@ impl TransientSolver {
     pub fn new(circuit: &Circuit, config: TransientConfig) -> Result<Self, SpiceError> {
         validate(circuit, &config)?;
         let layout = Layout::new(circuit);
+        let n = layout.unknowns();
         let n_nodes = circuit.node_count();
         Ok(TransientSolver {
             config,
             n_nodes,
             n_sources: circuit.sources.len(),
-            solve: fixed_lu(layout.unknowns()).unwrap_or(Matrix::solve_in_place),
-            base: Stamper::new(layout.clone()),
-            work: Stamper::new(layout),
-            volts: vec![0.0; n_nodes],
-            candidate: vec![0.0; n_nodes],
-            newton_iterations: 0,
+            lu: LaneLu::new(n),
+            stamper: Stamper::new(layout),
+            base: LaneMatrix::zeros(n),
+            base_rhs: vec![[0.0; L]; n],
+            work: LaneMatrix::zeros(n),
+            work_rhs: vec![[0.0; L]; n],
+            geq: Vec::new(),
+            volts: vec![[0.0; L]; n_nodes],
+            candidate: vec![[0.0; L]; n_nodes],
         })
     }
 
-    /// Total Newton iterations spent across all runs of this solver.
-    pub fn newton_iterations(&self) -> usize {
-        self.newton_iterations
+    /// Every lane's voltage at `node` when the most recent run ended: for a
+    /// lane whose run completed, the last sample a sink recording `node`
+    /// would hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the circuit.
+    pub fn final_volts(&self, node: NodeId) -> [f64; L] {
+        self.volts[node]
     }
 
-    /// Integrates `circuit`, streaming recorded samples into `sink`.
-    /// Returns the Newton iterations spent on this run.
+    /// Integrates `circuits` in lockstep, lane `l` running `circuits[l]`,
+    /// streaming recorded samples into `sink`. Returns per lane the Newton
+    /// iterations its run spent, or the error it failed with
+    /// ([`SingularMatrix`](SpiceError::SingularMatrix),
+    /// [`NoConvergence`](SpiceError::NoConvergence)) — the value
+    /// [`Transient::run`] gives for that circuit alone. Lanes past
+    /// `circuits.len()` are idle and report `Ok(0)`.
     ///
-    /// The circuit must have the shape the solver was built for; element
+    /// The circuits must have the shape the solver was built for; element
     /// *values* are free to differ (that is the point). All workspace state
-    /// is re-initialized here, so a run's output is a pure function of the
-    /// circuit — independent of whatever the solver ran before.
+    /// is re-initialized here, so a lane's output is a pure function of its
+    /// circuit — independent of the other lanes and of whatever the solver
+    /// ran before. A lane that fails stops being stepped; the group stops
+    /// once every lane has failed.
     ///
     /// # Errors
     ///
-    /// Fails on a shape mismatch, an element naming a node outside the
-    /// circuit, a singular MNA matrix, or Newton non-convergence.
+    /// Fails, for the whole group, on an empty group or one of more than
+    /// `L` circuits, a shape mismatch, an element naming a node outside its
+    /// circuit, or lanes wired differently from the first.
     pub fn run(
         &mut self,
-        circuit: &Circuit,
-        sink: &mut impl TraceSink,
-    ) -> Result<usize, SpiceError> {
-        if circuit.node_count() != self.n_nodes || circuit.sources.len() != self.n_sources {
-            return Err(SpiceError::InvalidConfig {
-                reason: format!(
-                    "circuit shape changed: solver built for {} nodes / {} sources, \
-                     got {} nodes / {} sources",
-                    self.n_nodes,
-                    self.n_sources,
-                    circuit.node_count(),
-                    circuit.sources.len()
-                ),
-            });
-        }
-        check_nodes(circuit)?;
+        circuits: &[Circuit],
+        sink: &mut impl TraceSink<L>,
+    ) -> Result<[Result<usize, SpiceError>; L], SpiceError> {
+        self.check_group(circuits)?;
         let cfg = self.config;
-        let n_nodes = self.n_nodes;
 
-        self.volts.iter_mut().for_each(|v| *v = 0.0);
-        seed_initial_volts(circuit, &mut self.volts);
-
-        // The base matrix is step-invariant: stamp it once, in the reference
-        // engine's stamp order (gmin, resistors, capacitors, sources). Only
-        // the right-hand side changes from step to step.
+        self.volts.fill([0.0; L]);
         self.base.clear();
-        for node in 1..n_nodes {
-            self.base.conductance(node, 0, cfg.gmin);
-        }
-        for r in &circuit.resistors {
-            self.base.conductance(r.a, r.b, 1.0 / r.ohms);
-        }
-        for cap in &circuit.capacitors {
-            self.base.conductance(cap.a, cap.b, cap.farads / cfg.dt);
-        }
-        for (k, s) in circuit.sources.iter().enumerate() {
-            self.base.source_incidence(k, s.plus, s.minus);
+        self.geq.clear();
+        self.geq.resize(circuits[0].capacitors.len(), [0.0; L]);
+        for (lane, c) in circuits.iter().enumerate() {
+            seed_initial_volts(c, |node, v| self.volts[node][lane] = v);
+            self.stamp_base(lane, c);
         }
 
         let steps = (cfg.t_stop / cfg.dt).ceil() as usize;
-        sink.begin(n_nodes, steps / cfg.record_stride + 2);
+        sink.begin(self.n_nodes, steps / cfg.record_stride + 2);
         sink.record(0.0, &self.volts);
 
-        let mut newton_run = 0usize;
+        let mut outcomes: [Result<usize, SpiceError>; L] = std::array::from_fn(|_| Ok(0));
+        let mut running: [bool; L] = std::array::from_fn(|lane| lane < circuits.len());
         for step in 1..=steps {
+            if !running.contains(&true) {
+                break;
+            }
             let t = (step as f64) * cfg.dt;
+            self.step_rhs(circuits, t);
 
-            // This step's base right-hand side, in the same order:
-            // capacitor history currents, then source values. MOSFETs are
-            // the only re-linearized stamps and land last, per iteration,
-            // in the working copy.
-            self.base.rhs.fill(0.0);
-            for cap in &circuit.capacitors {
-                let geq = cap.farads / cfg.dt;
-                let v_hist = self.volts[cap.a] - self.volts[cap.b];
-                self.base.current_source(cap.b, cap.a, geq * v_hist);
-            }
-            for (k, s) in circuit.sources.iter().enumerate() {
-                self.base.source_value(k, s.waveform.value(t));
-            }
-
+            // Newton iteration, every lane from its previous timestep, until
+            // every running lane has converged. A converged lane is frozen
+            // and a failed one leaves the group; either way it is no longer
+            // pending, and its later iterations leave its candidate alone.
             self.candidate.copy_from_slice(&self.volts);
-            let mut converged = false;
-            for _iter in 0..cfg.max_newton {
-                newton_run += 1;
-                self.work.matrix.copy_from(&self.base.matrix);
-                self.work.rhs.copy_from_slice(&self.base.rhs);
-                for m in &circuit.mosfets {
-                    let vd = self.candidate[m.drain];
-                    let vg = self.candidate[m.gate];
-                    let vs = self.candidate[m.source];
-                    let op = m.params.evaluate(vd, vg, vs, m.bulk_volts);
-                    let i0 = op.i_ds - op.di_dvd * vd - op.di_dvg * vg - op.di_dvs * vs;
-                    self.work.linearized_fet(
-                        m.drain, m.gate, m.source, i0, op.di_dvd, op.di_dvg, op.di_dvs,
-                    );
-                }
-
-                // The working system is already a scratch copy: factorize it
-                // in place, solution lands in the working RHS.
-                (self.solve)(&mut self.work.matrix, &mut self.work.rhs).map_err(|e| match e {
-                    SpiceError::SingularMatrix { .. } => SpiceError::SingularMatrix { time: t },
-                    other => other,
-                })?;
-
-                let x = &self.work.rhs;
-                let mut max_err = 0.0f64;
-                for (old, &target) in self
-                    .candidate
-                    .iter_mut()
-                    .skip(1)
-                    .zip(x.iter())
-                    .take(n_nodes - 1)
-                {
-                    let delta = (target - *old).clamp(-cfg.max_dv, cfg.max_dv);
-                    let new = *old + delta;
-                    let err = (new - *old).abs();
-                    let tol = cfg.abstol + cfg.reltol * new.abs();
-                    if err > tol {
-                        max_err = max_err.max(err - tol);
+            let mut pending = running;
+            let mut iterations = 0;
+            while pending.contains(&true) {
+                if iterations == cfg.max_newton {
+                    for lane in (0..L).filter(|&l| pending[l]) {
+                        outcomes[lane] = Err(SpiceError::NoConvergence {
+                            time: t,
+                            iterations: cfg.max_newton,
+                        });
+                        running[lane] = false;
                     }
-                    *old = new;
-                }
-                if max_err == 0.0 {
-                    converged = true;
                     break;
                 }
-            }
-            if !converged {
-                self.newton_iterations += newton_run;
-                return Err(SpiceError::NoConvergence {
-                    time: t,
-                    iterations: cfg.max_newton,
-                });
+                iterations += 1;
+                for (outcome, _) in outcomes.iter_mut().zip(pending).filter(|&(_, p)| p) {
+                    if let Ok(newton) = outcome {
+                        *newton += 1;
+                    }
+                }
+                self.work.copy_from(&self.base);
+                self.work_rhs.copy_from_slice(&self.base_rhs);
+                self.stamp_mosfets(circuits, pending);
+                // The working system is already a throwaway copy: factorize it
+                // in place, solutions land in the working right-hand side.
+                let singular = self.lu.solve(&mut self.work, &mut self.work_rhs, pending);
+                for lane in (0..L).filter(|&l| singular[l]) {
+                    outcomes[lane] = Err(SpiceError::SingularMatrix { time: t });
+                    running[lane] = false;
+                    pending[lane] = false;
+                }
+                let converged = self.damp(pending);
+                for (p, c) in pending.iter_mut().zip(converged) {
+                    *p &= !c;
+                }
             }
             self.volts.copy_from_slice(&self.candidate);
             if step % cfg.record_stride == 0 || step == steps {
                 sink.record(t, &self.volts);
             }
         }
-        self.newton_iterations += newton_run;
-        Ok(newton_run)
+        Ok(outcomes)
     }
+
+    /// Rejects a group the solver cannot step together.
+    fn check_group(&self, circuits: &[Circuit]) -> Result<(), SpiceError> {
+        let Some((first, rest)) = circuits.split_first().filter(|_| circuits.len() <= L) else {
+            return Err(SpiceError::InvalidConfig {
+                reason: format!("a run takes 1 to {L} circuits, got {}", circuits.len()),
+            });
+        };
+        for circuit in circuits {
+            if circuit.node_count() != self.n_nodes || circuit.sources.len() != self.n_sources {
+                return Err(SpiceError::InvalidConfig {
+                    reason: format!(
+                        "circuit shape changed: solver built for {} nodes / {} sources, \
+                         got {} nodes / {} sources",
+                        self.n_nodes,
+                        self.n_sources,
+                        circuit.node_count(),
+                        circuit.sources.len()
+                    ),
+                });
+            }
+            check_nodes(circuit)?;
+        }
+        if rest.iter().any(|c| !same_wiring(first, c)) {
+            return Err(SpiceError::InvalidConfig {
+                reason: "lanes differ in element wiring: every circuit of a run must connect \
+                         its elements as the first one does"
+                    .to_string(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Stamps one lane's step-invariant matrix in the reference engine's
+    /// stamp order (gmin, resistors, capacitors, sources) and keeps its
+    /// capacitor companion conductances for the per-step right-hand side.
+    fn stamp_base(&mut self, lane: usize, circuit: &Circuit) {
+        let cfg = &self.config;
+        let st = &mut self.stamper;
+        st.clear();
+        for node in 1..self.n_nodes {
+            st.conductance(node, 0, cfg.gmin);
+        }
+        for r in &circuit.resistors {
+            st.conductance(r.a, r.b, 1.0 / r.ohms);
+        }
+        for (cap, geq) in circuit.capacitors.iter().zip(&mut self.geq) {
+            geq[lane] = cap.farads / cfg.dt;
+            st.conductance(cap.a, cap.b, geq[lane]);
+        }
+        for (k, s) in circuit.sources.iter().enumerate() {
+            st.source_incidence(k, s.plus, s.minus);
+        }
+        self.base.set_lane(lane, &st.matrix);
+    }
+
+    /// This step's base right-hand side, in the reference's order:
+    /// capacitor history currents, then source values. MOSFETs are the only
+    /// re-linearized stamps and land last, per iteration, in the working
+    /// copy.
+    fn step_rhs(&mut self, circuits: &[Circuit], t: f64) {
+        let layout = self.stamper.layout();
+        let rhs = &mut self.base_rhs;
+        rhs.fill([0.0; L]);
+        for (cap, geq) in circuits[0].capacitors.iter().zip(&self.geq) {
+            let (va, vb) = (self.volts[cap.a], self.volts[cap.b]);
+            // history source pushes current from b to a: i = geq·v_hist
+            let amps: [f64; L] = std::array::from_fn(|l| geq[l] * (va[l] - vb[l]));
+            if let Some(i) = layout.node_index(cap.b) {
+                for (x, a) in rhs[i].iter_mut().zip(amps) {
+                    *x -= a;
+                }
+            }
+            if let Some(j) = layout.node_index(cap.a) {
+                for (x, a) in rhs[j].iter_mut().zip(amps) {
+                    *x += a;
+                }
+            }
+        }
+        for k in 0..self.n_sources {
+            let row = &mut rhs[layout.source_index(k)];
+            for (x, c) in row.iter_mut().zip(circuits) {
+                *x += c.sources[k].waveform.value(t);
+            }
+        }
+    }
+
+    /// Adds the MOSFET linearizations about each pending lane's candidate
+    /// to the working system in the reference's order: MOSFET by MOSFET,
+    /// the drain row then the source row, each over the `(d, g, s)` terms.
+    /// A lane that is not pending is not evaluated; it receives zero stamps
+    /// in a system nobody reads.
+    fn stamp_mosfets(&mut self, circuits: &[Circuit], pending: [bool; L]) {
+        let layout = self.stamper.layout();
+        for (i, m) in circuits[0].mosfets.iter().enumerate() {
+            let (vd, vg, vs) = (
+                self.candidate[m.drain],
+                self.candidate[m.gate],
+                self.candidate[m.source],
+            );
+            let mut i0 = [0.0; L];
+            let (mut gd, mut gg, mut gs) = ([0.0; L], [0.0; L], [0.0; L]);
+            for (l, c) in circuits.iter().enumerate().filter(|&(l, _)| pending[l]) {
+                let fet = &c.mosfets[i];
+                let op = fet.params.evaluate(vd[l], vg[l], vs[l], fet.bulk_volts);
+                i0[l] = op.i_ds - op.di_dvd * vd[l] - op.di_dvg * vg[l] - op.di_dvs * vs[l];
+                (gd[l], gg[l], gs[l]) = (op.di_dvd, op.di_dvg, op.di_dvs);
+            }
+            let terms = [(m.drain, gd), (m.gate, gg), (m.source, gs)];
+            if let Some(di) = layout.node_index(m.drain) {
+                for (node, g) in terms {
+                    if let Some(ni) = layout.node_index(node) {
+                        self.work.add(di, ni, g);
+                    }
+                }
+                for (x, i) in self.work_rhs[di].iter_mut().zip(i0) {
+                    *x -= i;
+                }
+            }
+            if let Some(si) = layout.node_index(m.source) {
+                for (node, g) in terms {
+                    if let Some(ni) = layout.node_index(node) {
+                        self.work.add(si, ni, g.map(|x| -x));
+                    }
+                }
+                for (x, i) in self.work_rhs[si].iter_mut().zip(i0) {
+                    *x += i;
+                }
+            }
+        }
+    }
+
+    /// Moves each pending lane's candidate toward its solution in the
+    /// working right-hand side, damped to `max_dv` per node, and returns
+    /// the pending lanes that are now stationary within
+    /// `abstol + reltol·|v|`. Other lanes keep their candidates by select.
+    ///
+    /// The reference tracks the largest excess `err − tol` and calls a step
+    /// converged when it is `0.0`; an excess is only taken where
+    /// `err > tol`, so it is positive (IEEE subtraction of unequal values
+    /// is never zero), and "no node with `err > tol`" is the same verdict.
+    fn damp(&mut self, pending: [bool; L]) -> [bool; L] {
+        let cfg = &self.config;
+        let mut moving = [false; L];
+        for (old, target) in self
+            .candidate
+            .iter_mut()
+            .skip(1)
+            .zip(&self.work_rhs)
+            .take(self.n_nodes - 1)
+        {
+            for l in 0..L {
+                let delta = (target[l] - old[l]).clamp(-cfg.max_dv, cfg.max_dv);
+                let new = old[l] + delta;
+                let err = (new - old[l]).abs();
+                let tol = cfg.abstol + cfg.reltol * new.abs();
+                moving[l] |= err > tol;
+                old[l] = if pending[l] { new } else { old[l] };
+            }
+        }
+        std::array::from_fn(|l| pending[l] && !moving[l])
+    }
+}
+
+/// Whether two circuits connect the same elements to the same nodes in the
+/// same order — what the lanes of one run share.
+fn same_wiring(a: &Circuit, b: &Circuit) -> bool {
+    fn same<T>(x: &[T], y: &[T], ends: impl Fn(&T) -> [NodeId; 3]) -> bool {
+        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| ends(p) == ends(q))
+    }
+    same(&a.resistors, &b.resistors, |r| [r.a, r.b, 0])
+        && same(&a.capacitors, &b.capacitors, |c| [c.a, c.b, 0])
+        && same(&a.sources, &b.sources, |s| [s.plus, s.minus, 0])
+        && same(&a.mosfets, &b.mosfets, |m| [m.drain, m.gate, m.source])
 }
 
 #[cfg(test)]
@@ -796,46 +943,64 @@ mod tests {
             ..TransientConfig::default()
         };
         let reference = Transient::new(&c, cfg).unwrap().run().unwrap();
-        let mut solver = TransientSolver::new(&c, cfg).unwrap();
+        let mut solver = TransientSolver::<1>::new(&c, cfg).unwrap();
         let src = c.find_node("s").unwrap();
         let mut sink = SelectedTraces::new(vec![src]);
-        let iters = solver.run(&c, &mut sink).unwrap();
-        assert_eq!(iters, reference.newton_iterations());
+        let [iters] = solver.run(std::slice::from_ref(&c), &mut sink).unwrap();
+        assert_eq!(iters.unwrap(), reference.newton_iterations());
         assert_eq!(sink.times(), reference.times());
         let ref_trace = reference.trace(src).unwrap();
-        assert_eq!(sink.trace(0).len(), ref_trace.len());
-        for (i, (&fast, &slow)) in sink.trace(0).iter().zip(ref_trace).enumerate() {
+        assert_eq!(sink.trace(0, 0).len(), ref_trace.len());
+        for (i, (&fast, &slow)) in sink.trace(0, 0).iter().zip(ref_trace).enumerate() {
             assert_eq!(fast.to_bits(), slow.to_bits(), "sample {i}");
         }
+        assert_eq!(
+            solver.final_volts(src)[0].to_bits(),
+            ref_trace.last().unwrap().to_bits()
+        );
     }
 
     #[test]
     fn solver_reuse_across_patched_circuits_matches_fresh_runs() {
-        // One solver, many circuits of the same shape: each run must equal
-        // a from-scratch reference run bit-for-bit, regardless of what the
-        // solver ran before.
-        let mut solver = TransientSolver::new(
-            &follower_circuit(1.0),
-            TransientConfig {
-                t_stop: 10e-9,
-                dt: 20e-12,
-                ..TransientConfig::default()
-            },
-        )
-        .unwrap();
+        // One solver, many circuits of the same shape, one at a time and
+        // then all four as lanes of one run: each must equal a fresh
+        // reference run bit-for-bit, regardless of what the solver ran
+        // before or beside it.
         let cfg = TransientConfig {
             t_stop: 10e-9,
             dt: 20e-12,
             ..TransientConfig::default()
         };
-        for scale in [0.6, 1.0, 1.7, 0.9] {
-            let c = follower_circuit(scale);
-            let reference = Transient::new(&c, cfg).unwrap().run().unwrap();
-            let mut sink = FullTraces::default();
-            solver.run(&c, &mut sink).unwrap();
-            let src = c.find_node("s").unwrap();
-            for (a, b) in sink.traces[src].iter().zip(reference.trace(src).unwrap()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "scale {scale}");
+        let circuits: Vec<Circuit> = [0.6, 1.0, 1.7, 0.9]
+            .into_iter()
+            .map(follower_circuit)
+            .collect();
+        let src = circuits[0].find_node("s").unwrap();
+        let references: Vec<TransientResult> = circuits
+            .iter()
+            .map(|c| Transient::new(c, cfg).unwrap().run().unwrap())
+            .collect();
+        let mut one = TransientSolver::<1>::new(&circuits[0], cfg).unwrap();
+        let mut sink = SelectedTraces::new(vec![src]);
+        for (c, reference) in circuits.iter().zip(&references) {
+            let [iters] = one.run(std::slice::from_ref(c), &mut sink).unwrap();
+            assert_eq!(iters.unwrap(), reference.newton_iterations());
+            for (a, b) in sink.trace(0, 0).iter().zip(reference.trace(src).unwrap()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        let mut four = TransientSolver::<4>::new(&circuits[0], cfg).unwrap();
+        let mut sink = SelectedTraces::new(vec![src]);
+        let outcomes = four.run(&circuits, &mut sink).unwrap();
+        for (lane, reference) in references.iter().enumerate() {
+            assert_eq!(
+                outcomes[lane].clone().unwrap(),
+                reference.newton_iterations()
+            );
+            let ref_trace = reference.trace(src).unwrap();
+            assert_eq!(sink.trace(0, lane).len(), ref_trace.len());
+            for (a, b) in sink.trace(0, lane).iter().zip(ref_trace) {
+                assert_eq!(a.to_bits(), b.to_bits(), "lane {lane}");
             }
         }
     }
@@ -843,15 +1008,37 @@ mod tests {
     #[test]
     fn solver_rejects_shape_change() {
         let c = follower_circuit(1.0);
-        let mut solver = TransientSolver::new(&c, TransientConfig::default()).unwrap();
+        let mut solver = TransientSolver::<1>::new(&c, TransientConfig::default()).unwrap();
         let mut other = Circuit::new();
         let a = other.node("a");
         other.resistor("R1", a, 0, 1.0);
-        let mut sink = FullTraces::default();
+        let mut sink = SelectedTraces::new(Vec::new());
         assert!(matches!(
-            solver.run(&other, &mut sink),
+            solver.run(&[other], &mut sink),
             Err(SpiceError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn solver_rejects_lanes_wired_differently() {
+        // Same node and source counts in every lane, but the second lane's
+        // load capacitor sits on the gate: stepping it with the first
+        // lane's wiring would simulate a circuit nobody built.
+        let c = follower_circuit(1.0);
+        let mut solver = TransientSolver::<2>::new(&c, TransientConfig::default()).unwrap();
+        let mut rewired = c.clone();
+        rewired.capacitors[0].a = c.find_node("g").unwrap();
+        let mut sink = SelectedTraces::new(Vec::new());
+        for group in [
+            vec![c.clone(), rewired],
+            Vec::new(),
+            vec![c.clone(), c.clone(), c],
+        ] {
+            assert!(matches!(
+                solver.run(&group, &mut sink),
+                Err(SpiceError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]
@@ -860,13 +1047,13 @@ mod tests {
         // capacitor names a node the circuit does not have: an error, as
         // `Transient::new` gives, not an out-of-bounds panic.
         let c = follower_circuit(1.0);
-        let mut solver = TransientSolver::new(&c, TransientConfig::default()).unwrap();
+        let mut solver = TransientSolver::<1>::new(&c, TransientConfig::default()).unwrap();
         let mut bad = c.clone();
         let missing = c.node_count() + 3;
         bad.capacitors[0].a = missing;
-        let mut sink = FullTraces::default();
+        let mut sink = SelectedTraces::new(Vec::new());
         assert_eq!(
-            solver.run(&bad, &mut sink).unwrap_err(),
+            solver.run(&[bad.clone()], &mut sink).unwrap_err(),
             SpiceError::UnknownNode { node: missing }
         );
         assert!(matches!(
@@ -883,13 +1070,16 @@ mod tests {
             dt: 20e-12,
             ..TransientConfig::default()
         };
-        let mut solver = TransientSolver::new(&c, cfg).unwrap();
+        let mut solver = TransientSolver::<1>::new(&c, cfg).unwrap();
         let mut sink = SelectedTraces::new(vec![c.find_node("s").unwrap()]);
-        solver.run(&c, &mut sink).unwrap();
+        let group = std::slice::from_ref(&c);
+        let [first] = solver.run(group, &mut sink).unwrap();
+        first.unwrap();
         let first_len = sink.times().len();
-        solver.run(&c, &mut sink).unwrap();
+        let [second] = solver.run(group, &mut sink).unwrap();
+        second.unwrap();
         assert_eq!(sink.times().len(), first_len);
-        assert_eq!(sink.trace(0).len(), first_len);
+        assert_eq!(sink.trace(0, 0).len(), first_len);
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Property-based tests for the circuit simulator.
 
-use hammervolt_spice::linear::{fixed_lu, Matrix, FIXED_LU_MAX};
+use hammervolt_spice::dram_cell::{ActivationSim, DramCellParams};
+use hammervolt_spice::linear::{LaneLu, LaneMatrix, Matrix, FIXED_LU_MAX};
+use hammervolt_spice::montecarlo::MonteCarlo;
 use hammervolt_spice::mosfet::{Level1Params, MosfetParams, Polarity};
-use hammervolt_spice::netlist::Circuit;
-use hammervolt_spice::transient::{Transient, TransientConfig};
+use hammervolt_spice::netlist::{Circuit, NodeId};
+use hammervolt_spice::transient::{SelectedTraces, Transient, TransientConfig, TransientSolver};
 use hammervolt_spice::waveform::Waveform;
+use hammervolt_spice::SpiceError;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::mem::discriminant;
 
-/// The system shapes the fixed-size LU kernels are compared on.
+/// The system shapes the lane LU kernels are compared on.
 #[derive(Debug, Clone, Copy)]
 enum Shape {
     /// Every entry uniform in [-10, 10).
@@ -28,6 +30,15 @@ enum Shape {
     /// the right-hand side.
     Special,
 }
+
+const SHAPES: [Shape; 6] = [
+    Shape::Dense,
+    Shape::Mna,
+    Shape::Tied,
+    Shape::NearEps,
+    Shape::Singular,
+    Shape::Special,
+];
 
 /// xorshift64*: the systems are drawn from one seed per case.
 struct Draw(u64);
@@ -141,68 +152,199 @@ fn same_bits(x: f64, y: f64) -> bool {
     x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
 }
 
-/// Solves one system with `Matrix::solve_in_place` and with the fixed-size
-/// kernel, and requires the same outcome, solution bits and factor bits.
-fn kernel_matches_reference(n: usize, a: &[f64], b: &[f64]) -> Result<(), TestCaseError> {
-    let kernel = fixed_lu(n).expect("a kernel for every n up to FIXED_LU_MAX");
-    let mut reference = Matrix::zeros(n);
-    for (i, &v) in a.iter().enumerate() {
-        reference.set(i / n, i % n, v);
+/// Lane `k`'s copy of a system: the same system with a few entries
+/// changed (scaled, negated, zeroed, or pushed toward the pivot threshold),
+/// so the lanes mostly agree on their pivots and zero factors but not
+/// always.
+fn nudged(a: &[f64], b: &[f64], rng: &mut Draw) -> (Vec<f64>, Vec<f64>) {
+    let (mut a, b) = (a.to_vec(), b.to_vec());
+    for _ in 0..rng.below(3) {
+        let i = rng.below(a.len());
+        a[i] = match rng.below(5) {
+            0 => 0.0,
+            1 => -a[i],
+            2 => a[i] * (0.5 + rng.unit()),
+            3 => a[i] * 1e-31,
+            _ => a[i] + 1.0,
+        };
     }
-    let mut fixed = reference.clone();
-    let (mut x_ref, mut x_fixed) = (b.to_vec(), b.to_vec());
-    let r_ref = reference.solve_in_place(&mut x_ref);
-    let r_fixed = kernel(&mut fixed, &mut x_fixed);
-    prop_assert_eq!(
-        r_fixed.map_err(|e| discriminant(&e)),
-        r_ref.map_err(|e| discriminant(&e))
-    );
-    for (i, (&f, &r)) in x_fixed.iter().zip(&x_ref).enumerate() {
-        prop_assert!(
-            same_bits(f, r),
-            "n {n}, x[{i}]: kernel {f:e}, reference {r:e}"
-        );
-    }
-    for row in 0..n {
+    (a, b)
+}
+
+/// Solves `L` systems as the lanes of one [`LaneLu`] pass, and each live
+/// lane alone with `Matrix::solve_in_place`, and requires per live lane the
+/// same outcome, solution bits and factor bits.
+fn lanes_match_reference<const L: usize>(
+    n: usize,
+    systems: &[(Vec<f64>, Vec<f64>); L],
+    live: [bool; L],
+) -> Result<(), TestCaseError> {
+    let mut lanes = LaneMatrix::<L>::zeros(n);
+    let mut rhs = vec![[0.0; L]; n];
+    for (row, b) in rhs.iter_mut().enumerate() {
         for col in 0..n {
-            let (f, r) = (fixed.get(row, col), reference.get(row, col));
+            lanes.set(
+                row,
+                col,
+                std::array::from_fn(|l| systems[l].0[row * n + col]),
+            );
+        }
+        *b = std::array::from_fn(|l| systems[l].1[row]);
+    }
+    let singular = LaneLu::<L>::new(n).solve(&mut lanes, &mut rhs, live);
+    for (lane, (a, b)) in systems.iter().enumerate().filter(|&(l, _)| live[l]) {
+        let mut reference = Matrix::zeros(n);
+        for (i, &v) in a.iter().enumerate() {
+            reference.set(i / n, i % n, v);
+        }
+        let mut x_ref = b.clone();
+        let r_ref = reference.solve_in_place(&mut x_ref);
+        prop_assert!(
+            singular[lane] == r_ref.is_err(),
+            "n {n}, lane {lane}: outcome"
+        );
+        for (i, (x, &r)) in rhs.iter().zip(&x_ref).enumerate() {
+            let f = x[lane];
             prop_assert!(
                 same_bits(f, r),
-                "n {n}, factor ({row}, {col}): {f:e} vs {r:e}"
+                "n {n}, lane {lane}, x[{i}]: kernel {f:e}, reference {r:e}"
             );
+        }
+        for row in 0..n {
+            for col in 0..n {
+                let (f, r) = (lanes.get(row, col)[lane], reference.get(row, col));
+                prop_assert!(
+                    same_bits(f, r),
+                    "n {n}, lane {lane}, factor ({row}, {col}): {f:e} vs {r:e}"
+                );
+            }
         }
     }
     Ok(())
 }
 
-#[test]
-fn fixed_kernels_cover_one_to_fixed_lu_max() {
-    assert!(fixed_lu(0).is_none());
-    assert!((1..=FIXED_LU_MAX).all(|n| fixed_lu(n).is_some()));
-    assert!(fixed_lu(FIXED_LU_MAX + 1).is_none());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // The fixed-size kernels are `Matrix::solve_in_place` bit for bit, at
-    // every instantiated size, on well-posed and adversarial systems alike.
+    // The lane LU is `Matrix::solve_in_place` bit for bit in every live
+    // lane, at every fixed-size kernel and just past them, on well-posed
+    // and adversarial systems alike: one lane alone, and four lanes that
+    // draw their own shapes or nudge one shared system, with now and then
+    // a lane not live.
     #[test]
     fn fixed_lu_matches_solve_in_place_bit_for_bit(
-        shape in prop::sample::select(vec![
-            Shape::Dense,
-            Shape::Mna,
-            Shape::Tied,
-            Shape::NearEps,
-            Shape::Singular,
-            Shape::Special,
-        ]),
+        shape in prop::sample::select(SHAPES.to_vec()),
         seed in any::<u64>(),
     ) {
         let mut rng = Draw(seed | 1);
-        for n in 1..=FIXED_LU_MAX {
-            let (a, b) = system(shape, n, &mut rng);
-            kernel_matches_reference(n, &a, &b)?;
+        for n in 1..=FIXED_LU_MAX + 2 {
+            lanes_match_reference::<1>(n, &[system(shape, n, &mut rng)], [true])?;
+            let lanes: [(Vec<f64>, Vec<f64>); 4] = if rng.below(2) == 0 {
+                std::array::from_fn(|lane| {
+                    let own = if lane == 0 { shape } else { SHAPES[rng.below(SHAPES.len())] };
+                    system(own, n, &mut rng)
+                })
+            } else {
+                let (a, b) = system(shape, n, &mut rng);
+                std::array::from_fn(|_| nudged(&a, &b, &mut rng))
+            };
+            let live = std::array::from_fn(|_| rng.below(8) != 0);
+            lanes_match_reference::<4>(n, &lanes, live)?;
+        }
+    }
+}
+
+/// An error's variant and its numbers, floats as bits.
+fn error_bits(e: &SpiceError) -> (String, u64, usize) {
+    match e {
+        SpiceError::SingularMatrix { time } => ("singular".into(), time.to_bits(), 0),
+        SpiceError::NoConvergence { time, iterations } => {
+            ("no convergence".into(), time.to_bits(), *iterations)
+        }
+        other => (format!("{other:?}"), 0, 0),
+    }
+}
+
+fn trace_bits(trace: &[f64]) -> Vec<u64> {
+    trace.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // A group of activation circuits, each its own wide parameter draw,
+    // wordline level and stored value, stepped in lockstep by the
+    // four-lane solver (a partial group when fewer than four), and each run
+    // alone by the one-lane solver: every
+    // lane must be its circuit's reference `Transient` run bit for bit —
+    // times, every node's trace, the final state, the Newton count, or the
+    // error. Wide variation and tight Newton budgets make lanes converge at
+    // different iterations and some fail while the others complete.
+    #[test]
+    fn lane_solver_matches_reference_bit_for_bit(
+        lanes in 1usize..=4,
+        variation in prop::sample::select(vec![0.05, 0.9, 0.99]),
+        max_newton in prop::sample::select(vec![3usize, 4, 100]),
+        vpps in prop::collection::vec(prop::sample::select(vec![1.6, 2.0, 2.5]), 4..5),
+        seed in any::<u64>(),
+    ) {
+        let base = DramCellParams {
+            t_stop: 20e-9,
+            dt: 20e-12,
+            ..DramCellParams::default()
+        };
+        let mc = MonteCarlo { trials: lanes, seed, variation };
+        let circuits: Vec<Circuit> = (0..lanes)
+            .map(|lane| {
+                let p = base.perturbed(&mc, &mut mc.trial_rng(lane));
+                ActivationSim::new(p).build(vpps[lane], (seed >> lane) & 1 == 0).0
+            })
+            .collect();
+        let cfg = TransientConfig {
+            t_stop: base.t_stop,
+            dt: base.dt,
+            max_newton,
+            ..TransientConfig::default()
+        };
+        let nodes: Vec<NodeId> = (0..circuits[0].node_count()).collect();
+        let mut group = TransientSolver::<4>::new(&circuits[0], cfg).unwrap();
+        let mut group_sink = SelectedTraces::<4>::new(nodes.clone());
+        let outcomes = group.run(&circuits, &mut group_sink).unwrap();
+        let mut alone = TransientSolver::<1>::new(&circuits[0], cfg).unwrap();
+        let mut alone_sink = SelectedTraces::<1>::new(nodes.clone());
+        for (lane, circuit) in circuits.iter().enumerate() {
+            let [single] = alone.run(std::slice::from_ref(circuit), &mut alone_sink).unwrap();
+            match Transient::new(circuit, cfg).unwrap().run() {
+                Ok(reference) => {
+                    prop_assert_eq!(outcomes[lane].clone(), Ok(reference.newton_iterations()));
+                    prop_assert_eq!(single, Ok(reference.newton_iterations()));
+                    let times = trace_bits(reference.times());
+                    prop_assert_eq!(trace_bits(group_sink.times()), times.clone());
+                    prop_assert_eq!(trace_bits(alone_sink.times()), times);
+                    for (k, &node) in nodes.iter().enumerate() {
+                        let expected = trace_bits(reference.trace(node).unwrap());
+                        let last = *expected.last().unwrap();
+                        prop_assert!(
+                            trace_bits(group_sink.trace(k, lane)) == expected,
+                            "lane {lane}, node {node}: group trace"
+                        );
+                        prop_assert!(
+                            trace_bits(alone_sink.trace(k, 0)) == expected,
+                            "lane {lane}, node {node}: one-lane trace"
+                        );
+                        prop_assert_eq!(group.final_volts(node)[lane].to_bits(), last);
+                        prop_assert_eq!(alone.final_volts(node)[0].to_bits(), last);
+                    }
+                }
+                Err(e) => {
+                    let expected = error_bits(&e);
+                    prop_assert_eq!(
+                        outcomes[lane].as_ref().map_err(error_bits),
+                        Err(expected.clone())
+                    );
+                    prop_assert_eq!(single.as_ref().map_err(error_bits), Err(expected));
+                }
+            }
         }
     }
 }

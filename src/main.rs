@@ -50,7 +50,8 @@ use hammervolt::obs::warn;
 use hammervolt::study::exec::ExecConfig;
 use hammervolt::study::job::{JobControl, JobSpec, SweepKind};
 use hammervolt::study::study::{self, StudyConfig};
-use std::io::Write as _;
+use std::io::{self, Write};
+use std::process::ExitCode;
 
 const USAGE: &str = "usage: hammervolt <sweep|trcd|retention|vppmin|list> \
      [--jobs N] [--cache-dir PATH] [--resume] \
@@ -165,7 +166,38 @@ fn config(modules: Vec<ModuleId>) -> StudyConfig {
     cfg
 }
 
-fn main() {
+/// Stdout that keeps the kind of its first failed write, so a sweep error
+/// caused by a closed stdout can be told apart from the engine's own.
+struct Stdout<W> {
+    inner: W,
+    failed: Option<io::ErrorKind>,
+}
+
+impl<W: Write> Stdout<W> {
+    fn keep<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        if let Err(e) = &result {
+            // `write_all` retries an interrupted write itself.
+            if e.kind() != io::ErrorKind::Interrupted {
+                self.failed.get_or_insert(e.kind());
+            }
+        }
+        result
+    }
+}
+
+impl<W: Write> Write for Stdout<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let result = self.inner.write(buf);
+        self.keep(result)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let result = self.inner.flush();
+        self.keep(result)
+    }
+}
+
+fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut obs = ObsOptions::from_env();
     obs.take_from_args(&mut args);
@@ -177,13 +209,16 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
+    let mut out = Stdout {
+        inner: io::stdout().lock(),
+        failed: None,
+    };
     match cmd {
         "list" => {
             for id in ModuleId::ALL {
                 let s = registry::spec(id);
-                println!(
+                let line = writeln!(
+                    out,
                     "{}  {:<24} {:>5} {:>5} MT/s {}  V_PPmin {:.1} V  HC_first {:>7.1}K  BER {:.2e}",
                     id.label(),
                     s.dimm_model,
@@ -194,6 +229,9 @@ fn main() {
                     s.hc_first_nominal / 1e3,
                     s.ber_nominal,
                 );
+                if line.is_err() {
+                    break;
+                }
             }
         }
         "vppmin" => {
@@ -202,7 +240,9 @@ fn main() {
             for &id in &cfg.modules {
                 let mut mc = cfg.bring_up(id).expect("bring-up");
                 let vppmin = mc.find_vppmin().expect("search");
-                println!("{}: V_PPmin = {vppmin:.1} V", id.label());
+                if writeln!(out, "{}: V_PPmin = {vppmin:.1} V", id.label()).is_err() {
+                    break;
+                }
             }
         }
         "sweep" | "trcd" | "retention" => {
@@ -221,13 +261,24 @@ fn main() {
                 spec.config.modules.len(),
                 cli.exec.effective_jobs()
             );
-            spec.write_records(&cli.exec, &JobControl::new(), &mut out)
-                .expect("sweep");
+            let written = spec.write_records(&cli.exec, &JobControl::new(), &mut out);
+            if let (Err(e), None) = (written, out.failed) {
+                panic!("sweep: {e:?}");
+            }
         }
         other => {
             eprintln!("unknown command {other:?}\n{USAGE}");
             std::process::exit(2);
         }
     }
-    out.flush().expect("flush stdout");
+    let _ = out.flush();
+    // A reader that stops early (`hammervolt list | head -n 1`) closes the
+    // pipe: that ends the run quietly, as it does for other tools.
+    match out.failed {
+        None | Some(io::ErrorKind::BrokenPipe) => ExitCode::SUCCESS,
+        Some(kind) => {
+            eprintln!("hammervolt: cannot write to stdout: {kind}");
+            ExitCode::FAILURE
+        }
+    }
 }

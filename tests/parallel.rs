@@ -106,6 +106,61 @@ fn cli_sweep_is_byte_identical_across_jobs() {
     }
 }
 
+/// Runs the CLI at smoke scale, two rows per chunk, with `stdout` as its
+/// standard output.
+fn cli_into(args: &[&str], stdout: impl Into<std::process::Stdio>) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_hammervolt"))
+        .args(args)
+        .env("HAMMERVOLT_SCALE", "smoke")
+        .env("HAMMERVOLT_ROWS", "2")
+        .env_remove("HAMMERVOLT_CACHE_DIR")
+        .env_remove("HAMMERVOLT_JOBS")
+        .env_remove("HAMMERVOLT_TRACE_OUT")
+        .stdout(stdout)
+        .output()
+        .expect("run hammervolt")
+}
+
+/// A reader that stops early (`hammervolt list | head -n 1`) closes the
+/// pipe: the CLI ends quietly with status 0, from a plain listing and from a
+/// sweep streaming records alike. The read end is dropped before the CLI
+/// starts, so its first write fails with a broken pipe every time.
+#[test]
+fn cli_ends_quietly_when_stdout_closes() {
+    for args in [&["list"][..], &["retention", "--jobs", "2", "B3"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = cli_into(args, writer);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?}\n{stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("stdout"), "{args:?}: {stderr}");
+    }
+}
+
+/// Any other failed write to stdout (here a full device) ends the CLI with
+/// status 1 and one line about stdout, not a panic.
+#[cfg(target_os = "linux")]
+#[test]
+fn cli_reports_a_failed_stdout_in_one_line() {
+    for args in [&["list"][..], &["retention", "--jobs", "2", "B3"]] {
+        let full = std::fs::File::options()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let out = cli_into(args, full);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let complaints: Vec<&str> = stderr.lines().filter(|l| l.contains("stdout")).collect();
+        assert!(
+            complaints.len() == 1
+                && complaints[0].starts_with("hammervolt: cannot write to stdout: "),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 /// A malformed `HAMMERVOLT_SCALE` or `HAMMERVOLT_ROWS` is named in a warning
 /// on stderr and ignored: the records on stdout are the fallback run's,
 /// byte for byte, and a well-formed run warns about neither.
