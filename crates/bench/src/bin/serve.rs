@@ -4,6 +4,7 @@
 //! serve [--addr HOST:PORT] [--workers N] [--queue N] [--shed-oldest]
 //!       [--cache-dir PATH] [--jobs N] [--resume]
 //!       [--read-timeout-ms N] [--write-timeout-ms N]
+//!       [--trace-out PATH] [--manifest-out PATH] [--metrics] [--progress]
 //! ```
 //!
 //! - `--addr` (default `127.0.0.1:8077`): listen address; port 0 picks an
@@ -20,19 +21,27 @@
 //! - `--read-timeout-ms` / `--write-timeout-ms` (defaults 10000 / 30000,
 //!   `0` disables): per-socket timeouts on accepted connections, so a slow
 //!   or stalled client cannot pin a handler thread.
+//! - `--trace-out`, `--manifest-out`, `--metrics`, `--progress`: the
+//!   observability flags every binary shares (`hammervolt_obs::cli`), each
+//!   with its `HAMMERVOLT_*` environment-variable twin. The trace is
+//!   flushed per request; the run manifest and the `--metrics` summary are
+//!   written at exit, which a server that runs until killed never reaches.
 //!
 //! See `EXPERIMENTS.md` ("Serving studies") for the endpoint reference.
 
 use hammervolt_core::exec::ExecConfig;
+use hammervolt_obs::cli::ObsOptions;
 use hammervolt_serve::{OverflowPolicy, SchedConfig, Server, ServerConfig};
 use std::time::Duration;
 
-fn parse_args() -> Result<(String, ServerConfig), String> {
+/// Parses the server's own flags: the arguments the observability flags
+/// were taken out of.
+fn parse_args(args: Vec<String>) -> Result<(String, ServerConfig), String> {
     let mut addr = "127.0.0.1:8077".to_string();
     let mut sched = SchedConfig::default();
     let mut exec = ExecConfig::from_env();
     let mut config = ServerConfig::default();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     // Accept both `--flag value` and `--flag=value`, like the main CLI.
     let next_value = |args: &mut dyn Iterator<Item = String>, flag: &str, inline: Option<&str>| {
         inline
@@ -92,8 +101,11 @@ fn parse_args() -> Result<(String, ServerConfig), String> {
 }
 
 fn main() {
-    let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
-    let (addr, config) = match parse_args() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let mut obs = ObsOptions::from_env();
+    obs.take_from_args(&mut args);
+    let _obs = obs.install(env!("CARGO_BIN_NAME"));
+    let (addr, config) = match parse_args(args) {
         Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("serve: {msg}");

@@ -16,10 +16,13 @@ use hammervolt_core::study::{self, StudyConfig};
 
 /// Installs the shared observability wiring for a harness bin: reads the
 /// `HAMMERVOLT_TRACE_OUT`/`HAMMERVOLT_MANIFEST_OUT`/`HAMMERVOLT_METRICS`/
-/// `HAMMERVOLT_PROGRESS` environment variables, strips `--trace-out`,
-/// `--manifest-out`, `--metrics`, and `--progress` from the process argument
-/// list, and returns the guard that writes the run manifest on drop. Call it
-/// first thing in `main` and keep the guard alive for the whole run:
+/// `HAMMERVOLT_PROGRESS` environment variables and the `--trace-out`,
+/// `--manifest-out`, `--metrics`, and `--progress` flags, and returns the
+/// guard that writes the run manifest on drop. The flags stay in
+/// `std::env::args`, so a bin that rejects unknown flags parses what
+/// [`hammervolt_obs::cli::ObsOptions::take_from_args`] leaves instead (see
+/// [`hammervolt_obs::cli::init_bin`]). Call it first thing in `main` and
+/// keep the guard alive for the whole run:
 ///
 /// ```no_run
 /// let _obs = hammervolt_bench::obs_init("fig07");
@@ -51,16 +54,14 @@ impl Scale {
         }
     }
 
-    /// The study configuration for this scale.
+    /// The study configuration for this scale (see [`StudyConfig::for_scale`]).
     pub fn config(&self) -> StudyConfig {
-        match self {
-            Scale::Smoke => StudyConfig::smoke(),
-            Scale::Quick => StudyConfig {
-                rows_per_chunk: 8,
-                ..StudyConfig::quick()
-            },
-            Scale::Paper => StudyConfig::paper(),
-        }
+        let name = match self {
+            Scale::Smoke => "smoke",
+            Scale::Quick => "quick",
+            Scale::Paper => "paper",
+        };
+        StudyConfig::for_scale(name).expect("every Scale names a protocol")
     }
 
     /// The execution-engine configuration for harness runs: worker count and

@@ -78,6 +78,18 @@ impl StudyConfig {
         }
     }
 
+    /// The protocol a scale name selects, one of [`SCALES`]; `None` for
+    /// any other name. The CLI, the figure harnesses and the server's
+    /// shortcut submissions all map a scale name to a configuration here.
+    pub fn for_scale(name: &str) -> Option<Self> {
+        match name {
+            "smoke" => Some(StudyConfig::smoke()),
+            "quick" => Some(StudyConfig::quick()),
+            "paper" => Some(StudyConfig::paper()),
+            _ => None,
+        }
+    }
+
     /// Like [`StudyConfig::quick`] but restricted to a subset of modules.
     pub fn quick_subset(modules: &[ModuleId]) -> Self {
         StudyConfig {
@@ -164,14 +176,17 @@ impl StudyConfig {
     }
 }
 
-/// The protocol `HAMMERVOLT_SCALE` names: `"smoke"`, `"quick"` or
-/// `"paper"`. Unset or empty means `"quick"`. Any other value, or one that
-/// is not UTF-8, is reported through [`hammervolt_obs::warn`] before falling
-/// back to `"quick"`, never silently run as the default.
+/// The scale names [`StudyConfig::for_scale`] knows.
+pub const SCALES: [&str; 3] = ["smoke", "quick", "paper"];
+
+/// The protocol `HAMMERVOLT_SCALE` names, one of [`SCALES`]. Unset or empty
+/// means `"quick"`. Any other value, or one that is not UTF-8, is reported
+/// through [`hammervolt_obs::warn`] before falling back to `"quick"`, never
+/// silently run as the default.
 pub fn scale_from_env() -> &'static str {
     match std::env::var("HAMMERVOLT_SCALE") {
         Ok(v) if v.is_empty() => "quick",
-        Ok(v) => ["smoke", "quick", "paper"]
+        Ok(v) => SCALES
             .into_iter()
             .find(|&scale| scale == v)
             .unwrap_or_else(|| {
@@ -597,6 +612,20 @@ mod tests {
                 .unwrap()
         };
         assert!(at(&reduced_curve, 4.0) > at(&nominal_curve, 4.0));
+    }
+
+    #[test]
+    fn every_scale_name_selects_its_preset() {
+        let presets = [
+            StudyConfig::smoke(),
+            StudyConfig::quick(),
+            StudyConfig::paper(),
+        ];
+        for (name, preset) in SCALES.into_iter().zip(presets) {
+            assert_eq!(StudyConfig::for_scale(name), Some(preset), "{name}");
+        }
+        assert_eq!(StudyConfig::for_scale("smok"), None);
+        assert_eq!(StudyConfig::for_scale("Quick"), None);
     }
 
     #[test]

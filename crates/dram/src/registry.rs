@@ -98,6 +98,14 @@ impl ModuleId {
     pub fn label(&self) -> String {
         format!("{}{}", self.manufacturer().letter(), (*self as usize) % 10)
     }
+
+    /// The module a Table 3 label names, in any case (`"b3"` is B3); `None`
+    /// for any other string.
+    pub fn from_label(label: &str) -> Option<ModuleId> {
+        ModuleId::ALL
+            .into_iter()
+            .find(|m| m.label().eq_ignore_ascii_case(label))
+    }
 }
 
 impl std::fmt::Display for ModuleId {
@@ -896,6 +904,13 @@ mod tests {
         assert_eq!(ModuleId::A0.label(), "A0");
         assert_eq!(ModuleId::B3.label(), "B3");
         assert_eq!(ModuleId::C9.to_string(), "C9");
+        for id in ModuleId::ALL {
+            assert_eq!(ModuleId::from_label(&id.label()), Some(id));
+            assert_eq!(ModuleId::from_label(&id.label().to_lowercase()), Some(id));
+        }
+        assert_eq!(ModuleId::from_label("Z9"), None);
+        assert_eq!(ModuleId::from_label("B10"), None);
+        assert_eq!(ModuleId::from_label(""), None);
     }
 
     #[test]

@@ -113,9 +113,13 @@ impl ObsOptions {
     }
 }
 
-/// One-call setup for bench binaries and the main CLI: read the env vars,
-/// strip observability flags from `std::env::args`, install, and return the
-/// guard. Bind the result for the length of `main`:
+/// One-call setup for binaries without a strict argument parser: read the
+/// env vars and the observability flags in a copy of `std::env::args`,
+/// install, and return the guard. The process's own argument list cannot be
+/// changed, so a binary that rejects unknown flags must instead call
+/// [`ObsOptions::take_from_args`] on its arguments and parse what is left,
+/// as the `hammervolt` CLI and the `serve` binary do. Bind the result for
+/// the length of `main`:
 ///
 /// ```no_run
 /// let _obs = hammervolt_obs::cli::init_bin("fig07");

@@ -17,8 +17,8 @@
 //!    testkit differential oracle).
 //! 2. **Near-zero disabled cost.** Every instrumentation point is guarded
 //!    by a `static` atomic enable flag; with tracing and metrics off, the
-//!    hot-path cost is a single relaxed atomic load (see the
-//!    `obs_overhead` criterion bench in `hammervolt-bench`).
+//!    hot-path cost is a single relaxed atomic load (EXPERIMENTS.md,
+//!    "Scoped counter bump", times one `counter_add!` in each state).
 //! 3. **No dependencies.** The crate sits below the device model; it
 //!    hand-rolls the little JSON it emits ([`json`]) instead of pulling in
 //!    a serializer.

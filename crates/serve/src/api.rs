@@ -8,8 +8,9 @@
 //!    [`JobSpec::spec_hash`] unchanged).
 //! 2. **Shortcut** — the CLI's environment mapping as JSON:
 //!    `{"kind":"hammer","scale":"smoke","rows_per_chunk":2,"modules":["B3"]}`.
-//!    `scale` mirrors `HAMMERVOLT_SCALE` (`smoke`, `paper`, anything
-//!    else/absent = the CLI default protocol), `rows_per_chunk` mirrors
+//!    `scale` mirrors `HAMMERVOLT_SCALE` (`smoke`, `quick` or `paper`;
+//!    absent = the CLI default, quick; any other value is rejected like an
+//!    unknown kind or module), `rows_per_chunk` mirrors
 //!    `HAMMERVOLT_ROWS`, `modules` mirrors the CLI's positional labels, and
 //!    `levels_cap` (trcd only) defaults to the CLI's 4 — so a shortcut
 //!    submission reconstructs the *same* [`StudyConfig`] the CLI builds for
@@ -28,7 +29,7 @@
 
 use hammervolt_core::job::{JobSpec, SweepKind};
 use hammervolt_core::population::PopulationConfig;
-use hammervolt_core::study::StudyConfig;
+use hammervolt_core::study::{self, StudyConfig};
 use hammervolt_dram::registry::ModuleId;
 use serde::Deserialize;
 
@@ -83,16 +84,14 @@ pub fn parse_spec(body: &[u8]) -> Result<JobSpec, String> {
         }
         other => return Err(format!("unknown sweep kind {other:?}")),
     };
-    // Mirror the CLI's HAMMERVOLT_SCALE mapping exactly (smoke / paper /
-    // default quick protocol with its 8-row sample).
-    let mut config = match shortcut.scale.as_deref() {
-        Some("paper") => StudyConfig::paper(),
-        Some("smoke") => StudyConfig::smoke(),
-        _ => StudyConfig {
-            rows_per_chunk: 8,
-            ..StudyConfig::quick()
-        },
-    };
+    // The CLI's HAMMERVOLT_SCALE mapping; absent means its default, quick.
+    let scale = shortcut.scale.as_deref().unwrap_or("quick");
+    let mut config = StudyConfig::for_scale(scale).ok_or_else(|| {
+        format!(
+            "unknown scale {scale:?}; expected one of {}",
+            study::SCALES.join(", ")
+        )
+    })?;
     if let Some(rows) = shortcut.rows_per_chunk {
         if rows == 0 {
             return Err("rows_per_chunk must be positive".to_string());
@@ -103,16 +102,12 @@ pub fn parse_spec(body: &[u8]) -> Result<JobSpec, String> {
         if labels.is_empty() {
             return Err("modules must not be empty when present".to_string());
         }
-        let mut modules = Vec::with_capacity(labels.len());
-        for label in &labels {
-            let id = ModuleId::ALL
-                .iter()
-                .copied()
-                .find(|m| m.label().eq_ignore_ascii_case(label))
-                .ok_or_else(|| format!("unknown module {label:?}"))?;
-            modules.push(id);
-        }
-        config.modules = modules;
+        config.modules = labels
+            .iter()
+            .map(|label| {
+                ModuleId::from_label(label).ok_or_else(|| format!("unknown module {label:?}"))
+            })
+            .collect::<Result<_, _>>()?;
     }
     Ok(JobSpec { kind, config })
 }
@@ -168,10 +163,25 @@ mod tests {
         assert_eq!(parsed.kind, SweepKind::Hammer);
         assert_eq!(parsed.config, expected);
 
+        // Each named scale is the shared table's protocol.
+        for name in study::SCALES {
+            let body = format!(r#"{{"kind":"hammer","scale":"{name}"}}"#);
+            let parsed = parse_spec(body.as_bytes()).unwrap();
+            assert_eq!(Some(parsed.config), StudyConfig::for_scale(name), "{name}");
+        }
+
         // Default scale is the CLI default protocol (8-row sample).
         let default = parse_spec(br#"{"kind":"retention"}"#).unwrap();
+        assert_eq!(default.config, StudyConfig::quick());
         assert_eq!(default.config.rows_per_chunk, 8);
         assert_eq!(default.kind, SweepKind::Retention);
+
+        // A misspelt scale is refused, not run as the default protocol.
+        let err = parse_spec(br#"{"kind":"hammer","scale":"smok"}"#).unwrap_err();
+        assert!(
+            err.contains("smok") && err.contains("smoke, quick, paper"),
+            "{err}"
+        );
 
         // trcd defaults to the CLI's levels cap.
         let trcd = parse_spec(br#"{"kind":"trcd"}"#).unwrap();

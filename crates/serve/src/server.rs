@@ -107,7 +107,11 @@ static REQUEST_SEQ: AtomicU64 = AtomicU64::new(0);
 /// stops accepting connections and drains the scheduler.
 pub struct Server {
     addr: SocketAddr,
-    sched: Arc<Scheduler>,
+    /// The server's own handle on its scheduler (the accept loop and its
+    /// handlers hold the others), so that dropping the server, after
+    /// shutdown has joined the accept loop, drains the scheduler on the
+    /// dropping thread.
+    _sched: Arc<Scheduler>,
     stop: Arc<AtomicBool>,
     accept: Option<std::thread::JoinHandle<()>>,
 }
@@ -135,7 +139,7 @@ impl Server {
         };
         Ok(Server {
             addr,
-            sched,
+            _sched: sched,
             stop,
             accept: Some(accept),
         })
@@ -144,12 +148,6 @@ impl Server {
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The scheduler behind the server (for in-process inspection in
-    /// tests).
-    pub fn scheduler(&self) -> &Scheduler {
-        &self.sched
     }
 
     /// Stops accepting connections, then drains and joins the scheduler

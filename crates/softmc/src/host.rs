@@ -111,21 +111,6 @@ impl SoftMc {
         &mut self.module
     }
 
-    /// Consumes the session, returning the module.
-    pub fn into_module(self) -> DramModule {
-        self.module
-    }
-
-    /// Current timing parameters.
-    pub fn timing(&self) -> TimingParams {
-        self.timing
-    }
-
-    /// Replaces the timing parameters (Alg. 2 sweeps `t_RCD` this way).
-    pub fn set_timing(&mut self, timing: TimingParams) {
-        self.timing = timing;
-    }
-
     /// Current `V_PP` at the device.
     pub fn vpp(&self) -> f64 {
         self.module.vpp()

@@ -12,10 +12,7 @@ use hammervolt::study::study::StudyConfig;
 
 fn main() {
     let wanted = std::env::args().nth(1).unwrap_or_else(|| "B3".to_string());
-    let id = ModuleId::ALL
-        .iter()
-        .copied()
-        .find(|m| m.label().eq_ignore_ascii_case(&wanted))
+    let id = ModuleId::from_label(&wanted)
         .unwrap_or_else(|| panic!("unknown module label {wanted:?}; use A0..C9"));
     let cfg = StudyConfig {
         rows_per_chunk: 6,

@@ -114,14 +114,10 @@ fn parse_modules(args: &[String]) -> Vec<ModuleId> {
     }
     args.iter()
         .map(|a| {
-            ModuleId::ALL
-                .iter()
-                .copied()
-                .find(|m| m.label().eq_ignore_ascii_case(a))
-                .unwrap_or_else(|| {
-                    eprintln!("unknown module {a:?}; valid labels are A0..A9, B0..B9, C0..C9");
-                    std::process::exit(2);
-                })
+            ModuleId::from_label(a).unwrap_or_else(|| {
+                eprintln!("unknown module {a:?}; valid labels are A0..A9, B0..B9, C0..C9");
+                std::process::exit(2);
+            })
         })
         .collect()
 }
@@ -131,14 +127,8 @@ fn parse_modules(args: &[String]) -> Vec<ModuleId> {
 /// labels on the command line restrict the fleet. A malformed variable is
 /// reported through [`warn`] and ignored.
 fn config(modules: Vec<ModuleId>) -> StudyConfig {
-    let mut cfg = match study::scale_from_env() {
-        "paper" => StudyConfig::paper(),
-        "smoke" => StudyConfig::smoke(),
-        _ => StudyConfig {
-            rows_per_chunk: 8,
-            ..StudyConfig::quick()
-        },
-    };
+    let mut cfg =
+        StudyConfig::for_scale(study::scale_from_env()).expect("scale_from_env names a scale");
     match std::env::var("HAMMERVOLT_ROWS") {
         Ok(v) if v.is_empty() => {}
         Ok(v) => match v.parse::<u32>() {
