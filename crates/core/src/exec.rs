@@ -686,13 +686,11 @@ pub(crate) fn cache_lookup<T: for<'de> Deserialize<'de>>(
 }
 
 /// Runs one unit through its checkpoint: restores the unit's verified
-/// checkpoint when there is one, or computes the unit (timed in the
-/// `exec_unit_us` histogram), counts it as executed and seals its output as
-/// the checkpoint. `checkpoint` is the unit's file and the key of the
-/// result the unit belongs to (a sweep or population key, continued over
-/// `index` by [`unit_key`]); `None` runs without checkpoints. A corrupt
-/// checkpoint is counted in `ckpt_corrupt_recovered`, warned about and
-/// recomputed, never served.
+/// checkpoint when there is one ([`restore_unit`]), or computes the unit
+/// (timed in the `exec_unit_us` histogram) and seals it ([`seal_unit`]).
+/// `checkpoint` is the unit's file and the key of the result the unit
+/// belongs to (a sweep or population key, continued over `index` by
+/// [`unit_key`]); `None` runs without checkpoints.
 pub(crate) fn run_unit<T>(
     checkpoint: Option<(PathBuf, u64)>,
     index: u64,
@@ -703,26 +701,8 @@ where
     T: Serialize + for<'de> Deserialize<'de>,
 {
     let checkpoint = checkpoint.map(|(path, owner)| (path, unit_key(owner, index)));
-    if let Some((path, key)) = &checkpoint {
-        // Resume: a verified checkpoint replaces the unit's computation
-        // outright — restored bytes equal recomputed bytes because the unit
-        // is a pure function of (config, coordinates).
-        match cache_read(path, *key) {
-            CacheRead::Hit(out) => {
-                counter_add!("ckpt_hits", 1);
-                ctl.progress().checkpoint_hit();
-                return Ok(out);
-            }
-            CacheRead::Miss => {}
-            CacheRead::Corrupt => {
-                counter_add!("ckpt_corrupt_recovered", 1);
-                let msg = format!(
-                    "corrupt checkpoint {} rejected; recomputing",
-                    path.display()
-                );
-                hammervolt_obs::warn("exec", &msg);
-            }
-        }
+    if let Some(out) = restore_unit(checkpoint.as_ref(), ctl) {
+        return Ok(out);
     }
     let timed = hammervolt_obs::metrics_enabled().then(Instant::now);
     let out = compute();
@@ -730,14 +710,56 @@ where
         histogram_record!("exec_unit_us", t0.elapsed().as_micros());
     }
     let out = out?;
-    ctl.progress().unit_executed();
-    if let Some((path, key)) = &checkpoint {
-        // Sealed inside the work item, so cooperative cancellation can never
-        // tear a checkpoint: the item either completes (checkpoint sealed)
-        // or never starts.
-        cache_store(path, *key, &out);
-    }
+    seal_unit(checkpoint.as_ref(), ctl, &out);
     Ok(out)
+}
+
+/// A unit's resume step: its verified checkpoint, if `checkpoint` (the
+/// unit's file and its own key) names one. A hit counts in `ckpt_hits`; a
+/// corrupt checkpoint is counted in `ckpt_corrupt_recovered`, warned about
+/// and reported as absent, never served.
+pub(crate) fn restore_unit<T: for<'de> Deserialize<'de>>(
+    checkpoint: Option<&(PathBuf, u64)>,
+    ctl: &JobControl,
+) -> Option<T> {
+    let (path, key) = checkpoint?;
+    // Resume: a verified checkpoint replaces the unit's computation
+    // outright — restored bytes equal recomputed bytes because the unit is
+    // a pure function of (config, coordinates).
+    match cache_read(path, *key) {
+        CacheRead::Hit(out) => {
+            counter_add!("ckpt_hits", 1);
+            ctl.progress().checkpoint_hit();
+            Some(out)
+        }
+        CacheRead::Miss => None,
+        CacheRead::Corrupt => {
+            counter_add!("ckpt_corrupt_recovered", 1);
+            let msg = format!(
+                "corrupt checkpoint {} rejected; recomputing",
+                path.display()
+            );
+            hammervolt_obs::warn("exec", &msg);
+            None
+        }
+    }
+}
+
+/// A computed unit's closing step: counts it as executed and seals `out`
+/// as its checkpoint when `checkpoint` (the unit's file and its own key)
+/// is given.
+pub(crate) fn seal_unit<T: Serialize>(
+    checkpoint: Option<&(PathBuf, u64)>,
+    ctl: &JobControl,
+    out: &T,
+) {
+    ctl.progress().unit_executed();
+    if let Some((path, key)) = checkpoint {
+        // Sealed only for a finished unit, so cooperative cancellation can
+        // never tear a checkpoint: the unit either completes (checkpoint
+        // sealed) or leaves none.
+        cache_store(path, *key, out);
+    }
 }
 
 /// Lands a finished result: seals `value` as the cache entry at `entry`,

@@ -13,12 +13,23 @@
 //! ten-thousand-module fleet by measuring only the prefix that statistics
 //! demand.
 //!
+//! Scheduling: the stop rule cannot end the run before `min_batches`
+//! batches, so those batches are measured in windows of whole batches,
+//! about 256 modules each, as one flat parallel map with no join between
+//! batches. Each batch is then folded in index order, sealed as its
+//! checkpoint and judged, in batch order. From `min_batches` on, a batch is
+//! measured and judged before the next one starts, so no module past the
+//! stopping batch is ever measured: both schedules measure the same modules
+//! and fold them in the same order, and bytes and work counters do not
+//! change.
+//!
 //! Determinism: batch boundaries come from the spec, never from worker
 //! count; module measurements derive from `(population seed, index)`; the
 //! stop decision reads accumulated statistics in batch order. Results are
 //! therefore byte-identical at any `--jobs` count, *including* the stopping
-//! batch index. Memory is bounded: the fleet is never enumerated, and the
-//! accumulated state is a few floats per measured module.
+//! batch index. Memory is bounded: the fleet is never enumerated, a window
+//! holds at most [`MAX_BATCH_SIZE`] modules' results, and the accumulated
+//! state is a few floats per measured module.
 //!
 //! Cache/resume: the whole run is cached under an FNV key of the exact
 //! config JSON (warm re-runs execute zero units), and with checkpoints
@@ -35,12 +46,28 @@ use hammervolt_dram::geometry::Geometry;
 use hammervolt_dram::module::ModuleBlueprint;
 use hammervolt_dram::population::{PopulationSampler, PopulationSpec};
 use hammervolt_dram::Manufacturer;
-use hammervolt_obs::{counter_add, gauge_set, manifest, Span};
+use hammervolt_obs::{counter_add, gauge_set, histogram_record, manifest, Span};
 use hammervolt_par::parallel_map_cancellable_with;
 use hammervolt_softmc::SoftMc;
 use hammervolt_stats::{ci, quantile};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
+
+/// Largest `batch_size` a population accepts. A batch is measured as one
+/// parallel map whose indices and results are held at once, and 4,096
+/// smoke modules already take seconds.
+pub const MAX_BATCH_SIZE: u64 = 4096;
+
+/// Largest `rows_per_module` a population accepts: the victims are spread
+/// through the middle half of the small-test bank, 256 of its 512 rows, so
+/// more rows would only repeat victims.
+pub const MAX_ROWS_PER_MODULE: u32 = 256;
+
+/// Modules one window of the batches before `min_batches` holds at most
+/// (a window holds whole batches, and at least one).
+const WINDOW_MODULES: u64 = 256;
 
 /// When to stop measuring: sequential bounds evaluated after every batch
 /// over everything measured so far.
@@ -145,22 +172,46 @@ impl PopulationConfig {
         self.population.size.div_ceil(self.batch_size)
     }
 
+    /// Module indices of batch `batch`.
+    fn batch_modules(&self, batch: u64) -> Range<u64> {
+        let start = batch * self.batch_size;
+        start..(start + self.batch_size).min(self.population.size)
+    }
+
+    /// The batches one window measures from `first`. Before `min_batches`
+    /// no batch can end the run, so whole batches of up to
+    /// [`WINDOW_MODULES`] modules share one parallel map; from
+    /// `min_batches` on, a window is one batch, judged before the next
+    /// starts.
+    fn window(&self, first: u64) -> Range<u64> {
+        let prefix = self.stopping.min_batches.min(self.planned_batches());
+        if first < prefix {
+            first..(first + (WINDOW_MODULES / self.batch_size).max(1)).min(prefix)
+        } else {
+            first..first + 1
+        }
+    }
+
     fn validate(&self) -> Result<(), StudyError> {
         let reason = if self.population.size == 0 {
-            Some("population size must be at least 1")
+            Some("population size must be at least 1".to_string())
         } else if self.batch_size == 0 {
-            Some("batch size must be at least 1")
+            Some("batch size must be at least 1".to_string())
+        } else if self.batch_size > MAX_BATCH_SIZE {
+            Some(format!("batch size must be at most {MAX_BATCH_SIZE}"))
         } else if self.rows_per_module == 0 {
-            Some("rows_per_module must be at least 1")
+            Some("rows_per_module must be at least 1".to_string())
+        } else if self.rows_per_module > MAX_ROWS_PER_MODULE {
+            Some(format!(
+                "rows_per_module must be at most {MAX_ROWS_PER_MODULE}"
+            ))
         } else if self.stopping.min_batches == 0 {
-            Some("min_batches must be at least 1")
+            Some("min_batches must be at least 1".to_string())
         } else {
             None
         };
         match reason {
-            Some(r) => Err(StudyError::InvalidConfig {
-                reason: r.to_string(),
-            }),
+            Some(reason) => Err(StudyError::InvalidConfig { reason }),
             None => Ok(()),
         }
     }
@@ -367,33 +418,12 @@ fn measure_module(
     })
 }
 
-/// Runs one batch of module measurements in parallel (deterministic output
-/// order) and folds it into a [`BatchOutcome`].
-fn run_batch(
-    sampler: &PopulationSampler,
-    config: &PopulationConfig,
+/// Folds one batch's module results, in index order, into its outcome.
+fn fold_batch(
     batch: u64,
-    exec_cfg: &ExecConfig,
-    ctl: &JobControl,
+    modules: Range<u64>,
+    results: impl Iterator<Item = Result<ModuleResult, StudyError>>,
 ) -> Result<BatchOutcome, StudyError> {
-    let start = batch * config.batch_size;
-    let end = (start + config.batch_size).min(config.population.size);
-    let indices: Vec<u64> = (start..end).collect();
-    let mut span = Span::begin("population.batch");
-    span.field_u64("batch", batch);
-    span.field_u64("modules", indices.len() as u64);
-    let results = parallel_map_cancellable_with(
-        &indices,
-        exec_cfg.effective_jobs(),
-        &ctl.cancel,
-        RowScratch::new,
-        |scratch, &index| {
-            let out = measure_module(sampler, index, config, scratch);
-            ctl.progress().module_done();
-            out
-        },
-    )
-    .ok_or(StudyError::Cancelled)?;
     let mut families = (0u64, 0u64, 0u64);
     let mut cvs: Vec<f64> = Vec::new();
     let mut hc_ratios = Vec::new();
@@ -421,8 +451,8 @@ fn run_batch(
     };
     let record = BatchRecord {
         batch,
-        start,
-        modules: indices.len() as u64,
+        start: modules.start,
+        modules: modules.end - modules.start,
         families,
         mean_hc_ratio: Accumulator::mean(&hc_ratios),
         mean_ber_ratio: Accumulator::mean(&ber_ratios),
@@ -441,6 +471,88 @@ fn run_batch(
         hc_ratios,
         ber_ratios,
     })
+}
+
+/// Runs one window of batches ([`PopulationConfig::window`]). Batches with
+/// a verified checkpoint are restored; the modules of the rest are measured
+/// as one parallel map (deterministic output order). Then, in batch order,
+/// each computed batch is folded and sealed through the unit step
+/// ([`exec::seal_unit`]), and every batch's outcome goes to `judge`, which
+/// returns whether the run stops there. Returns whether it did.
+///
+/// With metrics on, each computed batch records its share of the window's
+/// wall time in `exec_unit_us`.
+fn run_window(
+    sampler: &PopulationSampler,
+    config: &PopulationConfig,
+    key: u64,
+    batches: Range<u64>,
+    exec_cfg: &ExecConfig,
+    ctl: &JobControl,
+    judge: &mut impl FnMut(BatchOutcome) -> bool,
+) -> Result<bool, StudyError> {
+    let mut span = Span::begin("population.window");
+    span.field_u64("batch", batches.start);
+    span.field_u64("batches", batches.end - batches.start);
+    // Each batch with its checkpoint (file, unit key) and restored outcome.
+    let units: Vec<_> = batches
+        .map(|batch| {
+            let checkpoint = exec_cfg.checkpoint_dir().map(|dir| {
+                (
+                    batch_checkpoint_path(dir, key, batch),
+                    exec::unit_key(key, batch),
+                )
+            });
+            let restored: Option<BatchOutcome> = exec::restore_unit(checkpoint.as_ref(), ctl);
+            (batch, checkpoint, restored)
+        })
+        .collect();
+    let missing = || units.iter().filter(|(.., restored)| restored.is_none());
+    let indices: Vec<u64> = missing()
+        .flat_map(|&(batch, ..)| config.batch_modules(batch))
+        .collect();
+    let computed = missing().count();
+    span.field_u64("modules", indices.len() as u64);
+    let timed = hammervolt_obs::metrics_enabled().then(Instant::now);
+    let results = parallel_map_cancellable_with(
+        &indices,
+        exec_cfg.effective_jobs(),
+        &ctl.cancel,
+        RowScratch::new,
+        |scratch, &index| {
+            let out = measure_module(sampler, index, config, scratch);
+            ctl.progress().module_done();
+            out
+        },
+    )
+    .ok_or(StudyError::Cancelled)?;
+    let unit_us = timed.map(|t0| t0.elapsed().as_micros() / computed.max(1) as u128);
+    let mut results = results.into_iter();
+    for (batch, checkpoint, restored) in units {
+        let outcome = match restored {
+            Some(outcome) => {
+                // A restored batch's modules all finish at once.
+                for _ in 0..outcome.record.modules {
+                    ctl.progress().module_done();
+                }
+                outcome
+            }
+            None => {
+                let modules = config.batch_modules(batch);
+                let taken = (modules.end - modules.start) as usize;
+                let outcome = fold_batch(batch, modules, results.by_ref().take(taken))?;
+                if let Some(us) = unit_us {
+                    histogram_record!("exec_unit_us", us);
+                }
+                exec::seal_unit(checkpoint.as_ref(), ctl, &outcome);
+                outcome
+            }
+        };
+        if judge(outcome) {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// Runs a population study to convergence (or fleet exhaustion).
@@ -474,29 +586,12 @@ pub fn population_run(
     let sampler = config.population.sampler();
     let mut acc = Accumulator::default();
     let mut records: Vec<BatchRecord> = Vec::new();
-    let mut converged = false;
-    for batch in 0..planned {
-        if ctl.cancel.is_cancelled() {
-            return Err(StudyError::Cancelled);
-        }
-        let checkpoint = exec_cfg
-            .checkpoint_dir()
-            .map(|dir| (batch_checkpoint_path(dir, key, batch), key));
-        let mut computed = false;
-        let outcome = exec::run_unit(checkpoint, batch, ctl, || {
-            computed = true;
-            run_batch(&sampler, config, batch, exec_cfg, ctl)
-        })?;
-        if !computed {
-            // A restored batch's modules all finish at once.
-            for _ in 0..outcome.record.modules {
-                ctl.progress().module_done();
-            }
-        }
+    // Absorbs one batch in batch order and applies the stopping rule.
+    let mut judge = |outcome: BatchOutcome| -> bool {
         ctl.progress().unit_done();
         acc.absorb(&outcome);
         let (ps, rel) = acc.bounds(config.stopping.ci_level);
-        let done = batch + 1;
+        let done = outcome.record.batch + 1;
         let rule = &config.stopping;
         let cv_ok = ps.is_some_and(|(p90, p95, p99)| {
             p90 <= rule.cv_p90 && p95 <= rule.cv_p95 && p99 <= rule.cv_p99
@@ -522,10 +617,17 @@ pub fn population_run(
         );
         counter_add!("population_batches", 1);
         records.push(record);
-        if stop {
-            converged = true;
-            break;
+        stop
+    };
+    let mut converged = false;
+    let mut next = 0;
+    while next < planned && !converged {
+        if ctl.cancel.is_cancelled() {
+            return Err(StudyError::Cancelled);
         }
+        let batches = config.window(next);
+        next = batches.end;
+        converged = run_window(&sampler, config, key, batches, exec_cfg, ctl, &mut judge)?;
     }
     let stopped_at_batch = records.len() as u64;
     // The whole fleet was declared up front; take back what the stop left
@@ -593,6 +695,15 @@ mod tests {
             |c: &mut PopulationConfig| c.batch_size = 0,
             |c: &mut PopulationConfig| c.rows_per_module = 0,
             |c: &mut PopulationConfig| c.stopping.min_batches = 0,
+            // Bounds on what one request may make the engine hold: the
+            // first collected 8 TiB of indices before it was refused.
+            |c: &mut PopulationConfig| {
+                c.population.size = 1 << 40;
+                c.batch_size = 1 << 40;
+            },
+            |c: &mut PopulationConfig| c.batch_size = MAX_BATCH_SIZE + 1,
+            |c: &mut PopulationConfig| c.rows_per_module = u32::MAX,
+            |c: &mut PopulationConfig| c.rows_per_module = MAX_ROWS_PER_MODULE + 1,
         ] {
             let mut cfg = tiny();
             breaker(&mut cfg);
@@ -663,10 +774,15 @@ mod tests {
             ci_rel_width: f64::INFINITY,
             min_batches: 2,
         };
-        let (records, summary) =
-            population_run(&cfg, &ExecConfig::serial(), &JobControl::new()).unwrap();
+        let ctl = JobControl::new();
+        let (records, summary) = population_run(&cfg, &ExecConfig::serial(), &ctl).unwrap();
         assert!(summary.converged);
         assert_eq!(summary.stopped_at_batch, 2);
+        assert_eq!(
+            ctl.snapshot().modules_done,
+            2 * cfg.batch_size,
+            "no module past the stopping batch is measured"
+        );
         assert_eq!(records.len(), 2);
         assert!(records[1].converged);
         assert!(!records[0].converged, "min_batches gates the first batch");

@@ -75,6 +75,11 @@ impl SoftMc {
     /// Brings up a module on the test infrastructure: shunt removed, external
     /// supply at the nominal 2.5 V, thermal loop settled at 50 °C, nominal
     /// timings.
+    ///
+    /// Every session starts from the default controller, so the 50 °C
+    /// settle is simulated once per process and copied afterwards
+    /// ([`TemperatureController::settle_to`]); bring-up costs about what
+    /// the session's allocations do.
     pub fn new(module: DramModule) -> Self {
         let mut mc = SoftMc {
             module,

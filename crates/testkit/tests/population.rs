@@ -32,34 +32,52 @@ fn summary_of(records_jsonl: &str) -> PopulationSummary {
     serde_json::from_str(last).expect("last line is the summary")
 }
 
+/// A 96-module fleet whose `min_batches` is its whole length (12 batches
+/// of 8): every batch is measured before the stop rule may end the run, so
+/// the whole fleet runs through the windows that measure batches without a
+/// join between them.
+fn prefix_fleet_spec() -> JobSpec {
+    let mut config = PopulationConfig::smoke(96, 1);
+    config.stopping.min_batches = 12;
+    JobSpec::population(config)
+}
+
 #[test]
 fn byte_identical_across_worker_counts_including_stopping_batch() {
-    let spec = fleet_spec();
-    let reference = spec
-        .run(&ExecConfig::serial(), &JobControl::new())
-        .expect("serial run succeeds");
-    let reference_summary = summary_of(&reference.records_jsonl);
-    assert!(
-        reference_summary.converged,
-        "the fleet spec must stop on convergence, not exhaustion"
-    );
-    assert!(
-        reference_summary.measured < reference_summary.size,
-        "adaptive stop must leave most of the fleet unmeasured"
-    );
-    for jobs in [2, 8] {
-        let out = spec
-            .run(&ExecConfig::with_jobs(jobs), &JobControl::new())
-            .unwrap_or_else(|e| panic!("jobs={jobs} run failed: {e}"));
-        assert_eq!(
-            out.records_jsonl, reference.records_jsonl,
-            "jobs={jobs} payload diverged from the serial reference"
-        );
-        assert_eq!(
-            summary_of(&out.records_jsonl).stopped_at_batch,
-            reference_summary.stopped_at_batch,
-            "jobs={jobs} stopped at a different batch"
-        );
+    let early_stop = fleet_spec();
+    let whole_prefix = prefix_fleet_spec();
+    for (spec, stops_early) in [(early_stop, true), (whole_prefix, false)] {
+        let reference = spec
+            .run(&ExecConfig::serial(), &JobControl::new())
+            .expect("serial run succeeds");
+        let reference_summary = summary_of(&reference.records_jsonl);
+        if stops_early {
+            assert!(
+                reference_summary.converged,
+                "the fleet spec must stop on convergence, not exhaustion"
+            );
+            assert!(
+                reference_summary.measured < reference_summary.size,
+                "adaptive stop must leave most of the fleet unmeasured"
+            );
+        } else {
+            assert_eq!(reference_summary.stopped_at_batch, 12);
+            assert_eq!(reference_summary.measured, 96);
+        }
+        for jobs in [2, 8] {
+            let out = spec
+                .run(&ExecConfig::with_jobs(jobs), &JobControl::new())
+                .unwrap_or_else(|e| panic!("jobs={jobs} run failed: {e}"));
+            assert_eq!(
+                out.records_jsonl, reference.records_jsonl,
+                "jobs={jobs} payload diverged from the serial reference"
+            );
+            assert_eq!(
+                summary_of(&out.records_jsonl).stopped_at_batch,
+                reference_summary.stopped_at_batch,
+                "jobs={jobs} stopped at a different batch"
+            );
+        }
     }
 }
 
@@ -98,20 +116,30 @@ fn warm_resubmission_is_served_from_population_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// At one worker and at two: the batches before `min_batches` are measured
+/// in windows without a join between batches, so a window's batches must
+/// still be restorable one by one.
 #[test]
 fn cancelled_population_resumes_from_batch_checkpoints() {
-    let dir = temp_dir("resume");
+    for jobs in [1, 2] {
+        cancel_then_resume(jobs);
+    }
+}
+
+fn cancel_then_resume(jobs: usize) {
+    let dir = temp_dir(&format!("resume-j{jobs}"));
     let exec = ExecConfig {
-        jobs: 1,
+        jobs,
         cache_dir: Some(dir.clone()),
         ..ExecConfig::default()
     }
     .with_checkpoints(true);
     let spec = fleet_spec();
 
-    // Cancel as soon as the first batch completes; cooperative cancellation
-    // lets the in-flight batch's modules finish but stores no checkpoint for
-    // it, so exactly `units_done` batches are restorable.
+    // Cancel as soon as the first batch completes. A batch is sealed as its
+    // checkpoint just before it counts as done, and cooperative cancellation
+    // lets in-flight modules finish but seals no batch whose modules did not
+    // all finish, so exactly `units_done` batches are restorable.
     let ctl = JobControl::new();
     let stop_watching = Arc::new(AtomicBool::new(false));
     let watcher = {
@@ -132,7 +160,7 @@ fn cancelled_population_resumes_from_batch_checkpoints() {
     watcher.join().expect("watcher completes");
     assert!(
         matches!(result, Err(StudyError::Cancelled)),
-        "expected Cancelled, got {result:?}"
+        "jobs={jobs}: expected Cancelled, got {result:?}"
     );
     let cancelled = ctl.snapshot();
     assert!(cancelled.units_done >= 1, "at least one batch finished");
@@ -143,14 +171,14 @@ fn cancelled_population_resumes_from_batch_checkpoints() {
     let snap = resume_ctl.snapshot();
     assert_eq!(
         snap.checkpoint_hits, cancelled.units_done,
-        "every finished batch must be restored from its checkpoint"
+        "jobs={jobs}: every finished batch must be restored from its checkpoint"
     );
     let clean = spec
         .run(&ExecConfig::serial(), &JobControl::new())
         .expect("clean run succeeds");
     assert_eq!(
         resumed.records_jsonl, clean.records_jsonl,
-        "resumed result must be byte-identical to a clean run"
+        "jobs={jobs}: resumed result must be byte-identical to a clean run"
     );
     let stopping_batches = summary_of(&clean.records_jsonl).stopped_at_batch;
     assert!(
@@ -161,7 +189,7 @@ fn cancelled_population_resumes_from_batch_checkpoints() {
     assert_eq!(
         snap.units_executed,
         stopping_batches - cancelled.units_done,
-        "only unfinished batches may re-execute"
+        "jobs={jobs}: only unfinished batches may re-execute"
     );
 
     // The population-level entry landed, so the now-redundant batch

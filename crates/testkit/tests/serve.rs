@@ -1,8 +1,9 @@
 //! End-to-end conformance for the study server: concurrent HTTP clients
 //! with overlapping specs get byte-identical results to serial engine runs,
 //! identical in-flight specs share one execution, cancel-then-resubmit
-//! resumes from chunk checkpoints, queue bounds reject as configured, no
-//! timer sits on an exchange's path, and shutdown wakes the blocking accept.
+//! resumes from chunk checkpoints, queue bounds reject as configured, an
+//! oversized request fails alone, no timer sits on an exchange's path, and
+//! shutdown wakes the blocking accept.
 //!
 //! The client side is a deliberately tiny hand-rolled HTTP/1.1 exchange over
 //! `std::net::TcpStream` (one request, read to close) — the same strict
@@ -634,6 +635,54 @@ fn malformed_submissions_and_unknown_jobs_are_clean_errors() {
     assert_eq!(status, 404);
     let (status, body) = http(addr, "GET", "/healthz", "");
     assert_eq!((status, body.as_slice()), (200, &b"{\"ok\":true}"[..]));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A population request that asks for a 2^40-module batch fails alone,
+/// with a typed error, before any module is measured (its batch indices
+/// alone would be 8 TiB), and a sibling job submitted after it finishes
+/// byte-identical to its serial run.
+#[test]
+fn oversized_population_fails_alone_with_a_typed_error() {
+    let sibling = small_spec(ModuleId::B3, 2);
+    let serial = sibling
+        .run(&ExecConfig::serial(), &JobControl::new())
+        .expect("serial reference run")
+        .records_jsonl
+        .into_bytes();
+    let (server, dir) = server("oversized", 2, false);
+    let addr = server.addr();
+    let (status, reply) = http(
+        addr,
+        "POST",
+        "/studies",
+        r#"{"kind":"population","size":1099511627776,"seed":1,"batch_size":1099511627776}"#,
+    );
+    assert_eq!(status, 202, "submit: {}", String::from_utf8_lossy(&reply));
+    let job = json_u64(&reply, "job");
+    let (status, body) = http(
+        addr,
+        "GET",
+        &format!("/studies/{job}/result?wait_ms=120000"),
+        "",
+    );
+    let text = String::from_utf8_lossy(&body);
+    assert_eq!(status, 500, "result: {text}");
+    assert!(
+        text.contains("invalid config: batch size must be at most 4096"),
+        "result: {text}"
+    );
+
+    let job = submit(addr, &sibling);
+    let (status, body) = http(
+        addr,
+        "GET",
+        &format!("/studies/{job}/result?wait_ms=120000"),
+        "",
+    );
+    assert_eq!(status, 200, "result: {}", String::from_utf8_lossy(&body));
+    assert_eq!(body, serial, "the sibling's bytes changed");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
