@@ -9,20 +9,55 @@
 //! magnitude larger while measuring only a statistical prefix of it.
 //!
 //! Usage: `population_study [--size N] [--seed N] [--batch N] [--rows N]
-//! [--min-batches N]`; worker count / cache / resume come from
+//! [--min-batches N]`, each also as `--flag=N`, beside the observability
+//! flags every binary shares (`hammervolt_obs::cli`). An unknown flag, a
+//! missing value or one that does not parse as a non-negative integer of
+//! the flag's width (`--rows` takes a `u32`, the others a `u64`) exits 2
+//! with one line naming the flag. Worker count / cache / resume come from
 //! `HAMMERVOLT_JOBS` / `HAMMERVOLT_CACHE_DIR` / `HAMMERVOLT_RESUME` like
 //! every other harness.
 
 use hammervolt_core::exec::ExecConfig;
 use hammervolt_core::job::JobControl;
 use hammervolt_core::population::{population_key, population_run, PopulationConfig};
+use hammervolt_obs::cli::ObsOptions;
 use hammervolt_stats::table::AsciiTable;
+use std::str::FromStr;
 
-fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+/// Parses the study's own flags: the arguments the observability flags
+/// were taken out of.
+fn parse_args(args: Vec<String>) -> Result<PopulationConfig, String> {
+    fn int<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value.parse().map_err(|_| {
+            let bits = std::mem::size_of::<T>() * 8;
+            format!("{flag} needs a non-negative {bits}-bit integer, got {value:?}")
+        })
+    }
+    let (mut size, mut seed) = (10_000, 1);
+    let (mut batch, mut rows, mut min_batches) = (None, None, None);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) => (f.to_string(), Some(v.to_string())),
+            None => (arg, None),
+        };
+        let value = inline
+            .or_else(|| args.next())
+            .ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--size" => size = int(&flag, &value?)?,
+            "--seed" => seed = int(&flag, &value?)?,
+            "--batch" => batch = Some(int(&flag, &value?)?),
+            "--rows" => rows = Some(int(&flag, &value?)?),
+            "--min-batches" => min_batches = Some(int(&flag, &value?)?),
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    let mut config = PopulationConfig::smoke(size, seed);
+    config.batch_size = batch.unwrap_or(config.batch_size);
+    config.rows_per_module = rows.unwrap_or(config.rows_per_module);
+    config.stopping.min_batches = min_batches.unwrap_or(config.stopping.min_batches);
+    Ok(config)
 }
 
 fn fmt_opt(v: Option<f64>) -> String {
@@ -30,26 +65,23 @@ fn fmt_opt(v: Option<f64>) -> String {
 }
 
 fn main() {
-    let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
-    let args: Vec<String> = std::env::args().collect();
-    let size = parse_flag(&args, "--size").unwrap_or(10_000);
-    let seed = parse_flag(&args, "--seed").unwrap_or(1);
-    let mut config = PopulationConfig::smoke(size, seed);
-    if let Some(batch) = parse_flag(&args, "--batch") {
-        config.batch_size = batch;
-    }
-    if let Some(rows) = parse_flag(&args, "--rows") {
-        config.rows_per_module = rows as u32;
-    }
-    if let Some(min) = parse_flag(&args, "--min-batches") {
-        config.stopping.min_batches = min;
-    }
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let mut obs = ObsOptions::from_env();
+    obs.take_from_args(&mut args);
+    let config = match parse_args(args) {
+        Ok(config) => config,
+        Err(msg) => {
+            eprintln!("population_study: {msg}");
+            std::process::exit(2);
+        }
+    };
+    let _obs = obs.install(env!("CARGO_BIN_NAME"));
     let exec = ExecConfig::from_env();
     println!(
         "population study: {} generated modules (seed {}), batches of {}, \
          {} rows/module, key {:016x}\n",
-        size,
-        seed,
+        config.population.size,
+        config.population.seed,
         config.batch_size,
         config.rows_per_module,
         population_key(&config)

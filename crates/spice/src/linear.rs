@@ -1,12 +1,19 @@
-//! Dense LU factorization with partial pivoting.
+//! LU factorization with partial pivoting.
 //!
-//! The MNA systems produced by the DRAM-cell netlist are tiny (≈10 unknowns),
-//! so a dense solver is both simpler and faster than sparse machinery.
+//! The MNA systems produced by the DRAM-cell netlist are tiny (12 unknowns),
+//! so one dense row-major layout serves every solve.
 //! [`Matrix::solve_in_place`] solves one system of any dimension; it is the
 //! reference. [`LaneLu`] solves `L` same-sized systems side by side, one per
 //! lane of a [`LaneMatrix`], each lane bit for bit as `solve_in_place` would
-//! solve it alone. The transient solver steps its Monte-Carlo trial lanes
-//! through it; its one-lane instance is the scalar fast path.
+//! solve it alone. Its structured kernel, compiled per dimension up to
+//! [`FIXED_LU_MAX`], touches only the entries a sparsity pattern allows
+//! (one `u32` row mask per unknown, widened by fill-in as it eliminates):
+//! the activation netlist's wiring allows 35 of its 144 entries. It steps
+//! every lane together and either solves every live lane exactly or
+//! declines; [`LaneLu::solve`], which copies each lane out to
+//! `solve_in_place`, is the fallback. The transient solver steps its
+//! Monte-Carlo trial lanes through both; its one-lane instance is the
+//! scalar fast path.
 
 use crate::error::SpiceError;
 
@@ -209,34 +216,32 @@ impl<const L: usize> LaneMatrix<L> {
     }
 }
 
-/// A solve over the lanes of a [`LaneMatrix`] in place, for the lanes
-/// marked live, returning the lanes whose pivot underflowed.
-type LaneKernel<const L: usize> = fn(&mut LaneMatrix<L>, &mut [[f64; L]], [bool; L]) -> [bool; L];
+/// A structured solve over the lanes of a [`LaneMatrix`] in place, for
+/// the lanes marked live, under a row-mask pattern; `false` when it
+/// declines.
+type LaneKernel<const L: usize> =
+    fn(&mut LaneMatrix<L>, &mut [[f64; L]], &[u32], [bool; L]) -> bool;
 
-/// LU with partial pivoting over `L` lanes of `n × n` systems: each live
-/// lane is solved exactly as [`Matrix::solve_in_place`] solves it alone.
+/// LU with partial pivoting over `L` lanes of `n × n` systems, each live
+/// lane bit for bit as [`Matrix::solve_in_place`] solves it alone.
 ///
-/// Up to [`FIXED_LU_MAX`] unknowns the kernel is compiled for the
-/// dimension: the rows are `[[f64; L]; N]` arrays, so the loops have fixed
-/// trip counts, no bounds checks, and every operation covers all lanes at
-/// once. Each lane repeats `solve_in_place` operation for operation: its
-/// own strict-`>` pivot search and `1e-30` threshold, the same row swaps,
-/// the same skipped zero factors, row updates and back substitution, each
-/// in the same order and without fused or reciprocal arithmetic, so its
-/// results match bit for bit. Where the lanes disagree (a pivot row, a
-/// zero factor) the kernel selects per lane and never lets one lane's
-/// arithmetic reach another's. Above [`FIXED_LU_MAX`] each live lane is
-/// copied out and solved by `solve_in_place` itself.
+/// [`solve`](Self::solve) is the reference: it copies each live lane out
+/// and calls `solve_in_place` itself. Up to [`FIXED_LU_MAX`] unknowns,
+/// [`solve_structured`](Self::solve_structured) steps every lane together
+/// with a kernel compiled for the dimension that touches only the entries
+/// a sparsity pattern allows. It either solves every live lane exactly or
+/// declines, leaving scratch behind; the caller then rebuilds the system
+/// and calls the reference.
 #[derive(Debug, Clone)]
 pub struct LaneLu<const L: usize> {
     kernel: Option<LaneKernel<L>>,
-    /// One lane's system, for dimensions without a fixed-size kernel.
+    /// One lane's system, for the reference.
     single: Matrix,
     single_rhs: Vec<f64>,
 }
 
 impl<const L: usize> LaneLu<L> {
-    /// Picks the solve for `n × n` systems.
+    /// Picks the solves for `n × n` systems.
     pub fn new(n: usize) -> Self {
         let kernel: Option<LaneKernel<L>> = match n {
             1 => Some(solve_fixed::<1, L>),
@@ -257,22 +262,65 @@ impl<const L: usize> LaneLu<L> {
             16 => Some(solve_fixed::<16, L>),
             _ => None,
         };
-        // Only the per-lane fallback needs a one-lane system.
-        let fallback_n = if kernel.is_some() { 0 } else { n };
         LaneLu {
             kernel,
-            single: Matrix::zeros(fallback_n),
-            single_rhs: vec![0.0; fallback_n],
+            single: Matrix::zeros(n),
+            single_rhs: vec![0.0; n],
         }
     }
 
-    /// Solves `A · x = b` in place for every lane marked `live`: `a` is
-    /// overwritten with the lane's factors and `b` with its solution, as
-    /// [`Matrix::solve_in_place`] would leave them. Returns the live lanes
-    /// whose pivot underflowed (`solve_in_place`'s
+    /// Solves `A · x = b` in place for every lane marked `live` with the
+    /// structured kernel, and returns whether it did. `pattern` holds one
+    /// mask per row: bit `c` of `pattern[r]` is set where entry `(r, c)`
+    /// may be nonzero. The caller guarantees, in every live lane, that
+    /// every entry outside the pattern is `+0.0` and that no entry of `a`
+    /// or `b` is `−0.0`.
+    ///
+    /// On `true` every live lane holds what [`Matrix::solve_in_place`]
+    /// would leave, and none of them is singular. The kernel declines
+    /// (`false`) where a live lane's pivot is under `solve_in_place`'s
+    /// `1e-30` threshold or NaN, where live lanes pick different pivot
+    /// rows, where a live lane's solution is not finite, and for every
+    /// dimension without a kernel; `a` and `b` then hold scratch. Lanes
+    /// not marked live may be overwritten with anything.
+    ///
+    /// Skipping is exact under the contract. A row that does not hold the
+    /// pivot column has a zero factor, which the reference skips too; a
+    /// skipped update `x − f·(+0.0)` is `x` for a finite `f`; a lane's
+    /// zero-factor update `x − 0·p` is `x` for a finite `p`; and `x` is
+    /// never `−0.0`, since `x − y` is `−0.0` only where `x` is. A
+    /// non-finite factor, pivot-row entry or right-hand side, where these
+    /// identities fail, always reaches the lane's solution, so checking the
+    /// solution covers them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not of the dimension this solve was built for, or
+    /// `b` or `pattern` has another length.
+    pub fn solve_structured(
+        &self,
+        a: &mut LaneMatrix<L>,
+        b: &mut [[f64; L]],
+        pattern: &[u32],
+        live: [bool; L],
+    ) -> bool {
+        let Some(kernel) = self.kernel else {
+            return false;
+        };
+        debug_assert!(
+            meets_contract(a, b, pattern, live),
+            "a live lane has a nonzero entry outside the pattern, or a -0.0"
+        );
+        kernel(a, b, pattern, live)
+    }
+
+    /// Solves `A · x = b` in place for every lane marked `live`, each
+    /// copied out and solved by [`Matrix::solve_in_place`] itself: `a` is
+    /// overwritten with the lane's factors and `b` with its solution.
+    /// Returns the live lanes whose pivot underflowed (`solve_in_place`'s
     /// [`SingularMatrix`](SpiceError::SingularMatrix)); such a lane is left
     /// as `solve_in_place` leaves it when it returns that error. Lanes not
-    /// marked live may be overwritten with anything.
+    /// marked live are left alone.
     ///
     /// # Panics
     ///
@@ -284,9 +332,6 @@ impl<const L: usize> LaneLu<L> {
         b: &mut [[f64; L]],
         live: [bool; L],
     ) -> [bool; L] {
-        if let Some(kernel) = self.kernel {
-            return kernel(a, b, live);
-        }
         let n = a.n;
         assert_eq!(self.single.n, n, "matrix dimension must match the solve");
         assert_eq!(b.len(), n, "rhs length must match matrix dimension");
@@ -308,149 +353,152 @@ impl<const L: usize> LaneLu<L> {
     }
 }
 
-/// Views the lanes as `N` rows of `[[f64; L]; N]` and runs [`lu_rows`].
+/// Whether every live lane meets the structured kernel's contract: `+0.0`
+/// outside the pattern, and no `−0.0` anywhere.
+fn meets_contract<const L: usize>(
+    a: &LaneMatrix<L>,
+    b: &[[f64; L]],
+    pattern: &[u32],
+    live: [bool; L],
+) -> bool {
+    let n = a.n;
+    let minus_zero = |x: f64| x.to_bits() == (-0.0f64).to_bits();
+    (0..L).filter(|&l| live[l]).all(|l| {
+        !b.iter().any(|x| minus_zero(x[l]))
+            && a.data.iter().enumerate().all(|(i, x)| {
+                let inside = pattern.get(i / n).is_some_and(|m| m >> (i % n) & 1 == 1);
+                !minus_zero(x[l]) && (inside || x[l] == 0.0)
+            })
+    })
+}
+
+/// Views the lanes as `N` rows of `[[f64; L]; N]` and runs [`lu_masked`].
 ///
 /// # Panics
 ///
-/// Panics if the matrix is not `N × N` or `b.len() != N`.
+/// Panics if the matrix is not `N × N`, or `b` or `pattern` is not of
+/// length `N`.
 fn solve_fixed<const N: usize, const L: usize>(
     m: &mut LaneMatrix<L>,
     b: &mut [[f64; L]],
+    pattern: &[u32],
     live: [bool; L],
-) -> [bool; L] {
+) -> bool {
     assert_eq!(m.n, N, "matrix dimension must match the kernel");
     let (rows, _) = m.data.as_chunks_mut::<N>();
     let a: &mut [[[f64; L]; N]; N] = rows.try_into().expect("N × N matrix has N rows");
     let b: &mut [[f64; L]; N] = b
         .try_into()
         .expect("rhs length must match matrix dimension");
-    lu_rows(a, b, live)
+    assert_eq!(pattern.len(), N, "the pattern has one mask per row");
+    // Bits past the last column name no entry.
+    let mask = std::array::from_fn(|row| pattern[row] & (u32::MAX >> (32 - N)));
+    lu_masked(a, b, mask, live)
 }
 
-/// LU with partial pivoting on `L` lanes of a fixed-size system, each live
-/// lane in the exact operation order of [`Matrix::solve_in_place`].
+/// LU with partial pivoting on `L` lanes of a fixed-size system, stepping
+/// every lane together over the entries `mask` allows, in the operation
+/// order of [`Matrix::solve_in_place`]; `false` where it declines (see
+/// [`LaneLu::solve_structured`]).
 ///
-/// A lane that fails the pivot threshold stops there, as
-/// `solve_in_place` returns there: from then on every swap and update
-/// passes it by, so it keeps the factors and right-hand side it had. The
-/// other lanes go on. Lanes not live on entry take whatever path is
-/// cheapest.
-fn lu_rows<const N: usize, const L: usize>(
+/// Per column it searches for the pivot among the rows whose mask holds
+/// the column, swaps whole rows and their masks, updates each such row
+/// over the pivot row's masked columns right of the diagonal, and ORs
+/// those columns into the row's mask (fill-in). Back substitution runs
+/// over each row's masked columns right of the diagonal, in ascending
+/// order.
+fn lu_masked<const N: usize, const L: usize>(
     a: &mut [[[f64; L]; N]; N],
     b: &mut [[f64; L]; N],
+    mut mask: [u32; N],
     live: [bool; L],
-) -> [bool; L] {
+) -> bool {
     // The threshold of `Matrix::solve_in_place`.
     const PIVOT_EPS: f64 = 1e-30;
-    // Live lanes still being factored; `failed` lanes have stopped.
-    let mut going = live;
-    let mut failed = [false; L];
+    let Some(first) = live.iter().position(|&l| l) else {
+        return true;
+    };
     for col in 0..N {
-        // partial pivot, per lane: the first row holding the largest
-        // magnitude
+        let bit = 1u32 << col;
+        // partial pivot, per lane: the first candidate row holding the
+        // largest magnitude. A row outside the candidates holds `+0.0`,
+        // which can never win the strict `>`.
         let mut pivot_row = [col; L];
         let mut pivot_val = a[col][col].map(f64::abs);
         for (row, r) in a.iter().enumerate().skip(col + 1) {
-            for l in 0..L {
-                let v = r[col][l].abs();
-                if v > pivot_val[l] {
-                    pivot_val[l] = v;
-                    pivot_row[l] = row;
+            if mask[row] & bit != 0 {
+                for l in 0..L {
+                    let v = r[col][l].abs();
+                    if v > pivot_val[l] {
+                        pivot_val[l] = v;
+                        pivot_row[l] = row;
+                    }
                 }
             }
         }
-        for l in 0..L {
-            if going[l] && pivot_val[l] < PIVOT_EPS {
-                going[l] = false;
-                failed[l] = true;
-            }
-        }
-        let Some(first) = going.iter().position(|&g| g) else {
-            return failed;
-        };
-        let stopped = failed.contains(&true);
         let p = pivot_row[first];
-        if !stopped && (0..L).all(|l| !going[l] || pivot_row[l] == p) {
-            if p != col {
-                a.swap(col, p);
-                b.swap(col, p);
-            }
-        } else {
-            for l in (0..L).filter(|&l| going[l] && pivot_row[l] != col) {
-                // The pivot row lies below `col`.
-                let (upper, lower) = a.split_at_mut(pivot_row[l]);
-                for (x, y) in upper[col].iter_mut().zip(&mut lower[0]) {
-                    std::mem::swap(&mut x[l], &mut y[l]);
-                }
-                let (upper, lower) = b.split_at_mut(pivot_row[l]);
-                std::mem::swap(&mut upper[col][l], &mut lower[0][l]);
-            }
+        let declines = |l: usize| {
+            let v = pivot_val[l];
+            v < PIVOT_EPS || v.is_nan() || pivot_row[l] != p
+        };
+        if (0..L).any(|l| live[l] && declines(l)) {
+            return false;
         }
+        if p != col {
+            a.swap(col, p);
+            b.swap(col, p);
+            mask.swap(col, p);
+        }
+        let right = mask[col] & (u32::MAX << (col + 1));
         let (upper, lower) = a.split_at_mut(col + 1);
         let pivot_r = &upper[col];
         let pivot = pivot_r[col];
-        let (b_upper, b_lower) = b.split_at_mut(col + 1);
-        let b_pivot = b_upper[col];
-        for (r, br) in lower.iter_mut().zip(b_lower) {
-            let factor: [f64; L] = std::array::from_fn(|l| r[col][l] / pivot[l]);
-            // A lane keeps its row where its factor is exactly zero (the
-            // scalar `continue`) or it has stopped: `x - 0·p` is not
-            // always `x` (`-0.0 - 0.0·p` is `+0.0`, an infinite `p` gives
-            // NaN), so a kept lane is selected, never computed.
-            let keep: [bool; L] = std::array::from_fn(|l| !going[l] || factor[l] == 0.0);
-            let all_keep = (0..L).all(|l| !live[l] || keep[l]);
-            let none_keep = (0..L).all(|l| !live[l] || !keep[l]);
-            if all_keep {
+        let b_pivot = b[col];
+        for (r, (br, m)) in lower
+            .iter_mut()
+            .zip(b[col + 1..].iter_mut().zip(&mut mask[col + 1..]))
+        {
+            if *m & bit == 0 {
                 continue;
             }
-            if none_keep {
-                r[col] = [0.0; L];
-                for (x, p) in r[col + 1..].iter_mut().zip(&pivot_r[col + 1..]) {
-                    for l in 0..L {
-                        x[l] -= factor[l] * p[l];
-                    }
-                }
+            let factor: [f64; L] = std::array::from_fn(|l| r[col][l] / pivot[l]);
+            // A lane whose factor is exactly zero keeps its entry, as the
+            // reference's skipped row does; its update below leaves the
+            // rest of the row as it was.
+            r[col] = std::array::from_fn(|l| if factor[l] == 0.0 { r[col][l] } else { 0.0 });
+            let mut cols = right;
+            while cols != 0 {
+                let k = cols.trailing_zeros() as usize;
+                cols &= cols - 1;
                 for l in 0..L {
-                    br[l] -= factor[l] * b_pivot[l];
-                }
-            } else {
-                for l in 0..L {
-                    r[col][l] = if keep[l] { r[col][l] } else { 0.0 };
-                }
-                for (x, p) in r[col + 1..].iter_mut().zip(&pivot_r[col + 1..]) {
-                    for l in 0..L {
-                        x[l] = if keep[l] {
-                            x[l]
-                        } else {
-                            x[l] - factor[l] * p[l]
-                        };
-                    }
-                }
-                for l in 0..L {
-                    br[l] = if keep[l] {
-                        br[l]
-                    } else {
-                        br[l] - factor[l] * b_pivot[l]
-                    };
+                    r[k][l] -= factor[l] * pivot_r[k][l];
                 }
             }
+            for l in 0..L {
+                br[l] -= factor[l] * b_pivot[l];
+            }
+            *m |= right;
         }
     }
     // back substitution
-    let stopped = failed.contains(&true);
+    let mut finite = true;
     for row in (0..N).rev() {
         let mut sum = b[row];
-        for (x, bk) in a[row][row + 1..].iter().zip(&b[row + 1..]) {
+        let mut cols = mask[row] & (u32::MAX << (row + 1));
+        while cols != 0 {
+            let k = cols.trailing_zeros() as usize;
+            cols &= cols - 1;
             for l in 0..L {
-                sum[l] -= x[l] * bk[l];
+                sum[l] -= a[row][k][l] * b[k][l];
             }
         }
         for l in 0..L {
             let x = sum[l] / a[row][row][l];
-            b[row][l] = if stopped && failed[l] { b[row][l] } else { x };
+            finite &= !live[l] || x.is_finite();
+            b[row][l] = x;
         }
     }
-    failed
+    finite
 }
 
 #[cfg(test)]
@@ -548,8 +596,9 @@ mod tests {
 
     #[test]
     fn fixed_kernels_cover_one_to_fixed_lu_max() {
-        // Past the table each lane falls back to `solve_in_place`, which
-        // gives the same bits, so only this test sees a missing arm.
+        // Past the table every structured solve declines and each lane
+        // falls back to `solve_in_place`, which gives the same bits, so
+        // only this test sees a missing arm.
         assert!(LaneLu::<1>::new(0).kernel.is_none());
         assert!((1..=FIXED_LU_MAX).all(|n| LaneLu::<1>::new(n).kernel.is_some()));
         assert!((1..=FIXED_LU_MAX).all(|n| LaneLu::<4>::new(n).kernel.is_some()));

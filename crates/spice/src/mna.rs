@@ -3,9 +3,10 @@
 //! Unknown vector layout: node voltages for nodes `1..N` (ground excluded)
 //! followed by one branch current per independent voltage source. The
 //! [`Stamper`] assembles the Newton-iteration Jacobian and right-hand side for
-//! one candidate solution at one timestep.
+//! one candidate solution at one timestep; `pattern` marks every matrix
+//! entry those stamps can touch for a given circuit's wiring.
 
-use crate::linear::Matrix;
+use crate::linear::{Matrix, FIXED_LU_MAX};
 use crate::netlist::{Circuit, NodeId};
 
 /// Maps circuit nodes/sources onto MNA unknown indices.
@@ -168,6 +169,59 @@ impl Stamper {
     }
 }
 
+/// The matrix entries the transient stamps of `circuit` can touch, one
+/// mask per unknown: bit `c` of `rows[r]` marks entry `(r, c)`. It follows
+/// the [`Stamper`] calls entry for entry: gmin on each node's diagonal
+/// ([`conductance`](Stamper::conductance) to ground), the 2×2 conductance
+/// block of each resistor and capacitor, each voltage source's incidence
+/// entries ([`source_incidence`](Stamper::source_incidence)), and each
+/// MOSFET's drain and source rows over its drain, gate and source columns
+/// ([`linearized_fet`](Stamper::linearized_fet)). Ground's rows and
+/// columns drop out, and rows past the last unknown stay empty.
+///
+/// `None` above [`FIXED_LU_MAX`] unknowns, where no structured kernel
+/// exists.
+pub(crate) fn pattern(layout: &Layout, circuit: &Circuit) -> Option<[u32; FIXED_LU_MAX]> {
+    if layout.unknowns() > FIXED_LU_MAX {
+        return None;
+    }
+    let mut rows = [0u32; FIXED_LU_MAX];
+    let mut mark = |row: Option<usize>, col: Option<usize>| {
+        if let (Some(r), Some(c)) = (row, col) {
+            rows[r] |= 1 << c;
+        }
+    };
+    let node = |n: NodeId| layout.node_index(n);
+    for n in 1..layout.node_count {
+        mark(node(n), node(n));
+    }
+    let two_terminal = circuit
+        .resistors
+        .iter()
+        .map(|r| (r.a, r.b))
+        .chain(circuit.capacitors.iter().map(|c| (c.a, c.b)));
+    for (a, b) in two_terminal {
+        for (r, c) in [(a, a), (a, b), (b, a), (b, b)] {
+            mark(node(r), node(c));
+        }
+    }
+    for (k, s) in circuit.sources.iter().enumerate() {
+        let br = Some(layout.source_index(k));
+        for t in [s.plus, s.minus] {
+            mark(node(t), br);
+            mark(br, node(t));
+        }
+    }
+    for m in &circuit.mosfets {
+        for r in [m.drain, m.source] {
+            for c in [m.drain, m.gate, m.source] {
+                mark(node(r), node(c));
+            }
+        }
+    }
+    Some(rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +295,72 @@ mod tests {
         st.clear();
         assert_eq!(st.matrix.get(0, 0), 0.0);
         assert!(st.rhs.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn pattern_covers_every_entry_the_stamps_touch() {
+        // Every element kind, with a source between two non-ground nodes
+        // and MOSFETs with a grounded terminal, stamped as a transient
+        // Newton iteration stamps them, with nonzero values that do not
+        // cancel. Node `g` is only a source terminal and a gate, so gmin
+        // alone stamps its diagonal.
+        let mut c = Circuit::new();
+        let [a, b, d, e, g] = ["a", "b", "d", "e", "g"].map(|name| c.node(name));
+        c.voltage_source("V1", a, 0, Waveform::Dc(1.0));
+        c.voltage_source("V2", b, d, Waveform::Dc(0.5));
+        c.voltage_source("V3", g, 0, Waveform::Dc(2.0));
+        c.resistor("R1", a, b, 3.0);
+        c.resistor("R2", e, 0, 7.0);
+        c.capacitor("C1", d, 0, 2e-15, 0.0);
+        c.capacitor("C2", b, e, 5e-15, 0.0);
+        let params = crate::ptm::cell_access_nmos();
+        c.mosfet("M1", e, g, 0, 0.0, params);
+        c.mosfet("M2", d, 0, b, 0.0, params);
+        let layout = Layout::new(&c);
+        let n = layout.unknowns();
+        let mut st = Stamper::new(layout.clone());
+        for node in 1..c.node_count() {
+            st.conductance(node, 0, 1e-12);
+        }
+        for r in &c.resistors {
+            st.conductance(r.a, r.b, 1.0 / r.ohms);
+        }
+        for cap in &c.capacitors {
+            st.conductance(cap.a, cap.b, cap.farads / 1e-12);
+        }
+        for (k, s) in c.sources.iter().enumerate() {
+            st.voltage_source(k, s.plus, s.minus, 1.0);
+        }
+        for (k, m) in c.mosfets.iter().enumerate() {
+            let g = 1e-3 * (k + 1) as f64;
+            st.linearized_fet(m.drain, m.gate, m.source, 1e-4, g, 2.0 * g, -3.0 * g);
+        }
+        let rows = pattern(&layout, &c).expect("a pattern up to FIXED_LU_MAX unknowns");
+        let mut touched = 0;
+        for (row, mask) in rows.iter().enumerate().take(n) {
+            for col in 0..n {
+                let inside = mask >> col & 1 == 1;
+                if st.matrix.get(row, col) != 0.0 {
+                    touched += 1;
+                    assert!(
+                        inside,
+                        "entry ({row}, {col}) is stamped outside the pattern"
+                    );
+                }
+            }
+        }
+        assert!(rows[n..].iter().all(|&r| r == 0), "rows past the unknowns");
+        assert!(
+            rows.iter().all(|&r| r >> n == 0),
+            "columns past the unknowns"
+        );
+        // The pattern is the stamped entries and no more.
+        assert_eq!(rows.iter().map(|r| r.count_ones()).sum::<u32>(), touched);
+        let mut big = Circuit::new();
+        for k in 0..=FIXED_LU_MAX {
+            big.node(&format!("n{k}"));
+        }
+        assert_eq!(pattern(&Layout::new(&big), &big), None);
     }
 
     #[test]

@@ -22,11 +22,11 @@
 //!   per *timestep* only the base right-hand side (capacitor history
 //!   currents, source values) is rebuilt; each Newton iteration copies the
 //!   base, adds the running lanes' MOSFET linearizations and solves every
-//!   lane with one [`LaneLu`] pass — no heap allocation anywhere in the
-//!   stepping loop. Newton iterates until every running lane has
-//!   converged. Designed for Monte-Carlo batches that patch element values
-//!   into a template circuit and re-run thousands of times; the one-lane
-//!   instance `TransientSolver<1>` runs a single trial.
+//!   lane with one structured [`LaneLu`] pass — no heap allocation
+//!   anywhere in the stepping loop. Newton iterates until every running
+//!   lane has converged. Designed for Monte-Carlo batches that patch
+//!   element values into a template circuit and re-run thousands of times;
+//!   the one-lane instance `TransientSolver<1>` runs a single trial.
 //!
 //! Each lane is bit-identical to the reference by construction:
 //!
@@ -39,11 +39,19 @@
 //! - **Devices.** Each running lane calls the same scalar
 //!   [`MosfetParams::evaluate`](crate::mosfet::MosfetParams::evaluate), and
 //!   its stamps land lane-wise in the reference's order.
-//! - **Solve.** [`LaneLu`] repeats [`Matrix::solve_in_place`], which the
-//!   reference uses, operation for operation in every lane, selecting per
-//!   lane where pivots or zero factors diverge, so each lane's solve is the
-//!   same pure function of its assembled bits; the crate's property tests
-//!   compare the two on adversarial systems.
+//! - **Solve.** Per run the solver marks every matrix entry its stamps can
+//!   touch (`mna::pattern`, from the first circuit's wiring, which every
+//!   lane shares). [`LaneLu::solve_structured`] factors all lanes together
+//!   over that pattern in [`Matrix::solve_in_place`]'s operation order:
+//!   skipping an entry the pattern leaves out is exact, because the
+//!   assembly leaves such an entry `+0.0` and never produces `−0.0`. It
+//!   declines where a live lane's pivot is under the threshold or NaN,
+//!   where the lanes pick different pivot rows, and where a lane's solution
+//!   is not finite; the solver then builds the working system again and
+//!   solves each lane with `solve_in_place` itself. Either way each lane's
+//!   solve is the same pure function of its assembled bits; the crate's
+//!   property tests compare the kernel with `solve_in_place` on
+//!   adversarial systems.
 //! - **Newton.** A lane that has converged is frozen by select, never by
 //!   arithmetic, so its later group iterations cannot touch it; a lane that
 //!   fails leaves the group with the error the reference returns, and the
@@ -57,8 +65,8 @@
 //! [`Matrix::solve_in_place`]: crate::linear::Matrix::solve_in_place
 
 use crate::error::SpiceError;
-use crate::linear::{LaneLu, LaneMatrix};
-use crate::mna::{Layout, Stamper};
+use crate::linear::{LaneLu, LaneMatrix, FIXED_LU_MAX};
+use crate::mna::{self, Layout, Stamper};
 use crate::netlist::{Circuit, NodeId};
 
 /// Transient analysis configuration.
@@ -426,10 +434,12 @@ impl<const L: usize> TraceSink<L> for SelectedTraces<L> {
 ///
 /// Every lane is bit-identical to [`Transient::run`] on its circuit: the
 /// lanes never mix, each lane receives the reference's floating-point
-/// operations in the reference's order, and where lanes diverge (a lane
-/// converged, a lane failed, a different pivot row) the solver selects per
-/// lane rather than computing. `TransientSolver<1>` is the one-lane
-/// instance of the same code.
+/// operations in the reference's order (or, where the structured LU skips
+/// one, an operation that provably leaves its operand as it was), where a
+/// lane has converged or failed the solver selects per lane rather than
+/// computing, and where the lanes pick different pivot rows each lane is
+/// solved alone. `TransientSolver<1>` is the one-lane instance of the same
+/// code.
 ///
 /// [`run`]: TransientSolver::run
 #[derive(Debug, Clone)]
@@ -438,6 +448,11 @@ pub struct TransientSolver<const L: usize> {
     n_nodes: usize,
     n_sources: usize,
     lu: LaneLu<L>,
+    /// The entries the run's stamps can touch, from its first circuit's
+    /// wiring; `None` above [`FIXED_LU_MAX`] unknowns.
+    pattern: Option<[u32; FIXED_LU_MAX]>,
+    /// Solves the structured kernel declined, over the solver's lifetime.
+    declined: usize,
     /// Stamps one lane's base matrix at a time, in the reference's order.
     stamper: Stamper,
     base: LaneMatrix<L>,
@@ -467,6 +482,8 @@ impl<const L: usize> TransientSolver<L> {
             n_nodes,
             n_sources: circuit.sources.len(),
             lu: LaneLu::new(n),
+            pattern: None,
+            declined: 0,
             stamper: Stamper::new(layout),
             base: LaneMatrix::zeros(n),
             base_rhs: vec![[0.0; L]; n],
@@ -516,6 +533,8 @@ impl<const L: usize> TransientSolver<L> {
     ) -> Result<[Result<usize, SpiceError>; L], SpiceError> {
         self.check_group(circuits)?;
         let cfg = self.config;
+        // `check_group` made every lane share the first circuit's wiring.
+        self.pattern = mna::pattern(self.stamper.layout(), &circuits[0]);
 
         self.volts.fill([0.0; L]);
         self.base.clear();
@@ -563,12 +582,8 @@ impl<const L: usize> TransientSolver<L> {
                         *newton += 1;
                     }
                 }
-                self.work.copy_from(&self.base);
-                self.work_rhs.copy_from_slice(&self.base_rhs);
-                self.stamp_mosfets(circuits, pending);
-                // The working system is already a throwaway copy: factorize it
-                // in place, solutions land in the working right-hand side.
-                let singular = self.lu.solve(&mut self.work, &mut self.work_rhs, pending);
+                self.build_work(circuits, pending);
+                let singular = self.solve(circuits, pending);
                 for lane in (0..L).filter(|&l| singular[l]) {
                     outcomes[lane] = Err(SpiceError::SingularMatrix { time: t });
                     running[lane] = false;
@@ -585,6 +600,39 @@ impl<const L: usize> TransientSolver<L> {
             }
         }
         Ok(outcomes)
+    }
+
+    /// Copies the base system into the working one and adds the pending
+    /// lanes' MOSFET linearizations.
+    fn build_work(&mut self, circuits: &[Circuit], pending: [bool; L]) {
+        self.work.copy_from(&self.base);
+        self.work_rhs.copy_from_slice(&self.base_rhs);
+        self.stamp_mosfets(circuits, pending);
+    }
+
+    /// Solves the working system in place for every pending lane, the
+    /// solutions landing in the working right-hand side, and returns the
+    /// lanes whose matrix was singular. The structured kernel solves all
+    /// lanes at once; where it declines, the working system holds scratch,
+    /// so it is built again and each lane is solved by the reference.
+    ///
+    /// The assembly meets the kernel's contract by construction: every
+    /// entry starts at `+0.0` and only ever has stamps added, an entry
+    /// outside the pattern is never stamped, and `x + y` (or `x − y`) is
+    /// `−0.0` only when `x` already is.
+    fn solve(&mut self, circuits: &[Circuit], pending: [bool; L]) -> [bool; L] {
+        if let Some(pattern) = &self.pattern {
+            let rows = &pattern[..self.work_rhs.len()];
+            if self
+                .lu
+                .solve_structured(&mut self.work, &mut self.work_rhs, rows, pending)
+            {
+                return [false; L];
+            }
+            self.declined += 1;
+            self.build_work(circuits, pending);
+        }
+        self.lu.solve(&mut self.work, &mut self.work_rhs, pending)
     }
 
     /// Rejects a group the solver cannot step together.
@@ -1001,6 +1049,57 @@ mod tests {
             assert_eq!(sink.trace(0, lane).len(), ref_trace.len());
             for (a, b) in sink.trace(0, lane).iter().zip(ref_trace) {
                 assert_eq!(a.to_bits(), b.to_bits(), "lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn declined_solves_fall_back_to_the_reference_bit_for_bit() {
+        // Each lane's gate node has a resistor to ground. At 1 GΩ the gate
+        // column pivots on the gate source's incidence entry (1.0); the
+        // third lane's 1 mΩ puts 1,000 S on the diagonal instead, so that
+        // lane picks another pivot row than its group-mates and the
+        // structured kernel declines every solve it takes part in. Every
+        // lane must still be its reference run, and an ordinary group
+        // must never decline.
+        let cfg = TransientConfig {
+            t_stop: 10e-9,
+            dt: 20e-12,
+            ..TransientConfig::default()
+        };
+        for (third, declines) in [(1e-3, true), (1e9, false)] {
+            let circuits: Vec<Circuit> = [1e9, 1e9, third, 1e9]
+                .into_iter()
+                .map(|ohms| {
+                    let mut c = follower_circuit(1.0);
+                    let g = c.find_node("g").unwrap();
+                    c.resistor("Rg", g, 0, ohms);
+                    c
+                })
+                .collect();
+            let nodes: Vec<NodeId> = (0..circuits[0].node_count()).collect();
+            let mut solver = TransientSolver::<4>::new(&circuits[0], cfg).unwrap();
+            let mut sink = SelectedTraces::new(nodes.clone());
+            let outcomes = solver.run(&circuits, &mut sink).unwrap();
+            assert_eq!(
+                solver.declined > 0,
+                declines,
+                "declined {}",
+                solver.declined
+            );
+            for (lane, c) in circuits.iter().enumerate() {
+                let reference = Transient::new(c, cfg).unwrap().run().unwrap();
+                assert_eq!(
+                    outcomes[lane].clone().unwrap(),
+                    reference.newton_iterations()
+                );
+                for (k, &node) in nodes.iter().enumerate() {
+                    let expected = reference.trace(node).unwrap();
+                    assert_eq!(sink.trace(k, lane).len(), expected.len());
+                    for (a, b) in sink.trace(k, lane).iter().zip(expected) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "lane {lane}, node {node}");
+                    }
+                }
             }
         }
     }

@@ -9,7 +9,7 @@ use hammervolt_spice::transient::{SelectedTraces, Transient, TransientConfig, Tr
 use hammervolt_spice::waveform::Waveform;
 use hammervolt_spice::SpiceError;
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
+use proptest::test_runner::{TestCaseError, TestRng};
 
 /// The system shapes the lane LU kernels are compared on.
 #[derive(Debug, Clone, Copy)]
@@ -171,27 +171,72 @@ fn nudged(a: &[f64], b: &[f64], rng: &mut Draw) -> (Vec<f64>, Vec<f64>) {
     (a, b)
 }
 
-/// Solves `L` systems as the lanes of one [`LaneLu`] pass, and each live
-/// lane alone with `Matrix::solve_in_place`, and requires per live lane the
-/// same outcome, solution bits and factor bits.
+/// One mask per row of an `n × n` system covering every nonzero entry of
+/// every lane (a NaN counts), widened by a few random bits: a superset of
+/// the nonzeros, as a circuit's pattern is of its matrix.
+fn pattern_of(n: usize, systems: &[(Vec<f64>, Vec<f64>)], rng: &mut Draw) -> Vec<u32> {
+    let mut rows = vec![0u32; n];
+    for (a, _) in systems {
+        for (i, _) in a.iter().enumerate().filter(|&(_, &x)| x != 0.0) {
+            rows[i / n] |= 1 << (i % n);
+        }
+    }
+    for _ in 0..rng.below(4) {
+        rows[rng.below(n)] |= 1 << rng.below(n);
+    }
+    rows
+}
+
+/// Puts a system under the structured kernel's contract: `+0.0` outside
+/// the pattern, and no `−0.0` anywhere.
+fn meet_contract(n: usize, (a, b): &mut (Vec<f64>, Vec<f64>), pattern: &[u32]) {
+    for (i, x) in a.iter_mut().enumerate() {
+        if *x == 0.0 || pattern[i / n] >> (i % n) & 1 == 0 {
+            *x = 0.0;
+        }
+    }
+    for x in b.iter_mut().filter(|x| **x == 0.0) {
+        *x = 0.0;
+    }
+}
+
+/// Solves `L` systems as the lanes of one structured [`LaneLu`] pass under
+/// `pattern`, and each live lane alone with `Matrix::solve_in_place`.
+/// Where the kernel vouches for the systems, each live lane's outcome,
+/// solution bits and factor bits must be the reference's; where it
+/// declines, the systems are loaded again and [`LaneLu::solve`] must give
+/// them. Returns whether the kernel vouched.
 fn lanes_match_reference<const L: usize>(
     n: usize,
     systems: &[(Vec<f64>, Vec<f64>); L],
+    pattern: &[u32],
     live: [bool; L],
-) -> Result<(), TestCaseError> {
-    let mut lanes = LaneMatrix::<L>::zeros(n);
-    let mut rhs = vec![[0.0; L]; n];
-    for (row, b) in rhs.iter_mut().enumerate() {
-        for col in 0..n {
-            lanes.set(
-                row,
-                col,
-                std::array::from_fn(|l| systems[l].0[row * n + col]),
-            );
+) -> Result<bool, TestCaseError> {
+    let load = || {
+        let mut lanes = LaneMatrix::<L>::zeros(n);
+        let mut rhs = vec![[0.0; L]; n];
+        for (row, b) in rhs.iter_mut().enumerate() {
+            for col in 0..n {
+                lanes.set(
+                    row,
+                    col,
+                    std::array::from_fn(|l| systems[l].0[row * n + col]),
+                );
+            }
+            *b = std::array::from_fn(|l| systems[l].1[row]);
         }
-        *b = std::array::from_fn(|l| systems[l].1[row]);
-    }
-    let singular = LaneLu::<L>::new(n).solve(&mut lanes, &mut rhs, live);
+        (lanes, rhs)
+    };
+    let mut lu = LaneLu::<L>::new(n);
+    let (mut lanes, mut rhs) = load();
+    let vouched = lu.solve_structured(&mut lanes, &mut rhs, pattern, live);
+    let singular = if vouched {
+        [false; L]
+    } else {
+        (lanes, rhs) = load();
+        lu.solve(&mut lanes, &mut rhs, live)
+    };
+    let path = if vouched { "kernel" } else { "reference" };
     for (lane, (a, b)) in systems.iter().enumerate().filter(|&(l, _)| live[l]) {
         let mut reference = Matrix::zeros(n);
         for (i, &v) in a.iter().enumerate() {
@@ -201,13 +246,13 @@ fn lanes_match_reference<const L: usize>(
         let r_ref = reference.solve_in_place(&mut x_ref);
         prop_assert!(
             singular[lane] == r_ref.is_err(),
-            "n {n}, lane {lane}: outcome"
+            "n {n}, lane {lane}: {path} outcome"
         );
         for (i, (x, &r)) in rhs.iter().zip(&x_ref).enumerate() {
             let f = x[lane];
             prop_assert!(
                 same_bits(f, r),
-                "n {n}, lane {lane}, x[{i}]: kernel {f:e}, reference {r:e}"
+                "n {n}, lane {lane}, x[{i}]: {path} {f:e}, solve_in_place {r:e}"
             );
         }
         for row in 0..n {
@@ -215,43 +260,78 @@ fn lanes_match_reference<const L: usize>(
                 let (f, r) = (lanes.get(row, col)[lane], reference.get(row, col));
                 prop_assert!(
                     same_bits(f, r),
-                    "n {n}, lane {lane}, factor ({row}, {col}): {f:e} vs {r:e}"
+                    "n {n}, lane {lane}, factor ({row}, {col}): {path} {f:e}, \
+                     solve_in_place {r:e}"
                 );
             }
         }
     }
-    Ok(())
+    Ok(vouched)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// One case of the structured LU oracle: at every size, one system of
+/// `shape` alone, then four lanes that draw their own shapes or nudge one
+/// shared system, with now and then a lane not live; each group under a
+/// pattern of its nonzeros and the kernel's contract. Returns how often the
+/// kernel vouched and declined at the sizes it has a kernel for.
+fn structured_case(shape: Shape, seed: u64) -> Result<(usize, usize), TestCaseError> {
+    let mut rng = Draw(seed | 1);
+    let (mut vouched, mut declined) = (0, 0);
+    let mut count = |n: usize, v: bool| {
+        if n <= FIXED_LU_MAX {
+            *if v { &mut vouched } else { &mut declined } += 1;
+        }
+    };
+    for n in 1..=FIXED_LU_MAX + 2 {
+        let mut one = [system(shape, n, &mut rng)];
+        let pattern = pattern_of(n, &one, &mut rng);
+        meet_contract(n, &mut one[0], &pattern);
+        count(n, lanes_match_reference::<1>(n, &one, &pattern, [true])?);
+        let mut lanes: [(Vec<f64>, Vec<f64>); 4] = if rng.below(2) == 0 {
+            std::array::from_fn(|lane| {
+                let own = if lane == 0 {
+                    shape
+                } else {
+                    SHAPES[rng.below(SHAPES.len())]
+                };
+                system(own, n, &mut rng)
+            })
+        } else {
+            let (a, b) = system(shape, n, &mut rng);
+            std::array::from_fn(|_| nudged(&a, &b, &mut rng))
+        };
+        let pattern = pattern_of(n, &lanes, &mut rng);
+        for lane in &mut lanes {
+            meet_contract(n, lane, &pattern);
+        }
+        let live = std::array::from_fn(|_| rng.below(8) != 0);
+        count(n, lanes_match_reference::<4>(n, &lanes, &pattern, live)?);
+    }
+    Ok((vouched, declined))
+}
 
-    // The lane LU is `Matrix::solve_in_place` bit for bit in every live
-    // lane, at every fixed-size kernel and just past them, on well-posed
-    // and adversarial systems alike: one lane alone, and four lanes that
-    // draw their own shapes or nudge one shared system, with now and then
-    // a lane not live.
-    #[test]
-    fn fixed_lu_matches_solve_in_place_bit_for_bit(
-        shape in prop::sample::select(SHAPES.to_vec()),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = Draw(seed | 1);
-        for n in 1..=FIXED_LU_MAX + 2 {
-            lanes_match_reference::<1>(n, &[system(shape, n, &mut rng)], [true])?;
-            let lanes: [(Vec<f64>, Vec<f64>); 4] = if rng.below(2) == 0 {
-                std::array::from_fn(|lane| {
-                    let own = if lane == 0 { shape } else { SHAPES[rng.below(SHAPES.len())] };
-                    system(own, n, &mut rng)
-                })
-            } else {
-                let (a, b) = system(shape, n, &mut rng);
-                std::array::from_fn(|_| nudged(&a, &b, &mut rng))
-            };
-            let live = std::array::from_fn(|_| rng.below(8) != 0);
-            lanes_match_reference::<4>(n, &lanes, live)?;
+// The structured lane LU is `Matrix::solve_in_place` bit for bit in every
+// live lane wherever it vouches for a system, and the reference gives the
+// same bits wherever it declines, at every fixed-size kernel and just past
+// them, on well-posed and adversarial systems alike. Both outcomes must
+// occur across the run, so that neither path goes untested.
+#[test]
+fn fixed_lu_matches_solve_in_place_bit_for_bit() {
+    let shapes = prop::sample::select(SHAPES.to_vec());
+    let seeds = any::<u64>();
+    let mut rng = TestRng::from_name("fixed_lu_matches_solve_in_place_bit_for_bit");
+    let (mut vouched, mut declined) = (0, 0);
+    for case in 0..256 {
+        let (shape, seed) = (shapes.generate(&mut rng), seeds.generate(&mut rng));
+        match structured_case(shape, seed) {
+            Ok((v, d)) => (vouched, declined) = (vouched + v, declined + d),
+            Err(e) => panic!("case {case} ({shape:?}, seed {seed}): {e}"),
         }
     }
+    assert!(
+        vouched > 0 && declined > 0,
+        "the kernel vouched {vouched} times and declined {declined} times"
+    );
 }
 
 /// An error's variant and its numbers, floats as bits.
