@@ -67,8 +67,10 @@ fn fmt_opt(v: Option<f64>) -> String {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut obs = ObsOptions::from_env();
-    obs.take_from_args(&mut args);
-    let config = match parse_args(args) {
+    let parsed = obs
+        .take_from_args(&mut args)
+        .and_then(|()| parse_args(args));
+    let config = match parsed {
         Ok(config) => config,
         Err(msg) => {
             eprintln!("population_study: {msg}");

@@ -1,7 +1,7 @@
 //! `serve` — run the study server: `hammervolt` studies over HTTP.
 //!
 //! ```text
-//! serve [--addr HOST:PORT] [--workers N] [--queue N] [--shed-oldest]
+//! serve [--addr HOST:PORT] [--workers N] [--queue N]
 //!       [--cache-dir PATH] [--jobs N] [--resume]
 //!       [--read-timeout-ms N] [--write-timeout-ms N]
 //!       [--trace-out PATH] [--manifest-out PATH] [--metrics] [--progress]
@@ -11,8 +11,7 @@
 //!   ephemeral port (printed on startup).
 //! - `--workers` (default 2): concurrent study executions.
 //! - `--queue` (default 64): total queued-job bound. Submissions beyond it
-//!   are rejected with 429, or — with `--shed-oldest` — admitted by evicting
-//!   the globally oldest queued job.
+//!   are rejected with 429; the queued jobs keep their places.
 //! - `--cache-dir`: content-addressed sweep cache shared by all jobs. Warm
 //!   resubmissions of a finished spec answer from it without re-executing.
 //! - `--jobs` (default: all cores): per-study engine worker threads.
@@ -31,7 +30,7 @@
 
 use hammervolt_core::exec::ExecConfig;
 use hammervolt_obs::cli::ObsOptions;
-use hammervolt_serve::{OverflowPolicy, SchedConfig, Server, ServerConfig};
+use hammervolt_serve::{SchedConfig, Server, ServerConfig};
 use std::time::Duration;
 
 /// Parses the server's own flags: the arguments the observability flags
@@ -66,7 +65,6 @@ fn parse_args(args: Vec<String>) -> Result<(String, ServerConfig), String> {
                     .parse()
                     .map_err(|_| "--queue needs an integer".to_string())?;
             }
-            "--shed-oldest" => sched.overflow = OverflowPolicy::ShedOldest,
             "--cache-dir" => {
                 exec.cache_dir =
                     Some(next_value(&mut args, "--cache-dir", inline.as_deref())?.into());
@@ -103,7 +101,10 @@ fn parse_args(args: Vec<String>) -> Result<(String, ServerConfig), String> {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut obs = ObsOptions::from_env();
-    obs.take_from_args(&mut args);
+    if let Err(msg) = obs.take_from_args(&mut args) {
+        eprintln!("serve: {msg}");
+        std::process::exit(2);
+    }
     let _obs = obs.install(env!("CARGO_BIN_NAME"));
     let (addr, config) = match parse_args(args) {
         Ok(parsed) => parsed,

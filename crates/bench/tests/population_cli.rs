@@ -35,6 +35,12 @@ fn values_that_do_not_parse_are_refused() {
     refused(&["--size", "8", "--batch", "abc"], "--batch");
     refused(&["--size", "8", "--seed", "x"], "--seed");
     refused(&["--size", "8", "--min-batches"], "--min-batches");
+    refused(&["--size", "8", "--manifest-out"], "--manifest-out");
+    refused(
+        &["--size", "8", "--manifest-out", "--metrics"],
+        "--manifest-out",
+    );
+    refused(&["--size", "8", "--manifest-out="], "--manifest-out");
 }
 
 #[test]

@@ -1001,6 +1001,20 @@ mod tests {
     }
 
     #[test]
+    fn fnv_matches_reference_vectors() {
+        // FNV-1a-64 of the empty string is the offset basis; "a" and
+        // "foobar" are the published test vectors.
+        assert_eq!(fnv1a64(b"", FNV_OFFSET), FNV_OFFSET);
+        assert_eq!(fnv1a64(b"a", FNV_OFFSET), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a64(b"foobar", FNV_OFFSET), 0x8594_4171_F739_67E8);
+        // Incremental hashing equals one-shot hashing.
+        let one_shot = fnv1a64(b"hammervolt", FNV_OFFSET);
+        let split = fnv1a64(b"volt", fnv1a64(b"hammer", FNV_OFFSET));
+        assert_eq!(one_shot, split);
+        assert_ne!(one_shot, fnv1a64(b"hammerVolt", FNV_OFFSET));
+    }
+
+    #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<u64> = (0..37).collect();
         let doubled = parallel_map(&items, 4, |&x| x * 2);

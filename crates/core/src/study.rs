@@ -18,7 +18,6 @@ use hammervolt_dram::vendor::Manufacturer;
 use hammervolt_dram::{DramModule, Geometry, ModuleBlueprint};
 use hammervolt_softmc::SoftMc;
 use hammervolt_stats::ci::{population_interval, ConfidenceInterval};
-use hammervolt_stats::normalize;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -507,18 +506,6 @@ pub(crate) fn thin_levels(ladder: &[f64], cap: usize) -> Vec<f64> {
     out
 }
 
-/// Normalizes a series of raw values to the first (nominal) value; exposed
-/// for harnesses that work on raw curves.
-///
-/// # Errors
-///
-/// Propagates normalization failures (zero baseline).
-pub fn normalize_curve(values: &[f64]) -> Result<Vec<f64>, StudyError> {
-    normalize::normalize_to_first(values).map_err(|e| StudyError::InvalidConfig {
-        reason: format!("cannot normalize: {e}"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,13 +635,6 @@ mod tests {
         assert!(grouped.contains_key(&Manufacturer::A));
         assert!(grouped.contains_key(&Manufacturer::B));
         assert!(!grouped[&Manufacturer::B].1.is_empty());
-    }
-
-    #[test]
-    fn normalize_curve_helper() {
-        let n = normalize_curve(&[2.0, 1.0]).unwrap();
-        assert_eq!(n, vec![1.0, 0.5]);
-        assert!(normalize_curve(&[0.0, 1.0]).is_err());
     }
 
     fn hammer_record(vpp: f64, row: u32, ber: f64, hc_first: Option<u64>) -> RowHammerRecord {

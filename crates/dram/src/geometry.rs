@@ -65,11 +65,6 @@ impl ChipOrg {
             ChipOrg::X16 => 16,
         }
     }
-
-    /// Chips needed to form a 64-bit rank.
-    pub fn chips_per_rank(&self) -> u32 {
-        64 / self.width()
-    }
 }
 
 impl std::fmt::Display for ChipOrg {
@@ -183,13 +178,6 @@ mod tests {
     fn density_bits() {
         assert_eq!(Density::D4Gb.bits(), 1u64 << 32);
         assert_eq!(Density::D16Gb.bits(), 1u64 << 34);
-    }
-
-    #[test]
-    fn org_widths_and_rank_sizes() {
-        assert_eq!(ChipOrg::X4.chips_per_rank(), 16);
-        assert_eq!(ChipOrg::X8.chips_per_rank(), 8);
-        assert_eq!(ChipOrg::X16.chips_per_rank(), 4);
     }
 
     #[test]

@@ -287,12 +287,6 @@ fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Lognormal deviate with the given log-mean and log-standard-deviation.
-#[inline]
-pub fn lognormal(seed: u64, mu: f64, sigma: f64) -> f64 {
-    (mu + sigma * standard_normal(seed)).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,18 +384,5 @@ mod tests {
         assert!(inverse_normal_cdf(1.0).is_finite());
         assert!(inverse_normal_cdf(0.0) < -30.0);
         assert!(inverse_normal_cdf(1.0) > 5.0);
-    }
-
-    #[test]
-    fn lognormal_median_is_exp_mu() {
-        let n = 20_000u64;
-        let mut values: Vec<f64> = (0..n).map(|i| lognormal(combine(7, i), 2.0, 0.5)).collect();
-        values.sort_by(f64::total_cmp);
-        let median = values[n as usize / 2];
-        assert!(
-            (median - 2.0f64.exp()).abs() / 2.0f64.exp() < 0.05,
-            "median = {median}"
-        );
-        assert!(values.iter().all(|&v| v > 0.0));
     }
 }

@@ -63,7 +63,6 @@ pub mod ondie_ecc;
 pub mod physics;
 pub mod population;
 pub mod registry;
-pub mod spd;
 pub mod timing;
 pub mod trr;
 pub mod vendor;

@@ -60,11 +60,6 @@ impl TimingParams {
     }
 }
 
-/// Quantizes a latency up to the next SoftMC command slot (1.5 ns).
-pub fn quantize_to_slot(latency_ns: f64) -> f64 {
-    (latency_ns / COMMAND_SLOT_NS).ceil() * COMMAND_SLOT_NS
-}
-
 /// 2^51 ns. A multiple of 0.5 ns below this in magnitude stays exactly
 /// representable after adding `u32::MAX` command slots
 /// (2^51 + 1.5 · 2^32 < 2^52).
@@ -229,13 +224,5 @@ mod tests {
         let mut slots = ColumnSlots::new(0.0, 13.3);
         slots.slot(5);
         slots.slot(4);
-    }
-
-    #[test]
-    fn quantization_rounds_up_to_slots() {
-        assert_eq!(quantize_to_slot(13.5), 13.5);
-        assert_eq!(quantize_to_slot(13.6), 15.0);
-        assert_eq!(quantize_to_slot(0.1), 1.5);
-        assert_eq!(quantize_to_slot(0.0), 0.0);
     }
 }

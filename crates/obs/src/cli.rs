@@ -53,27 +53,37 @@ impl ObsOptions {
     /// (mutating it) and merges them over `self`. Supports both
     /// `--flag value` and `--flag=value` spellings. Unknown arguments are
     /// left untouched for the caller's own parser.
-    pub fn take_from_args(&mut self, args: &mut Vec<String>) {
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming the flag when `--trace-out` or
+    /// `--manifest-out` has no value: the arguments end, the value is
+    /// empty, or the next argument is another flag (starts with `--`).
+    pub fn take_from_args(&mut self, args: &mut Vec<String>) -> Result<(), String> {
         let mut kept = Vec::with_capacity(args.len());
-        let mut iter = std::mem::take(args).into_iter();
+        let mut iter = std::mem::take(args).into_iter().peekable();
         while let Some(arg) = iter.next() {
             let (flag, inline) = match arg.split_once('=') {
                 Some((f, v)) => (f.to_string(), Some(v.to_string())),
                 None => (arg.clone(), None),
             };
+            let path = || {
+                inline
+                    .or_else(|| iter.next_if(|next| !next.starts_with("--")))
+                    .filter(|value| !value.is_empty())
+                    .map(PathBuf::from)
+                    .ok_or_else(|| format!("{flag} needs a path"))
+            };
             match flag.as_str() {
-                "--trace-out" => {
-                    self.trace_out = inline.or_else(|| iter.next()).map(PathBuf::from);
-                }
-                "--manifest-out" => {
-                    self.manifest_out = inline.or_else(|| iter.next()).map(PathBuf::from);
-                }
+                "--trace-out" => self.trace_out = Some(path()?),
+                "--manifest-out" => self.manifest_out = Some(path()?),
                 "--metrics" => self.metrics = true,
                 "--progress" => self.progress = true,
                 _ => kept.push(arg),
             }
         }
         *args = kept;
+        Ok(())
     }
 
     /// Whether any observability feature is requested.
@@ -115,8 +125,10 @@ impl ObsOptions {
 
 /// One-call setup for binaries without a strict argument parser: read the
 /// env vars and the observability flags in a copy of `std::env::args`,
-/// install, and return the guard. The process's own argument list cannot be
-/// changed, so a binary that rejects unknown flags must instead call
+/// install, and return the guard. A `--trace-out` or `--manifest-out`
+/// without a value ends the process with exit status 2 and one line on
+/// stderr. The process's own argument list cannot be changed, so a binary
+/// that rejects unknown flags must instead call
 /// [`ObsOptions::take_from_args`] on its arguments and parse what is left,
 /// as the `hammervolt` CLI and the `serve` binary do. Bind the result for
 /// the length of `main`:
@@ -128,7 +140,10 @@ impl ObsOptions {
 pub fn init_bin(bin: &str) -> RunGuard {
     let mut opts = ObsOptions::from_env();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    opts.take_from_args(&mut args);
+    if let Err(msg) = opts.take_from_args(&mut args) {
+        eprintln!("{bin}: {msg}");
+        std::process::exit(2);
+    }
     opts.install(bin)
 }
 
@@ -215,7 +230,7 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        opts.take_from_args(&mut args);
+        opts.take_from_args(&mut args).unwrap();
         assert_eq!(
             opts.trace_out.as_deref(),
             Some(std::path::Path::new("/tmp/t.jsonl"))
@@ -234,8 +249,27 @@ mod tests {
     fn default_options_request_nothing() {
         let mut opts = ObsOptions::default();
         let mut args = vec!["trcd".to_string()];
-        opts.take_from_args(&mut args);
+        opts.take_from_args(&mut args).unwrap();
         assert!(!opts.any());
         assert_eq!(args, vec!["trcd"]);
+    }
+
+    #[test]
+    fn a_path_flag_without_a_path_is_refused() {
+        for flag in ["--trace-out", "--manifest-out"] {
+            let missing: [&[&str]; 4] = [
+                &["list", flag],
+                &["list", flag, "--metrics"],
+                &["list", flag, ""],
+                &[&format!("{flag}="), "list"],
+            ];
+            for case in missing {
+                let mut args: Vec<String> = case.iter().map(|s| s.to_string()).collect();
+                let mut opts = ObsOptions::default();
+                let err = opts.take_from_args(&mut args).unwrap_err();
+                assert_eq!(err, format!("{flag} needs a path"), "{case:?}");
+                assert!(!opts.any(), "{case:?} set {opts:?}");
+            }
+        }
     }
 }

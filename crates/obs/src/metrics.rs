@@ -34,12 +34,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// The current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -407,7 +401,7 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for _ in 0..10_000 {
-                        c.incr();
+                        c.add(1);
                     }
                 });
             }

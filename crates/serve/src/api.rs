@@ -31,6 +31,7 @@ use hammervolt_core::job::{JobSpec, SweepKind};
 use hammervolt_core::population::PopulationConfig;
 use hammervolt_core::study::{self, StudyConfig};
 use hammervolt_dram::registry::ModuleId;
+use hammervolt_obs::json::ObjectWriter;
 use serde::Deserialize;
 
 /// The shortcut submission form (see module docs).
@@ -112,26 +113,11 @@ pub fn parse_spec(body: &[u8]) -> Result<JobSpec, String> {
     Ok(JobSpec { kind, config })
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// `{"error":"…"}` body.
 pub fn error_body(message: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", json_escape(message))
+    let mut body = ObjectWriter::new();
+    body.field_str("error", message);
+    body.finish()
 }
 
 #[cfg(test)]

@@ -29,6 +29,6 @@ pub mod sched;
 pub mod scheduler;
 pub mod server;
 
-pub use sched::{JobId, OverflowPolicy, SchedConfig};
+pub use sched::{JobId, SchedConfig};
 pub use scheduler::{JobPhase, JobView, SchedStats, Scheduler, SubmitError};
 pub use server::{Server, ServerConfig};

@@ -22,8 +22,7 @@
 //!   victim deque — so one tenant's burst on its home worker spreads across
 //!   the pool instead of serializing behind it.
 //! - The queue is **bounded** across all deques: at capacity, a submission is
-//!   either rejected or sheds the globally oldest queued job, per
-//!   [`OverflowPolicy`].
+//!   rejected, and the queued jobs keep their places.
 //! - Identical in-flight specs (same spec hash, queued *or* running)
 //!   **dedup** onto one execution: the second submitter gets the first job's
 //!   id and waits on the same result.
@@ -34,25 +33,14 @@ use std::collections::BTreeMap;
 /// Scheduler-assigned job identifier (monotonic, never reused).
 pub type JobId = u64;
 
-/// What to do with a submission that finds the queue full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Refuse the new submission (the submitter sees "queue full").
-    Reject,
-    /// Evict the globally oldest *queued* job to make room; the evicted
-    /// job's waiters see it as shed.
-    ShedOldest,
-}
-
-/// Sizing and policy for the scheduling core.
+/// Sizing for the scheduling core.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedConfig {
     /// Worker slots (deque count); at least 1.
     pub workers: usize,
-    /// Maximum *queued* (not yet running) jobs across all deques.
+    /// Maximum *queued* (not yet running) jobs across all deques; a
+    /// submission beyond it is rejected.
     pub queue_capacity: usize,
-    /// Behavior when a submission finds the queue at capacity.
-    pub overflow: OverflowPolicy,
 }
 
 impl Default for SchedConfig {
@@ -60,7 +48,6 @@ impl Default for SchedConfig {
         SchedConfig {
             workers: 2,
             queue_capacity: 64,
-            overflow: OverflowPolicy::Reject,
         }
     }
 }
@@ -70,8 +57,7 @@ impl Default for SchedConfig {
 struct Entry {
     id: JobId,
     tenant: String,
-    /// Global enqueue sequence — the "oldest" order for shedding and FIFO
-    /// within a tenant.
+    /// Global enqueue sequence — FIFO order within a tenant.
     seq: u64,
 }
 
@@ -91,8 +77,6 @@ pub enum JobState {
     /// Removed from the queue by [`Core::cancel`] before any worker claimed
     /// it.
     Cancelled,
-    /// Evicted by [`OverflowPolicy::ShedOldest`].
-    Shed,
 }
 
 /// Outcome of a submission.
@@ -103,17 +87,8 @@ pub enum SubmitOutcome {
     /// An identical spec is already queued or running; the submitter shares
     /// that job.
     Deduped(JobId),
-    /// The queue is full and the policy is [`OverflowPolicy::Reject`].
+    /// The queue is full.
     Rejected,
-}
-
-/// A submission's outcome plus any job shed to make room for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubmitReply {
-    /// What happened to the submission itself.
-    pub outcome: SubmitOutcome,
-    /// The job evicted by [`OverflowPolicy::ShedOldest`], if any.
-    pub shed: Option<JobId>,
 }
 
 /// Outcome of a cancellation request.
@@ -125,7 +100,7 @@ pub enum CancelOutcome {
     /// cancellation token (the core keeps it `Running` until
     /// [`Core::complete`]).
     WasRunning(usize),
-    /// Already finished, cancelled, or shed — nothing to do.
+    /// Already finished or cancelled — nothing to do.
     Settled,
     /// No such job.
     Unknown,
@@ -214,37 +189,15 @@ impl Core {
     }
 
     /// Submits a job with content hash `spec_hash` for `tenant` at tick
-    /// `now`. See [`SubmitReply`].
-    pub fn submit(&mut self, tenant: &str, spec_hash: u64, _now: u64) -> SubmitReply {
+    /// `now`. See [`SubmitOutcome`].
+    pub fn submit(&mut self, tenant: &str, spec_hash: u64, _now: u64) -> SubmitOutcome {
         if let Some(&existing) = self.in_flight.get(&spec_hash) {
             counter_add!("sched_dedup_hits", 1);
-            return SubmitReply {
-                outcome: SubmitOutcome::Deduped(existing),
-                shed: None,
-            };
+            return SubmitOutcome::Deduped(existing);
         }
-        let mut shed = None;
         if self.queued_len() >= self.config.queue_capacity {
-            match self.config.overflow {
-                OverflowPolicy::Reject => {
-                    counter_add!("sched_rejects", 1);
-                    return SubmitReply {
-                        outcome: SubmitOutcome::Rejected,
-                        shed: None,
-                    };
-                }
-                OverflowPolicy::ShedOldest => {
-                    shed = self.shed_oldest();
-                    if shed.is_none() {
-                        // Capacity zero or nothing evictable: refuse.
-                        counter_add!("sched_rejects", 1);
-                        return SubmitReply {
-                            outcome: SubmitOutcome::Rejected,
-                            shed: None,
-                        };
-                    }
-                }
-            }
+            counter_add!("sched_rejects", 1);
+            return SubmitOutcome::Rejected;
         }
         let workers = self.config.workers;
         let tenant_state = self
@@ -266,26 +219,7 @@ impl Core {
         self.states.insert(id, JobState::Queued);
         self.in_flight.insert(spec_hash, id);
         self.spec_of.insert(id, spec_hash);
-        SubmitReply {
-            outcome: SubmitOutcome::Queued(id),
-            shed,
-        }
-    }
-
-    /// Evicts the globally oldest queued entry; returns its id.
-    fn shed_oldest(&mut self) -> Option<JobId> {
-        let (w, i) = self
-            .deques
-            .iter()
-            .enumerate()
-            .flat_map(|(w, d)| d.iter().enumerate().map(move |(i, e)| (e.seq, w, i)))
-            .min()
-            .map(|(_, w, i)| (w, i))?;
-        let entry = self.deques[w].remove(i);
-        self.states.insert(entry.id, JobState::Shed);
-        self.unindex(entry.id);
-        counter_add!("sched_sheds", 1);
-        Some(entry.id)
+        SubmitOutcome::Queued(id)
     }
 
     /// Removes a settled job from the dedup index so a resubmission of the
@@ -379,9 +313,7 @@ impl Core {
                 CancelOutcome::WasQueued
             }
             Some(JobState::Running { worker }) => CancelOutcome::WasRunning(*worker),
-            Some(JobState::Done) | Some(JobState::Cancelled) | Some(JobState::Shed) => {
-                CancelOutcome::Settled
-            }
+            Some(JobState::Done) | Some(JobState::Cancelled) => CancelOutcome::Settled,
         }
     }
 }
@@ -390,19 +322,18 @@ impl Core {
 mod tests {
     use super::*;
 
-    fn core(workers: usize, cap: usize, overflow: OverflowPolicy) -> Core {
+    fn core(workers: usize, cap: usize) -> Core {
         Core::new(SchedConfig {
             workers,
             queue_capacity: cap,
-            overflow,
         })
     }
 
     #[test]
     fn single_tenant_runs_fifo() {
-        let mut c = core(1, 16, OverflowPolicy::Reject);
+        let mut c = core(1, 16);
         let ids: Vec<JobId> = (0..4)
-            .map(|i| match c.submit("t", 100 + i, 0).outcome {
+            .map(|i| match c.submit("t", 100 + i, 0) {
                 SubmitOutcome::Queued(id) => id,
                 other => panic!("unexpected {other:?}"),
             })
@@ -413,9 +344,9 @@ mod tests {
 
     #[test]
     fn accessors_track_queue_running_and_served() {
-        let mut c = core(2, 16, OverflowPolicy::Reject);
+        let mut c = core(2, 16);
         for (i, tenant) in ["a", "b", "a"].iter().enumerate() {
-            match c.submit(tenant, 100 + i as u64, i as u64).outcome {
+            match c.submit(tenant, 100 + i as u64, i as u64) {
                 SubmitOutcome::Queued(_) => {}
                 other => panic!("unexpected {other:?}"),
             }
@@ -442,24 +373,24 @@ mod tests {
 
     #[test]
     fn dedup_shares_one_execution_until_it_settles() {
-        let mut c = core(1, 16, OverflowPolicy::Reject);
-        let first = match c.submit("a", 7, 0).outcome {
+        let mut c = core(1, 16);
+        let first = match c.submit("a", 7, 0) {
             SubmitOutcome::Queued(id) => id,
             other => panic!("unexpected {other:?}"),
         };
         // Queued dedup, even across tenants.
         assert_eq!(
-            c.submit("b", 7, 1).outcome,
+            c.submit("b", 7, 1),
             SubmitOutcome::Deduped(first),
             "queued spec dedups"
         );
         let claimed = c.next(0, 2).unwrap();
         assert_eq!(claimed, first);
         // Running dedup too.
-        assert_eq!(c.submit("c", 7, 3).outcome, SubmitOutcome::Deduped(first));
+        assert_eq!(c.submit("c", 7, 3), SubmitOutcome::Deduped(first));
         c.complete(first);
         // Settled: a resubmission starts fresh.
-        match c.submit("a", 7, 4).outcome {
+        match c.submit("a", 7, 4) {
             SubmitOutcome::Queued(id) => assert_ne!(id, first),
             other => panic!("unexpected {other:?}"),
         }

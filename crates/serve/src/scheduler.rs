@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 /// Why a submission was not accepted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The queue is at capacity and the overflow policy rejects.
+    /// The queue is at capacity.
     QueueFull,
     /// The scheduler is shutting down.
     ShuttingDown,
@@ -51,8 +51,6 @@ pub enum JobPhase {
     Failed(String),
     /// Cancelled before completion.
     Cancelled,
-    /// Evicted from the queue by the shed-oldest overflow policy.
-    Shed,
 }
 
 impl JobPhase {
@@ -69,7 +67,6 @@ impl JobPhase {
             JobPhase::Done => "done",
             JobPhase::Failed(_) => "failed",
             JobPhase::Cancelled => "cancelled",
-            JobPhase::Shed => "shed",
         }
     }
 }
@@ -196,7 +193,7 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::QueueFull`] under the reject policy at capacity;
+    /// [`SubmitError::QueueFull`] when the queue is at capacity;
     /// [`SubmitError::ShuttingDown`] after [`Scheduler::shutdown`] began.
     pub fn submit(&self, tenant: &str, spec: JobSpec) -> Result<JobId, SubmitError> {
         self.submit_with(tenant, spec, "", 0)
@@ -224,13 +221,7 @@ impl Scheduler {
         if inner.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
-        let reply = inner.core.submit(tenant, spec_hash, now);
-        if let Some(shed) = reply.shed {
-            if let Some(rec) = inner.jobs.get_mut(&shed) {
-                rec.phase = JobPhase::Shed;
-            }
-        }
-        let id = match reply.outcome {
+        let id = match inner.core.submit(tenant, spec_hash, now) {
             SubmitOutcome::Rejected => return Err(SubmitError::QueueFull),
             SubmitOutcome::Deduped(id) => {
                 if let Some(rec) = inner.jobs.get_mut(&id) {

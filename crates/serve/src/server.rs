@@ -8,7 +8,7 @@
 //! | `POST /studies`                | Submit a study spec (full or shortcut form; see [`crate::api`]). Tenant from the `X-Tenant` header (default `anon`). `202` with `{"job":…}`; `429` when the queue rejects. |
 //! | `GET /studies/{id}`            | One status + progress snapshot, plus the submitting request's id and the job's scoped counter snapshot (`"metrics"`, empty until the job runs or when metrics are off). |
 //! | `GET /studies/{id}/progress`   | Same snapshot; with `?stream=1`, a close-delimited JSONL stream of snapshots until the job settles. |
-//! | `GET /studies/{id}/result`     | Block (up to `?wait_ms`, default 10 min) for the result. `200` with the records JSONL on success — byte-identical to the CLI run of the same spec; `202` while still running; `410` for cancelled/shed; `500` for failed. |
+//! | `GET /studies/{id}/result`     | Block (up to `?wait_ms`, default 10 min) for the result. `200` with the records JSONL on success — byte-identical to the CLI run of the same spec; `202` while still running; `410` for cancelled; `500` for failed. |
 //! | `POST /studies/{id}/cancel`    | Cooperative cancel. |
 //! | `GET /metrics`                 | Prometheus text exposition of the whole obs registry (counters, gauges, histograms, live per-job scoped series as labels). |
 //! | `GET /stats`                   | Scheduler state (`queue_depth`, `in_flight`, per-worker `deque_lens`, lifetime `tenants_served`) + global obs counters + progress counts. |
@@ -51,6 +51,7 @@ use crate::sched::SchedConfig;
 use crate::scheduler::{JobPhase, JobView, SchedStats, Scheduler, SubmitError};
 use hammervolt_core::exec::ExecConfig;
 use hammervolt_core::job::ProgressSnapshot;
+use hammervolt_obs::json::ObjectWriter;
 use hammervolt_obs::{histogram_record, metrics, prometheus, Span};
 use std::io::{self, BufReader, Write as _};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -75,7 +76,7 @@ const DEFAULT_WAIT: Duration = Duration::from_secs(600);
 /// checkpoint policy).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Scheduler sizing and overflow policy.
+    /// Scheduler sizing.
     pub sched: SchedConfig,
     /// Engine configuration every job runs under.
     pub exec: ExecConfig,
@@ -350,17 +351,16 @@ fn finish_request(
         histogram_record!("http_request_us", dur_us);
     }
     if hammervolt_obs::sink_installed() {
-        let line = format!(
-            "{{\"type\":\"access\",\"t_us\":{},\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\"dur_us\":{},\"request_id\":\"{}\",\"tenant\":\"{}\"}}",
-            hammervolt_obs::epoch_us(),
-            api::json_escape(method),
-            api::json_escape(path),
-            status,
-            dur_us,
-            api::json_escape(request_id),
-            api::json_escape(tenant),
-        );
-        hammervolt_obs::emit_event(&line);
+        let mut line = ObjectWriter::new();
+        line.field_str("type", "access");
+        line.field_u64("t_us", hammervolt_obs::epoch_us());
+        line.field_str("method", method);
+        line.field_str("path", path);
+        line.field_u64("status", u64::from(status));
+        line.field_u64("dur_us", dur_us);
+        line.field_str("request_id", request_id);
+        line.field_str("tenant", tenant);
+        hammervolt_obs::emit_event(&line.finish());
         // One flush per request: the serve process is typically killed by
         // signal, and buffered access lines would vanish with it.
         hammervolt_obs::flush_sink();
@@ -454,11 +454,18 @@ fn submit(
             let view = sched.view(id);
             let state = view.map_or("queued".to_string(), |v| v.phase.label().to_string());
             let hash = sched.view(id).map_or(0, |v| v.spec_hash);
-            let body = format!(
-                "{{\"job\":{id},\"spec_hash\":\"{hash:016x}\",\"state\":\"{state}\",\"request_id\":\"{}\"}}",
-                api::json_escape(request_id)
-            );
-            write_response(out, 202, "Accepted", "application/json", body.as_bytes())?;
+            let mut body = ObjectWriter::new();
+            body.field_u64("job", id);
+            body.field_str("spec_hash", &format!("{hash:016x}"));
+            body.field_str("state", &state);
+            body.field_str("request_id", request_id);
+            write_response(
+                out,
+                202,
+                "Accepted",
+                "application/json",
+                body.finish().as_bytes(),
+            )?;
             Ok(202)
         }
         Err(SubmitError::QueueFull) => {
@@ -485,28 +492,27 @@ fn submit(
 }
 
 fn view_body(view: &JobView) -> String {
-    let mut body = format!(
-        "{{\"job\":{},\"spec_hash\":\"{:016x}\",\"state\":\"{}\",\"subscribers\":{},\"request_id\":\"{}\",\"progress\":{}",
-        view.id,
-        view.spec_hash,
-        view.phase.label(),
-        view.subscribers,
-        api::json_escape(&view.request_id),
-        progress_body(&view.progress),
-    );
-    body.push_str(",\"metrics\":{");
-    for (i, (name, value)) in view.metrics.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!("\"{}\":{value}", api::json_escape(name)));
-    }
-    body.push('}');
+    let mut body = ObjectWriter::new();
+    body.field_u64("job", view.id);
+    body.field_str("spec_hash", &format!("{:016x}", view.spec_hash));
+    body.field_str("state", view.phase.label());
+    body.field_u64("subscribers", view.subscribers);
+    body.field_str("request_id", &view.request_id);
+    body.field_raw("progress", &progress_body(&view.progress));
+    body.field_raw("metrics", &u64_object(&view.metrics));
     if let JobPhase::Failed(msg) = &view.phase {
-        body.push_str(&format!(",\"error\":\"{}\"", api::json_escape(msg)));
+        body.field_str("error", msg);
     }
-    body.push('}');
-    body
+    body.finish()
+}
+
+/// A JSON object of unsigned fields, in the order given.
+fn u64_object<K: AsRef<str>>(fields: &[(K, u64)]) -> String {
+    let mut object = ObjectWriter::new();
+    for (key, value) in fields {
+        object.field_u64(key.as_ref(), *value);
+    }
+    object.finish()
 }
 
 fn progress_body(p: &ProgressSnapshot) -> String {
@@ -592,16 +598,6 @@ fn result(sched: &Scheduler, req: &Request, id: u64, out: &mut TcpStream) -> io:
             )?;
             Ok(410)
         }
-        (JobPhase::Shed, _) => {
-            write_response(
-                out,
-                410,
-                "Gone",
-                "application/json",
-                api::error_body("job was shed from the queue; resubmit").as_bytes(),
-            )?;
-            Ok(410)
-        }
         _ => {
             write_response(
                 out,
@@ -632,42 +628,31 @@ fn cancel(sched: &Scheduler, id: u64, out: &mut TcpStream) -> io::Result<u16> {
 /// reports and the live progress counts.
 fn stats_body(sched: &Scheduler) -> String {
     let stats: SchedStats = sched.stats();
-    let counters = hammervolt_obs::metrics::counters_snapshot();
     let progress = hammervolt_obs::progress::snapshot();
-    let mut body = format!(
-        "{{\"scheduler\":{{\"queue_depth\":{},\"in_flight\":{},\"deque_lens\":[",
-        stats.queue_depth, stats.in_flight
+    let deque_lens: Vec<String> = stats.deque_lens.iter().map(usize::to_string).collect();
+    let mut scheduler = ObjectWriter::new();
+    scheduler.field_u64("queue_depth", stats.queue_depth as u64);
+    scheduler.field_u64("in_flight", stats.in_flight as u64);
+    scheduler.field_raw("deque_lens", &format!("[{}]", deque_lens.join(",")));
+    scheduler.field_raw("tenants_served", &u64_object(&stats.tenants_served));
+    let mut body = ObjectWriter::new();
+    body.field_raw("scheduler", &scheduler.finish());
+    body.field_raw(
+        "counters",
+        &u64_object(&hammervolt_obs::metrics::counters_snapshot()),
     );
-    for (i, len) in stats.deque_lens.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&len.to_string());
-    }
-    body.push_str("],\"tenants_served\":{");
-    for (i, (tenant, served)) in stats.tenants_served.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!("\"{}\":{served}", api::json_escape(tenant)));
-    }
-    body.push_str("}},\"counters\":{");
-    for (i, (name, value)) in counters.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!("\"{}\":{value}", api::json_escape(name)));
-    }
-    body.push_str(&format!(
-        "}},\"progress\":{{\"modules_done\":{},\"modules_total\":{},\"units_done\":{},\"units_total\":{},\"cache_hits\":{},\"cache_misses\":{}}}}}",
-        progress.modules_done,
-        progress.modules_total,
-        progress.units_done,
-        progress.units_total,
-        progress.cache_hits,
-        progress.cache_misses,
-    ));
-    body
+    body.field_raw(
+        "progress",
+        &u64_object(&[
+            ("modules_done", progress.modules_done),
+            ("modules_total", progress.modules_total),
+            ("units_done", progress.units_done),
+            ("units_total", progress.units_total),
+            ("cache_hits", progress.cache_hits),
+            ("cache_misses", progress.cache_misses),
+        ]),
+    );
+    body.finish()
 }
 
 #[cfg(test)]

@@ -5,20 +5,17 @@
 //! schedules tick by tick and assert the precise claim order — no sleeps,
 //! no threads, no flakiness.
 
-use hammervolt_serve::sched::{
-    CancelOutcome, Core, JobId, JobState, OverflowPolicy, SchedConfig, SubmitOutcome,
-};
+use hammervolt_serve::sched::{CancelOutcome, Core, JobId, JobState, SchedConfig, SubmitOutcome};
 
-fn core(workers: usize, cap: usize, overflow: OverflowPolicy) -> Core {
+fn core(workers: usize, cap: usize) -> Core {
     Core::new(SchedConfig {
         workers,
         queue_capacity: cap,
-        overflow,
     })
 }
 
 fn queued(core: &mut Core, tenant: &str, spec: u64, now: u64) -> JobId {
-    match core.submit(tenant, spec, now).outcome {
+    match core.submit(tenant, spec, now) {
         SubmitOutcome::Queued(id) => id,
         other => panic!("expected Queued, got {other:?}"),
     }
@@ -47,7 +44,7 @@ fn fairness_interleaves_tenants_sharing_a_worker() {
     // One worker → every tenant shares one deque. Tenant `a` floods three
     // jobs before `b` submits two; least-recently-served scheduling must
     // alternate them instead of draining `a`'s flood first.
-    let mut c = core(1, 16, OverflowPolicy::Reject);
+    let mut c = core(1, 16);
     let mut owners: Vec<(JobId, &str)> = Vec::new();
     for i in 0..3 {
         owners.push((queued(&mut c, "a", 100 + i, 0), "a"));
@@ -63,7 +60,7 @@ fn fairness_interleaves_tenants_sharing_a_worker() {
 fn fairness_never_strands_a_late_quiet_tenant() {
     // A quiet tenant submitting one job behind a 10-deep flood is served
     // second, not eleventh.
-    let mut c = core(1, 32, OverflowPolicy::Reject);
+    let mut c = core(1, 32);
     let mut owners: Vec<(JobId, &str)> = Vec::new();
     for i in 0..10 {
         owners.push((queued(&mut c, "noisy", 300 + i, 0), "noisy"));
@@ -78,52 +75,14 @@ fn fairness_never_strands_a_late_quiet_tenant() {
 
 #[test]
 fn reject_policy_bounds_the_queue() {
-    let mut c = core(1, 2, OverflowPolicy::Reject);
+    let mut c = core(1, 2);
     let a = queued(&mut c, "t", 1, 0);
     let _b = queued(&mut c, "t", 2, 1);
-    let reply = c.submit("t", 3, 2);
-    assert_eq!(reply.outcome, SubmitOutcome::Rejected);
-    assert_eq!(reply.shed, None);
+    assert_eq!(c.submit("t", 3, 2), SubmitOutcome::Rejected);
     assert_eq!(c.queued_len(), 2, "a rejected submission changes nothing");
     // Draining one slot readmits.
     assert_eq!(c.next(0, 3), Some(a));
-    assert!(matches!(
-        c.submit("t", 3, 4).outcome,
-        SubmitOutcome::Queued(_)
-    ));
-}
-
-#[test]
-fn shed_policy_evicts_the_globally_oldest_queued_job() {
-    let mut c = core(1, 2, OverflowPolicy::ShedOldest);
-    let oldest = queued(&mut c, "t", 1, 0);
-    let second = queued(&mut c, "t", 2, 1);
-    let reply = c.submit("t", 3, 2);
-    let third = match reply.outcome {
-        SubmitOutcome::Queued(id) => id,
-        other => panic!("expected Queued, got {other:?}"),
-    };
-    assert_eq!(reply.shed, Some(oldest), "the globally oldest job is shed");
-    assert_eq!(c.state(oldest), Some(JobState::Shed));
-    assert_eq!(c.queued_len(), 2);
-    // The shed job's dedup slot is released: resubmitting its spec starts a
-    // fresh job rather than pointing at the tombstone.
-    let reply = c.submit("u", 1, 3);
-    match reply.outcome {
-        SubmitOutcome::Queued(id) => assert_ne!(id, oldest),
-        other => panic!("expected Queued, got {other:?}"),
-    }
-    assert_eq!(reply.shed, Some(second), "next-oldest goes next");
-    // Claim order reflects the survivors only.
-    assert_eq!(c.next(0, 4), Some(third));
-}
-
-#[test]
-fn zero_capacity_rejects_even_under_shed_policy() {
-    let mut c = core(1, 0, OverflowPolicy::ShedOldest);
-    let reply = c.submit("t", 1, 0);
-    assert_eq!(reply.outcome, SubmitOutcome::Rejected);
-    assert_eq!(reply.shed, None);
+    assert!(matches!(c.submit("t", 3, 4), SubmitOutcome::Queued(_)));
 }
 
 #[test]
@@ -132,7 +91,7 @@ fn idle_workers_steal_a_flooded_home_deque() {
     // workers, every worker must still be able to claim work (liveness via
     // stealing), and all jobs must drain exactly once.
     let workers = 4;
-    let mut c = core(workers, 64, OverflowPolicy::Reject);
+    let mut c = core(workers, 64);
     let ids: Vec<JobId> = (0..8)
         .map(|i| queued(&mut c, "flood", 500 + i, 0))
         .collect();
@@ -169,7 +128,7 @@ fn steal_prefers_the_longest_peer_deque() {
     // its own worker except one, an idle worker's claim count matches the
     // flooded deque's length.
     let workers = 2;
-    let mut c = core(workers, 64, OverflowPolicy::Reject);
+    let mut c = core(workers, 64);
     for i in 0..6 {
         queued(&mut c, "only", 700 + i, 0);
     }
@@ -187,7 +146,7 @@ fn steal_prefers_the_longest_peer_deque() {
 
 #[test]
 fn cancel_queued_removes_it_from_the_schedule() {
-    let mut c = core(1, 16, OverflowPolicy::Reject);
+    let mut c = core(1, 16);
     let a = queued(&mut c, "t", 1, 0);
     let b = queued(&mut c, "t", 2, 1);
     assert_eq!(c.cancel(a), CancelOutcome::WasQueued);
@@ -207,7 +166,7 @@ fn same_inputs_produce_the_same_schedule() {
     // Determinism end-to-end: two cores fed the identical call sequence
     // claim identical ids at identical ticks.
     let run = || {
-        let mut c = core(3, 32, OverflowPolicy::ShedOldest);
+        let mut c = core(3, 32);
         let mut claims = Vec::new();
         for (i, tenant) in ["a", "b", "c", "a", "b", "a"].iter().enumerate() {
             c.submit(tenant, 40 + i as u64, i as u64);

@@ -43,31 +43,9 @@ pub enum Instruction {
     },
 }
 
-impl Instruction {
-    /// Whether this instruction targets `bank`.
-    pub fn targets_bank(&self, bank: u32) -> bool {
-        match self {
-            Instruction::Act { bank: b, .. }
-            | Instruction::Pre { bank: b }
-            | Instruction::Rd { bank: b, .. }
-            | Instruction::Wr { bank: b, .. } => *b == bank,
-            Instruction::Ref | Instruction::Wait { .. } => false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn targets_bank_matches() {
-        assert!(Instruction::Act { bank: 2, row: 5 }.targets_bank(2));
-        assert!(!Instruction::Act { bank: 2, row: 5 }.targets_bank(3));
-        assert!(Instruction::Pre { bank: 0 }.targets_bank(0));
-        assert!(!Instruction::Ref.targets_bank(0));
-        assert!(!Instruction::Wait { ns: 5.0 }.targets_bank(0));
-    }
 
     #[test]
     fn serde_round_trip() {

@@ -59,11 +59,6 @@ impl PowerSupply {
         self.output_on = true;
     }
 
-    /// Disables the output.
-    pub fn output_off(&mut self) {
-        self.output_on = false;
-    }
-
     /// The voltage currently present at the terminals: the setpoint when the
     /// output is enabled, 0 V otherwise.
     pub fn terminal_volts(&self) -> f64 {
@@ -211,8 +206,6 @@ mod tests {
         assert_eq!(s.terminal_volts(), 0.0);
         s.output_on();
         assert_eq!(s.terminal_volts(), 2.5);
-        s.output_off();
-        assert_eq!(s.terminal_volts(), 0.0);
     }
 
     #[test]

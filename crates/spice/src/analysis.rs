@@ -83,13 +83,6 @@ impl Crossing {
     }
 }
 
-/// Final (steady-state) value of a trace: the last sample.
-///
-/// Returns `None` for an empty trace.
-pub fn final_value(trace: &[f64]) -> Option<f64> {
-    trace.last().copied()
-}
-
 /// Time at which the trace *last enters and stays within* `tolerance` of its
 /// final value — the settling time.
 ///
@@ -111,14 +104,6 @@ pub fn settling_time(times: &[f64], trace: &[f64], tolerance: f64) -> Option<f64
         .get(settle_idx)
         .copied()
         .or_else(|| times.last().copied())
-}
-
-/// Maximum absolute difference between two traces over their common prefix.
-pub fn max_abs_difference(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -209,12 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn final_value_is_last_sample() {
-        assert_eq!(final_value(&[1.0, 2.0, 3.0]), Some(3.0));
-        assert_eq!(final_value(&[]), None);
-    }
-
-    #[test]
     fn settling_time_finds_band_entry() {
         let times = [0.0, 1.0, 2.0, 3.0, 4.0];
         let trace = [0.0, 0.5, 0.9, 0.99, 1.0];
@@ -226,11 +205,5 @@ mod tests {
     fn settling_time_immediate_for_flat_trace() {
         let t = settling_time(&[0.0, 1.0, 2.0], &[1.0, 1.0, 1.0], 0.01).unwrap();
         assert_eq!(t, 0.0);
-    }
-
-    #[test]
-    fn max_abs_difference_over_common_prefix() {
-        assert_eq!(max_abs_difference(&[1.0, 2.0], &[1.5, 1.0, 9.0]), 1.0);
-        assert_eq!(max_abs_difference(&[], &[1.0]), 0.0);
     }
 }

@@ -160,7 +160,6 @@ impl<const L: usize> TraceSink<L> for ActivationTraces<L> {
 pub struct BatchedActivation {
     base: DramCellParams,
     vpp: f64,
-    store_one: bool,
     nodes: CellNodes,
     slots: ElementSlots,
     template: Circuit,
@@ -176,20 +175,7 @@ impl BatchedActivation {
     /// Fails on configuration/netlist errors (the same conditions the
     /// serial path rejects per trial).
     pub fn new(base: &DramCellParams, vpp: f64) -> Result<Self, SpiceError> {
-        Self::with_stored(base, vpp, true)
-    }
-
-    /// Prepares a batch with an explicit stored value.
-    ///
-    /// # Errors
-    ///
-    /// Fails on configuration/netlist errors.
-    pub fn with_stored(
-        base: &DramCellParams,
-        vpp: f64,
-        store_one: bool,
-    ) -> Result<Self, SpiceError> {
-        let (template, nodes) = ActivationSim::new(*base).build(vpp, store_one);
+        let (template, nodes) = ActivationSim::new(*base).build(vpp, true);
         let slots = ElementSlots::resolve(&template)?;
         let config = TransientConfig {
             t_stop: base.t_stop,
@@ -202,7 +188,6 @@ impl BatchedActivation {
         Ok(BatchedActivation {
             base: *base,
             vpp,
-            store_one,
             nodes,
             slots,
             template,
@@ -225,13 +210,13 @@ impl BatchedActivation {
         TrialWorkspace {
             circuits: std::array::from_fn(|_| self.template.clone()),
             solver: TransientSolver::new(&self.template, self.config)
-                .expect("`with_stored` validated the template and its configuration"),
+                .expect("`new` validated the template and its configuration"),
             sink: ActivationTraces {
                 cell: self.nodes.cell,
                 sat: self.nodes.sat,
                 times: Vec::new(),
                 v_cell: std::array::from_fn(|_| Vec::new()),
-                read: [self.base.read_crossing(self.store_one); L],
+                read: [self.base.read_crossing(true); L],
             },
         }
     }
@@ -243,12 +228,7 @@ impl BatchedActivation {
     fn patch(&self, circuit: &mut Circuit, p: &DramCellParams) {
         let s = &self.slots;
         let half = p.vdd / 2.0;
-        let v_cell0 = if self.store_one {
-            p.restore_saturation(self.vpp)
-        } else {
-            0.0
-        };
-        circuit.set_capacitance(s.ccell, p.c_cell, v_cell0);
+        circuit.set_capacitance(s.ccell, p.c_cell, p.restore_saturation(self.vpp));
         circuit.set_resistance(s.rcell, p.r_cell);
         circuit.set_capacitance(s.cbl1, p.c_bitline / 2.0, half);
         circuit.set_resistance(s.rbl, p.r_bitline);
@@ -303,7 +283,7 @@ impl BatchedActivation {
             let mut rng = mc.trial_rng(trial);
             *p = self.base.perturbed(mc, &mut rng);
             self.patch(circuit, p);
-            *read = p.read_crossing(self.store_one);
+            *read = p.read_crossing(true);
         }
         let outcomes = ws.solver.run(&ws.circuits[..count], &mut ws.sink);
         let [sat, saf] = [self.nodes.sat, self.nodes.saf].map(|node| ws.solver.final_volts(node));
@@ -318,7 +298,7 @@ impl BatchedActivation {
             Some(newton.and_then(|_| {
                 measure_activation(
                     &params[lane],
-                    self.store_one,
+                    true,
                     &ws.sink.times,
                     &ws.sink.v_cell[lane],
                     sat[lane],

@@ -7,7 +7,7 @@
 //!
 //! - [`netlist`] — circuit construction: named nodes, resistors, capacitors
 //!   (with initial conditions), independent voltage sources, and MOSFETs,
-//! - [`waveform`] — source waveforms (DC, piecewise-linear, pulse),
+//! - [`waveform`] — source waveforms (DC and piecewise-linear),
 //! - [`mosfet`] — a level-1 (Shichman–Hodges) MOSFET model with body effect
 //!   and channel-length modulation, parameterized by a PTM-like 22 nm card
 //!   ([`ptm`]),
@@ -18,7 +18,6 @@
 //!   iteration and backward-Euler companion models for capacitors; the
 //!   reference engine steps one circuit, the lane solver steps several
 //!   same-shaped circuits in lockstep, each bit-identical to the reference,
-//! - [`dc`] — `.op`-style DC operating-point analysis,
 //! - [`analysis`] — trace measurements (threshold crossings, in a recorded
 //!   trace or sample by sample, and settling times),
 //! - [`montecarlo`] — ±5 % component variation across seeded trials (§4.5),
@@ -55,7 +54,6 @@
 
 pub mod analysis;
 pub mod batch;
-pub mod dc;
 pub mod dram_cell;
 pub mod error;
 pub mod linear;

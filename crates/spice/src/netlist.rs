@@ -74,7 +74,6 @@ pub struct Mosfet {
 /// A complete circuit under construction.
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
-    node_names: Vec<String>,
     name_to_node: HashMap<String, NodeId>,
     /// Resistors in the circuit.
     pub resistors: Vec<Resistor>,
@@ -113,10 +112,7 @@ impl Circuit {
 
     /// Creates an empty circuit containing only the ground node.
     pub fn new() -> Self {
-        let mut c = Circuit {
-            node_names: vec!["0".to_string()],
-            ..Circuit::default()
-        };
+        let mut c = Circuit::default();
         c.name_to_node.insert("0".to_string(), 0);
         c
     }
@@ -127,8 +123,7 @@ impl Circuit {
         if let Some(&id) = self.name_to_node.get(name) {
             return id;
         }
-        let id = self.node_names.len();
-        self.node_names.push(name.to_string());
+        let id = self.name_to_node.len();
         self.name_to_node.insert(name.to_string(), id);
         id
     }
@@ -138,14 +133,9 @@ impl Circuit {
         self.name_to_node.get(name).copied()
     }
 
-    /// Name of a node, if it exists.
-    pub fn node_name(&self, id: NodeId) -> Option<&str> {
-        self.node_names.get(id).map(String::as_str)
-    }
-
     /// Total node count including ground.
     pub fn node_count(&self) -> usize {
-        self.node_names.len()
+        self.name_to_node.len()
     }
 
     /// Adds a resistor. Non-positive or non-finite resistance is clamped to a
@@ -303,7 +293,7 @@ mod tests {
         let mut c = Circuit::new();
         assert_eq!(c.node("0"), 0);
         assert_eq!(c.node_count(), 1);
-        assert_eq!(c.node_name(0), Some("0"));
+        assert_eq!(c.find_node("0"), Some(Circuit::GROUND));
     }
 
     #[test]

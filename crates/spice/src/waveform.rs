@@ -11,21 +11,6 @@ pub enum Waveform {
     /// Before the first breakpoint the first value holds; after the last, the
     /// last value holds.
     Pwl(Vec<(f64, f64)>),
-    /// Single pulse from `v0` to `v1`.
-    Pulse {
-        /// Initial value.
-        v0: f64,
-        /// Pulsed value.
-        v1: f64,
-        /// Time at which the rising edge starts.
-        delay: f64,
-        /// Rise time (linear ramp).
-        rise: f64,
-        /// Width of the flat top.
-        width: f64,
-        /// Fall time (linear ramp).
-        fall: f64,
-    },
 }
 
 impl Waveform {
@@ -57,29 +42,6 @@ impl Waveform {
                     }
                 }
                 points[points.len() - 1].1
-            }
-            Waveform::Pulse {
-                v0,
-                v1,
-                delay,
-                rise,
-                width,
-                fall,
-            } => {
-                let t_rise_end = delay + rise;
-                let t_fall_start = t_rise_end + width;
-                let t_fall_end = t_fall_start + fall;
-                if t < *delay {
-                    *v0
-                } else if t < t_rise_end {
-                    v0 + (v1 - v0) * (t - delay) / rise
-                } else if t < t_fall_start {
-                    *v1
-                } else if t < t_fall_end {
-                    v1 + (v0 - v1) * (t - t_fall_start) / fall
-                } else {
-                    *v0
-                }
             }
         }
     }
@@ -121,22 +83,5 @@ mod tests {
         let w = Waveform::ramp(0.0, 0.0, 1e-9, 2.5);
         assert_eq!(w.value(0.5e-9), 1.25);
         assert_eq!(w.value(2e-9), 2.5);
-    }
-
-    #[test]
-    fn pulse_shape() {
-        let w = Waveform::Pulse {
-            v0: 0.0,
-            v1: 1.0,
-            delay: 1.0,
-            rise: 1.0,
-            width: 2.0,
-            fall: 1.0,
-        };
-        assert_eq!(w.value(0.5), 0.0);
-        assert_eq!(w.value(1.5), 0.5);
-        assert_eq!(w.value(3.0), 1.0);
-        assert_eq!(w.value(4.5), 0.5);
-        assert_eq!(w.value(6.0), 0.0);
     }
 }

@@ -142,58 +142,6 @@ pub fn population_interval(data: &[f64], level: f64) -> Result<ConfidenceInterva
     Ok(ConfidenceInterval { lo, hi, level })
 }
 
-/// Percentile-bootstrap confidence interval for the mean, using `resamples`
-/// bootstrap resamples drawn from a deterministic xorshift stream seeded with
-/// `seed`.
-///
-/// # Errors
-///
-/// Fails on empty/non-finite data, `level ∉ (0, 1)`, or `resamples == 0`.
-pub fn bootstrap_mean_ci(
-    data: &[f64],
-    level: f64,
-    resamples: usize,
-    seed: u64,
-) -> Result<ConfidenceInterval, StatsError> {
-    if !(level > 0.0 && level < 1.0) {
-        return Err(StatsError::InvalidProbability { value: level });
-    }
-    if resamples == 0 {
-        return Err(StatsError::InvalidParameter {
-            reason: "resamples must be at least 1".to_string(),
-        });
-    }
-    crate::error::ensure_nonempty_finite(data)?;
-    let n = data.len();
-    // Scramble the seed through splitmix64 so nearby seeds give unrelated
-    // streams; xorshift64* must not start at zero.
-    let mut state = {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        z | 1
-    };
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let idx = (next() % n as u64) as usize;
-            sum += data[idx];
-        }
-        means.push(sum / n as f64);
-    }
-    let lo = quantile::quantile(&means, (1.0 - level) / 2.0)?;
-    let hi = quantile::quantile(&means, (1.0 + level) / 2.0)?;
-    Ok(ConfidenceInterval { lo, hi, level })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,23 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn bootstrap_is_deterministic_for_fixed_seed() {
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let a = bootstrap_mean_ci(&data, 0.9, 200, 42).unwrap();
-        let b = bootstrap_mean_ci(&data, 0.9, 200, 42).unwrap();
-        assert_eq!(a, b);
-        let c = bootstrap_mean_ci(&data, 0.9, 200, 43).unwrap();
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn bootstrap_brackets_true_mean_for_wellbehaved_data() {
-        let data: Vec<f64> = (0..50).map(|i| 10.0 + (i % 5) as f64).collect();
-        let ci = bootstrap_mean_ci(&data, 0.95, 500, 7).unwrap();
-        assert!(ci.contains(12.0), "{ci:?}");
-    }
-
-    #[test]
     fn interval_helpers() {
         let ci = ConfidenceInterval {
             lo: 1.0,
@@ -267,6 +198,5 @@ mod tests {
     fn level_validation() {
         assert!(mean_ci(&[1.0, 2.0], 0.0).is_err());
         assert!(population_interval(&[1.0, 2.0], 1.0).is_err());
-        assert!(bootstrap_mean_ci(&[1.0, 2.0], 0.9, 0, 1).is_err());
     }
 }

@@ -107,28 +107,6 @@ pub fn mean(data: &[f64]) -> Result<f64, StatsError> {
     Ok(data.iter().sum::<f64>() / data.len() as f64)
 }
 
-/// Geometric mean of strictly positive `data`.
-///
-/// Used for averaging normalized ratios (e.g. normalized `HC_first` across
-/// modules) where the arithmetic mean would be biased.
-///
-/// # Errors
-///
-/// Fails on empty/non-finite input, or if any value is `<= 0`.
-pub fn geometric_mean(data: &[f64]) -> Result<f64, StatsError> {
-    ensure_nonempty_finite(data)?;
-    if let Some(idx) = data.iter().position(|&v| v <= 0.0) {
-        return Err(StatsError::InvalidParameter {
-            reason: format!(
-                "geometric mean requires positive values, got {} at index {idx}",
-                data[idx]
-            ),
-        });
-    }
-    let log_sum: f64 = data.iter().map(|v| v.ln()).sum();
-    Ok((log_sum / data.len() as f64).exp())
-}
-
 /// Median of `data` (linear-interpolated 50th percentile).
 ///
 /// # Errors
@@ -203,14 +181,6 @@ mod tests {
     fn cv_zero_mean_varying_sample_is_infinite() {
         let s = Summary::from_slice(&[-1.0, 1.0]).unwrap();
         assert!(s.coefficient_of_variation().is_infinite());
-    }
-
-    #[test]
-    fn geometric_mean_of_ratios() {
-        let g = geometric_mean(&[0.5, 2.0]).unwrap();
-        assert!((g - 1.0).abs() < 1e-12);
-        assert!(geometric_mean(&[1.0, 0.0]).is_err());
-        assert!(geometric_mean(&[1.0, -2.0]).is_err());
     }
 
     #[test]

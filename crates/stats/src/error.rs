@@ -24,9 +24,6 @@ pub enum StatsError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
-    /// The requested operation needs a strictly positive baseline (e.g.
-    /// normalizing by a zero measurement).
-    ZeroBaseline,
 }
 
 impl fmt::Display for StatsError {
@@ -42,7 +39,6 @@ impl fmt::Display for StatsError {
             StatsError::InvalidParameter { reason } => {
                 write!(f, "invalid parameter: {reason}")
             }
-            StatsError::ZeroBaseline => write!(f, "baseline value is zero"),
         }
     }
 }
@@ -99,7 +95,7 @@ mod tests {
 
     #[test]
     fn error_implements_std_error() {
-        let err: Box<dyn std::error::Error> = Box::new(StatsError::ZeroBaseline);
-        assert!(err.to_string().contains("baseline"));
+        let err: Box<dyn std::error::Error> = Box::new(StatsError::EmptyInput);
+        assert!(err.to_string().contains("empty"));
     }
 }

@@ -79,7 +79,7 @@ impl Histogram {
         })
     }
 
-    /// Bin edges; `len() == bin_count() + 1`.
+    /// Bin edges, one more than there are bins.
     pub fn edges(&self) -> &[f64] {
         &self.edges
     }
@@ -89,44 +89,9 @@ impl Histogram {
         &self.counts
     }
 
-    /// Number of bins.
-    pub fn bin_count(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Total number of observations.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Center of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= bin_count()`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        (self.edges[i] + self.edges[i + 1]) / 2.0
-    }
-
-    /// Per-bin fraction of the population (sums to 1).
-    pub fn fractions(&self) -> Vec<f64> {
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / self.total as f64)
-            .collect()
-    }
-
-    /// Probability-density normalization: fractions divided by bin width, so
-    /// that the histogram integrates to 1.
-    pub fn densities(&self) -> Vec<f64> {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let w = self.edges[i + 1] - self.edges[i];
-                c as f64 / self.total as f64 / w
-            })
-            .collect()
     }
 }
 
@@ -151,7 +116,8 @@ mod tests {
     fn uniform_bins_cover_all_data() {
         let data = [0.0, 1.0, 2.0, 3.0, 4.0];
         let h = Histogram::uniform(&data, 4).unwrap();
-        assert_eq!(h.bin_count(), 4);
+        assert_eq!(h.counts().len(), 4);
+        assert_eq!(h.edges().len(), 5);
         assert_eq!(h.counts().iter().sum::<u64>(), 5);
         // max value lands in the last bin
         assert_eq!(h.counts()[3], 2); // 3.0 and 4.0
@@ -172,38 +138,10 @@ mod tests {
     }
 
     #[test]
-    fn fractions_sum_to_one() {
-        let data: Vec<f64> = (0..97).map(|i| (i as f64).sin()).collect();
-        let h = Histogram::uniform(&data, 10).unwrap();
-        let sum: f64 = h.fractions().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn densities_integrate_to_one() {
-        let data: Vec<f64> = (0..50).map(|i| i as f64 * 0.1).collect();
-        let h = Histogram::uniform(&data, 7).unwrap();
-        let integral: f64 = h
-            .densities()
-            .iter()
-            .enumerate()
-            .map(|(i, d)| d * (h.edges()[i + 1] - h.edges()[i]))
-            .sum();
-        assert!((integral - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn rejects_bad_parameters() {
         assert!(Histogram::uniform(&[], 4).is_err());
         assert!(Histogram::uniform(&[1.0], 0).is_err());
         assert!(Histogram::with_range(&[1.0], 2, 3.0, 3.0).is_err());
-    }
-
-    #[test]
-    fn bin_center_is_midpoint() {
-        let h = Histogram::with_range(&[0.5], 2, 0.0, 2.0).unwrap();
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
-        assert!((h.bin_center(1) - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -46,24 +46,6 @@ impl KernelDensity {
         })
     }
 
-    /// Fits a KDE with an explicit bandwidth.
-    ///
-    /// # Errors
-    ///
-    /// Fails on empty/non-finite input or non-positive bandwidth.
-    pub fn fit_with_bandwidth(data: &[f64], bandwidth: f64) -> Result<Self, StatsError> {
-        ensure_nonempty_finite(data)?;
-        if !(bandwidth > 0.0 && bandwidth.is_finite()) {
-            return Err(StatsError::InvalidParameter {
-                reason: format!("bandwidth must be positive and finite, got {bandwidth}"),
-            });
-        }
-        Ok(KernelDensity {
-            sample: data.to_vec(),
-            bandwidth,
-        })
-    }
-
     /// The bandwidth in use.
     pub fn bandwidth(&self) -> f64 {
         self.bandwidth
@@ -172,20 +154,11 @@ mod tests {
     #[test]
     fn constant_sample_still_evaluates() {
         let kde = KernelDensity::fit(&[3.0, 3.0, 3.0]).unwrap();
+        assert_eq!(kde.len(), 3);
+        assert!(!kde.is_empty());
         assert!(kde.bandwidth() > 0.0);
         assert!(kde.density(3.0).is_finite());
         assert!(kde.density(3.0) > kde.density(4.0));
-    }
-
-    #[test]
-    fn explicit_bandwidth_validated() {
-        assert!(KernelDensity::fit_with_bandwidth(&[1.0], 0.0).is_err());
-        assert!(KernelDensity::fit_with_bandwidth(&[1.0], -1.0).is_err());
-        assert!(KernelDensity::fit_with_bandwidth(&[1.0], f64::NAN).is_err());
-        let kde = KernelDensity::fit_with_bandwidth(&[1.0], 0.5).unwrap();
-        assert_eq!(kde.bandwidth(), 0.5);
-        assert_eq!(kde.len(), 1);
-        assert!(!kde.is_empty());
     }
 
     #[test]
@@ -197,13 +170,5 @@ mod tests {
         assert_eq!(g.len(), 4);
         assert_eq!(g[0].0, 0.0);
         assert_eq!(g[3].0, 3.0);
-    }
-
-    #[test]
-    fn narrower_bandwidth_sharpens_peak() {
-        let data = [0.0, 1.0];
-        let wide = KernelDensity::fit_with_bandwidth(&data, 1.0).unwrap();
-        let narrow = KernelDensity::fit_with_bandwidth(&data, 0.1).unwrap();
-        assert!(narrow.density(0.0) > wide.density(0.0));
     }
 }

@@ -10,16 +10,16 @@
 //! - [`histogram`] — uniform and logarithmic binning,
 //! - [`kde`] — Gaussian kernel density estimation for the population-density
 //!   distributions of Figs. 4, 6, 8b, 9b, and 10b,
-//! - [`ci`] — normal-approximation and bootstrap confidence intervals for the
-//!   90 % CI bands of Figs. 3, 5, and 10a,
-//! - [`normalize`] — normalization of measurement series to a baseline value,
+//! - [`ci`] — normal-approximation confidence intervals for the mean and
+//!   the central-mass population interval behind the 90 % CI bands of
+//!   Figs. 3, 5, and 10a,
 //! - [`order`] — NaN-safe total-order comparators for float sorts,
 //! - [`series`] — labeled x/y series with optional confidence bands,
 //! - [`table`] — ASCII table rendering for the table-regeneration harnesses,
 //! - [`plot`] — ASCII line/density plots for the figure-regeneration harnesses.
 //!
-//! Everything in this crate is deterministic: bootstrap resampling takes an
-//! explicit seed so that repeated study runs produce identical reports.
+//! Everything in this crate is deterministic: no estimator draws random
+//! numbers, so repeated study runs produce identical reports.
 //!
 //! # Example
 //!
@@ -39,7 +39,6 @@ pub mod descriptive;
 pub mod error;
 pub mod histogram;
 pub mod kde;
-pub mod normalize;
 pub mod order;
 pub mod plot;
 pub mod quantile;

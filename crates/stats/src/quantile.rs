@@ -66,19 +66,6 @@ fn quantile_sorted_unchecked(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Returns the `(p*100)`-th percentile of `data`; convenience wrapper over
-/// [`quantile`] taking the percentile in `[0, 100]`.
-///
-/// # Errors
-///
-/// Fails under the same conditions as [`quantile`].
-pub fn percentile(data: &[f64], pct: f64) -> Result<f64, StatsError> {
-    if !(0.0..=100.0).contains(&pct) {
-        return Err(StatsError::InvalidProbability { value: pct / 100.0 });
-    }
-    quantile(data, pct / 100.0)
-}
-
 /// Computes several quantiles of the same data, sorting only once.
 ///
 /// # Errors
@@ -118,16 +105,6 @@ mod tests {
     fn rejects_bad_probability() {
         assert!(quantile(&[1.0], -0.1).is_err());
         assert!(quantile(&[1.0], 1.1).is_err());
-        assert!(percentile(&[1.0], 101.0).is_err());
-    }
-
-    #[test]
-    fn percentile_matches_quantile() {
-        let data = [3.0, 7.0, 1.0, 9.0, 5.0];
-        assert_eq!(
-            percentile(&data, 90.0).unwrap(),
-            quantile(&data, 0.9).unwrap()
-        );
     }
 
     #[test]

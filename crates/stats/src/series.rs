@@ -126,32 +126,6 @@ impl Series {
         }
         Some((lo, hi))
     }
-
-    /// Linear interpolation of y at `x` between the two bracketing points.
-    ///
-    /// Points are assumed sorted by x (either direction). Returns `None` if
-    /// the series is empty or `x` is outside the x extent.
-    pub fn interpolate(&self, x: f64) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let mut pts: Vec<&Point> = self.points.iter().collect();
-        pts.sort_by(crate::order::by_f64_key(|p: &&Point| p.x));
-        if x < pts[0].x || x > pts[pts.len() - 1].x {
-            return None;
-        }
-        for w in pts.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if x >= a.x && x <= b.x {
-                if a.x == b.x {
-                    return Some(a.y);
-                }
-                let t = (x - a.x) / (b.x - a.x);
-                return Some(a.y * (1.0 - t) + b.y * t);
-            }
-        }
-        Some(pts[pts.len() - 1].y)
-    }
 }
 
 #[cfg(test)]
@@ -190,24 +164,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.y_extent(), None);
         assert_eq!(s.x_extent(), None);
-        assert_eq!(s.interpolate(1.0), None);
-    }
-
-    #[test]
-    fn interpolate_midpoint() {
-        let s = Series::from_xy("m", &[0.0, 2.0], &[0.0, 10.0]).unwrap();
-        assert_eq!(s.interpolate(1.0), Some(5.0));
-        assert_eq!(s.interpolate(0.0), Some(0.0));
-        assert_eq!(s.interpolate(2.0), Some(10.0));
-        assert_eq!(s.interpolate(3.0), None);
-        assert_eq!(s.interpolate(-1.0), None);
-    }
-
-    #[test]
-    fn interpolate_handles_descending_x() {
-        // V_PP sweeps run 2.5 V downward; series are stored in sweep order.
-        let s = Series::from_xy("m", &[2.5, 1.5], &[1.0, 2.0]).unwrap();
-        assert_eq!(s.interpolate(2.0), Some(1.5));
     }
 
     #[test]

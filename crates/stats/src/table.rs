@@ -1,21 +1,13 @@
 //! ASCII table rendering.
 //!
 //! The table-regeneration harnesses (Tables 1–3 of the paper) print their
-//! output through [`AsciiTable`], which handles column sizing, alignment, and
-//! numeric formatting.
+//! output through [`AsciiTable`], which handles column sizing and alignment,
+//! and through the paper-style number formatters below.
 
 use std::fmt::Write as _;
 
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    /// Left-aligned (labels).
-    Left,
-    /// Right-aligned (numbers).
-    Right,
-}
-
-/// A simple ASCII table builder.
+/// A simple ASCII table builder: the first column left-aligned (labels),
+/// the rest right-aligned (numbers).
 ///
 /// # Example
 ///
@@ -30,34 +22,15 @@ pub enum Align {
 #[derive(Debug, Clone)]
 pub struct AsciiTable {
     headers: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
 }
 
 impl AsciiTable {
-    /// Creates a table with the given column headers. All columns default to
-    /// left alignment for the first column and right alignment for the rest
-    /// (the common label-then-numbers layout).
+    /// Creates a table with the given column headers.
     pub fn new(headers: Vec<String>) -> Self {
-        let aligns = headers
-            .iter()
-            .enumerate()
-            .map(|(i, _)| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         AsciiTable {
             headers,
-            aligns,
             rows: Vec::new(),
-        }
-    }
-
-    /// Overrides the per-column alignments. Extra entries are ignored;
-    /// missing entries keep their defaults.
-    pub fn set_aligns(&mut self, aligns: &[Align]) {
-        for (i, &a) in aligns.iter().enumerate() {
-            if i < self.aligns.len() {
-                self.aligns[i] = a;
-            }
         }
     }
 
@@ -67,11 +40,6 @@ impl AsciiTable {
         cells.resize(self.headers.len(), String::new());
         cells.truncate(self.headers.len());
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
     }
 
     /// Renders the table with a header separator line.
@@ -84,22 +52,16 @@ impl AsciiTable {
             }
         }
         let mut out = String::new();
-        let write_row = |out: &mut String, cells: &[String], widths: &[usize], aligns: &[Align]| {
-            for i in 0..ncols {
-                if i > 0 {
+        let write_row = |out: &mut String, cells: &[String], widths: &[usize]| {
+            for (i, (cell, &width)) in cells.iter().zip(widths).enumerate() {
+                let pad = width.saturating_sub(cell.chars().count());
+                if i == 0 {
+                    out.push_str(cell);
+                    out.extend(std::iter::repeat_n(' ', pad));
+                } else {
                     out.push_str("  ");
-                }
-                let cell = cells.get(i).map(String::as_str).unwrap_or("");
-                let pad = widths[i].saturating_sub(cell.chars().count());
-                match aligns[i] {
-                    Align::Left => {
-                        out.push_str(cell);
-                        out.extend(std::iter::repeat_n(' ', pad));
-                    }
-                    Align::Right => {
-                        out.extend(std::iter::repeat_n(' ', pad));
-                        out.push_str(cell);
-                    }
+                    out.extend(std::iter::repeat_n(' ', pad));
+                    out.push_str(cell);
                 }
             }
             // trim trailing spaces on the line
@@ -108,11 +70,11 @@ impl AsciiTable {
             }
             out.push('\n');
         };
-        write_row(&mut out, &self.headers, &widths, &self.aligns);
+        write_row(&mut out, &self.headers, &widths);
         let total: usize = widths.iter().sum::<usize>() + 2 * (ncols.saturating_sub(1));
         let _ = writeln!(out, "{}", "-".repeat(total));
         for row in &self.rows {
-            write_row(&mut out, row, &widths, &self.aligns);
+            write_row(&mut out, row, &widths);
         }
         out
     }
@@ -135,11 +97,6 @@ pub fn fmt_ber(v: f64) -> String {
     } else {
         format!("{v:.2e}")
     }
-}
-
-/// Formats a signed percentage with one decimal, e.g. `+7.4 %`.
-pub fn fmt_pct(fraction: f64) -> String {
-    format!("{:+.1} %", fraction * 100.0)
 }
 
 #[cfg(test)]
@@ -166,18 +123,9 @@ mod tests {
         let mut t = AsciiTable::new(vec!["A".into(), "B".into()]);
         t.add_row(vec!["x".into()]);
         t.add_row(vec!["y".into(), "1".into(), "extra".into()]);
-        assert_eq!(t.row_count(), 2);
         let r = t.render();
+        assert_eq!(r.lines().count(), 4, "header, rule and two rows");
         assert!(!r.contains("extra"));
-    }
-
-    #[test]
-    fn set_aligns_overrides() {
-        let mut t = AsciiTable::new(vec!["A".into(), "B".into()]);
-        t.set_aligns(&[Align::Right, Align::Left]);
-        t.add_row(vec!["1".into(), "x".into()]);
-        let r = t.render();
-        assert!(r.contains('1'));
     }
 
     #[test]
@@ -191,11 +139,5 @@ mod tests {
     fn ber_formatting() {
         assert_eq!(fmt_ber(1.24e-3), "1.24e-3");
         assert_eq!(fmt_ber(0.0), "0");
-    }
-
-    #[test]
-    fn pct_formatting() {
-        assert_eq!(fmt_pct(0.074), "+7.4 %");
-        assert_eq!(fmt_pct(-0.152), "-15.2 %");
     }
 }

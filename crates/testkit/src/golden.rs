@@ -6,7 +6,7 @@
 //! to a checked-in file detectable independently of the comparison against
 //! freshly computed payloads, and gives CI a one-token drift signal.
 
-use crate::{fnv1a64, FNV_OFFSET};
+use hammervolt_core::exec::{fnv1a64, FNV_OFFSET};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

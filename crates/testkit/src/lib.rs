@@ -42,19 +42,6 @@ use hammervolt_dram::registry::ModuleId;
 
 use golden::Golden;
 
-/// FNV-1a-64 offset basis (shared with the sweep cache's content hashing).
-pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// FNV-1a-64 over `bytes`, continuing from state `h` (seed with
-/// [`FNV_OFFSET`]).
-pub fn fnv1a64(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// The conformance study configuration: one module per manufacturer with a
 /// minimal row sample. Small enough that the full golden set regenerates in
 /// seconds, yet it exercises every vendor model, every sweep kind, and
@@ -157,17 +144,6 @@ fn obs_manifest_golden(cfg: &StudyConfig) -> Result<Golden, StudyError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // FNV-1a-64 of the empty string is the offset basis.
-        assert_eq!(fnv1a64(b"", FNV_OFFSET), FNV_OFFSET);
-        // Incremental hashing equals one-shot hashing.
-        let one_shot = fnv1a64(b"hammervolt", FNV_OFFSET);
-        let split = fnv1a64(b"volt", fnv1a64(b"hammer", FNV_OFFSET));
-        assert_eq!(one_shot, split);
-        assert_ne!(one_shot, fnv1a64(b"hammerVolt", FNV_OFFSET));
-    }
 
     #[test]
     fn golden_config_covers_each_manufacturer_once() {

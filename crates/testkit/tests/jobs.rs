@@ -10,9 +10,10 @@ use hammervolt_core::exec::{self, ExecConfig};
 use hammervolt_core::job::{JobControl, JobSpec, SweepKind};
 use hammervolt_core::study::StudyConfig;
 use hammervolt_dram::registry::ModuleId;
+use hammervolt_obs::EventSink;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("testkit-jobs-{tag}-{}", std::process::id()));
@@ -139,11 +140,27 @@ fn concurrent_overlapping_jobs_match_serial_execution_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Fires a job's cancel token when the thread that runs the job closes its
+/// first `exec.shard` span, which it does once that unit has finished.
+/// Spans from other threads (the tests running alongside) are ignored.
+struct CancelAfterFirstUnit {
+    thread: ThreadId,
+    ctl: JobControl,
+}
+
+impl EventSink for CancelAfterFirstUnit {
+    fn emit(&self, line: &str) {
+        if std::thread::current().id() == self.thread && line.contains(r#""name":"exec.shard""#) {
+            self.ctl.cancel.cancel();
+        }
+    }
+}
+
 #[test]
 fn cancelled_job_resumes_from_chunk_checkpoints() {
     let dir = temp_dir("resume");
     let exec = ExecConfig {
-        jobs: 1, // serialize units so the cancel lands mid-sweep
+        jobs: 1, // units run on this thread, which checks the token before each
         cache_dir: Some(dir.clone()),
         ..ExecConfig::default()
     }
@@ -152,31 +169,25 @@ fn cancelled_job_resumes_from_chunk_checkpoints() {
 
     // Cancel as soon as the first unit completes; cooperative cancellation
     // lets in-flight units finish (so checkpoints never tear) and skips the
-    // rest.
+    // rest. Tracing is on for this run only, so its spans reach the sink.
     let ctl = JobControl::new();
-    let stop_watching = Arc::new(AtomicBool::new(false));
-    let watcher = {
-        let ctl = ctl.clone();
-        let stop = Arc::clone(&stop_watching);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                if ctl.snapshot().units_done >= 1 {
-                    ctl.cancel.cancel();
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        })
-    };
+    hammervolt_obs::set_sink(Some(Arc::new(CancelAfterFirstUnit {
+        thread: std::thread::current().id(),
+        ctl: ctl.clone(),
+    })));
+    hammervolt_obs::set_tracing(true);
     let result = spec.run(&exec, &ctl);
-    stop_watching.store(true, Ordering::Relaxed);
-    watcher.join().expect("watcher completes");
+    hammervolt_obs::set_tracing(false);
+    hammervolt_obs::set_sink(None);
     assert!(
         matches!(result, Err(StudyError::Cancelled)),
         "expected Cancelled, got {result:?}"
     );
     let cancelled = ctl.snapshot();
-    assert!(cancelled.units_done >= 1, "at least one unit finished");
+    assert_eq!(
+        cancelled.units_done, 1,
+        "the sweep stops after its first unit"
+    );
     assert!(
         cancelled.units_done < cancelled.units_total,
         "cancellation must land before the sweep finished (finished {}/{})",

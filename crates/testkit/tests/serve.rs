@@ -13,7 +13,7 @@ use hammervolt_core::exec::ExecConfig;
 use hammervolt_core::job::{JobControl, JobSpec, SweepKind};
 use hammervolt_core::study::StudyConfig;
 use hammervolt_dram::registry::ModuleId;
-use hammervolt_serve::{OverflowPolicy, SchedConfig, Server, ServerConfig};
+use hammervolt_serve::{SchedConfig, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -285,7 +285,6 @@ fn queue_bound_rejects_with_429() {
         sched: SchedConfig {
             workers: 1,
             queue_capacity: 1,
-            overflow: OverflowPolicy::Reject,
         },
         exec,
         ..ServerConfig::default()

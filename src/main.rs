@@ -190,7 +190,10 @@ impl<W: Write> Write for Stdout<W> {
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut obs = ObsOptions::from_env();
-    obs.take_from_args(&mut args);
+    if let Err(msg) = obs.take_from_args(&mut args) {
+        eprintln!("hammervolt: {msg}");
+        std::process::exit(2);
+    }
     let _obs = obs.install("hammervolt");
     let (cmd, rest) = match args.split_first() {
         Some((c, r)) => (c.as_str(), r.to_vec()),

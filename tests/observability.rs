@@ -348,6 +348,42 @@ fn cli_trace_and_manifest_leave_stdout_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `--trace-out` without a path refuses the run with one line naming the
+/// flag: a following flag is not a path, so `list --trace-out --metrics`
+/// must not write a trace file named `--metrics`.
+#[test]
+fn cli_refuses_a_trace_out_without_a_path() {
+    let dir = std::env::temp_dir().join(format!("hammervolt-obs-noval-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for args in [
+        &["list", "--trace-out", "--metrics"][..],
+        &["list", "--trace-out"],
+        &["list", "--trace-out="],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hammervolt"))
+            .args(args)
+            .current_dir(&dir)
+            .env_remove("HAMMERVOLT_TRACE_OUT")
+            .env_remove("HAMMERVOLT_MANIFEST_OUT")
+            .output()
+            .expect("run hammervolt");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran the command");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
+        assert!(
+            stderr.contains("--trace-out"),
+            "{args:?}: stderr {stderr:?}"
+        );
+    }
+    assert!(
+        !dir.join("--metrics").exists(),
+        "the next flag was taken as the trace path"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A bad `HAMMERVOLT_JOBS` must warn on stderr and fall back to auto — not
 /// silently swallow the typo (the pre-observability behavior).
 #[test]
