@@ -14,7 +14,7 @@ use hammervolt_stats::table::AsciiTable;
 
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
-    println!("Ablation: which mechanism produces which population behaviour?\n");
+    hammervolt_bench::outln!("Ablation: which mechanism produces which population behaviour?\n");
     let vpp_min = 1.6;
     let mut t = AsciiTable::new(vec![
         "row archetype".into(),
@@ -45,10 +45,12 @@ fn main() {
             format!("{:.3}", hc_multiplier(vpp_min, &qcrit_only)),
         ]);
     }
-    print!("{}", t.render());
-    println!("\n(normalized HC_first at V_PP = {vpp_min} V; > 1 = harder to hammer)\n");
+    hammervolt_bench::out!("{}", t.render());
+    hammervolt_bench::outln!(
+        "\n(normalized HC_first at V_PP = {vpp_min} V; > 1 = harder to hammer)\n"
+    );
 
-    println!("mechanism breakdown across the ladder for the typical archetype:");
+    hammervolt_bench::outln!("mechanism breakdown across the ladder for the typical archetype:");
     let c = solve_coeffs(1.074, vpp_min, 0.30, 0.80);
     let mut t2 = AsciiTable::new(vec![
         "V_PP (V)".into(),
@@ -65,8 +67,8 @@ fn main() {
             format!("{:.3}", hc_multiplier(vpp, &c)),
         ]);
     }
-    print!("{}", t2.render());
-    println!(
+    hammervolt_bench::out!("{}", t2.render());
+    hammervolt_bench::outln!(
         "\nTakeaway: the dq reduction drives the HC_first gain; the qcrit loss \
          below the restoration knee pulls against it and, for rows with weak \
          access devices, wins — the paper's Obsv. 2/5 minority."

@@ -10,8 +10,8 @@ use hammervolt_stats::plot::{render, PlotConfig};
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("Fig. 3: Normalized BER values across different V_PP levels");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!("Fig. 3: Normalized BER values across different V_PP levels");
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     let sweeps = rowhammer_sweeps(&cfg, &scale.exec(), &JobControl::new()).expect("sweep");
     let series = fig03_series(&sweeps);
@@ -21,7 +21,7 @@ fn main() {
             .find(|sw| sw.module.label() == s.label)
             .expect("series labels come from sweeps");
         let last = s.points.last().expect("non-empty series");
-        println!(
+        hammervolt_bench::outln!(
             "{}: normalized BER at V_PPmin ({:.1} V) = {:.3} [{:.3}, {:.3}]",
             s.label,
             sweep.vpp_min,
@@ -39,8 +39,8 @@ fn main() {
             ..PlotConfig::default()
         },
     );
-    println!("\n{plot}");
-    println!(
+    hammervolt_bench::outln!("\n{plot}");
+    hammervolt_bench::outln!(
         "{}",
         serde_json::to_string(&series).expect("series serialize")
     );

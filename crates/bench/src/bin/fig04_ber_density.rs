@@ -12,8 +12,8 @@ use hammervolt_stats::plot::{render, PlotConfig};
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("Fig. 4: Population density of normalized BER at V_PPmin, per Mfr.");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!("Fig. 4: Population density of normalized BER at V_PPmin, per Mfr.");
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     let sweeps = rowhammer_sweeps(&cfg, &scale.exec(), &JobControl::new()).expect("sweep");
     let grouped = ratios_by_manufacturer(&sweeps);
@@ -31,7 +31,7 @@ fn main() {
             .find(|(l, _, _)| l.starts_with(mfr.letter()))
             .map(|&(_, lo, hi)| (lo, hi))
             .unwrap_or((0.0, 0.0));
-        println!(
+        hammervolt_bench::outln!(
             "{mfr}: {} rows, normalized BER range [{min:.2}, {max:.2}] (paper: [{:.2}, {:.2}])",
             ber.len(),
             paper_range.0,
@@ -48,6 +48,6 @@ fn main() {
             ..PlotConfig::default()
         },
     );
-    println!("\n{plot}");
-    println!("{}", serde_json::to_string(&series).expect("serialize"));
+    hammervolt_bench::outln!("\n{plot}");
+    hammervolt_bench::outln!("{}", serde_json::to_string(&series).expect("serialize"));
 }

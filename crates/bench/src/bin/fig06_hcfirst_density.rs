@@ -13,8 +13,10 @@ use hammervolt_stats::plot::{render, PlotConfig};
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("Fig. 6: Population density of normalized HC_first at V_PPmin, per Mfr.");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!(
+        "Fig. 6: Population density of normalized HC_first at V_PPmin, per Mfr."
+    );
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     let sweeps = rowhammer_sweeps(&cfg, &scale.exec(), &JobControl::new()).expect("sweep");
     let grouped = ratios_by_manufacturer(&sweeps);
@@ -33,7 +35,7 @@ fn main() {
             .find(|(l, _, _)| l.starts_with(mfr.letter()))
             .map(|&(_, lo, hi)| (lo, hi))
             .unwrap_or((0.0, 0.0));
-        println!(
+        hammervolt_bench::outln!(
             "{mfr}: {} rows, range [{min:.2}, {max:.2}] (paper [{:.2}, {:.2}]), \
              {:.1} % rows increased",
             hc.len(),
@@ -42,7 +44,9 @@ fn main() {
             increased * 100.0
         );
     }
-    println!("\n(paper: HC_first increases in 83.5 % of Mfr. C rows vs 50.9 % of Mfr. A rows)");
+    hammervolt_bench::outln!(
+        "\n(paper: HC_first increases in 83.5 % of Mfr. C rows vs 50.9 % of Mfr. A rows)"
+    );
     let series = fig06_series(&sweeps);
     let plot = render(
         &series,
@@ -53,6 +57,6 @@ fn main() {
             ..PlotConfig::default()
         },
     );
-    println!("\n{plot}");
-    println!("{}", serde_json::to_string(&series).expect("serialize"));
+    hammervolt_bench::outln!("\n{plot}");
+    hammervolt_bench::outln!("{}", serde_json::to_string(&series).expect("serialize"));
 }

@@ -11,8 +11,8 @@ use hammervolt_stats::plot::{render, PlotConfig};
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("Fig. 7: Minimum reliable t_RCD across different V_PP levels");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!("Fig. 7: Minimum reliable t_RCD across different V_PP levels");
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     let levels_cap = match scale {
         Scale::Paper => 12,
@@ -30,7 +30,7 @@ fn main() {
             if last.y > NOMINAL_T_RCD_NS {
                 exceeders.push(format!("{} ({:.1} ns)", s.label, last.y));
             }
-            println!(
+            hammervolt_bench::outln!(
                 "{}: worst t_RCDmin {:.1} ns at 2.5 V → {:.1} ns at V_PPmin {:.1} V",
                 s.label,
                 s.points.first().unwrap().y,
@@ -39,7 +39,7 @@ fn main() {
             );
         }
     }
-    println!(
+    hammervolt_bench::outln!(
         "\nmodules exceeding nominal 13.5 ns at V_PPmin: {} \
          (paper: A0, A1, A2, B2, B5)",
         if exceeders.is_empty() {
@@ -57,6 +57,6 @@ fn main() {
             ..PlotConfig::default()
         },
     );
-    println!("\n{plot}");
-    println!("{}", serde_json::to_string(&series).expect("serialize"));
+    hammervolt_bench::outln!("\n{plot}");
+    hammervolt_bench::outln!("{}", serde_json::to_string(&series).expect("serialize"));
 }

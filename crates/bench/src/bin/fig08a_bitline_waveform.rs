@@ -7,7 +7,7 @@ use hammervolt_stats::Series;
 
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
-    println!("Fig. 8a: Bitline voltage waveform during row activation (SPICE)\n");
+    hammervolt_bench::outln!("Fig. 8a: Bitline voltage waveform during row activation (SPICE)\n");
     let params = DramCellParams::default();
     let sim = ActivationSim::new(params);
     let vdd = params.vdd;
@@ -23,7 +23,7 @@ fn main() {
                 s.push(t * 1e9, v);
             }
         }
-        println!(
+        hammervolt_bench::outln!(
             "V_PP = {vpp:.1} V: t_RCDmin = {} ns, restored cell = {:.3} V",
             res.t_rcd_min
                 .map(|t| format!("{:.1}", t * 1e9))
@@ -32,7 +32,7 @@ fn main() {
         );
         series.push(s);
     }
-    println!(
+    hammervolt_bench::outln!(
         "\nV_DD = {vdd:.1} V, read threshold V_TH = {threshold:.2} V \
          (paper: charge sharing completes by ~5 ns; lower V_PP crosses V_TH later)"
     );
@@ -45,5 +45,5 @@ fn main() {
             ..PlotConfig::default()
         },
     );
-    println!("\n{plot}");
+    hammervolt_bench::outln!("\n{plot}");
 }

@@ -9,13 +9,13 @@ use hammervolt_stats::{KernelDensity, Series};
 
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
-    println!("Fig. 8b: t_RCDmin distribution across Monte-Carlo trials (SPICE)\n");
+    hammervolt_bench::outln!("Fig. 8b: t_RCDmin distribution across Monte-Carlo trials (SPICE)\n");
     let trials = match Scale::from_env() {
         Scale::Paper => 10_000,
         Scale::Smoke => 60,
         Scale::Quick => 400,
     };
-    println!("trials per V_PP level: {trials} (paper: 10 000)\n");
+    hammervolt_bench::outln!("trials per V_PP level: {trials} (paper: 10 000)\n");
     let mc = MonteCarlo::quick(trials);
     let params = DramCellParams::default();
     let mut series = Vec::new();
@@ -23,12 +23,12 @@ fn main() {
         let stats = monte_carlo_activation(&params, vpp, &mc).expect("mc run");
         let t_ns: Vec<f64> = stats.t_rcd.iter().map(|t| t * 1e9).collect();
         if t_ns.is_empty() {
-            println!("V_PP = {vpp:.1} V: no reliable activation in any trial");
+            hammervolt_bench::outln!("V_PP = {vpp:.1} V: no reliable activation in any trial");
             continue;
         }
         let mean = t_ns.iter().sum::<f64>() / t_ns.len() as f64;
         let worst = stats.worst_t_rcd().unwrap() * 1e9;
-        println!(
+        hammervolt_bench::outln!(
             "V_PP = {vpp:.1} V: mean t_RCDmin {mean:.2} ns, worst {worst:.2} ns, \
              failures {}/{} — {}",
             stats.failures,
@@ -50,7 +50,7 @@ fn main() {
         }
         series.push(s);
     }
-    println!(
+    hammervolt_bench::outln!(
         "\n(paper: mean 11.6 → 13.6 ns from 2.5 → 1.7 V; worst-case 12.9 → \
          13.3 / 14.2 / 16.9 ns at 1.9 / 1.8 / 1.7 V; no reliable operation ≤ 1.6 V)"
     );
@@ -63,5 +63,5 @@ fn main() {
             ..PlotConfig::default()
         },
     );
-    println!("\n{plot}");
+    hammervolt_bench::outln!("\n{plot}");
 }

@@ -8,7 +8,7 @@ use hammervolt_stats::Series;
 
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
-    println!("Fig. 9a: Cell capacitor voltage during charge restoration (SPICE)\n");
+    hammervolt_bench::outln!("Fig. 9a: Cell capacitor voltage during charge restoration (SPICE)\n");
     let params = DramCellParams::default();
     let sim = ActivationSim::new(params);
     let mut series = Vec::new();
@@ -22,7 +22,7 @@ fn main() {
             }
         }
         let sat_frac = res.v_cell_final / params.vdd;
-        println!(
+        hammervolt_bench::outln!(
             "V_PP = {vpp:.1} V: restored cell voltage {:.3} V ({:.1} % of V_DD), \
              t_RASmin = {} ns",
             res.v_cell_final,
@@ -33,7 +33,7 @@ fn main() {
         );
         series.push(s);
     }
-    println!(
+    hammervolt_bench::outln!(
         "\n(paper Obsv. 10: saturates at V_DD for V_PP ≥ 2.0 V; lower by \
          4.1 % / 11.0 % / 18.1 % at 1.9 / 1.8 / 1.7 V)"
     );
@@ -46,5 +46,5 @@ fn main() {
             ..PlotConfig::default()
         },
     );
-    println!("\n{plot}");
+    hammervolt_bench::outln!("\n{plot}");
 }

@@ -12,13 +12,13 @@ const NOMINAL_T_RAS_NS: f64 = 32.0;
 
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
-    println!("Fig. 9b: t_RASmin distribution across Monte-Carlo trials (SPICE)\n");
+    hammervolt_bench::outln!("Fig. 9b: t_RASmin distribution across Monte-Carlo trials (SPICE)\n");
     let trials = match Scale::from_env() {
         Scale::Paper => 10_000,
         Scale::Smoke => 60,
         Scale::Quick => 400,
     };
-    println!("trials per V_PP level: {trials} (paper: 10 000)\n");
+    hammervolt_bench::outln!("trials per V_PP level: {trials} (paper: 10 000)\n");
     let mc = MonteCarlo::quick(trials);
     let params = DramCellParams::default();
     let mut series = Vec::new();
@@ -26,12 +26,12 @@ fn main() {
         let stats = monte_carlo_activation(&params, vpp, &mc).expect("mc run");
         let t_ns: Vec<f64> = stats.t_ras.iter().map(|t| t * 1e9).collect();
         if t_ns.is_empty() {
-            println!("V_PP = {vpp:.1} V: no reliable restoration in any trial");
+            hammervolt_bench::outln!("V_PP = {vpp:.1} V: no reliable restoration in any trial");
             continue;
         }
         let mean = t_ns.iter().sum::<f64>() / t_ns.len() as f64;
         let worst = stats.worst_t_ras().unwrap() * 1e9;
-        println!(
+        hammervolt_bench::outln!(
             "V_PP = {vpp:.1} V: mean t_RASmin {mean:.1} ns, worst {worst:.1} ns{}",
             if worst > NOMINAL_T_RAS_NS {
                 " — exceeds nominal t_RAS"
@@ -50,7 +50,7 @@ fn main() {
         }
         series.push(s);
     }
-    println!(
+    hammervolt_bench::outln!(
         "\n(paper Obsv. 11: the t_RAS distribution shifts to larger values and \
          widens as V_PP falls, exceeding the nominal value below 2.0 V; \
          nominal t_RAS = {NOMINAL_T_RAS_NS} ns here)"
@@ -64,5 +64,5 @@ fn main() {
             ..PlotConfig::default()
         },
     );
-    println!("\n{plot}");
+    hammervolt_bench::outln!("\n{plot}");
 }

@@ -10,8 +10,8 @@ use hammervolt_stats::plot::{render, PlotConfig};
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("Fig. 10a: Retention BER across refresh windows per V_PP (80 °C)");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!("Fig. 10a: Retention BER across refresh windows per V_PP (80 °C)");
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     let sweeps = retention_sweeps(&cfg, &scale.exec(), &JobControl::new()).expect("sweep");
     let series = fig10a_series(&sweeps);
@@ -23,12 +23,12 @@ fn main() {
             .find(|p| (p.x - four_s_log).abs() < 0.01)
             .map(|p| p.y)
             .unwrap_or(f64::NAN);
-        println!(
+        hammervolt_bench::outln!(
             "V_PP = {}: mean BER at t_REFW = 4 s is {four_s:.2e}",
             s.label
         );
     }
-    println!(
+    hammervolt_bench::outln!(
         "\n(paper Obsv. 12: the retention BER curve is higher at smaller V_PP; \
          at 4 s, mean BER roughly doubles from 2.5 V to 1.5 V)"
     );
@@ -41,6 +41,6 @@ fn main() {
             ..PlotConfig::default()
         },
     );
-    println!("\n{plot}");
-    println!("{}", serde_json::to_string(&series).expect("serialize"));
+    hammervolt_bench::outln!("\n{plot}");
+    hammervolt_bench::outln!("{}", serde_json::to_string(&series).expect("serialize"));
 }

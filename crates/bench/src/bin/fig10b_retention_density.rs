@@ -12,8 +12,10 @@ use std::collections::BTreeMap;
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("Fig. 10b: Per-row retention BER distribution at t_REFW = 4 s (80 °C)");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!(
+        "Fig. 10b: Per-row retention BER distribution at t_REFW = 4 s (80 °C)"
+    );
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     let sweeps = retention_sweeps(&cfg, &scale.exec(), &JobControl::new()).expect("sweep");
     // (mfr, vpp mV) → row BERs at 4 s, for the prose summary
@@ -46,7 +48,7 @@ fn main() {
                 .find(|(l, _, _)| l.starts_with(mfr.letter()))
                 .copied()
                 .unwrap_or(("", 0.0, 0.0));
-            println!(
+            hammervolt_bench::outln!(
                 "{mfr} at {:.1} V: mean 4 s BER {mean:.2e} (paper: {:.1e} nominal → {:.1e} at 1.5 V)",
                 vpp_mv as f64 / 1000.0,
                 p_nom,
@@ -64,6 +66,6 @@ fn main() {
             ..PlotConfig::default()
         },
     );
-    println!("\n{plot}");
-    println!("{}", serde_json::to_string(&series).expect("serialize"));
+    hammervolt_bench::outln!("\n{plot}");
+    hammervolt_bench::outln!("{}", serde_json::to_string(&series).expect("serialize"));
 }

@@ -13,11 +13,11 @@ use std::collections::BTreeMap;
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("Fig. 11: Rows by erroneous 64-bit word count at 64/128 ms, V_PPmin");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!("Fig. 11: Rows by erroneous 64-bit word count at 64/128 ms, V_PPmin");
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     for window_s in [0.064f64, 0.128] {
-        println!("== t_REFW = {:.0} ms ==", window_s * 1e3);
+        hammervolt_bench::outln!("== t_REFW = {:.0} ms ==", window_s * 1e3);
         // mfr → (erroneous word counts, rows tested, secded ok)
         let mut agg: BTreeMap<char, (Vec<u64>, usize, bool)> = BTreeMap::new();
         for &id in &cfg.modules {
@@ -46,7 +46,7 @@ fn main() {
                 continue;
             };
             let frac = counts.len() as f64 / (*rows).max(1) as f64;
-            println!(
+            hammervolt_bench::outln!(
                 "{mfr}: {} of {} rows erroneous ({:.2} %), SECDED correctable: {}",
                 counts.len(),
                 rows,
@@ -65,14 +65,14 @@ fn main() {
                     )
                 })
                 .collect();
-            print!(
+            hammervolt_bench::out!(
                 "{}",
                 render_bars(&bars, 40, &format!("  % of rows, Mfr. {}", mfr.letter()))
             );
         }
-        println!();
+        hammervolt_bench::outln!();
     }
-    println!(
+    hammervolt_bench::outln!(
         "(paper Fig. 11a at 64 ms: Mfr. A none; Mfr. B 15.5 % of rows with four \
          single-bit words + 0.01 % with 116; Mfr. C 0.2 % with one. Fig. 11b at \
          128 ms: 0.1 % / 4.7 % / 0.2 % of rows with 1 / 2 / 1 words. \

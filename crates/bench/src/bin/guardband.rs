@@ -11,8 +11,8 @@ use hammervolt_stats::table::AsciiTable;
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("§6.1: t_RCD guardband under reduced V_PP");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!("§6.1: t_RCD guardband under reduced V_PP");
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     let sweeps = trcd_sweeps(&cfg, 2, &scale.exec(), &JobControl::new()).expect("sweep");
     let summary = guardband_summary(&sweeps);
@@ -36,8 +36,8 @@ fn main() {
             row.fix.clone(),
         ]);
     }
-    print!("{}", t.render());
-    println!(
+    hammervolt_bench::out!("{}", t.render());
+    hammervolt_bench::outln!(
         "\nmodules failing nominal t_RCD at V_PPmin: {} (paper: A0, A1, A2, B2, B5)",
         if summary.failing.is_empty() {
             "none".into()
@@ -45,7 +45,7 @@ fn main() {
             summary.failing.join(", ")
         }
     );
-    println!(
+    hammervolt_bench::outln!(
         "{}",
         compare_line(
             "mean guardband reduction (reliable modules)",
@@ -53,5 +53,5 @@ fn main() {
             summary.mean_reduction
         )
     );
-    println!("{}", serde_json::to_string(&summary).expect("serialize"));
+    hammervolt_bench::outln!("{}", serde_json::to_string(&summary).expect("serialize"));
 }

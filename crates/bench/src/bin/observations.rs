@@ -9,8 +9,8 @@ use hammervolt_core::job::JobControl;
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("Takeaway 1: effect of V_PP on RowHammer — aggregate findings");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!("Takeaway 1: effect of V_PP on RowHammer — aggregate findings");
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     let sweeps = rowhammer_sweeps(&cfg, &scale.exec(), &JobControl::new()).expect("sweep");
     for sweep in &sweeps {
@@ -23,7 +23,7 @@ fn main() {
                 v.iter().sum::<f64>() / v.len() as f64
             }
         };
-        println!(
+        hammervolt_bench::outln!(
             "{}: V_PPmin {:.1} V | mean normalized BER {:.3} | mean normalized HC_first {:.3}",
             id.label(),
             sweep.vpp_min,
@@ -32,12 +32,12 @@ fn main() {
         );
     }
     let f = observation_findings(&sweeps);
-    println!("\n--- paper vs measured (fractional changes at V_PPmin) ---");
-    println!(
+    hammervolt_bench::outln!("\n--- paper vs measured (fractional changes at V_PPmin) ---");
+    hammervolt_bench::outln!(
         "{}",
         compare_line("mean BER change", paper::MEAN_BER_CHANGE, f.mean_ber_change)
     );
-    println!(
+    hammervolt_bench::outln!(
         "{}",
         compare_line(
             "max module BER reduction",
@@ -45,7 +45,7 @@ fn main() {
             f.max_ber_reduction
         )
     );
-    println!(
+    hammervolt_bench::outln!(
         "{}",
         compare_line(
             "mean HC_first change",
@@ -53,7 +53,7 @@ fn main() {
             f.mean_hc_change
         )
     );
-    println!(
+    hammervolt_bench::outln!(
         "{}",
         compare_line(
             "max row HC_first increase",
@@ -61,7 +61,7 @@ fn main() {
             f.max_hc_increase
         )
     );
-    println!(
+    hammervolt_bench::outln!(
         "{}",
         compare_line(
             "fraction rows BER decreased",
@@ -69,7 +69,7 @@ fn main() {
             f.frac_rows_ber_decreased
         )
     );
-    println!(
+    hammervolt_bench::outln!(
         "{}",
         compare_line(
             "fraction rows BER increased",
@@ -77,7 +77,7 @@ fn main() {
             f.frac_rows_ber_increased
         )
     );
-    println!(
+    hammervolt_bench::outln!(
         "{}",
         compare_line(
             "fraction rows HC_first increased",
@@ -85,7 +85,7 @@ fn main() {
             f.frac_rows_hc_increased
         )
     );
-    println!(
+    hammervolt_bench::outln!(
         "{}",
         compare_line(
             "fraction rows HC_first decreased",
@@ -93,5 +93,5 @@ fn main() {
             f.frac_rows_hc_decreased
         )
     );
-    println!("\n{}", serde_json::to_string_pretty(&f).expect("serialize"));
+    hammervolt_bench::outln!("\n{}", serde_json::to_string_pretty(&f).expect("serialize"));
 }

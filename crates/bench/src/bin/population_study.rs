@@ -79,7 +79,7 @@ fn main() {
     };
     let _obs = obs.install(env!("CARGO_BIN_NAME"));
     let exec = ExecConfig::from_env();
-    println!(
+    hammervolt_bench::outln!(
         "population study: {} generated modules (seed {}), batches of {}, \
          {} rows/module, key {:016x}\n",
         config.population.size,
@@ -120,9 +120,9 @@ fn main() {
             if r.converged { "yes" } else { "" }.to_string(),
         ]);
     }
-    print!("{}", t.render());
+    hammervolt_bench::out!("{}", t.render());
     let rule = &config.stopping;
-    println!(
+    hammervolt_bench::outln!(
         "\nstopping rule: cv p90/p95/p99 ≤ {:.2}/{:.2}/{:.2}, \
          {:.0}% CI within ±{:.1}% of mean, min {} batches",
         rule.cv_p90,
@@ -132,7 +132,7 @@ fn main() {
         rule.ci_rel_width * 50.0,
         rule.min_batches
     );
-    println!(
+    hammervolt_bench::outln!(
         "{} after batch {}: measured {} of {} modules ({:.2}%; families A/B/C = {}/{}/{})",
         if summary.converged {
             "converged"
@@ -148,18 +148,18 @@ fn main() {
         summary.families.2,
     );
     if let (Some(mean), Some((lo, hi))) = (summary.mean_hc_ratio, summary.ci) {
-        println!(
+        hammervolt_bench::outln!(
             "mean HC_first ratio at V_PPmin = {mean:.4}  ({:.0}% CI [{lo:.4}, {hi:.4}])",
             rule.ci_level * 100.0
         );
     }
     if let Some(mean) = summary.mean_ber_ratio {
-        println!("mean BER ratio at V_PPmin   = {mean:.4}");
+        hammervolt_bench::outln!("mean BER ratio at V_PPmin   = {mean:.4}");
     }
     if let Some((p90, p95, p99)) = summary.cv_percentiles {
         let (r90, r95, r99) = hammervolt_bench::paper::CV_PERCENTILES;
-        println!("{}", hammervolt_bench::compare_line("CV p90", r90, p90));
-        println!("{}", hammervolt_bench::compare_line("CV p95", r95, p95));
-        println!("{}", hammervolt_bench::compare_line("CV p99", r99, p99));
+        hammervolt_bench::outln!("{}", hammervolt_bench::compare_line("CV p90", r90, p90));
+        hammervolt_bench::outln!("{}", hammervolt_bench::compare_line("CV p95", r95, p95));
+        hammervolt_bench::outln!("{}", hammervolt_bench::compare_line("CV p99", r99, p99));
     }
 }

@@ -13,7 +13,7 @@ use hammervolt_stats::table::AsciiTable;
 
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
-    println!("I_PP during a sustained double-sided attack (module B3)\n");
+    hammervolt_bench::outln!("I_PP during a sustained double-sided attack (module B3)\n");
     let mut t = AsciiTable::new(vec![
         "V_PP (V)".into(),
         "I_PP hammering (mA)".into(),
@@ -40,8 +40,8 @@ fn main() {
             format!("{:.2}", hammering * vpp * 1e3),
         ]);
     }
-    print!("{}", t.render());
-    println!(
+    hammervolt_bench::out!("{}", t.render());
+    hammervolt_bench::outln!(
         "\nLower V_PP draws proportionally less wordline-pump charge per \
          activation — the rail both resists hammering better (§5) and costs \
          less power, compounding the paper's case for V_PP scaling."

@@ -120,11 +120,11 @@ fn main() {
             std::process::exit(1);
         }
     };
-    println!(
+    hammervolt_bench::outln!(
         "hammervolt study server listening on http://{}",
         server.addr()
     );
-    println!(
+    hammervolt_bench::outln!(
         "submit:  curl -XPOST http://{}/studies -d '{{\"kind\":\"hammer\",\"scale\":\"smoke\"}}'",
         server.addr()
     );

@@ -8,8 +8,8 @@ use hammervolt_core::significance;
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("§4.6: statistical significance (coefficient of variation)");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!("§4.6: statistical significance (coefficient of variation)");
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     let iterations = match scale {
         Scale::Paper => 10,
@@ -31,10 +31,12 @@ fn main() {
         }
     }
     let report = significance::analyze(&groups).expect("significance");
-    println!("measurement groups with nonzero mean: {}\n", report.groups);
+    hammervolt_bench::outln!("measurement groups with nonzero mean: {}\n", report.groups);
     let (p90, p95, p99) = paper::CV_PERCENTILES;
-    println!("{}", compare_line("CV at P90", p90, report.cv_p90));
-    println!("{}", compare_line("CV at P95", p95, report.cv_p95));
-    println!("{}", compare_line("CV at P99", p99, report.cv_p99));
-    println!("\nsmaller CV = higher significance; the paper reports 0.08 / 0.13 / 0.24");
+    hammervolt_bench::outln!("{}", compare_line("CV at P90", p90, report.cv_p90));
+    hammervolt_bench::outln!("{}", compare_line("CV at P95", p95, report.cv_p95));
+    hammervolt_bench::outln!("{}", compare_line("CV at P99", p99, report.cv_p99));
+    hammervolt_bench::outln!(
+        "\nsmaller CV = higher significance; the paper reports 0.08 / 0.13 / 0.24"
+    );
 }

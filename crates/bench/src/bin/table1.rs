@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
-    println!("Table 1: Summary of the tested DDR4 DRAM chips\n");
+    hammervolt_bench::outln!("Table 1: Summary of the tested DDR4 DRAM chips\n");
     let rows = table1_rows();
     let mut t = AsciiTable::new(vec![
         "Mfr.".into(),
@@ -38,17 +38,18 @@ fn main() {
         e.0 += row.dimms;
         e.1 += row.chips;
     }
-    print!("{}", t.render());
-    println!();
+    hammervolt_bench::out!("{}", t.render());
+    hammervolt_bench::outln!();
     let mut grand = (0, 0);
     for (mfr, (dimms, chips)) in &totals {
-        println!("Mfr. {mfr}: {dimms} DIMMs, {chips} chips");
+        hammervolt_bench::outln!("Mfr. {mfr}: {dimms} DIMMs, {chips} chips");
         grand.0 += dimms;
         grand.1 += chips;
     }
-    println!(
+    hammervolt_bench::outln!(
         "total: {} DIMMs, {} chips (paper: 30 DIMMs, 272 chips)",
-        grand.0, grand.1
+        grand.0,
+        grand.1
     );
-    println!("{}", serde_json::to_string(&rows).expect("serialize"));
+    hammervolt_bench::outln!("{}", serde_json::to_string(&rows).expect("serialize"));
 }

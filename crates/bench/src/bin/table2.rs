@@ -5,7 +5,7 @@ use hammervolt_stats::table::AsciiTable;
 
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
-    println!("Table 2: Key parameters used in SPICE simulations\n");
+    hammervolt_bench::outln!("Table 2: Key parameters used in SPICE simulations\n");
     let p = DramCellParams::default();
     let mut t = AsciiTable::new(vec!["Component".into(), "Parameters".into()]);
     t.add_row(vec![
@@ -40,8 +40,8 @@ fn main() {
             p.sa_pmos_t.length * 1e6
         ),
     ]);
-    print!("{}", t.render());
-    println!(
+    hammervolt_bench::out!("{}", t.render());
+    hammervolt_bench::outln!(
         "\nSimulation protocol: V_PP 1.5 V .. 2.5 V in 0.1 V steps, \
          Monte-Carlo ±5 % component variation, 10 K runs (§4.5)."
     );

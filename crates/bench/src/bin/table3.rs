@@ -13,8 +13,8 @@ use hammervolt_stats::table::{fmt_ber, fmt_kilo, AsciiTable};
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("Table 3: Tested DRAM modules at V_PP = 2.5 V and V_PP = V_PPmin");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!("Table 3: Tested DRAM modules at V_PP = 2.5 V and V_PP = V_PPmin");
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     let mut t = AsciiTable::new(vec![
         "DIMM".into(),
@@ -56,11 +56,11 @@ fn main() {
             ),
         ]);
     }
-    print!("{}", t.render());
-    println!(
+    hammervolt_bench::out!("{}", t.render());
+    hammervolt_bench::outln!(
         "\nHC_first is the minimum across tested rows; BER is the mean row BER \
          at HC = 300K. The right-most column shows the paper's Table 3 record \
          at nominal V_PP for comparison."
     );
-    println!("{}", serde_json::to_string(&rows).expect("serialize"));
+    hammervolt_bench::outln!("{}", serde_json::to_string(&rows).expect("serialize"));
 }

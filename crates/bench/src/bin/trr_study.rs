@@ -59,7 +59,7 @@ fn attack_with_refresh(id: ModuleId, attack: &Attack, budget: u64, refresh_burst
 
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
-    println!("TRR extension study: attack shapes × refresh (module B0)\n");
+    hammervolt_bench::outln!("TRR extension study: attack shapes × refresh (module B0)\n");
     let budget = 600_000;
     let mut t = AsciiTable::new(vec![
         "attack".into(),
@@ -76,8 +76,8 @@ fn main() {
         let with = attack_with_refresh(ModuleId::B0, &attack, budget, 8);
         t.add_row(vec![attack.label(), without.to_string(), with.to_string()]);
     }
-    print!("{}", t.render());
-    println!(
+    hammervolt_bench::out!("{}", t.render());
+    hammervolt_bench::outln!(
         "\nWith refresh disabled (the study's configuration) the double-sided \
          attack dominates; interleaving REF lets the victim restore and the \
          vendor TRR engine refresh sampled aggressors' neighbors, collapsing \

@@ -9,8 +9,8 @@ use hammervolt_stats::table::AsciiTable;
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("§8 / Table 3: recommended wordline voltage per module");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!("§8 / Table 3: recommended wordline voltage per module");
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     let rows = match scale {
         Scale::Paper => 16,
@@ -40,8 +40,8 @@ fn main() {
             format!("{:.1}", s.vpp_rec),
         ]);
     }
-    print!("{}", t.render());
-    println!(
+    hammervolt_bench::out!("{}", t.render());
+    hammervolt_bench::outln!(
         "\nThe paper's V_PPrec balances HC_first gain against BER; the two \
          policies here bracket it (security-first ≈ as low as usable, \
          no-regression ≈ as low as strictly free)."

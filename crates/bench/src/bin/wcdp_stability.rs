@@ -11,8 +11,8 @@ use hammervolt_core::alg1::{self, Alg1Config};
 fn main() {
     let _obs = hammervolt_bench::obs_init(env!("CARGO_BIN_NAME"));
     let scale = Scale::from_env();
-    println!("Footnote 9: does the worst-case data pattern change with V_PP?");
-    println!("{}\n", scale.banner());
+    hammervolt_bench::outln!("Footnote 9: does the worst-case data pattern change with V_PP?");
+    hammervolt_bench::outln!("{}\n", scale.banner());
     let cfg = scale.config();
     let alg1_cfg = Alg1Config::fast();
     let mut tested = 0usize;
@@ -50,18 +50,18 @@ fn main() {
         }
     }
     let frac = changed as f64 / tested.max(1) as f64;
-    println!(
+    hammervolt_bench::outln!(
         "WCDP changed for {changed} of {tested} rows ({:.1} %) — paper: ~2.4 %",
         frac * 100.0
     );
     if !hc_deviation.is_empty() {
         hc_deviation.sort_by(hammervolt_stats::order::f64_total);
         let p90 = hc_deviation[(hc_deviation.len() * 9 / 10).min(hc_deviation.len() - 1)];
-        println!(
+        hammervolt_bench::outln!(
             "HC_first deviation for affected rows: P90 = {:.1} % — paper: < 9 %",
             p90 * 100.0
         );
     } else {
-        println!("no affected rows had measurable HC_first under both patterns");
+        hammervolt_bench::outln!("no affected rows had measurable HC_first under both patterns");
     }
 }

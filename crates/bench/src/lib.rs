@@ -4,7 +4,8 @@
 //! crate (see `src/bin/`); each prints the regenerated rows/series as ASCII
 //! tables/plots plus a JSON block for machine consumption. This library holds
 //! the pieces the bins share: scale selection, paper reference values, and
-//! output helpers.
+//! output helpers, among them the one stdout writer every bin prints
+//! through ([`outln!`], [`out!`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,6 +14,48 @@ pub mod figures;
 
 use hammervolt_core::exec::ExecConfig;
 use hammervolt_core::study::{self, StudyConfig};
+use std::io::{self, Write as _};
+
+/// Prints to stdout like `print!`, through [`write_stdout`] under the
+/// calling binary's name.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(env!("CARGO_BIN_NAME"), format_args!($($arg)*))
+    };
+}
+
+/// Prints a line to stdout like `println!`, through [`write_stdout`] under
+/// the calling binary's name.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::out!("\n")
+    };
+    ($($arg:tt)*) => {
+        $crate::out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// Writes `args` to stdout and flushes, as the harness binary `bin`.
+///
+/// A reader that closes stdout early (`population_study | head -n 1`)
+/// ends the run there, quietly and with status 0, as it ends the other
+/// tools of a pipeline. Any other failed write ends it with status 1 and
+/// one line on stderr, `<bin>: cannot write to stdout: <reason>`. Either
+/// way the process exits at once, so a run manifest is not written, as on
+/// the binaries' other error exits. `println!` panics instead (status 101,
+/// and a panic message on stderr).
+pub fn write_stdout(bin: &str, args: std::fmt::Arguments<'_>) {
+    let mut stdout = io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("{bin}: cannot write to stdout: {}", e.kind());
+        std::process::exit(1);
+    }
+}
 
 /// Installs the shared observability wiring for a harness bin: reads the
 /// `HAMMERVOLT_TRACE_OUT`/`HAMMERVOLT_MANIFEST_OUT`/`HAMMERVOLT_METRICS`/

@@ -977,7 +977,6 @@ pub fn retention_sweeps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hammervolt_par::parallel_map;
     use std::sync::atomic::AtomicU64;
 
     fn tiny_config(modules: &[ModuleId]) -> StudyConfig {
@@ -1012,16 +1011,6 @@ mod tests {
         let split = fnv1a64(b"volt", fnv1a64(b"hammer", FNV_OFFSET));
         assert_eq!(one_shot, split);
         assert_ne!(one_shot, fnv1a64(b"hammerVolt", FNV_OFFSET));
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..37).collect();
-        let doubled = parallel_map(&items, 4, |&x| x * 2);
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        // degenerate pools
-        assert_eq!(parallel_map(&items, 1, |&x| x + 1).len(), 37);
-        assert!(parallel_map(&Vec::<u64>::new(), 8, |&x: &u64| x).is_empty());
     }
 
     #[test]

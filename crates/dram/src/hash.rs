@@ -13,6 +13,9 @@
 //! The mixer is `splitmix64`, whose output is well-distributed even for
 //! sequential inputs.
 
+#[cfg(target_arch = "x86_64")]
+use hammervolt_obs::simd::Kernel;
+
 /// One round of the splitmix64 mixing function.
 #[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
@@ -111,23 +114,12 @@ pub(crate) fn cell_draw(row_seed: u64, bit: u32, salt: u64) -> u64 {
 /// Cells per block of the wide hash pass.
 pub(crate) const DRAW_BLOCK: usize = 64;
 
-/// A block of safe code that [`Avx512::run`] compiles for AVX-512F, DQ and
-/// VL. Each implementation marks `run` `#[inline(always)]`, so its body is
-/// inlined into the feature-enabled caller and vectorized there; called
-/// directly, the same body is the portable build.
-pub(crate) trait Kernel {
-    /// What the kernel returns.
-    type Output;
-    /// Runs the kernel.
-    fn run(self) -> Self::Output;
-}
-
 /// [`cell_draw`] for the cells `start ..= start + 63`, written to `draws`,
 /// and the mask of the cells whose draw is below `limit` (bit `i` for cell
 /// `start + i`). The loops carry nothing from lane to lane, so under the
-/// AVX-512 features they compile to eight-lane 64-bit multiplies
-/// (`vpmullq` needs AVX512DQ; VL allows the narrower vectors) and a vector
-/// compare into the mask. All 64 cell seeds are hashed before any draw, so
+/// AVX-512 features ([`hammervolt_obs::simd::Avx512::run`]) they compile
+/// to eight-lane 64-bit multiplies (`vpmullq` needs AVX512DQ; VL allows
+/// the narrower vectors) and a vector compare into the mask. All 64 cell seeds are hashed before any draw, so
 /// each stage is eight independent vector chains the core can overlap,
 /// rather than one long chain per eight cells. `start + 63` must not
 /// overflow.
@@ -158,45 +150,6 @@ impl Kernel for BlockDraws<'_> {
         }
         keep
     }
-}
-
-/// Proof that this host runs AVX-512F, DQ and VL, the features
-/// [`Avx512::run`] compiles kernels for. Its field is private, so only
-/// [`Avx512::detect`] makes one.
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Avx512(());
-
-#[cfg(target_arch = "x86_64")]
-impl Avx512 {
-    /// The proof, if this host has all three features.
-    /// `is_x86_feature_detected!` caches its answer, so a call costs a few
-    /// loads.
-    pub(crate) fn detect() -> Option<Self> {
-        let wide = std::is_x86_feature_detected!("avx512f")
-            && std::is_x86_feature_detected!("avx512dq")
-            && std::is_x86_feature_detected!("avx512vl");
-        wide.then_some(Avx512(()))
-    }
-
-    /// Runs `kernel` compiled for AVX-512F, DQ and VL.
-    #[allow(unsafe_code)]
-    #[inline]
-    pub(crate) fn run<K: Kernel>(self, kernel: K) -> K::Output {
-        // SAFETY: `run_avx512` is safe Rust compiled with
-        // `target_feature(enable = "avx512f,avx512dq,avx512vl")`; calling it
-        // is sound exactly when the CPU has those features. `self` exists
-        // only because `Avx512::detect` found all three on this host.
-        unsafe { run_avx512(kernel) }
-    }
-}
-
-/// [`Avx512::run`]'s feature-enabled frame: one instantiation per kernel,
-/// with the kernel's `#[inline(always)]` body compiled inside it.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn run_avx512<K: Kernel>(kernel: K) -> K::Output {
-    kernel.run()
 }
 
 /// Uniform value in `[lo, hi)` from a seed.

@@ -48,10 +48,7 @@
 //! assert!(module.set_vpp(1.0).is_err()); // below V_PPmin: chip stops responding
 //! ```
 
-// Denied rather than forbidden so that one item, `hash::Avx512::run`, the
-// call into the AVX-512 kernels, can opt back in; no other code here may
-// use `unsafe`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;

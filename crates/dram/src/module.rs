@@ -46,6 +46,9 @@ use crate::timing::{self, ColumnSlots};
 use crate::trr::{TrrEngine, TrrPolicy};
 use crate::vendor::{self, Manufacturer, VendorProfile};
 use hammervolt_obs::counter_add;
+#[cfg(target_arch = "x86_64")]
+use hammervolt_obs::simd::Avx512;
+use hammervolt_obs::simd::Kernel;
 
 /// Hash-domain salts so the independent per-cell properties draw from
 /// unrelated streams.
@@ -263,14 +266,14 @@ enum HashPass {
     /// The hashing kernels compiled for AVX-512, carrying the proof that
     /// this host has it.
     #[cfg(target_arch = "x86_64")]
-    Avx512(hash::Avx512),
+    Avx512(Avx512),
 }
 
 impl HashPass {
     /// The widest pass this host runs.
     fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
-        if let Some(wide) = hash::Avx512::detect() {
+        if let Some(wide) = Avx512::detect() {
             return HashPass::Avx512(wide);
         }
         HashPass::Portable
@@ -278,7 +281,7 @@ impl HashPass {
 
     /// Runs a kernel's body through this pass.
     #[inline]
-    fn run<K: hash::Kernel>(self, kernel: K) -> K::Output {
+    fn run<K: Kernel>(self, kernel: K) -> K::Output {
         match self {
             HashPass::Portable => kernel.run(),
             #[cfg(target_arch = "x86_64")]
@@ -539,7 +542,7 @@ struct DenseBlock {
     start: u32,
 }
 
-impl hash::Kernel for DenseBlock {
+impl Kernel for DenseBlock {
     type Output = [u64; PLANES];
 
     #[inline(always)]

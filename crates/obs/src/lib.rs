@@ -31,8 +31,18 @@
 //! `--metrics`, `--progress`, `--manifest-out PATH`, or the equivalent
 //! `HAMMERVOLT_TRACE_OUT` / `HAMMERVOLT_METRICS` / `HAMMERVOLT_PROGRESS` /
 //! `HAMMERVOLT_MANIFEST_OUT` environment variables.
+//!
+//! # Feature dispatch
+//!
+//! One module here is not observability: [`simd`], the workspace's one
+//! door into code compiled for AVX-512, which the device model's hash
+//! kernels and the SPICE lane solver share. It lives in this crate because
+//! the crate sits below both without a dependency of its own.
 
-#![forbid(unsafe_code)]
+// Denied rather than forbidden so that one item, `simd::Avx512::run`, the
+// call into kernels compiled for AVX-512, can opt back in; no other code
+// here may use `unsafe`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
@@ -42,6 +52,7 @@ pub mod metrics;
 pub mod progress;
 pub mod prometheus;
 pub mod scope;
+pub mod simd;
 pub mod trace;
 
 use std::io::Write as _;

@@ -20,9 +20,15 @@
 //! attribution survives the fan-out exactly like cross-thread span
 //! parenting does. This is a pure side channel — it cannot affect claiming
 //! order or results.
+//!
+//! [`simd`] re-exports `hammervolt-obs`'s AVX-512 dispatch for the SPICE
+//! crate, whose lane groups fan out here and step inside it, so that crate
+//! needs no dependency on `obs` of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub use hammervolt_obs::simd;
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

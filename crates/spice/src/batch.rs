@@ -12,10 +12,13 @@
 //!   (a template circuit per lane + [`TransientSolver`] + trace sink) and
 //!   reuses it for every trial it claims — the steady-state trial loop
 //!   performs no heap allocation.
-//! - **Trial lanes.** Trials `[4g, 4g + 4)` run as lane group `g`: one
-//!   `TransientSolver<4>` pass steps all four in lockstep, each lane bit
-//!   for bit the trial it would be alone (see [`crate::transient`]). The
-//!   last group of a study may be partial. [`BatchedActivation::run_trial`]
+//! - **Trial lanes.** Trials `[8g, 8g + 8)` run as lane group `g`: one
+//!   `TransientSolver<8>` pass steps all eight in lockstep, each lane bit
+//!   for bit the trial it would be alone (see [`crate::transient`]). With
+//!   AVX-512 a lane group's `[f64; 8]` entry is one register, and the
+//!   solver evaluates its MOSFETs lane-wide, so eight lanes beat four on
+//!   either build (EXPERIMENTS.md, "Vectorized SPICE lanes"). The last
+//!   group of a study may be partial. [`BatchedActivation::run_trial`]
 //!   runs one trial as the one-lane instance of the same code.
 //! - **Only what the measurements read.** A group keeps one time base and
 //!   per lane the cell trace; the sensed bitline's first crossing of the
@@ -98,8 +101,10 @@ impl ElementSlots {
 }
 
 /// Trials per lane group of [`BatchedActivation::run`]: the width of the
-/// [`TransientSolver`] it steps them with.
-const LANES: usize = 4;
+/// [`TransientSolver`] it steps them with. Chosen by measurement: eight
+/// lanes fill one AVX-512 register per entry, and on the portable build
+/// they also ran faster than four.
+const LANES: usize = 8;
 
 /// One worker's reusable trial state for lane groups of `L` trials: a
 /// patchable copy of the circuit template per lane, a prepared transient
@@ -310,7 +315,7 @@ impl BatchedActivation {
     }
 
     /// Runs the full batch across `jobs` workers (0 = all cores), stepping
-    /// trials `[4g, 4g + 4)` together as lane group `g`, and folds
+    /// trials `[8g, 8g + 8)` together as lane group `g`, and folds
     /// per-trial results in trial-index order.
     ///
     /// # Errors

@@ -10,7 +10,7 @@
 //! - [`waveform`] — source waveforms (DC and piecewise-linear),
 //! - [`mosfet`] — a level-1 (Shichman–Hodges) MOSFET model with body effect
 //!   and channel-length modulation, parameterized by a PTM-like 22 nm card
-//!   ([`ptm`]),
+//!   ([`ptm`]), evaluated one device at a time or lane-wide,
 //! - [`linear`] — dense LU factorization with partial pivoting, plus a
 //!   lane kernel that factors several same-sized systems at once, each
 //!   bit-identical to the one-system solve,
@@ -18,6 +18,7 @@
 //!   iteration and backward-Euler companion models for capacitors; the
 //!   reference engine steps one circuit, the lane solver steps several
 //!   same-shaped circuits in lockstep, each bit-identical to the reference,
+//!   compiled for AVX-512 where the host has it,
 //! - [`analysis`] — trace measurements (threshold crossings, in a recorded
 //!   trace or sample by sample, and settling times),
 //! - [`montecarlo`] — ±5 % component variation across seeded trials (§4.5),
@@ -25,7 +26,7 @@
 //!   bitline, access NMOS, and a cross-coupled sense amplifier, with
 //!   activation/restoration experiments that reproduce Figs. 8 and 9,
 //! - [`batch`] — the batched Monte-Carlo runner: one symbolic analysis per
-//!   netlist shape, per-worker solver workspaces, trials stepped four at a
+//!   netlist shape, per-worker solver workspaces, trials stepped eight at a
 //!   time as solver lanes, data-parallel lane groups with results
 //!   bit-identical to the serial reference for any worker count.
 //!

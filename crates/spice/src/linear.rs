@@ -14,6 +14,13 @@
 //! `solve_in_place`, is the fallback. The transient solver steps its
 //! Monte-Carlo trial lanes through both; its one-lane instance is the
 //! scalar fast path.
+//!
+//! The structured kernel is `#[inline(always)]` from the dimension's
+//! `match` down, and is chosen by dimension at each call rather than
+//! through a table of function pointers: inlined into the transient
+//! solver's stepping loop, it is compiled for whatever build that loop
+//! runs in (`hammervolt_par::simd`), AVX-512 included. Called directly, it
+//! is the portable build.
 
 use crate::error::SpiceError;
 
@@ -174,17 +181,23 @@ impl<const L: usize> LaneMatrix<L> {
         self.data[row * self.n + col] = lanes;
     }
 
-    /// Adds `lanes` to element `(row, col)`, lane by lane — the MNA stamp.
+    /// The index of element `(row, col)` in [`entries_mut`]: worked out
+    /// once, it lets a caller stamp an entry many times without checking
+    /// its indices again.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range indices.
-    pub(crate) fn add(&mut self, row: usize, col: usize, lanes: [f64; L]) {
+    ///
+    /// [`entries_mut`]: Self::entries_mut
+    pub(crate) fn offset(&self, row: usize, col: usize) -> usize {
         assert!(row < self.n && col < self.n);
-        let entry = &mut self.data[row * self.n + col];
-        for (x, v) in entry.iter_mut().zip(lanes) {
-            *x += v;
-        }
+        row * self.n + col
+    }
+
+    /// Every entry, row-major, each holding one value per lane.
+    pub(crate) fn entries_mut(&mut self) -> &mut [[f64; L]] {
+        &mut self.data
     }
 
     /// Resets every lane to zero, preserving the allocation.
@@ -216,12 +229,6 @@ impl<const L: usize> LaneMatrix<L> {
     }
 }
 
-/// A structured solve over the lanes of a [`LaneMatrix`] in place, for
-/// the lanes marked live, under a row-mask pattern; `false` when it
-/// declines.
-type LaneKernel<const L: usize> =
-    fn(&mut LaneMatrix<L>, &mut [[f64; L]], &[u32], [bool; L]) -> bool;
-
 /// LU with partial pivoting over `L` lanes of `n × n` systems, each live
 /// lane bit for bit as [`Matrix::solve_in_place`] solves it alone.
 ///
@@ -234,36 +241,15 @@ type LaneKernel<const L: usize> =
 /// and calls the reference.
 #[derive(Debug, Clone)]
 pub struct LaneLu<const L: usize> {
-    kernel: Option<LaneKernel<L>>,
     /// One lane's system, for the reference.
     single: Matrix,
     single_rhs: Vec<f64>,
 }
 
 impl<const L: usize> LaneLu<L> {
-    /// Picks the solves for `n × n` systems.
+    /// Prepares the solves for `n × n` systems.
     pub fn new(n: usize) -> Self {
-        let kernel: Option<LaneKernel<L>> = match n {
-            1 => Some(solve_fixed::<1, L>),
-            2 => Some(solve_fixed::<2, L>),
-            3 => Some(solve_fixed::<3, L>),
-            4 => Some(solve_fixed::<4, L>),
-            5 => Some(solve_fixed::<5, L>),
-            6 => Some(solve_fixed::<6, L>),
-            7 => Some(solve_fixed::<7, L>),
-            8 => Some(solve_fixed::<8, L>),
-            9 => Some(solve_fixed::<9, L>),
-            10 => Some(solve_fixed::<10, L>),
-            11 => Some(solve_fixed::<11, L>),
-            12 => Some(solve_fixed::<12, L>),
-            13 => Some(solve_fixed::<13, L>),
-            14 => Some(solve_fixed::<14, L>),
-            15 => Some(solve_fixed::<15, L>),
-            16 => Some(solve_fixed::<16, L>),
-            _ => None,
-        };
         LaneLu {
-            kernel,
             single: Matrix::zeros(n),
             single_rhs: vec![0.0; n],
         }
@@ -297,6 +283,7 @@ impl<const L: usize> LaneLu<L> {
     ///
     /// Panics if `a` is not of the dimension this solve was built for, or
     /// `b` or `pattern` has another length.
+    #[inline(always)]
     pub fn solve_structured(
         &self,
         a: &mut LaneMatrix<L>,
@@ -304,14 +291,30 @@ impl<const L: usize> LaneLu<L> {
         pattern: &[u32],
         live: [bool; L],
     ) -> bool {
-        let Some(kernel) = self.kernel else {
-            return false;
-        };
         debug_assert!(
             meets_contract(a, b, pattern, live),
             "a live lane has a nonzero entry outside the pattern, or a -0.0"
         );
-        kernel(a, b, pattern, live)
+        assert_eq!(a.n, self.single.n, "matrix dimension must match the solve");
+        match a.n {
+            1 => solve_fixed::<1, L>(a, b, pattern, live),
+            2 => solve_fixed::<2, L>(a, b, pattern, live),
+            3 => solve_fixed::<3, L>(a, b, pattern, live),
+            4 => solve_fixed::<4, L>(a, b, pattern, live),
+            5 => solve_fixed::<5, L>(a, b, pattern, live),
+            6 => solve_fixed::<6, L>(a, b, pattern, live),
+            7 => solve_fixed::<7, L>(a, b, pattern, live),
+            8 => solve_fixed::<8, L>(a, b, pattern, live),
+            9 => solve_fixed::<9, L>(a, b, pattern, live),
+            10 => solve_fixed::<10, L>(a, b, pattern, live),
+            11 => solve_fixed::<11, L>(a, b, pattern, live),
+            12 => solve_fixed::<12, L>(a, b, pattern, live),
+            13 => solve_fixed::<13, L>(a, b, pattern, live),
+            14 => solve_fixed::<14, L>(a, b, pattern, live),
+            15 => solve_fixed::<15, L>(a, b, pattern, live),
+            16 => solve_fixed::<16, L>(a, b, pattern, live),
+            _ => false,
+        }
     }
 
     /// Solves `A · x = b` in place for every lane marked `live`, each
@@ -378,6 +381,7 @@ fn meets_contract<const L: usize>(
 ///
 /// Panics if the matrix is not `N × N`, or `b` or `pattern` is not of
 /// length `N`.
+#[inline(always)]
 fn solve_fixed<const N: usize, const L: usize>(
     m: &mut LaneMatrix<L>,
     b: &mut [[f64; L]],
@@ -407,6 +411,7 @@ fn solve_fixed<const N: usize, const L: usize>(
 /// those columns into the row's mask (fill-in). Back substitution runs
 /// over each row's masked columns right of the diagonal, in ascending
 /// order.
+#[inline(always)]
 fn lu_masked<const N: usize, const L: usize>(
     a: &mut [[[f64; L]; N]; N],
     b: &mut [[f64; L]; N],
@@ -504,6 +509,8 @@ fn lu_masked<const N: usize, const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transient::Build;
+    use hammervolt_par::simd::Kernel;
 
     fn from_rows(rows: &[&[f64]]) -> Matrix {
         let n = rows.len();
@@ -594,22 +601,75 @@ mod tests {
         Matrix::zeros(2).get(2, 0);
     }
 
+    /// [`LaneLu::solve_structured`] over every lane, as a kernel, so that
+    /// it can run through the AVX-512 build.
+    struct Structured<'a, const L: usize> {
+        lu: &'a LaneLu<L>,
+        a: &'a mut LaneMatrix<L>,
+        b: &'a mut [[f64; L]],
+        pattern: &'a [u32],
+    }
+
+    impl<const L: usize> Kernel for Structured<'_, L> {
+        type Output = bool;
+
+        #[inline(always)]
+        fn run(self) -> bool {
+            self.lu
+                .solve_structured(self.a, self.b, self.pattern, [true; L])
+        }
+    }
+
+    /// Whether the structured kernel solves `2·I · x = (1, 2, …, n)` in
+    /// every lane through `build`, giving `x = (1/2, 1, …, n/2)` exactly.
+    fn solves_diagonal<const L: usize>(n: usize, build: Build) -> bool {
+        let lu = LaneLu::<L>::new(n);
+        let mut a = LaneMatrix::<L>::zeros(n);
+        let mut b: Vec<[f64; L]> = (0..n).map(|k| [(k + 1) as f64; L]).collect();
+        let pattern: Vec<u32> = (0..n).map(|k| 1 << k).collect();
+        for k in 0..n {
+            a.set(k, k, [2.0; L]);
+        }
+        let kernel = Structured {
+            lu: &lu,
+            a: &mut a,
+            b: &mut b,
+            pattern: &pattern,
+        };
+        let vouched = build.run(kernel);
+        let half = |k: usize| (k + 1) as f64 / 2.0;
+        vouched && (0..n).all(|k| b[k] == [half(k); L])
+    }
+
     #[test]
     fn fixed_kernels_cover_one_to_fixed_lu_max() {
         // Past the table every structured solve declines and each lane
         // falls back to `solve_in_place`, which gives the same bits, so
-        // only this test sees a missing arm.
-        assert!(LaneLu::<1>::new(0).kernel.is_none());
-        assert!((1..=FIXED_LU_MAX).all(|n| LaneLu::<1>::new(n).kernel.is_some()));
-        assert!((1..=FIXED_LU_MAX).all(|n| LaneLu::<4>::new(n).kernel.is_some()));
-        assert!(LaneLu::<1>::new(FIXED_LU_MAX + 1).kernel.is_none());
+        // only this test sees a missing arm. Every dimension up to the
+        // table's end must solve through each build the host runs: the
+        // wide build's `match` is its own copy, inlined into the AVX-512
+        // frame.
+        for build in Build::all() {
+            for n in 1..=FIXED_LU_MAX {
+                assert!(solves_diagonal::<1>(n, build), "n {n}, {build:?}");
+                assert!(solves_diagonal::<8>(n, build), "n {n}, {build:?}");
+            }
+            for n in [0, FIXED_LU_MAX + 1] {
+                assert!(!solves_diagonal::<1>(n, build), "n {n}, {build:?}");
+                assert!(!solves_diagonal::<8>(n, build), "n {n}, {build:?}");
+            }
+        }
     }
 
     #[test]
     fn lane_matrix_keeps_lanes_apart() {
         let mut m = LaneMatrix::<2>::zeros(2);
-        m.add(0, 1, [1.5, -2.0]);
-        m.add(0, 1, [0.5, 0.0]);
+        let at = m.offset(0, 1);
+        for stamp in [[1.5, -2.0], [0.5, 0.0]] {
+            for (x, v) in m.entries_mut()[at].iter_mut().zip(stamp) {
+                *x += v;
+            }
+        }
         assert_eq!(m.get(0, 1), [2.0, -2.0]);
         let mut one = Matrix::zeros(2);
         one.set(1, 0, 7.0);
@@ -621,5 +681,11 @@ mod tests {
         assert_eq!(copy, m);
         m.clear();
         assert_eq!(m.get(1, 0), [0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_range_offset_panics() {
+        LaneMatrix::<4>::zeros(2).offset(0, 2);
     }
 }

@@ -13,6 +13,15 @@
 //! I_D   = K'(W/L)[(V_GS−V_T)V_DS − V_DS²/2](1+λV_DS)  (triode)
 //! I_D   = K'/2 (W/L)(V_GS−V_T)²(1+λV_DS)              (saturation)
 //! ```
+//!
+//! [`MosfetParams::evaluate`] evaluates one device at one bias, branching on
+//! polarity, terminal swap and region; it is the reference engine's model
+//! and the oracle. [`LaneMosfet`] evaluates one device slot across `L`
+//! lanes of the lane solver at once: it holds the per-run constants
+//! (`K'·(W/L)`, `√φ`, the bulk mirrored into the NMOS frame) computed by
+//! the scalar code's own expressions, and picks each lane's polarity
+//! mirror, swap and region by select, so the lanes compile to vector code
+//! and each lane still gets `evaluate`'s bits.
 
 use serde::{Deserialize, Serialize};
 
@@ -82,6 +91,11 @@ impl MosfetParams {
         self.width / self.length
     }
 
+    /// The device's transconductance factor `K'·(W/L)`.
+    fn beta(&self) -> f64 {
+        self.model.kp * self.w_over_l()
+    }
+
     /// Evaluates the device given absolute terminal voltages. The bulk is an
     /// implicit rail at voltage `bulk` (typically 0 V for NMOS, V_DD for
     /// PMOS), not a circuit node.
@@ -127,7 +141,7 @@ impl MosfetParams {
         let vgs = vg - vs;
         let vds = vd - vs;
         let vov = vgs - vt;
-        let beta = m.kp * self.w_over_l();
+        let beta = self.beta();
 
         // (i, gm, gds) in the canonical frame where gm = ∂I/∂V_GS, gds = ∂I/∂V_DS.
         let (i, gm, gds) = if vov <= 0.0 {
@@ -166,6 +180,134 @@ impl MosfetParams {
     pub fn threshold(&self, vsb: f64) -> f64 {
         let m = &self.model;
         m.vt0 + m.gamma * ((m.phi + vsb.max(0.0)).sqrt() - m.phi.sqrt())
+    }
+}
+
+/// The sign bit of an `f64`: XORed into a value's bits, it negates the
+/// value exactly as unary `-` does, NaN included.
+const SIGN: u64 = 1 << 63;
+
+/// One transistor slot's constants across `L` lanes, built once per run:
+/// per lane the polarity mirror, the model card, `K'·(W/L)`, `√φ` and the
+/// bulk mirrored into the NMOS frame, each computed as
+/// [`MosfetParams::evaluate`] computes it on every call.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneMosfet<const L: usize> {
+    /// [`SIGN`] for a PMOS lane, whose voltages and current the reference
+    /// negates into and out of the NMOS frame; `0` for NMOS.
+    mirror: [u64; L],
+    /// The bulk rail in the NMOS frame.
+    bulk: [f64; L],
+    vt0: [f64; L],
+    gamma: [f64; L],
+    phi: [f64; L],
+    sqrt_phi: [f64; L],
+    lambda: [f64; L],
+    beta: [f64; L],
+}
+
+/// [`OperatingPoint`]s of `L` lanes, one array per field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaneOperatingPoint<const L: usize> {
+    /// Drain-terminal current (A).
+    pub i_ds: [f64; L],
+    /// ∂I/∂V_drain (S).
+    pub di_dvd: [f64; L],
+    /// ∂I/∂V_gate (S).
+    pub di_dvg: [f64; L],
+    /// ∂I/∂V_source (S).
+    pub di_dvs: [f64; L],
+}
+
+impl<const L: usize> LaneMosfet<L> {
+    /// The constants of lane `l`'s device `devices[l].0` with its bulk
+    /// rail at `devices[l].1` volts.
+    pub fn new(devices: [(MosfetParams, f64); L]) -> Self {
+        let field = |f: fn(&MosfetParams, f64) -> f64| devices.map(|(p, bulk)| f(&p, bulk));
+        LaneMosfet {
+            mirror: devices.map(|(p, _)| match p.polarity {
+                Polarity::Nmos => 0,
+                Polarity::Pmos => SIGN,
+            }),
+            bulk: field(|p, bulk| match p.polarity {
+                Polarity::Nmos => bulk,
+                Polarity::Pmos => -bulk,
+            }),
+            vt0: field(|p, _| p.model.vt0),
+            gamma: field(|p, _| p.model.gamma),
+            phi: field(|p, _| p.model.phi),
+            sqrt_phi: field(|p, _| p.model.phi.sqrt()),
+            lambda: field(|p, _| p.model.lambda),
+            beta: field(|p, _| p.beta()),
+        }
+    }
+
+    /// Every lane's [`MosfetParams::evaluate`] at its own absolute terminal
+    /// voltages, bit for bit.
+    ///
+    /// Each lane computes the reference's expressions in the reference's
+    /// order, with no branch: a PMOS lane's voltages and current are
+    /// negated by a sign-bit XOR, which is exactly unary `-`; the effective
+    /// drain and source are selected where `vd < vs` (the reference's
+    /// swap), and the partials mapped back by select and negation; all
+    /// three regions are computed and the one the reference's tests
+    /// (`vov <= 0`, then `vds < vov`) pick is selected. Selecting a value
+    /// computed by the same operations on the same operands gives the bits
+    /// the branch gives, and NaN inputs fall through the same tests.
+    #[inline(always)]
+    pub fn evaluate(&self, vd: [f64; L], vg: [f64; L], vs: [f64; L]) -> LaneOperatingPoint<L> {
+        const EPS: f64 = 1e-3;
+        const G_LEAK: f64 = 1e-12;
+        let mut op = LaneOperatingPoint {
+            i_ds: [0.0; L],
+            di_dvd: [0.0; L],
+            di_dvg: [0.0; L],
+            di_dvs: [0.0; L],
+        };
+        for l in 0..L {
+            let mirror = |x: f64| f64::from_bits(x.to_bits() ^ self.mirror[l]);
+            let (ud, ug, us) = (mirror(vd[l]), mirror(vg[l]), mirror(vs[l]));
+            let swap = ud < us;
+            let (d, s) = if swap { (us, ud) } else { (ud, us) };
+            let vsb_raw = s - self.bulk[l];
+            let root = (vsb_raw * vsb_raw + EPS * EPS).sqrt();
+            let vsb = 0.5 * (vsb_raw + root);
+            let dvsb_dvs = 0.5 * (1.0 + vsb_raw / root);
+            let phi_vsb = (self.phi[l] + vsb).sqrt();
+            let vt = self.vt0[l] + self.gamma[l] * (phi_vsb - self.sqrt_phi[l]);
+            let vgs = ug - s;
+            let vds = d - s;
+            let vov = vgs - vt;
+            let (beta, lambda) = (self.beta[l], self.lambda[l]);
+            let clm = 1.0 + lambda * vds;
+            let q = vov * vds - 0.5 * vds * vds;
+            let triode = (
+                beta * q * clm,
+                beta * vds * clm,
+                beta * ((vov - vds) * clm + q * lambda),
+            );
+            let saturation = (
+                0.5 * beta * vov * vov * clm,
+                beta * vov * clm,
+                0.5 * beta * vov * vov * lambda,
+            );
+            let cutoff = (G_LEAK * vds, 0.0, G_LEAK);
+            let (i, gm, gds) = if vov <= 0.0 {
+                cutoff
+            } else if vds < vov {
+                triode
+            } else {
+                saturation
+            };
+            let dvt_dvs = 0.5 * self.gamma[l] / phi_vsb * dvsb_dvs;
+            let dis = -(gm + gds) - gm * dvt_dvs;
+            let i = if swap { -i } else { i };
+            op.i_ds[l] = mirror(i);
+            op.di_dvd[l] = if swap { -dis } else { gds };
+            op.di_dvg[l] = if swap { -gm } else { gm };
+            op.di_dvs[l] = if swap { -gds } else { dis };
+        }
+        op
     }
 }
 

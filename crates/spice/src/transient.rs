@@ -16,17 +16,19 @@
 //! - [`TransientSolver<L>`] — the fast path, stepping `L` same-shaped
 //!   circuits in lockstep, one per lane: every matrix, right-hand-side and
 //!   voltage entry is an `[f64; L]`. Symbolic analysis (layout, validation,
-//!   workspace sizing, choice of LU kernel) happens once at construction.
-//!   Per run, each lane's step-invariant base matrix (gmin, resistors,
-//!   capacitor companion conductances, source incidence) is stamped once;
-//!   per *timestep* only the base right-hand side (capacitor history
-//!   currents, source values) is rebuilt; each Newton iteration copies the
-//!   base, adds the running lanes' MOSFET linearizations and solves every
-//!   lane with one structured [`LaneLu`] pass — no heap allocation
-//!   anywhere in the stepping loop. Newton iterates until every running
-//!   lane has converged. Designed for Monte-Carlo batches that patch
-//!   element values into a template circuit and re-run thousands of times;
-//!   the one-lane instance `TransientSolver<1>` runs a single trial.
+//!   workspace sizing) happens once at construction. Per run, each lane's
+//!   step-invariant base matrix (gmin, resistors, capacitor companion
+//!   conductances, source incidence) is stamped once, and each MOSFET's
+//!   lane constants and stamp offsets are worked out once; per *timestep*
+//!   only the base right-hand side (capacitor history currents, source
+//!   values) is rebuilt; each Newton iteration copies the base, evaluates
+//!   every MOSFET lane-wide, adds the linearizations and solves every lane
+//!   with one structured [`LaneLu`] pass — no heap allocation anywhere in
+//!   the stepping loop. Newton iterates until every running lane has
+//!   converged. The stepping loop runs compiled for AVX-512 where the host
+//!   has it. Designed for Monte-Carlo batches that patch element values
+//!   into a template circuit and re-run thousands of times; the one-lane
+//!   instance `TransientSolver<1>` runs a single trial.
 //!
 //! Each lane is bit-identical to the reference by construction:
 //!
@@ -36,9 +38,13 @@
 //!   first, MOSFET stamps last — exactly the reference's stamping order).
 //!   Each lane's base matrix is stamped by the reference's own [`Stamper`]
 //!   calls; the right-hand side repeats them lane by lane.
-//! - **Devices.** Each running lane calls the same scalar
-//!   [`MosfetParams::evaluate`](crate::mosfet::MosfetParams::evaluate), and
-//!   its stamps land lane-wise in the reference's order.
+//! - **Devices.** Per run, each MOSFET's [`LaneMosfet`] holds every lane's
+//!   constants (`K'·(W/L)`, `√φ`, the mirrored bulk), computed by the
+//!   scalar model's own expressions, and [`LaneMosfet::evaluate`] picks
+//!   each lane's polarity mirror, terminal swap and region by select, so
+//!   every lane gets [`MosfetParams::evaluate`]'s bits. The stamps land
+//!   lane-wise in the reference's order, through matrix offsets worked out
+//!   once per run.
 //! - **Solve.** Per run the solver marks every matrix entry its stamps can
 //!   touch (`mna::pattern`, from the first circuit's wiring, which every
 //!   lane shares). [`LaneLu::solve_structured`] factors all lanes together
@@ -56,18 +62,33 @@
 //!   arithmetic, so its later group iterations cannot touch it; a lane that
 //!   fails leaves the group with the error the reference returns, and the
 //!   others go on. Per-lane Newton counts equal the reference's.
+//! - **Build.** The stepping loop — stamping, the structured LU, damping —
+//!   is one [`Kernel`] with every step `#[inline(always)]`, the LU chosen
+//!   by unknown count inside it. Where `Avx512::detect` finds AVX-512F, DQ
+//!   and VL it runs through `Avx512::run` (`hammervolt_par::simd`), where
+//!   an `[f64; 8]` entry is one register; otherwise it is the portable
+//!   build. No option chooses. Both builds compile the same IEEE
+//!   operations in the same order, and Rust never fuses a multiply and an
+//!   add, so the bits do not depend on the build (a NaN's sign and
+//!   payload aside, which Rust leaves unspecified).
 //!
-//! The crate's `lane_solver_matches_reference_bit_for_bit` property test and
-//! `hammervolt-testkit`'s `mc_equivalence` suite enforce the contract
-//! against the reference engine the same way the compiled-SoftMC-plan
-//! suites enforce interpreter parity.
+//! This module's `lane_solver_matches_reference_bit_for_bit` property test
+//! (through each build the host runs) and `hammervolt-testkit`'s
+//! `mc_equivalence` suite enforce the contract against the reference
+//! engine the same way the compiled-SoftMC-plan suites enforce interpreter
+//! parity.
 //!
+//! [`MosfetParams::evaluate`]: crate::mosfet::MosfetParams::evaluate
 //! [`Matrix::solve_in_place`]: crate::linear::Matrix::solve_in_place
 
 use crate::error::SpiceError;
 use crate::linear::{LaneLu, LaneMatrix, FIXED_LU_MAX};
 use crate::mna::{self, Layout, Stamper};
-use crate::netlist::{Circuit, NodeId};
+use crate::mosfet::LaneMosfet;
+use crate::netlist::{Circuit, Mosfet, NodeId};
+#[cfg(target_arch = "x86_64")]
+use hammervolt_par::simd::Avx512;
+use hammervolt_par::simd::Kernel;
 
 /// Transient analysis configuration.
 #[derive(Debug, Clone, Copy)]
@@ -420,17 +441,18 @@ impl<const L: usize> TraceSink<L> for SelectedTraces<L> {
 /// circuits in lockstep, one per lane, sharing one symbolic analysis across
 /// many runs.
 ///
-/// Construction performs the layout/validation work once and picks the
-/// [`LaneLu`] solve for the layout's unknown count. [`run`] accepts any
-/// circuits with the same *shape* (node count, sources, and element
-/// wiring) — typically the same template with element values patched in
-/// place — and integrates them without allocating. Per run, each lane's
-/// step-invariant base matrix (gmin conditioning, resistors, capacitor
-/// companion conductances, source incidence) is stamped once; per
-/// timestep, only the base right-hand side (capacitor history currents,
-/// source values) is rebuilt; each Newton iteration copies the base into
-/// the working system, adds every running lane's MOSFET linearizations,
-/// and solves all lanes in place.
+/// Construction performs the layout/validation work once, sizes the
+/// [`LaneLu`] solve for the layout's unknown count and picks the widest
+/// build the host runs. [`run`] accepts any circuits with the same *shape*
+/// (node count, sources, and element wiring) — typically the same template
+/// with element values patched in place — and integrates them without
+/// allocating. Per run, each lane's step-invariant base matrix (gmin
+/// conditioning, resistors, capacitor companion conductances, source
+/// incidence) is stamped once, and each MOSFET's lane constants and stamp
+/// offsets are worked out once; per timestep, only the base right-hand
+/// side (capacitor history currents, source values) is rebuilt; each
+/// Newton iteration copies the base into the working system, adds every
+/// lane's MOSFET linearizations, and solves all lanes in place.
 ///
 /// Every lane is bit-identical to [`Transient::run`] on its circuit: the
 /// lanes never mix, each lane receives the reference's floating-point
@@ -447,6 +469,8 @@ pub struct TransientSolver<const L: usize> {
     config: TransientConfig,
     n_nodes: usize,
     n_sources: usize,
+    /// The build the stepping loop runs in: the widest the host has.
+    build: Build,
     lu: LaneLu<L>,
     /// The entries the run's stamps can touch, from its first circuit's
     /// wiring; `None` above [`FIXED_LU_MAX`] unknowns.
@@ -461,6 +485,10 @@ pub struct TransientSolver<const L: usize> {
     work_rhs: Vec<[f64; L]>,
     /// Per capacitor, each lane's companion conductance `C/Δt`.
     geq: Vec<[f64; L]>,
+    /// Per MOSFET, each lane's device constants, built per run.
+    devices: Vec<LaneMosfet<L>>,
+    /// Per MOSFET, where its stamps land, worked out per run.
+    fet_stamps: Vec<FetStamp>,
     volts: Vec<[f64; L]>,
     candidate: Vec<[f64; L]>,
 }
@@ -481,6 +509,7 @@ impl<const L: usize> TransientSolver<L> {
             config,
             n_nodes,
             n_sources: circuit.sources.len(),
+            build: Build::detect(),
             lu: LaneLu::new(n),
             pattern: None,
             declined: 0,
@@ -490,6 +519,8 @@ impl<const L: usize> TransientSolver<L> {
             work: LaneMatrix::zeros(n),
             work_rhs: vec![[0.0; L]; n],
             geq: Vec::new(),
+            devices: Vec::new(),
+            fet_stamps: Vec::new(),
             volts: vec![[0.0; L]; n_nodes],
             candidate: vec![[0.0; L]; n_nodes],
         })
@@ -532,9 +563,9 @@ impl<const L: usize> TransientSolver<L> {
         sink: &mut impl TraceSink<L>,
     ) -> Result<[Result<usize, SpiceError>; L], SpiceError> {
         self.check_group(circuits)?;
-        let cfg = self.config;
         // `check_group` made every lane share the first circuit's wiring.
         self.pattern = mna::pattern(self.stamper.layout(), &circuits[0]);
+        self.prepare_mosfets(circuits);
 
         self.volts.fill([0.0; L]);
         self.base.clear();
@@ -545,10 +576,30 @@ impl<const L: usize> TransientSolver<L> {
             self.stamp_base(lane, c);
         }
 
+        let cfg = &self.config;
         let steps = (cfg.t_stop / cfg.dt).ceil() as usize;
         sink.begin(self.n_nodes, steps / cfg.record_stride + 2);
         sink.record(0.0, &self.volts);
+        let build = self.build;
+        Ok(build.run(Stepping {
+            solver: self,
+            circuits,
+            sink,
+            steps,
+        }))
+    }
 
+    /// Steps the group from the first timestep to `steps`: the loop
+    /// [`Stepping`] compiles for the solver's build, with every piece of
+    /// per-iteration work inlined into it.
+    #[inline(always)]
+    fn step_lanes(
+        &mut self,
+        circuits: &[Circuit],
+        sink: &mut impl TraceSink<L>,
+        steps: usize,
+    ) -> [Result<usize, SpiceError>; L] {
+        let cfg = self.config;
         let mut outcomes: [Result<usize, SpiceError>; L] = std::array::from_fn(|_| Ok(0));
         let mut running: [bool; L] = std::array::from_fn(|lane| lane < circuits.len());
         for step in 1..=steps {
@@ -582,8 +633,8 @@ impl<const L: usize> TransientSolver<L> {
                         *newton += 1;
                     }
                 }
-                self.build_work(circuits, pending);
-                let singular = self.solve(circuits, pending);
+                self.build_work();
+                let singular = self.solve(pending);
                 for lane in (0..L).filter(|&l| singular[l]) {
                     outcomes[lane] = Err(SpiceError::SingularMatrix { time: t });
                     running[lane] = false;
@@ -599,28 +650,31 @@ impl<const L: usize> TransientSolver<L> {
                 sink.record(t, &self.volts);
             }
         }
-        Ok(outcomes)
+        outcomes
     }
 
-    /// Copies the base system into the working one and adds the pending
-    /// lanes' MOSFET linearizations.
-    fn build_work(&mut self, circuits: &[Circuit], pending: [bool; L]) {
+    /// Copies the base system into the working one and adds every lane's
+    /// MOSFET linearizations.
+    #[inline(always)]
+    fn build_work(&mut self) {
         self.work.copy_from(&self.base);
         self.work_rhs.copy_from_slice(&self.base_rhs);
-        self.stamp_mosfets(circuits, pending);
+        self.stamp_mosfets();
     }
 
     /// Solves the working system in place for every pending lane, the
     /// solutions landing in the working right-hand side, and returns the
     /// lanes whose matrix was singular. The structured kernel solves all
-    /// lanes at once; where it declines, the working system holds scratch,
-    /// so it is built again and each lane is solved by the reference.
+    /// lanes at once; where it declines, [`solve_declined`] takes over.
     ///
     /// The assembly meets the kernel's contract by construction: every
     /// entry starts at `+0.0` and only ever has stamps added, an entry
     /// outside the pattern is never stamped, and `x + y` (or `x − y`) is
     /// `−0.0` only when `x` already is.
-    fn solve(&mut self, circuits: &[Circuit], pending: [bool; L]) -> [bool; L] {
+    ///
+    /// [`solve_declined`]: Self::solve_declined
+    #[inline(always)]
+    fn solve(&mut self, pending: [bool; L]) -> [bool; L] {
         if let Some(pattern) = &self.pattern {
             let rows = &pattern[..self.work_rhs.len()];
             if self
@@ -630,8 +684,18 @@ impl<const L: usize> TransientSolver<L> {
                 return [false; L];
             }
             self.declined += 1;
-            self.build_work(circuits, pending);
         }
+        self.solve_declined(pending)
+    }
+
+    /// The path of a solve the structured kernel declined or has no kernel
+    /// for: the working system may hold scratch, so it is built again and
+    /// each pending lane is solved by the reference. Kept out of line: it
+    /// is rare, and its bits do not depend on the build it runs in.
+    #[cold]
+    #[inline(never)]
+    fn solve_declined(&mut self, pending: [bool; L]) -> [bool; L] {
+        self.build_work();
         self.lu.solve(&mut self.work, &mut self.work_rhs, pending)
     }
 
@@ -694,6 +758,7 @@ impl<const L: usize> TransientSolver<L> {
     /// capacitor history currents, then source values. MOSFETs are the only
     /// re-linearized stamps and land last, per iteration, in the working
     /// copy.
+    #[inline(always)]
     fn step_rhs(&mut self, circuits: &[Circuit], t: f64) {
         let layout = self.stamper.layout();
         let rhs = &mut self.base_rhs;
@@ -721,45 +786,61 @@ impl<const L: usize> TransientSolver<L> {
         }
     }
 
-    /// Adds the MOSFET linearizations about each pending lane's candidate
-    /// to the working system in the reference's order: MOSFET by MOSFET,
-    /// the drain row then the source row, each over the `(d, g, s)` terms.
-    /// A lane that is not pending is not evaluated; it receives zero stamps
-    /// in a system nobody reads.
-    fn stamp_mosfets(&mut self, circuits: &[Circuit], pending: [bool; L]) {
-        let layout = self.stamper.layout();
+    /// Builds each MOSFET's lane constants from the lanes' circuits (an
+    /// idle lane repeats the first lane's device) and works out where its
+    /// stamps land from the first circuit's wiring, which every lane
+    /// shares.
+    fn prepare_mosfets(&mut self, circuits: &[Circuit]) {
+        self.devices.clear();
+        self.fet_stamps.clear();
         for (i, m) in circuits[0].mosfets.iter().enumerate() {
-            let (vd, vg, vs) = (
-                self.candidate[m.drain],
-                self.candidate[m.gate],
-                self.candidate[m.source],
-            );
-            let mut i0 = [0.0; L];
-            let (mut gd, mut gg, mut gs) = ([0.0; L], [0.0; L], [0.0; L]);
-            for (l, c) in circuits.iter().enumerate().filter(|&(l, _)| pending[l]) {
-                let fet = &c.mosfets[i];
-                let op = fet.params.evaluate(vd[l], vg[l], vs[l], fet.bulk_volts);
-                i0[l] = op.i_ds - op.di_dvd * vd[l] - op.di_dvg * vg[l] - op.di_dvs * vs[l];
-                (gd[l], gg[l], gs[l]) = (op.di_dvd, op.di_dvg, op.di_dvs);
-            }
-            let terms = [(m.drain, gd), (m.gate, gg), (m.source, gs)];
-            if let Some(di) = layout.node_index(m.drain) {
-                for (node, g) in terms {
-                    if let Some(ni) = layout.node_index(node) {
-                        self.work.add(di, ni, g);
+            self.devices
+                .push(LaneMosfet::new(std::array::from_fn(|lane| {
+                    let fet = &circuits.get(lane).unwrap_or(&circuits[0]).mosfets[i];
+                    (fet.params, fet.bulk_volts)
+                })));
+            let stamp = FetStamp::new(self.stamper.layout(), &self.work, m);
+            self.fet_stamps.push(stamp);
+        }
+    }
+
+    /// Adds every lane's MOSFET linearizations about its candidate to the
+    /// working system in the reference's order: MOSFET by MOSFET, the
+    /// drain row then the source row, each over the `(d, g, s)` terms. A
+    /// lane that is no longer pending is evaluated too; its system is
+    /// never read.
+    #[inline(always)]
+    fn stamp_mosfets(&mut self) {
+        let entries = self.work.entries_mut();
+        let rhs = &mut self.work_rhs;
+        for (device, stamp) in self.devices.iter().zip(&self.fet_stamps) {
+            let [vd, vg, vs] = stamp.nodes.map(|node| self.candidate[node]);
+            let op = device.evaluate(vd, vg, vs);
+            let i0: [f64; L] = std::array::from_fn(|l| {
+                op.i_ds[l] - op.di_dvd[l] * vd[l] - op.di_dvg[l] * vg[l] - op.di_dvs[l] * vs[l]
+            });
+            let terms = [op.di_dvd, op.di_dvg, op.di_dvs];
+            if let Some((row, cols)) = stamp.drain {
+                for (at, g) in cols.iter().zip(terms) {
+                    if let Some(at) = *at {
+                        for (x, v) in entries[at].iter_mut().zip(g) {
+                            *x += v;
+                        }
                     }
                 }
-                for (x, i) in self.work_rhs[di].iter_mut().zip(i0) {
+                for (x, i) in rhs[row].iter_mut().zip(i0) {
                     *x -= i;
                 }
             }
-            if let Some(si) = layout.node_index(m.source) {
-                for (node, g) in terms {
-                    if let Some(ni) = layout.node_index(node) {
-                        self.work.add(si, ni, g.map(|x| -x));
+            if let Some((row, cols)) = stamp.source {
+                for (at, g) in cols.iter().zip(terms) {
+                    if let Some(at) = *at {
+                        for (x, v) in entries[at].iter_mut().zip(g) {
+                            *x += -v;
+                        }
                     }
                 }
-                for (x, i) in self.work_rhs[si].iter_mut().zip(i0) {
+                for (x, i) in rhs[row].iter_mut().zip(i0) {
                     *x += i;
                 }
             }
@@ -775,6 +856,7 @@ impl<const L: usize> TransientSolver<L> {
     /// converged when it is `0.0`; an excess is only taken where
     /// `err > tol`, so it is positive (IEEE subtraction of unequal values
     /// is never zero), and "no node with `err > tol`" is the same verdict.
+    #[inline(always)]
     fn damp(&mut self, pending: [bool; L]) -> [bool; L] {
         let cfg = &self.config;
         let mut moving = [false; L];
@@ -798,6 +880,105 @@ impl<const L: usize> TransientSolver<L> {
     }
 }
 
+/// The code a [`TransientSolver`] steps its lanes with. Both builds give
+/// the same bits, since they compile the same IEEE operations in the same
+/// order (Rust never fuses a multiply and an add); they differ only in
+/// speed, and the wide one is chosen when the host has it. Tests reach the
+/// portable build by setting a solver's `build` field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Build {
+    /// The stepping loop compiled for the baseline target: the only build
+    /// off x86-64 or without AVX-512.
+    Portable,
+    /// The stepping loop compiled for AVX-512F, DQ and VL, carrying the
+    /// proof that this host has them.
+    #[cfg(target_arch = "x86_64")]
+    Avx512(Avx512),
+}
+
+impl Build {
+    /// The widest build this host runs.
+    pub(crate) fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(wide) = Avx512::detect() {
+            return Build::Avx512(wide);
+        }
+        Build::Portable
+    }
+
+    /// Runs a kernel's body through this build.
+    #[inline]
+    pub(crate) fn run<K: Kernel>(self, kernel: K) -> K::Output {
+        match self {
+            Build::Portable => kernel.run(),
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx512(wide) => wide.run(kernel),
+        }
+    }
+
+    /// Every build this host runs, the portable one first; on a host with
+    /// the portable build alone it says so on stderr.
+    #[cfg(test)]
+    pub(crate) fn all() -> Vec<Build> {
+        match Build::detect() {
+            Build::Portable => {
+                eprintln!("no AVX-512 on this host: checking the portable build alone");
+                vec![Build::Portable]
+            }
+            wide => vec![Build::Portable, wide],
+        }
+    }
+}
+
+/// A lane group's stepping loop as a [`Kernel`], so that [`Build::run`]
+/// compiles the whole Newton iteration — stamping, structured LU, damping —
+/// for the host.
+struct Stepping<'a, const L: usize, S> {
+    solver: &'a mut TransientSolver<L>,
+    circuits: &'a [Circuit],
+    sink: &'a mut S,
+    steps: usize,
+}
+
+impl<const L: usize, S: TraceSink<L>> Kernel for Stepping<'_, L, S> {
+    type Output = [Result<usize, SpiceError>; L];
+
+    #[inline(always)]
+    fn run(self) -> Self::Output {
+        self.solver.step_lanes(self.circuits, self.sink, self.steps)
+    }
+}
+
+/// Where one MOSFET's linearization lands in the working system, worked
+/// out once per run: the nodes its voltages are read from, and for the
+/// drain row and then the source row (each absent for ground) the
+/// right-hand-side index and, per `(d, g, s)` term, the matrix entry's
+/// offset (absent for a grounded terminal) — the entries
+/// [`Stamper::linearized_fet`] adds to, in its order.
+#[derive(Debug, Clone, Copy)]
+struct FetStamp {
+    nodes: [NodeId; 3],
+    drain: Option<(usize, [Option<usize>; 3])>,
+    source: Option<(usize, [Option<usize>; 3])>,
+}
+
+impl FetStamp {
+    fn new<const L: usize>(layout: &Layout, work: &LaneMatrix<L>, m: &Mosfet) -> Self {
+        let nodes = [m.drain, m.gate, m.source];
+        let row = |terminal: NodeId| {
+            layout.node_index(terminal).map(|row| {
+                let cols = nodes.map(|n| layout.node_index(n).map(|col| work.offset(row, col)));
+                (row, cols)
+            })
+        };
+        FetStamp {
+            nodes,
+            drain: row(m.drain),
+            source: row(m.source),
+        }
+    }
+}
+
 /// Whether two circuits connect the same elements to the same nodes in the
 /// same order — what the lanes of one run share.
 fn same_wiring(a: &Circuit, b: &Circuit) -> bool {
@@ -813,9 +994,12 @@ fn same_wiring(a: &Circuit, b: &Circuit) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram_cell::{ActivationSim, DramCellParams};
+    use crate::montecarlo::MonteCarlo;
     use crate::netlist::Circuit;
     use crate::ptm;
     use crate::waveform::Waveform;
+    use proptest::prelude::*;
 
     #[test]
     fn rc_charge_matches_analytic() {
@@ -1098,6 +1282,111 @@ mod tests {
                     assert_eq!(sink.trace(k, lane).len(), expected.len());
                     for (a, b) in sink.trace(k, lane).iter().zip(expected) {
                         assert_eq!(a.to_bits(), b.to_bits(), "lane {lane}, node {node}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// An error's variant and its numbers, floats as bits.
+    fn error_bits(e: &SpiceError) -> (String, u64, usize) {
+        match e {
+            SpiceError::SingularMatrix { time } => ("singular".into(), time.to_bits(), 0),
+            SpiceError::NoConvergence { time, iterations } => {
+                ("no convergence".into(), time.to_bits(), *iterations)
+            }
+            other => (format!("{other:?}"), 0, 0),
+        }
+    }
+
+    fn trace_bits(trace: &[f64]) -> Vec<u64> {
+        trace.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // A group of activation circuits, each its own wide parameter draw,
+        // wordline level and stored value, stepped in lockstep by the
+        // eight-lane solver (a partial group when fewer than eight), and
+        // each run alone by the one-lane solver, through every build the
+        // host runs: every lane must be its circuit's reference `Transient`
+        // run bit for bit — times, every node's trace, the final state, the
+        // Newton count, or the error. Wide variation and tight Newton
+        // budgets make lanes converge at different iterations and some
+        // fail while the others complete.
+        #[test]
+        fn lane_solver_matches_reference_bit_for_bit(
+            lanes in 1usize..=8,
+            variation in prop::sample::select(vec![0.05, 0.9, 0.99]),
+            max_newton in prop::sample::select(vec![3usize, 4, 100]),
+            vpps in prop::collection::vec(prop::sample::select(vec![1.6, 2.0, 2.5]), 8..9),
+            seed in any::<u64>(),
+        ) {
+            let base = DramCellParams {
+                t_stop: 20e-9,
+                dt: 20e-12,
+                ..DramCellParams::default()
+            };
+            let mc = MonteCarlo { trials: lanes, seed, variation };
+            let circuits: Vec<Circuit> = (0..lanes)
+                .map(|lane| {
+                    let p = base.perturbed(&mc, &mut mc.trial_rng(lane));
+                    ActivationSim::new(p).build(vpps[lane], (seed >> lane) & 1 == 0).0
+                })
+                .collect();
+            let cfg = TransientConfig {
+                t_stop: base.t_stop,
+                dt: base.dt,
+                max_newton,
+                ..TransientConfig::default()
+            };
+            let references: Vec<_> = circuits
+                .iter()
+                .map(|c| Transient::new(c, cfg).unwrap().run())
+                .collect();
+            let nodes: Vec<NodeId> = (0..circuits[0].node_count()).collect();
+            for build in Build::all() {
+                let mut group = TransientSolver::<8>::new(&circuits[0], cfg).unwrap();
+                group.build = build;
+                let mut group_sink = SelectedTraces::<8>::new(nodes.clone());
+                let outcomes = group.run(&circuits, &mut group_sink).unwrap();
+                let mut alone = TransientSolver::<1>::new(&circuits[0], cfg).unwrap();
+                alone.build = build;
+                let mut alone_sink = SelectedTraces::<1>::new(nodes.clone());
+                for (lane, (circuit, reference)) in circuits.iter().zip(&references).enumerate() {
+                    let [single] = alone.run(std::slice::from_ref(circuit), &mut alone_sink).unwrap();
+                    match reference {
+                        Ok(reference) => {
+                            let newton = Ok(reference.newton_iterations());
+                            prop_assert!(outcomes[lane] == newton, "{build:?}, lane {lane}");
+                            prop_assert!(single == newton, "{build:?}, lane {lane}");
+                            let times = trace_bits(reference.times());
+                            prop_assert_eq!(trace_bits(group_sink.times()), times.clone());
+                            prop_assert_eq!(trace_bits(alone_sink.times()), times);
+                            for (k, &node) in nodes.iter().enumerate() {
+                                let expected = trace_bits(reference.trace(node).unwrap());
+                                let last = *expected.last().unwrap();
+                                prop_assert!(
+                                    trace_bits(group_sink.trace(k, lane)) == expected,
+                                    "{build:?}, lane {lane}, node {node}: group trace"
+                                );
+                                prop_assert!(
+                                    trace_bits(alone_sink.trace(k, 0)) == expected,
+                                    "{build:?}, lane {lane}, node {node}: one-lane trace"
+                                );
+                                prop_assert_eq!(group.final_volts(node)[lane].to_bits(), last);
+                                prop_assert_eq!(alone.final_volts(node)[0].to_bits(), last);
+                            }
+                        }
+                        Err(e) => {
+                            let expected = error_bits(e);
+                            prop_assert!(
+                                outcomes[lane].as_ref().map_err(error_bits) == Err(expected.clone()),
+                                "{build:?}, lane {lane}"
+                            );
+                            prop_assert_eq!(single.as_ref().map_err(error_bits), Err(expected));
+                        }
                     }
                 }
             }

@@ -1,15 +1,48 @@
 //! Property-based tests for the circuit simulator.
 
-use hammervolt_spice::dram_cell::{ActivationSim, DramCellParams};
+#[cfg(target_arch = "x86_64")]
+use hammervolt_par::simd::Avx512;
+use hammervolt_par::simd::Kernel;
 use hammervolt_spice::linear::{LaneLu, LaneMatrix, Matrix, FIXED_LU_MAX};
-use hammervolt_spice::montecarlo::MonteCarlo;
-use hammervolt_spice::mosfet::{Level1Params, MosfetParams, Polarity};
-use hammervolt_spice::netlist::{Circuit, NodeId};
-use hammervolt_spice::transient::{SelectedTraces, Transient, TransientConfig, TransientSolver};
+use hammervolt_spice::mosfet::{
+    LaneMosfet, LaneOperatingPoint, Level1Params, MosfetParams, Polarity,
+};
+use hammervolt_spice::netlist::Circuit;
+use hammervolt_spice::transient::{Transient, TransientConfig};
 use hammervolt_spice::waveform::Waveform;
-use hammervolt_spice::SpiceError;
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};
+
+/// The builds a kernel runs through: called directly, its
+/// `#[inline(always)]` body is the portable build; run through
+/// [`Avx512::run`], the same body is compiled for AVX-512.
+#[derive(Debug, Clone, Copy)]
+enum Build {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx512(Avx512),
+}
+
+impl Build {
+    /// The portable build and, where the host has it, the AVX-512 build;
+    /// on a host without it the test says so on stderr.
+    fn all() -> Vec<Build> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(wide) = Avx512::detect() {
+            return vec![Build::Portable, Build::Avx512(wide)];
+        }
+        eprintln!("no AVX-512 on this host: checking the portable build alone");
+        vec![Build::Portable]
+    }
+
+    fn run<K: Kernel>(self, kernel: K) -> K::Output {
+        match self {
+            Build::Portable => kernel.run(),
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx512(wide) => wide.run(kernel),
+        }
+    }
+}
 
 /// The system shapes the lane LU kernels are compared on.
 #[derive(Debug, Clone, Copy)]
@@ -200,13 +233,35 @@ fn meet_contract(n: usize, (a, b): &mut (Vec<f64>, Vec<f64>), pattern: &[u32]) {
     }
 }
 
+/// [`LaneLu::solve_structured`] as a kernel, so that it can run through
+/// either build.
+struct Structured<'a, const L: usize> {
+    lu: &'a LaneLu<L>,
+    a: &'a mut LaneMatrix<L>,
+    b: &'a mut [[f64; L]],
+    pattern: &'a [u32],
+    live: [bool; L],
+}
+
+impl<const L: usize> Kernel for Structured<'_, L> {
+    type Output = bool;
+
+    #[inline(always)]
+    fn run(self) -> bool {
+        self.lu
+            .solve_structured(self.a, self.b, self.pattern, self.live)
+    }
+}
+
 /// Solves `L` systems as the lanes of one structured [`LaneLu`] pass under
-/// `pattern`, and each live lane alone with `Matrix::solve_in_place`.
+/// `pattern` through `build`, and each live lane alone with
+/// `Matrix::solve_in_place`.
 /// Where the kernel vouches for the systems, each live lane's outcome,
 /// solution bits and factor bits must be the reference's; where it
 /// declines, the systems are loaded again and [`LaneLu::solve`] must give
 /// them. Returns whether the kernel vouched.
 fn lanes_match_reference<const L: usize>(
+    build: Build,
     n: usize,
     systems: &[(Vec<f64>, Vec<f64>); L],
     pattern: &[u32],
@@ -229,14 +284,24 @@ fn lanes_match_reference<const L: usize>(
     };
     let mut lu = LaneLu::<L>::new(n);
     let (mut lanes, mut rhs) = load();
-    let vouched = lu.solve_structured(&mut lanes, &mut rhs, pattern, live);
+    let vouched = build.run(Structured {
+        lu: &lu,
+        a: &mut lanes,
+        b: &mut rhs,
+        pattern,
+        live,
+    });
     let singular = if vouched {
         [false; L]
     } else {
         (lanes, rhs) = load();
         lu.solve(&mut lanes, &mut rhs, live)
     };
-    let path = if vouched { "kernel" } else { "reference" };
+    let path = if vouched {
+        format!("{build:?} kernel")
+    } else {
+        "reference".to_string()
+    };
     for (lane, (a, b)) in systems.iter().enumerate().filter(|&(l, _)| live[l]) {
         let mut reference = Matrix::zeros(n);
         for (i, &v) in a.iter().enumerate() {
@@ -269,12 +334,12 @@ fn lanes_match_reference<const L: usize>(
     Ok(vouched)
 }
 
-/// One case of the structured LU oracle: at every size, one system of
-/// `shape` alone, then four lanes that draw their own shapes or nudge one
-/// shared system, with now and then a lane not live; each group under a
-/// pattern of its nonzeros and the kernel's contract. Returns how often the
-/// kernel vouched and declined at the sizes it has a kernel for.
-fn structured_case(shape: Shape, seed: u64) -> Result<(usize, usize), TestCaseError> {
+/// One case of the structured LU oracle through `build`: at every size, one
+/// system of `shape` alone, then eight lanes that draw their own shapes or
+/// nudge one shared system, with now and then a lane not live; each group
+/// under a pattern of its nonzeros and the kernel's contract. Returns how
+/// often the kernel vouched and declined at the sizes it has a kernel for.
+fn structured_case(build: Build, shape: Shape, seed: u64) -> Result<(usize, usize), TestCaseError> {
     let mut rng = Draw(seed | 1);
     let (mut vouched, mut declined) = (0, 0);
     let mut count = |n: usize, v: bool| {
@@ -286,8 +351,11 @@ fn structured_case(shape: Shape, seed: u64) -> Result<(usize, usize), TestCaseEr
         let mut one = [system(shape, n, &mut rng)];
         let pattern = pattern_of(n, &one, &mut rng);
         meet_contract(n, &mut one[0], &pattern);
-        count(n, lanes_match_reference::<1>(n, &one, &pattern, [true])?);
-        let mut lanes: [(Vec<f64>, Vec<f64>); 4] = if rng.below(2) == 0 {
+        count(
+            n,
+            lanes_match_reference::<1>(build, n, &one, &pattern, [true])?,
+        );
+        let mut lanes: [(Vec<f64>, Vec<f64>); 8] = if rng.below(2) == 0 {
             std::array::from_fn(|lane| {
                 let own = if lane == 0 {
                     shape
@@ -305,7 +373,10 @@ fn structured_case(shape: Shape, seed: u64) -> Result<(usize, usize), TestCaseEr
             meet_contract(n, lane, &pattern);
         }
         let live = std::array::from_fn(|_| rng.below(8) != 0);
-        count(n, lanes_match_reference::<4>(n, &lanes, &pattern, live)?);
+        count(
+            n,
+            lanes_match_reference::<8>(build, n, &lanes, &pattern, live)?,
+        );
     }
     Ok((vouched, declined))
 }
@@ -313,119 +384,241 @@ fn structured_case(shape: Shape, seed: u64) -> Result<(usize, usize), TestCaseEr
 // The structured lane LU is `Matrix::solve_in_place` bit for bit in every
 // live lane wherever it vouches for a system, and the reference gives the
 // same bits wherever it declines, at every fixed-size kernel and just past
-// them, on well-posed and adversarial systems alike. Both outcomes must
-// occur across the run, so that neither path goes untested.
+// them, on well-posed and adversarial systems alike, through the portable
+// build and, where the host has it, the AVX-512 build. Both outcomes must
+// occur across the run in each build, so that neither path goes untested.
 #[test]
 fn fixed_lu_matches_solve_in_place_bit_for_bit() {
-    let shapes = prop::sample::select(SHAPES.to_vec());
-    let seeds = any::<u64>();
-    let mut rng = TestRng::from_name("fixed_lu_matches_solve_in_place_bit_for_bit");
-    let (mut vouched, mut declined) = (0, 0);
-    for case in 0..256 {
-        let (shape, seed) = (shapes.generate(&mut rng), seeds.generate(&mut rng));
-        match structured_case(shape, seed) {
-            Ok((v, d)) => (vouched, declined) = (vouched + v, declined + d),
-            Err(e) => panic!("case {case} ({shape:?}, seed {seed}): {e}"),
-        }
-    }
-    assert!(
-        vouched > 0 && declined > 0,
-        "the kernel vouched {vouched} times and declined {declined} times"
-    );
-}
-
-/// An error's variant and its numbers, floats as bits.
-fn error_bits(e: &SpiceError) -> (String, u64, usize) {
-    match e {
-        SpiceError::SingularMatrix { time } => ("singular".into(), time.to_bits(), 0),
-        SpiceError::NoConvergence { time, iterations } => {
-            ("no convergence".into(), time.to_bits(), *iterations)
-        }
-        other => (format!("{other:?}"), 0, 0),
-    }
-}
-
-fn trace_bits(trace: &[f64]) -> Vec<u64> {
-    trace.iter().map(|v| v.to_bits()).collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    // A group of activation circuits, each its own wide parameter draw,
-    // wordline level and stored value, stepped in lockstep by the
-    // four-lane solver (a partial group when fewer than four), and each run
-    // alone by the one-lane solver: every
-    // lane must be its circuit's reference `Transient` run bit for bit —
-    // times, every node's trace, the final state, the Newton count, or the
-    // error. Wide variation and tight Newton budgets make lanes converge at
-    // different iterations and some fail while the others complete.
-    #[test]
-    fn lane_solver_matches_reference_bit_for_bit(
-        lanes in 1usize..=4,
-        variation in prop::sample::select(vec![0.05, 0.9, 0.99]),
-        max_newton in prop::sample::select(vec![3usize, 4, 100]),
-        vpps in prop::collection::vec(prop::sample::select(vec![1.6, 2.0, 2.5]), 4..5),
-        seed in any::<u64>(),
-    ) {
-        let base = DramCellParams {
-            t_stop: 20e-9,
-            dt: 20e-12,
-            ..DramCellParams::default()
-        };
-        let mc = MonteCarlo { trials: lanes, seed, variation };
-        let circuits: Vec<Circuit> = (0..lanes)
-            .map(|lane| {
-                let p = base.perturbed(&mc, &mut mc.trial_rng(lane));
-                ActivationSim::new(p).build(vpps[lane], (seed >> lane) & 1 == 0).0
-            })
-            .collect();
-        let cfg = TransientConfig {
-            t_stop: base.t_stop,
-            dt: base.dt,
-            max_newton,
-            ..TransientConfig::default()
-        };
-        let nodes: Vec<NodeId> = (0..circuits[0].node_count()).collect();
-        let mut group = TransientSolver::<4>::new(&circuits[0], cfg).unwrap();
-        let mut group_sink = SelectedTraces::<4>::new(nodes.clone());
-        let outcomes = group.run(&circuits, &mut group_sink).unwrap();
-        let mut alone = TransientSolver::<1>::new(&circuits[0], cfg).unwrap();
-        let mut alone_sink = SelectedTraces::<1>::new(nodes.clone());
-        for (lane, circuit) in circuits.iter().enumerate() {
-            let [single] = alone.run(std::slice::from_ref(circuit), &mut alone_sink).unwrap();
-            match Transient::new(circuit, cfg).unwrap().run() {
-                Ok(reference) => {
-                    prop_assert_eq!(outcomes[lane].clone(), Ok(reference.newton_iterations()));
-                    prop_assert_eq!(single, Ok(reference.newton_iterations()));
-                    let times = trace_bits(reference.times());
-                    prop_assert_eq!(trace_bits(group_sink.times()), times.clone());
-                    prop_assert_eq!(trace_bits(alone_sink.times()), times);
-                    for (k, &node) in nodes.iter().enumerate() {
-                        let expected = trace_bits(reference.trace(node).unwrap());
-                        let last = *expected.last().unwrap();
-                        prop_assert!(
-                            trace_bits(group_sink.trace(k, lane)) == expected,
-                            "lane {lane}, node {node}: group trace"
-                        );
-                        prop_assert!(
-                            trace_bits(alone_sink.trace(k, 0)) == expected,
-                            "lane {lane}, node {node}: one-lane trace"
-                        );
-                        prop_assert_eq!(group.final_volts(node)[lane].to_bits(), last);
-                        prop_assert_eq!(alone.final_volts(node)[0].to_bits(), last);
-                    }
-                }
-                Err(e) => {
-                    let expected = error_bits(&e);
-                    prop_assert_eq!(
-                        outcomes[lane].as_ref().map_err(error_bits),
-                        Err(expected.clone())
-                    );
-                    prop_assert_eq!(single.as_ref().map_err(error_bits), Err(expected));
-                }
+    for build in Build::all() {
+        let shapes = prop::sample::select(SHAPES.to_vec());
+        let seeds = any::<u64>();
+        let mut rng = TestRng::from_name("fixed_lu_matches_solve_in_place_bit_for_bit");
+        let (mut vouched, mut declined) = (0, 0);
+        for case in 0..256 {
+            let (shape, seed) = (shapes.generate(&mut rng), seeds.generate(&mut rng));
+            match structured_case(build, shape, seed) {
+                Ok((v, d)) => (vouched, declined) = (vouched + v, declined + d),
+                Err(e) => panic!("{build:?}, case {case} ({shape:?}, seed {seed}): {e}"),
             }
         }
+        assert!(
+            vouched > 0 && declined > 0,
+            "{build:?}: the kernel vouched {vouched} times and declined {declined} times"
+        );
+    }
+}
+
+/// Where a lane of the lane-wide MOSFET oracle is biased, in the NMOS frame
+/// with the drain at or above the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bias {
+    Cutoff,
+    Triode,
+    Saturation,
+    /// `vov` exactly `0.0`: the cutoff test's edge.
+    VovZero,
+    /// `vds` exactly `vov`: the triode test's edge, which saturation takes.
+    VdsAtVov,
+    /// Each terminal NaN, ±∞, ±0.0 or an ordinary voltage.
+    Special,
+}
+
+const BIASES: [Bias; 6] = [
+    Bias::Cutoff,
+    Bias::Triode,
+    Bias::Saturation,
+    Bias::VovZero,
+    Bias::VdsAtVov,
+    Bias::Special,
+];
+
+/// A transistor around the 22 nm cards' magnitudes.
+fn device(rng: &mut Draw, polarity: Polarity) -> MosfetParams {
+    MosfetParams {
+        model: Level1Params {
+            vt0: 0.2 + 0.4 * rng.unit(),
+            kp: 1e-4 + 5e-4 * rng.unit(),
+            lambda: 0.2 * rng.unit(),
+            gamma: 0.6 * rng.unit(),
+            phi: 0.6 + 0.4 * rng.unit(),
+        },
+        polarity,
+        width: 5e-8 + 2e-6 * rng.unit(),
+        length: 2e-8 + 2e-7 * rng.unit(),
+    }
+}
+
+/// The NMOS-frame threshold at a source-to-bulk bias, by
+/// `MosfetParams::evaluate`'s own expressions.
+fn threshold(m: &Level1Params, vsb_raw: f64) -> f64 {
+    const EPS: f64 = 1e-3;
+    let vsb = 0.5 * (vsb_raw + (vsb_raw * vsb_raw + EPS * EPS).sqrt());
+    m.vt0 + m.gamma * ((m.phi + vsb).sqrt() - m.phi.sqrt())
+}
+
+/// One lane: a device, its bulk rail and its `[vd, vg, vs]` as wired. The
+/// bias is built in the NMOS frame with the drain at or above the source;
+/// `swap` then exchanges the wired drain and source, and a PMOS lane
+/// negates every voltage, so that `evaluate`'s mirror and swap lead back
+/// to the built bias. The exact edges put the source at `0.0`, where
+/// `vgs = vg - 0.0` is `vg` exactly.
+fn biased_lane(
+    rng: &mut Draw,
+    bias: Bias,
+    polarity: Polarity,
+    swap: bool,
+) -> (MosfetParams, f64, [f64; 3]) {
+    const SPECIAL: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+    let params = device(rng, polarity);
+    let m = params.model;
+    let bulk = rng.unit() - 0.5;
+    let [d, g, s] = match bias {
+        Bias::Special => std::array::from_fn(|_| {
+            if rng.below(2) == 0 {
+                rng.pick(&SPECIAL)
+            } else {
+                rng.unit() * 5.0 - 2.5
+            }
+        }),
+        Bias::VovZero => [rng.unit() * 2.0, threshold(&m, 0.0 - bulk), 0.0],
+        Bias::VdsAtVov => {
+            let vt = threshold(&m, 0.0 - bulk);
+            let vg = vt + 0.1 + rng.unit();
+            [vg - vt, vg, 0.0]
+        }
+        Bias::Cutoff | Bias::Triode | Bias::Saturation => {
+            let s = rng.unit() * 2.0 - 0.5;
+            let vt = threshold(&m, s - bulk);
+            let overdrive = 0.05 + rng.unit();
+            let g = match bias {
+                Bias::Cutoff => s + vt - overdrive,
+                _ => s + vt + overdrive,
+            };
+            let vov = (g - s) - vt;
+            let vds = match bias {
+                Bias::Cutoff => 2.0 * rng.unit(),
+                Bias::Triode => vov * (0.1 + 0.8 * rng.unit()),
+                _ => vov * (1.2 + rng.unit()),
+            };
+            [s + vds, g, s]
+        }
+    };
+    if bias != Bias::Special {
+        // The region the reference's tests pick in the built frame.
+        let vov = (g - s) - threshold(&m, s - bulk);
+        let region = if vov <= 0.0 {
+            Bias::Cutoff
+        } else if d - s < vov {
+            Bias::Triode
+        } else {
+            Bias::Saturation
+        };
+        let expected = match bias {
+            Bias::VovZero => Bias::Cutoff,
+            Bias::VdsAtVov => Bias::Saturation,
+            other => other,
+        };
+        assert_eq!(region, expected, "{bias:?} built in the wrong region");
+    }
+    let [d, s] = if swap { [s, d] } else { [d, s] };
+    match polarity {
+        Polarity::Nmos => (params, bulk, [d, g, s]),
+        Polarity::Pmos => (params, -bulk, [-d, -g, -s]),
+    }
+}
+
+/// [`LaneMosfet::evaluate`] as a kernel, so that it can run through either
+/// build.
+struct Evaluate<'a, const L: usize> {
+    device: &'a LaneMosfet<L>,
+    volts: [[f64; L]; 3],
+}
+
+impl<const L: usize> Kernel for Evaluate<'_, L> {
+    type Output = LaneOperatingPoint<L>;
+
+    #[inline(always)]
+    fn run(self) -> LaneOperatingPoint<L> {
+        let [vd, vg, vs] = self.volts;
+        self.device.evaluate(vd, vg, vs)
+    }
+}
+
+/// One group of `L` independently drawn lanes, evaluated lane-wide through
+/// each build and one lane at a time by `MosfetParams::evaluate`: all four
+/// outputs of every lane must be the scalar's bits, a NaN matching any NaN
+/// (the AVX-512 build returns a NaN input's `di_dvs` with the sign bit
+/// set where the scalar keeps it clear). Counts each lane's
+/// `(bias, PMOS, swap)` in `seen`.
+fn lanes_match_scalar<const L: usize>(
+    rng: &mut Draw,
+    builds: &[Build],
+    seen: &mut [[[usize; 2]; 2]; 6],
+) -> Result<(), TestCaseError> {
+    let lanes: [_; L] = std::array::from_fn(|_| {
+        let k = rng.below(BIASES.len());
+        let pmos = rng.below(2);
+        let swap = rng.below(2);
+        seen[k][pmos][swap] += 1;
+        let polarity = [Polarity::Nmos, Polarity::Pmos][pmos];
+        (BIASES[k], biased_lane(rng, BIASES[k], polarity, swap == 1))
+    });
+    let device = LaneMosfet::new(lanes.map(|(_, (params, bulk, _))| (params, bulk)));
+    let volts: [[f64; L]; 3] = std::array::from_fn(|t| lanes.map(|(_, (_, _, v))| v[t]));
+    for &build in builds {
+        let op = build.run(Evaluate {
+            device: &device,
+            volts,
+        });
+        for (l, (bias, (params, bulk, [vd, vg, vs]))) in lanes.iter().enumerate() {
+            let want = params.evaluate(*vd, *vg, *vs, *bulk);
+            let fields = [
+                ("i_ds", op.i_ds[l], want.i_ds),
+                ("di_dvd", op.di_dvd[l], want.di_dvd),
+                ("di_dvg", op.di_dvg[l], want.di_dvg),
+                ("di_dvs", op.di_dvs[l], want.di_dvs),
+            ];
+            for (name, got, want) in fields {
+                prop_assert!(
+                    same_bits(got, want),
+                    "{build:?}, {L} lanes, lane {l} ({bias:?}, {:?}, \
+                     v = ({vd:e}, {vg:e}, {vs:e}), bulk {bulk:e}): {name} {got:e}, \
+                     scalar {want:e}",
+                    params.polarity
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+// The lane-wide MOSFET evaluation gives every lane the bits of the scalar
+// `MosfetParams::evaluate`, through the portable build and, where the host
+// has it, the AVX-512 build. The lanes of a group are independent draws
+// that mix NMOS and PMOS, wire the drain below the source, and cover the
+// three regions, the two exact region edges (`vov` = 0 and `vds` = `vov`)
+// and NaN, ±∞ and ±0.0 terminals; every combination of bias, polarity and
+// swap must occur across the run.
+#[test]
+fn lane_evaluation_matches_scalar_bit_for_bit() {
+    let builds = Build::all();
+    let seeds = any::<u64>();
+    let mut rng = TestRng::from_name("lane_evaluation_matches_scalar_bit_for_bit");
+    let mut seen = [[[0usize; 2]; 2]; 6];
+    for case in 0..256 {
+        let seed = seeds.generate(&mut rng);
+        let mut draw = Draw(seed | 1);
+        let checked = lanes_match_scalar::<8>(&mut draw, &builds, &mut seen)
+            .and_then(|()| lanes_match_scalar::<1>(&mut draw, &builds, &mut seen));
+        if let Err(e) = checked {
+            panic!("case {case} (seed {seed}): {e}");
+        }
+    }
+    for (bias, counts) in BIASES.iter().zip(&seen) {
+        assert!(
+            counts.iter().flatten().all(|&n| n > 0),
+            "{bias:?} missed a polarity or swap: {counts:?}"
+        );
     }
 }
 

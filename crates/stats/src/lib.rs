@@ -7,7 +7,7 @@
 //! - [`descriptive`] — summary statistics, including the *coefficient of
 //!   variation* used in the paper's §4.6 significance analysis,
 //! - [`quantile`] — percentiles/quantiles with linear interpolation,
-//! - [`histogram`] — uniform and logarithmic binning,
+//! - [`histogram`] — counts of integer-valued observations (Fig. 11),
 //! - [`kde`] — Gaussian kernel density estimation for the population-density
 //!   distributions of Figs. 4, 6, 8b, 9b, and 10b,
 //! - [`ci`] — normal-approximation confidence intervals for the mean and
@@ -48,7 +48,6 @@ pub mod table;
 pub use ci::ConfidenceInterval;
 pub use descriptive::Summary;
 pub use error::StatsError;
-pub use histogram::Histogram;
 pub use kde::KernelDensity;
 pub use series::Series;
 pub use table::AsciiTable;

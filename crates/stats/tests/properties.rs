@@ -2,7 +2,6 @@
 
 use hammervolt_stats::ci::{mean_ci, normal_quantile, population_interval};
 use hammervolt_stats::descriptive::Summary;
-use hammervolt_stats::histogram::Histogram;
 use hammervolt_stats::kde::KernelDensity;
 use hammervolt_stats::quantile::{quantile, quantiles};
 use proptest::prelude::*;
@@ -43,12 +42,6 @@ proptest! {
         for (i, &p) in ps.iter().enumerate() {
             prop_assert_eq!(batch[i], quantile(&data, p).unwrap());
         }
-    }
-
-    #[test]
-    fn histogram_counts_everything(data in finite_vec(), bins in 1usize..40) {
-        let h = Histogram::uniform(&data, bins).unwrap();
-        prop_assert_eq!(h.counts().iter().sum::<u64>(), data.len() as u64);
     }
 
     #[test]

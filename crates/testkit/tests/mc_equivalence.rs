@@ -11,11 +11,12 @@
 //! `to_bits` — an ulp of drift from reordered arithmetic or schedule-
 //! dependent folding fails. The two paths solve with different code: the
 //! reference steps one circuit with `Transient` and `Matrix::solve_in_place`,
-//! the batched runner steps groups of four trials in lockstep, one per lane
-//! of `TransientSolver<4>` and its lane LU (`linear::LaneLu`), so these tests
-//! also pin the lanes — full groups, the partial last group, lanes that
-//! fail beside lanes that complete — to the reference on the activation
-//! system itself.
+//! the batched runner steps groups of eight trials in lockstep, one per
+//! lane of `TransientSolver<8>`, with its lane-wide MOSFET evaluation and
+//! lane LU (`linear::LaneLu`) compiled for AVX-512 where the host has it,
+//! so these tests also pin the lanes — full groups, the partial last group,
+//! lanes that fail beside lanes that complete — to the reference on the
+//! activation system itself.
 //!
 //! The fault-injection tests pin the no-abort contract: a parameter draw
 //! that makes the solver fail numerically is counted as a failed trial
@@ -145,8 +146,8 @@ fn trial_failures_leave_successful_trials_intact() {
     // failures are the budget's; the survivors' measurements are those of
     // the generous run (each trial is independent), and the batched runner
     // matches the serial reference bit for bit at every worker count. The
-    // first study fails 13 of its 16 trials (mostly failing groups around a
-    // survivor), the second 1 of 16 (one failing lane beside three that
+    // first study fails 13 of its 16 trials (mostly failing lanes around a
+    // survivor), the second 1 of 16 (one failing lane beside seven that
     // complete).
     for (variation, vpp, max_newton) in [(0.9, 2.0, 3), (0.99, 2.5, 4)] {
         let mc = MonteCarlo {
