@@ -3,7 +3,8 @@
 //!
 //! The display is a pure consumer of deterministic counts plus wall time —
 //! it can never influence sweep output. Updates are throttled to one redraw
-//! per [`MIN_REDRAW`] so tight shard loops don't spend time formatting.
+//! per 200 ms (`MIN_REDRAW`) so tight shard loops don't spend time
+//! formatting.
 
 use std::io::Write as _;
 use std::sync::Mutex;

@@ -12,8 +12,9 @@
 //!   and channel-length modulation, parameterized by a PTM-like 22 nm card
 //!   ([`ptm`]), evaluated one device at a time or lane-wide,
 //! - [`linear`] — dense LU factorization with partial pivoting, plus a
-//!   lane kernel that factors several same-sized systems at once, each
-//!   bit-identical to the one-system solve,
+//!   lane solver that replays one system's compiled elimination on several
+//!   same-sized systems at once, each bit-identical to the one-system
+//!   solve,
 //! - [`mna`] / [`transient`] — modified nodal analysis with Newton–Raphson
 //!   iteration and backward-Euler companion models for capacitors; the
 //!   reference engine steps one circuit, the lane solver steps several

@@ -6,7 +6,7 @@
 //! one candidate solution at one timestep; `pattern` marks every matrix
 //! entry those stamps can touch for a given circuit's wiring.
 
-use crate::linear::{Matrix, FIXED_LU_MAX};
+use crate::linear::{Matrix, LU_SCHEDULE_MAX};
 use crate::netlist::{Circuit, NodeId};
 
 /// Maps circuit nodes/sources onto MNA unknown indices.
@@ -179,13 +179,13 @@ impl Stamper {
 /// ([`linearized_fet`](Stamper::linearized_fet)). Ground's rows and
 /// columns drop out, and rows past the last unknown stay empty.
 ///
-/// `None` above [`FIXED_LU_MAX`] unknowns, where no structured kernel
-/// exists.
-pub(crate) fn pattern(layout: &Layout, circuit: &Circuit) -> Option<[u32; FIXED_LU_MAX]> {
-    if layout.unknowns() > FIXED_LU_MAX {
+/// `None` above [`LU_SCHEDULE_MAX`] unknowns, where no
+/// [`LuSchedule`](crate::linear::LuSchedule) compiles.
+pub(crate) fn pattern(layout: &Layout, circuit: &Circuit) -> Option<[u32; LU_SCHEDULE_MAX]> {
+    if layout.unknowns() > LU_SCHEDULE_MAX {
         return None;
     }
-    let mut rows = [0u32; FIXED_LU_MAX];
+    let mut rows = [0u32; LU_SCHEDULE_MAX];
     let mut mark = |row: Option<usize>, col: Option<usize>| {
         if let (Some(r), Some(c)) = (row, col) {
             rows[r] |= 1 << c;
@@ -335,7 +335,7 @@ mod tests {
             let g = 1e-3 * (k + 1) as f64;
             st.linearized_fet(m.drain, m.gate, m.source, 1e-4, g, 2.0 * g, -3.0 * g);
         }
-        let rows = pattern(&layout, &c).expect("a pattern up to FIXED_LU_MAX unknowns");
+        let rows = pattern(&layout, &c).expect("a pattern up to LU_SCHEDULE_MAX unknowns");
         let mut touched = 0;
         for (row, mask) in rows.iter().enumerate().take(n) {
             for col in 0..n {
@@ -357,7 +357,7 @@ mod tests {
         // The pattern is the stamped entries and no more.
         assert_eq!(rows.iter().map(|r| r.count_ones()).sum::<u32>(), touched);
         let mut big = Circuit::new();
-        for k in 0..=FIXED_LU_MAX {
+        for k in 0..=LU_SCHEDULE_MAX {
             big.node(&format!("n{k}"));
         }
         assert_eq!(pattern(&Layout::new(&big), &big), None);

@@ -23,7 +23,7 @@
 //!   only the base right-hand side (capacitor history currents, source
 //!   values) is rebuilt; each Newton iteration copies the base, evaluates
 //!   every MOSFET lane-wide, adds the linearizations and solves every lane
-//!   with one structured [`LaneLu`] pass — no heap allocation anywhere in
+//!   by replaying the run's [`LuSchedule`] — no heap allocation anywhere in
 //!   the stepping loop. Newton iterates until every running lane has
 //!   converged. The stepping loop runs compiled for AVX-512 where the host
 //!   has it. Designed for Monte-Carlo batches that patch element values
@@ -47,24 +47,32 @@
 //!   once per run.
 //! - **Solve.** Per run the solver marks every matrix entry its stamps can
 //!   touch (`mna::pattern`, from the first circuit's wiring, which every
-//!   lane shares). [`LaneLu::solve_structured`] factors all lanes together
-//!   over that pattern in [`Matrix::solve_in_place`]'s operation order:
-//!   skipping an entry the pattern leaves out is exact, because the
-//!   assembly leaves such an entry `+0.0` and never produces `−0.0`. It
-//!   declines where a live lane's pivot is under the threshold or NaN,
-//!   where the lanes pick different pivot rows, and where a lane's solution
-//!   is not finite; the solver then builds the working system again and
-//!   solves each lane with `solve_in_place` itself. Either way each lane's
+//!   lane shares). The run's first system goes to the reference,
+//!   [`LaneLu::solve`], which solves each lane with
+//!   [`Matrix::solve_in_place`] and reports the rows the first lane's pivot
+//!   search swapped in; from those rows and the pattern the solver compiles
+//!   a [`LuSchedule`]. Every later system replays it on all lanes together
+//!   ([`LaneLu::solve_scheduled`]): per column it checks in every pending
+//!   lane that partial pivoting picks the scheduled row, then eliminates
+//!   over the pattern and its fill-in in `solve_in_place`'s operation
+//!   order, with no row swaps. Skipping an entry the pattern leaves out is
+//!   exact, because the assembly leaves such an entry `+0.0` and never
+//!   produces `−0.0`. The replay declines where a lane's pivot search would
+//!   pick another row, where a scheduled pivot is under the threshold or
+//!   NaN, and where a lane's solution is not finite; the solver then builds
+//!   the working system again, solves each lane with the reference, and
+//!   compiles a new schedule from its pivot rows. Either way each lane's
 //!   solve is the same pure function of its assembled bits; the crate's
-//!   property tests compare the kernel with `solve_in_place` on
-//!   adversarial systems.
+//!   property tests compare the replay with `solve_in_place` on
+//!   adversarial systems and on stale schedules.
 //! - **Newton.** A lane that has converged is frozen by select, never by
 //!   arithmetic, so its later group iterations cannot touch it; a lane that
 //!   fails leaves the group with the error the reference returns, and the
 //!   others go on. Per-lane Newton counts equal the reference's.
-//! - **Build.** The stepping loop — stamping, the structured LU, damping —
-//!   is one [`Kernel`] with every step `#[inline(always)]`, the LU chosen
-//!   by unknown count inside it. Where `Avx512::detect` finds AVX-512F, DQ
+//! - **Build.** The stepping loop — stamping, the scheduled LU, damping —
+//!   is one [`Kernel`] with every step `#[inline(always)]`; the schedule's
+//!   replay is one copy for every unknown count, since its lists carry
+//!   their own lengths. Where `Avx512::detect` finds AVX-512F, DQ
 //!   and VL it runs through `Avx512::run` (`hammervolt_par::simd`), where
 //!   an `[f64; 8]` entry is one register; otherwise it is the portable
 //!   build. No option chooses. Both builds compile the same IEEE
@@ -80,9 +88,11 @@
 //!
 //! [`MosfetParams::evaluate`]: crate::mosfet::MosfetParams::evaluate
 //! [`Matrix::solve_in_place`]: crate::linear::Matrix::solve_in_place
+//! [`LaneLu::solve`]: crate::linear::LaneLu::solve
+//! [`LaneLu::solve_scheduled`]: crate::linear::LaneLu::solve_scheduled
 
 use crate::error::SpiceError;
-use crate::linear::{LaneLu, LaneMatrix, FIXED_LU_MAX};
+use crate::linear::{LaneLu, LaneMatrix, LuSchedule, LU_SCHEDULE_MAX};
 use crate::mna::{self, Layout, Stamper};
 use crate::mosfet::LaneMosfet;
 use crate::netlist::{Circuit, Mosfet, NodeId};
@@ -456,12 +466,12 @@ impl<const L: usize> TraceSink<L> for SelectedTraces<L> {
 ///
 /// Every lane is bit-identical to [`Transient::run`] on its circuit: the
 /// lanes never mix, each lane receives the reference's floating-point
-/// operations in the reference's order (or, where the structured LU skips
+/// operations in the reference's order (or, where the scheduled LU skips
 /// one, an operation that provably leaves its operand as it was), where a
 /// lane has converged or failed the solver selects per lane rather than
-/// computing, and where the lanes pick different pivot rows each lane is
-/// solved alone. `TransientSolver<1>` is the one-lane instance of the same
-/// code.
+/// computing, and where a lane's pivot rows are not the schedule's each
+/// lane is solved alone. `TransientSolver<1>` is the one-lane instance of
+/// the same code.
 ///
 /// [`run`]: TransientSolver::run
 #[derive(Debug, Clone)]
@@ -473,9 +483,14 @@ pub struct TransientSolver<const L: usize> {
     build: Build,
     lu: LaneLu<L>,
     /// The entries the run's stamps can touch, from its first circuit's
-    /// wiring; `None` above [`FIXED_LU_MAX`] unknowns.
-    pattern: Option<[u32; FIXED_LU_MAX]>,
-    /// Solves the structured kernel declined, over the solver's lifetime.
+    /// wiring; `None` above [`LU_SCHEDULE_MAX`] unknowns.
+    pattern: Option<[u32; LU_SCHEDULE_MAX]>,
+    /// The run's elimination, compiled from the pivot rows of its latest
+    /// reference solve; `None` until its first.
+    schedule: Option<LuSchedule>,
+    /// Schedules compiled, over the solver's lifetime.
+    compiles: usize,
+    /// Solves the schedule declined, over the solver's lifetime.
     declined: usize,
     /// Stamps one lane's base matrix at a time, in the reference's order.
     stamper: Stamper,
@@ -512,6 +527,8 @@ impl<const L: usize> TransientSolver<L> {
             build: Build::detect(),
             lu: LaneLu::new(n),
             pattern: None,
+            schedule: None,
+            compiles: 0,
             declined: 0,
             stamper: Stamper::new(layout),
             base: LaneMatrix::zeros(n),
@@ -565,6 +582,7 @@ impl<const L: usize> TransientSolver<L> {
         self.check_group(circuits)?;
         // `check_group` made every lane share the first circuit's wiring.
         self.pattern = mna::pattern(self.stamper.layout(), &circuits[0]);
+        self.schedule = None;
         self.prepare_mosfets(circuits);
 
         self.volts.fill([0.0; L]);
@@ -664,39 +682,59 @@ impl<const L: usize> TransientSolver<L> {
 
     /// Solves the working system in place for every pending lane, the
     /// solutions landing in the working right-hand side, and returns the
-    /// lanes whose matrix was singular. The structured kernel solves all
-    /// lanes at once; where it declines, [`solve_declined`] takes over.
+    /// lanes whose matrix was singular. The run's schedule solves all lanes
+    /// at once; where it declines, or before the run has one,
+    /// [`solve_declined`] and [`solve_reference`] take over.
     ///
-    /// The assembly meets the kernel's contract by construction: every
+    /// The assembly meets the schedule's contract by construction: every
     /// entry starts at `+0.0` and only ever has stamps added, an entry
     /// outside the pattern is never stamped, and `x + y` (or `x − y`) is
     /// `−0.0` only when `x` already is.
     ///
     /// [`solve_declined`]: Self::solve_declined
+    /// [`solve_reference`]: Self::solve_reference
     #[inline(always)]
     fn solve(&mut self, pending: [bool; L]) -> [bool; L] {
-        if let Some(pattern) = &self.pattern {
-            let rows = &pattern[..self.work_rhs.len()];
-            if self
-                .lu
-                .solve_structured(&mut self.work, &mut self.work_rhs, rows, pending)
-            {
-                return [false; L];
+        match &self.schedule {
+            Some(schedule) => {
+                if self
+                    .lu
+                    .solve_scheduled(schedule, &mut self.work, &mut self.work_rhs, pending)
+                {
+                    return [false; L];
+                }
+                self.solve_declined(pending)
             }
-            self.declined += 1;
+            None => self.solve_reference(pending),
         }
-        self.solve_declined(pending)
     }
 
-    /// The path of a solve the structured kernel declined or has no kernel
-    /// for: the working system may hold scratch, so it is built again and
-    /// each pending lane is solved by the reference. Kept out of line: it
-    /// is rare, and its bits do not depend on the build it runs in.
+    /// The path of a solve the schedule declined: the working system holds
+    /// scratch, so it is built again and solved by the reference, which
+    /// compiles a new schedule. Kept out of line, as is the reference: both
+    /// are rare, and their bits do not depend on the build they run in.
     #[cold]
     #[inline(never)]
     fn solve_declined(&mut self, pending: [bool; L]) -> [bool; L] {
+        self.declined += 1;
         self.build_work();
-        self.lu.solve(&mut self.work, &mut self.work_rhs, pending)
+        self.solve_reference(pending)
+    }
+
+    /// Solves each pending lane with the reference, then compiles the run's
+    /// schedule from the first pending lane's pivot rows, or drops it where
+    /// that lane was singular or there is no pattern.
+    #[cold]
+    #[inline(never)]
+    fn solve_reference(&mut self, pending: [bool; L]) -> [bool; L] {
+        let singular = self.lu.solve(&mut self.work, &mut self.work_rhs, pending);
+        self.schedule = self
+            .pattern
+            .as_ref()
+            .zip(self.lu.pivots())
+            .and_then(|(pattern, pivots)| LuSchedule::compile(pattern, pivots));
+        self.compiles += usize::from(self.schedule.is_some());
+        singular
     }
 
     /// Rejects a group the solver cannot step together.
@@ -931,7 +969,7 @@ impl Build {
 }
 
 /// A lane group's stepping loop as a [`Kernel`], so that [`Build::run`]
-/// compiles the whole Newton iteration — stamping, structured LU, damping —
+/// compiles the whole Newton iteration — stamping, scheduled LU, damping —
 /// for the host.
 struct Stepping<'a, const L: usize, S> {
     solver: &'a mut TransientSolver<L>,
@@ -1235,6 +1273,57 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "lane {lane}");
             }
         }
+        // A run may wire its circuits differently from the runs before it,
+        // with the same node and source counts. Two charged capacitors, the
+        // resistor first from the second to ground, then between the two:
+        // the second run stamps entries the first run's pattern leaves out,
+        // so it needs its own pattern and schedule.
+        let pair = |tied: bool| {
+            let mut c = Circuit::new();
+            let a = c.node("a");
+            let b = c.node("b");
+            c.capacitor("Ca", a, 0, 1e-12, 1.0);
+            c.capacitor("Cb", b, 0, 1e-12, 0.0);
+            c.resistor("R", b, if tied { a } else { 0 }, 1e3);
+            c
+        };
+        let mut one = TransientSolver::<1>::new(&pair(false), cfg).unwrap();
+        for tied in [false, true] {
+            let c = pair(tied);
+            let mut sink = SelectedTraces::new((0..c.node_count()).collect());
+            let outcomes = one.run(std::slice::from_ref(&c), &mut sink).unwrap();
+            assert_lanes_are_reference(&[c], cfg, &outcomes, &sink, &format!("tied {tied}"));
+        }
+    }
+
+    /// Every lane of a finished group run must be its circuit's reference
+    /// run bit for bit: the Newton count and every node's trace.
+    fn assert_lanes_are_reference<const L: usize>(
+        circuits: &[Circuit],
+        cfg: TransientConfig,
+        outcomes: &[Result<usize, SpiceError>; L],
+        sink: &SelectedTraces<L>,
+        context: &str,
+    ) {
+        for (lane, c) in circuits.iter().enumerate() {
+            let reference = Transient::new(c, cfg).unwrap().run().unwrap();
+            assert_eq!(
+                outcomes[lane].clone().unwrap(),
+                reference.newton_iterations(),
+                "{context}, lane {lane}"
+            );
+            for node in 0..c.node_count() {
+                let expected = reference.trace(node).unwrap();
+                assert_eq!(sink.trace(node, lane).len(), expected.len());
+                for (a, b) in sink.trace(node, lane).iter().zip(expected) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{context}, lane {lane}, node {node}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1242,10 +1331,10 @@ mod tests {
         // Each lane's gate node has a resistor to ground. At 1 GΩ the gate
         // column pivots on the gate source's incidence entry (1.0); the
         // third lane's 1 mΩ puts 1,000 S on the diagonal instead, so that
-        // lane picks another pivot row than its group-mates and the
-        // structured kernel declines every solve it takes part in. Every
-        // lane must still be its reference run, and an ordinary group
-        // must never decline.
+        // lane picks another pivot row than the first lane, whose pivot
+        // rows the schedule is compiled from, and the schedule declines
+        // every solve it takes part in. Every lane must still be its
+        // reference run, and an ordinary group must never decline.
         let cfg = TransientConfig {
             t_stop: 10e-9,
             dt: 20e-12,
@@ -1263,7 +1352,7 @@ mod tests {
                 .collect();
             let nodes: Vec<NodeId> = (0..circuits[0].node_count()).collect();
             let mut solver = TransientSolver::<4>::new(&circuits[0], cfg).unwrap();
-            let mut sink = SelectedTraces::new(nodes.clone());
+            let mut sink = SelectedTraces::new(nodes);
             let outcomes = solver.run(&circuits, &mut sink).unwrap();
             assert_eq!(
                 solver.declined > 0,
@@ -1271,20 +1360,48 @@ mod tests {
                 "declined {}",
                 solver.declined
             );
-            for (lane, c) in circuits.iter().enumerate() {
-                let reference = Transient::new(c, cfg).unwrap().run().unwrap();
-                assert_eq!(
-                    outcomes[lane].clone().unwrap(),
-                    reference.newton_iterations()
-                );
-                for (k, &node) in nodes.iter().enumerate() {
-                    let expected = reference.trace(node).unwrap();
-                    assert_eq!(sink.trace(k, lane).len(), expected.len());
-                    for (a, b) in sink.trace(k, lane).iter().zip(expected) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "lane {lane}, node {node}");
-                    }
-                }
-            }
+            assert_lanes_are_reference(&circuits, cfg, &outcomes, &sink, &format!("{third} Ω"));
+        }
+    }
+
+    #[test]
+    fn changing_pivot_order_recompiles_and_matches_the_reference() {
+        // A source follower whose transistor is 200,000 to 1,000,000 times
+        // the access device's width, its source tied to ground through
+        // 1 mΩ. While the gate ramps through the threshold, the device's
+        // conductances grow past the sources' unit incidence entries, so
+        // the gate and drain columns stop pivoting on the sources' branch
+        // rows partway through the run. The run's first schedule then
+        // declines, and the reference's pivot rows compile another. The
+        // lanes cross at different steps, so between their crossings the
+        // lanes split their pivots. Every lane must be its reference run.
+        let cfg = TransientConfig {
+            t_stop: 10e-9,
+            dt: 20e-12,
+            ..TransientConfig::default()
+        };
+        let circuits: Vec<Circuit> = [5e5, 1e6, 2e5]
+            .into_iter()
+            .map(|scale| {
+                let mut c = follower_circuit(scale);
+                let s = c.find_node("s").unwrap();
+                c.resistor("Rs", s, 0, 1e-3);
+                c
+            })
+            .collect();
+        let nodes: Vec<NodeId> = (0..circuits[0].node_count()).collect();
+        for build in Build::all() {
+            let mut solver = TransientSolver::<4>::new(&circuits[0], cfg).unwrap();
+            solver.build = build;
+            let mut sink = SelectedTraces::new(nodes.clone());
+            let outcomes = solver.run(&circuits, &mut sink).unwrap();
+            assert!(
+                solver.compiles >= 2 && solver.declined >= 1,
+                "{build:?}: {} compiles, {} declines",
+                solver.compiles,
+                solver.declined
+            );
+            assert_lanes_are_reference(&circuits, cfg, &outcomes, &sink, &format!("{build:?}"));
         }
     }
 

@@ -3,7 +3,7 @@
 #[cfg(target_arch = "x86_64")]
 use hammervolt_par::simd::Avx512;
 use hammervolt_par::simd::Kernel;
-use hammervolt_spice::linear::{LaneLu, LaneMatrix, Matrix, FIXED_LU_MAX};
+use hammervolt_spice::linear::{LaneLu, LaneMatrix, LuSchedule, Matrix, LU_SCHEDULE_MAX};
 use hammervolt_spice::mosfet::{
     LaneMosfet, LaneOperatingPoint, Level1Params, MosfetParams, Polarity,
 };
@@ -44,7 +44,7 @@ impl Build {
     }
 }
 
-/// The system shapes the lane LU kernels are compared on.
+/// The system shapes the scheduled lane LU is compared on.
 #[derive(Debug, Clone, Copy)]
 enum Shape {
     /// Every entry uniform in [-10, 10).
@@ -220,8 +220,8 @@ fn pattern_of(n: usize, systems: &[(Vec<f64>, Vec<f64>)], rng: &mut Draw) -> Vec
     rows
 }
 
-/// Puts a system under the structured kernel's contract: `+0.0` outside
-/// the pattern, and no `−0.0` anywhere.
+/// Puts a system under the scheduled solve's contract: `+0.0` outside the
+/// pattern, and no `−0.0` anywhere.
 fn meet_contract(n: usize, (a, b): &mut (Vec<f64>, Vec<f64>), pattern: &[u32]) {
     for (i, x) in a.iter_mut().enumerate() {
         if *x == 0.0 || pattern[i / n] >> (i % n) & 1 == 0 {
@@ -233,75 +233,58 @@ fn meet_contract(n: usize, (a, b): &mut (Vec<f64>, Vec<f64>), pattern: &[u32]) {
     }
 }
 
-/// [`LaneLu::solve_structured`] as a kernel, so that it can run through
+/// [`LaneLu::solve_scheduled`] as a kernel, so that it can run through
 /// either build.
-struct Structured<'a, const L: usize> {
+struct Scheduled<'a, const L: usize> {
     lu: &'a LaneLu<L>,
+    schedule: &'a LuSchedule,
     a: &'a mut LaneMatrix<L>,
     b: &'a mut [[f64; L]],
-    pattern: &'a [u32],
     live: [bool; L],
 }
 
-impl<const L: usize> Kernel for Structured<'_, L> {
+impl<const L: usize> Kernel for Scheduled<'_, L> {
     type Output = bool;
 
     #[inline(always)]
     fn run(self) -> bool {
         self.lu
-            .solve_structured(self.a, self.b, self.pattern, self.live)
+            .solve_scheduled(self.schedule, self.a, self.b, self.live)
     }
 }
 
-/// Solves `L` systems as the lanes of one structured [`LaneLu`] pass under
-/// `pattern` through `build`, and each live lane alone with
-/// `Matrix::solve_in_place`.
-/// Where the kernel vouches for the systems, each live lane's outcome,
-/// solution bits and factor bits must be the reference's; where it
-/// declines, the systems are loaded again and [`LaneLu::solve`] must give
-/// them. Returns whether the kernel vouched.
-fn lanes_match_reference<const L: usize>(
-    build: Build,
+/// `L` row-major `n × n` systems as the lanes of one matrix and
+/// right-hand side.
+fn load<const L: usize>(
+    n: usize,
+    systems: &[(Vec<f64>, Vec<f64>)],
+) -> (LaneMatrix<L>, Vec<[f64; L]>) {
+    assert_eq!(systems.len(), L, "one system per lane");
+    let mut lanes = LaneMatrix::<L>::zeros(n);
+    let mut rhs = vec![[0.0; L]; n];
+    for (row, b) in rhs.iter_mut().enumerate() {
+        for col in 0..n {
+            lanes.set(
+                row,
+                col,
+                std::array::from_fn(|l| systems[l].0[row * n + col]),
+            );
+        }
+        *b = std::array::from_fn(|l| systems[l].1[row]);
+    }
+    (lanes, rhs)
+}
+
+/// Each live lane's outcome (singular or not) and solution must be what
+/// `Matrix::solve_in_place` gives that lane's system alone, by `to_bits`.
+fn lanes_are_solve_in_place<const L: usize>(
     n: usize,
     systems: &[(Vec<f64>, Vec<f64>); L],
-    pattern: &[u32],
     live: [bool; L],
-) -> Result<bool, TestCaseError> {
-    let load = || {
-        let mut lanes = LaneMatrix::<L>::zeros(n);
-        let mut rhs = vec![[0.0; L]; n];
-        for (row, b) in rhs.iter_mut().enumerate() {
-            for col in 0..n {
-                lanes.set(
-                    row,
-                    col,
-                    std::array::from_fn(|l| systems[l].0[row * n + col]),
-                );
-            }
-            *b = std::array::from_fn(|l| systems[l].1[row]);
-        }
-        (lanes, rhs)
-    };
-    let mut lu = LaneLu::<L>::new(n);
-    let (mut lanes, mut rhs) = load();
-    let vouched = build.run(Structured {
-        lu: &lu,
-        a: &mut lanes,
-        b: &mut rhs,
-        pattern,
-        live,
-    });
-    let singular = if vouched {
-        [false; L]
-    } else {
-        (lanes, rhs) = load();
-        lu.solve(&mut lanes, &mut rhs, live)
-    };
-    let path = if vouched {
-        format!("{build:?} kernel")
-    } else {
-        "reference".to_string()
-    };
+    singular: [bool; L],
+    x: &[[f64; L]],
+    path: &str,
+) -> Result<(), TestCaseError> {
     for (lane, (a, b)) in systems.iter().enumerate().filter(|&(l, _)| live[l]) {
         let mut reference = Matrix::zeros(n);
         for (i, &v) in a.iter().enumerate() {
@@ -313,48 +296,97 @@ fn lanes_match_reference<const L: usize>(
             singular[lane] == r_ref.is_err(),
             "n {n}, lane {lane}: {path} outcome"
         );
-        for (i, (x, &r)) in rhs.iter().zip(&x_ref).enumerate() {
+        for (i, (x, &r)) in x.iter().zip(&x_ref).enumerate() {
             let f = x[lane];
             prop_assert!(
                 same_bits(f, r),
                 "n {n}, lane {lane}, x[{i}]: {path} {f:e}, solve_in_place {r:e}"
             );
         }
-        for row in 0..n {
-            for col in 0..n {
-                let (f, r) = (lanes.get(row, col)[lane], reference.get(row, col));
-                prop_assert!(
-                    same_bits(f, r),
-                    "n {n}, lane {lane}, factor ({row}, {col}): {path} {f:e}, \
-                     solve_in_place {r:e}"
-                );
-            }
-        }
+    }
+    Ok(())
+}
+
+/// Replays `schedule` on `L` systems through `build`. Where it vouches,
+/// every live lane's solution must be `solve_in_place`'s, and no live lane
+/// singular; where it declines, the systems are loaded again and the
+/// reference `LaneLu::solve` must give `solve_in_place`'s outcome and
+/// solution in every live lane. Returns whether the schedule vouched.
+fn replay_matches_reference<const L: usize>(
+    build: Build,
+    lu: &mut LaneLu<L>,
+    schedule: &LuSchedule,
+    systems: &[(Vec<f64>, Vec<f64>); L],
+    live: [bool; L],
+) -> Result<bool, TestCaseError> {
+    let n = schedule.n();
+    let (mut lanes, mut rhs) = load(n, systems);
+    let vouched = build.run(Scheduled {
+        lu,
+        schedule,
+        a: &mut lanes,
+        b: &mut rhs,
+        live,
+    });
+    if vouched {
+        let path = format!("{build:?} schedule");
+        lanes_are_solve_in_place(n, systems, live, [false; L], &rhs, &path)?;
+    } else {
+        (lanes, rhs) = load(n, systems);
+        let singular = lu.solve(&mut lanes, &mut rhs, live);
+        lanes_are_solve_in_place(n, systems, live, singular, &rhs, "reference")?;
     }
     Ok(vouched)
 }
 
-/// One case of the structured LU oracle through `build`: at every size, one
+/// Solves `L` systems as lanes with the reference `LaneLu::solve`, which
+/// must give `solve_in_place`'s outcomes and solutions, then compiles a
+/// schedule under `pattern` from the first live lane's pivot rows and
+/// replays it on the same systems through `build`
+/// ([`replay_matches_reference`]). Returns whether the schedule vouched,
+/// or `None` where none compiled: the first live lane was singular, or
+/// `n` is past [`LU_SCHEDULE_MAX`].
+fn lanes_match_reference<const L: usize>(
+    build: Build,
+    n: usize,
+    systems: &[(Vec<f64>, Vec<f64>); L],
+    pattern: &[u32],
+    live: [bool; L],
+) -> Result<Option<bool>, TestCaseError> {
+    let mut lu = LaneLu::<L>::new(n);
+    let (mut lanes, mut rhs) = load(n, systems);
+    let singular = lu.solve(&mut lanes, &mut rhs, live);
+    lanes_are_solve_in_place(n, systems, live, singular, &rhs, "reference")?;
+    let Some(schedule) = lu.pivots().and_then(|p| LuSchedule::compile(pattern, p)) else {
+        return Ok(None);
+    };
+    replay_matches_reference(build, &mut lu, &schedule, systems, live).map(Some)
+}
+
+/// One case of the scheduled LU oracle through `build`: at every size, one
 /// system of `shape` alone, then eight lanes that draw their own shapes or
 /// nudge one shared system, with now and then a lane not live; each group
-/// under a pattern of its nonzeros and the kernel's contract. Returns how
-/// often the kernel vouched and declined at the sizes it has a kernel for.
-fn structured_case(build: Build, shape: Shape, seed: u64) -> Result<(usize, usize), TestCaseError> {
+/// under a pattern of its nonzeros and the scheduled solve's contract.
+/// Returns how often the schedule vouched and declined.
+fn scheduled_case(build: Build, shape: Shape, seed: u64) -> Result<(usize, usize), TestCaseError> {
     let mut rng = Draw(seed | 1);
     let (mut vouched, mut declined) = (0, 0);
-    let mut count = |n: usize, v: bool| {
-        if n <= FIXED_LU_MAX {
-            *if v { &mut vouched } else { &mut declined } += 1;
-        }
+    let mut count = |v: Option<bool>| match v {
+        Some(true) => vouched += 1,
+        Some(false) => declined += 1,
+        None => {}
     };
-    for n in 1..=FIXED_LU_MAX + 2 {
+    for n in 1..=LU_SCHEDULE_MAX + 2 {
         let mut one = [system(shape, n, &mut rng)];
         let pattern = pattern_of(n, &one, &mut rng);
         meet_contract(n, &mut one[0], &pattern);
-        count(
+        count(lanes_match_reference::<1>(
+            build,
             n,
-            lanes_match_reference::<1>(build, n, &one, &pattern, [true])?,
-        );
+            &one,
+            &pattern,
+            [true],
+        )?);
         let mut lanes: [(Vec<f64>, Vec<f64>); 8] = if rng.below(2) == 0 {
             std::array::from_fn(|lane| {
                 let own = if lane == 0 {
@@ -373,20 +405,21 @@ fn structured_case(build: Build, shape: Shape, seed: u64) -> Result<(usize, usiz
             meet_contract(n, lane, &pattern);
         }
         let live = std::array::from_fn(|_| rng.below(8) != 0);
-        count(
-            n,
-            lanes_match_reference::<8>(build, n, &lanes, &pattern, live)?,
-        );
+        count(lanes_match_reference::<8>(
+            build, n, &lanes, &pattern, live,
+        )?);
     }
     Ok((vouched, declined))
 }
 
-// The structured lane LU is `Matrix::solve_in_place` bit for bit in every
+// The scheduled lane LU is `Matrix::solve_in_place` bit for bit in every
 // live lane wherever it vouches for a system, and the reference gives the
-// same bits wherever it declines, at every fixed-size kernel and just past
-// them, on well-posed and adversarial systems alike, through the portable
-// build and, where the host has it, the AVX-512 build. Both outcomes must
-// occur across the run in each build, so that neither path goes untested.
+// same bits wherever it declines, at every size a schedule compiles for
+// and just past it, on well-posed and adversarial systems alike, through
+// the portable build and, where the host has it, the AVX-512 build. Each
+// group's schedule is compiled from the reference's pivot rows on its
+// first live lane. Both outcomes must occur across the run in each build,
+// so that neither path goes untested.
 #[test]
 fn fixed_lu_matches_solve_in_place_bit_for_bit() {
     for build in Build::all() {
@@ -396,15 +429,209 @@ fn fixed_lu_matches_solve_in_place_bit_for_bit() {
         let (mut vouched, mut declined) = (0, 0);
         for case in 0..256 {
             let (shape, seed) = (shapes.generate(&mut rng), seeds.generate(&mut rng));
-            match structured_case(build, shape, seed) {
+            match scheduled_case(build, shape, seed) {
                 Ok((v, d)) => (vouched, declined) = (vouched + v, declined + d),
                 Err(e) => panic!("{build:?}, case {case} ({shape:?}, seed {seed}): {e}"),
             }
         }
         assert!(
             vouched > 0 && declined > 0,
-            "{build:?}: the kernel vouched {vouched} times and declined {declined} times"
+            "{build:?}: the schedule vouched {vouched} times and declined {declined} times"
         );
+    }
+}
+
+/// How a stale-schedule case changes the system its schedule was compiled
+/// on, in column 0, where the scan meets the original entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stale {
+    /// A row scanned before the pivot ties its magnitude: partial pivoting
+    /// keeps the earlier row, so the schedule must decline.
+    TieBefore,
+    /// A row scanned after the pivot ties its magnitude: partial pivoting
+    /// keeps the pivot, so the schedule must vouch.
+    TieAfter,
+    /// A NaN in a scanned row: the schedule must decline.
+    Nan,
+    /// The pivot exactly `1e-30`, every other candidate below it: the
+    /// schedule must vouch.
+    AtEps,
+    /// The pivot the next double below `1e-30`: the column is singular,
+    /// and the schedule must decline.
+    BelowEps,
+    /// One live lane's row outgrows the pivot, so the live lanes split
+    /// their pivots: the schedule must decline.
+    Split,
+    /// The same, in a lane that is not live: the schedule must vouch.
+    SplitIdle,
+}
+
+const STALE: [Stale; 7] = [
+    Stale::TieBefore,
+    Stale::TieAfter,
+    Stale::Nan,
+    Stale::AtEps,
+    Stale::BelowEps,
+    Stale::Split,
+    Stale::SplitIdle,
+];
+
+impl Stale {
+    /// Whether the schedule must vouch for the changed system.
+    fn vouches(self) -> bool {
+        matches!(self, Stale::TieAfter | Stale::AtEps | Stale::SplitIdle)
+    }
+}
+
+/// A system whose column-0 pivot row `p0` holds column 0 alone and whose
+/// other rows, over columns 1 on, are a row permutation of a strictly
+/// diagonally dominant matrix: row 0 is dominant in column `p0` and row
+/// `r` in column `r`. While row `p0` stays column 0's pivot, changing
+/// column 0 moves no later pivot, since eliminating column 0 adds `f·0` to
+/// the other rows' entries. Column 0 holds the pivot, of magnitude in
+/// [1, 2), and in a random half of the other rows an entry of smaller
+/// magnitude. Returns the system and its pattern: its nonzeros and a few
+/// more bits outside column 0.
+fn stale_system(n: usize, p0: usize, rng: &mut Draw) -> ((Vec<f64>, Vec<f64>), Vec<u32>) {
+    let sign = |rng: &mut Draw| if rng.below(2) == 0 { 1.0 } else { -1.0 };
+    let mut a = vec![0.0; n * n];
+    let pivot = sign(rng) * (1.0 + rng.unit());
+    a[p0 * n] = pivot;
+    for r in (0..n).filter(|&r| r != p0) {
+        if rng.below(2) == 0 {
+            a[r * n] = sign(rng) * pivot.abs() * (0.1 + 0.8 * rng.unit());
+        }
+        let home = if r == 0 { p0 } else { r };
+        for col in 1..n {
+            a[r * n + col] = if col == home {
+                sign(rng) * (4.0 + 4.0 * rng.unit())
+            } else if rng.below(3) == 0 {
+                sign(rng) * 0.1 * (0.1 + rng.unit())
+            } else {
+                0.0
+            };
+        }
+    }
+    let b = (0..n).map(|_| rng.unit() * 4.0 - 2.0).collect();
+    let mut pattern = vec![0u32; n];
+    for (i, _) in a.iter().enumerate().filter(|&(_, &x)| x != 0.0) {
+        pattern[i / n] |= 1 << (i % n);
+    }
+    for _ in 0..rng.below(3) {
+        pattern[rng.below(n)] |= 1 << (1 + rng.below(n - 1));
+    }
+    ((a, b), pattern)
+}
+
+/// One stale-schedule case through every build: a system of random size,
+/// its schedule compiled from the reference's pivot rows, then each
+/// change of [`STALE`] that the system allows, at one lane and at eight.
+/// The schedule must vouch or decline as the change demands, and
+/// [`replay_matches_reference`] checks the bits either way. Counts each
+/// change checked in `seen`.
+fn stale_case(builds: &[Build], seed: u64, seen: &mut [usize; 7]) -> Result<(), TestCaseError> {
+    let mut rng = Draw(seed | 1);
+    let n = 2 + rng.below(LU_SCHEDULE_MAX - 1);
+    let p0 = rng.below(n);
+    let (original, pattern) = stale_system(n, p0, &mut rng);
+    let mut lu = LaneLu::<1>::new(n);
+    let (mut a, mut b) = load::<1>(n, std::slice::from_ref(&original));
+    prop_assert!(lu.solve(&mut a, &mut b, [true]) == [false]);
+    let pivots = lu.pivots().expect("a solved lane has pivot rows");
+    prop_assert_eq!(pivots[0], p0);
+    let schedule = LuSchedule::compile(&pattern, pivots).expect("n is at most 16");
+    // Column 0's candidates other than the pivot, in scan order.
+    let candidates: Vec<usize> = (0..n).filter(|&r| r != p0 && pattern[r] & 1 == 1).collect();
+    let pivot = original.0[p0 * n];
+    for (k, &change) in STALE.iter().enumerate() {
+        let rows: Vec<usize> = match change {
+            Stale::TieBefore => candidates.iter().copied().filter(|&r| r < p0).collect(),
+            Stale::TieAfter => candidates.iter().copied().filter(|&r| r > p0).collect(),
+            Stale::Nan | Stale::Split | Stale::SplitIdle => candidates.clone(),
+            Stale::AtEps | Stale::BelowEps => vec![p0],
+        };
+        if rows.is_empty() {
+            continue;
+        }
+        let row = rows[rng.below(rows.len())];
+        let mut changed = original.clone();
+        let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+        match change {
+            Stale::TieBefore | Stale::TieAfter => changed.0[row * n] = sign * pivot.abs(),
+            Stale::Nan => changed.0[row * n] = f64::NAN,
+            Stale::AtEps | Stale::BelowEps => {
+                for &r in &candidates {
+                    changed.0[r * n] *= 1e-30 / 4.0;
+                }
+                let eps = if change == Stale::AtEps {
+                    1e-30
+                } else {
+                    1e-30f64.next_down()
+                };
+                changed.0[p0 * n] = sign * eps;
+            }
+            Stale::Split | Stale::SplitIdle => changed.0[row * n] = sign * 2.0 * pivot.abs(),
+        }
+        let split = matches!(change, Stale::Split | Stale::SplitIdle);
+        for &build in builds {
+            let one = [changed.clone()];
+            if !split {
+                let vouched = replay_matches_reference(build, &mut lu, &schedule, &one, [true])?;
+                prop_assert!(
+                    vouched == change.vouches(),
+                    "{build:?}, n {n}, {change:?}, one lane"
+                );
+            }
+            // Eight lanes: the changed system in one lane and the original
+            // in the others, or the changed system in every lane.
+            let lane = 1 + rng.below(7);
+            let mut live: [bool; 8] = std::array::from_fn(|_| rng.below(4) != 0);
+            live[0] = true;
+            live[lane] = change != Stale::SplitIdle;
+            let systems: [(Vec<f64>, Vec<f64>); 8] = std::array::from_fn(|l| {
+                if split && l != lane {
+                    original.clone()
+                } else {
+                    changed.clone()
+                }
+            });
+            let mut lanes = LaneLu::<8>::new(n);
+            let vouched = replay_matches_reference(build, &mut lanes, &schedule, &systems, live)?;
+            prop_assert!(
+                vouched == change.vouches(),
+                "{build:?}, n {n}, {change:?}, eight lanes"
+            );
+        }
+        seen[k] += 1;
+    }
+    Ok(())
+}
+
+// A schedule compiled on one system and replayed on another must decline
+// wherever partial pivoting would pick another row, and must never vouch
+// for bits that are not `Matrix::solve_in_place`'s. Each case compiles a
+// schedule on a system built so that its later pivots cannot move, then
+// changes column 0: an exact magnitude tie with a row scanned before the
+// pivot (declines: the earlier row wins) or after it (vouches), a NaN in a
+// scanned row (declines), a pivot of exactly `1e-30` (vouches) or the next
+// double below (declines), and one lane of eight whose row outgrows the
+// pivot (declines where that lane is live, vouches where it is not). After
+// each decline the reference must give `solve_in_place`'s bits. Every
+// change must occur across the run.
+#[test]
+fn stale_schedule_declines_where_pivoting_differs() {
+    let builds = Build::all();
+    let seeds = any::<u64>();
+    let mut rng = TestRng::from_name("stale_schedule_declines_where_pivoting_differs");
+    let mut seen = [0usize; 7];
+    for case in 0..256 {
+        let seed = seeds.generate(&mut rng);
+        if let Err(e) = stale_case(&builds, seed, &mut seen) {
+            panic!("case {case} (seed {seed}): {e}");
+        }
+    }
+    for (change, count) in STALE.iter().zip(seen) {
+        assert!(count > 0, "{change:?} never occurred");
     }
 }
 
