@@ -4,7 +4,7 @@
 //! serve [--addr HOST:PORT] [--workers N] [--queue N]
 //!       [--cache-dir PATH] [--jobs N] [--resume]
 //!       [--read-timeout-ms N] [--write-timeout-ms N]
-//!       [--trace-out PATH] [--manifest-out PATH] [--metrics] [--progress]
+//!       [--trace-out PATH] [--metrics] [--progress]
 //! ```
 //!
 //! - `--addr` (default `127.0.0.1:8077`): listen address; port 0 picks an
@@ -20,11 +20,15 @@
 //! - `--read-timeout-ms` / `--write-timeout-ms` (defaults 10000 / 30000,
 //!   `0` disables): per-socket timeouts on accepted connections, so a slow
 //!   or stalled client cannot pin a handler thread.
-//! - `--trace-out`, `--manifest-out`, `--metrics`, `--progress`: the
-//!   observability flags every binary shares (`hammervolt_obs::cli`), each
-//!   with its `HAMMERVOLT_*` environment-variable twin. The trace is
-//!   flushed per request; the run manifest and the `--metrics` summary are
-//!   written at exit, which a server that runs until killed never reaches.
+//! - `--trace-out`, `--metrics`, `--progress`: the observability flags
+//!   every binary shares (`hammervolt_obs::cli`), each with its
+//!   `HAMMERVOLT_*` environment-variable twin. The trace is flushed per
+//!   request; the `--metrics` summary is written at exit, which a server
+//!   that runs until killed never reaches (`GET /metrics` serves the same
+//!   counters live).
+//! - `--manifest-out` (or `HAMMERVOLT_MANIFEST_OUT`) is refused with exit
+//!   status 2: the run manifest is written at exit, so the server could
+//!   never write it.
 //!
 //! See `EXPERIMENTS.md` ("Serving studies") for the endpoint reference.
 
@@ -103,6 +107,13 @@ fn main() {
     let mut obs = ObsOptions::from_env();
     if let Err(msg) = obs.take_from_args(&mut args) {
         eprintln!("serve: {msg}");
+        std::process::exit(2);
+    }
+    if obs.manifest_out.is_some() {
+        eprintln!(
+            "serve: --manifest-out (or HAMMERVOLT_MANIFEST_OUT) is not supported: \
+             the manifest is written at exit, which a server never reaches"
+        );
         std::process::exit(2);
     }
     let _obs = obs.install(env!("CARGO_BIN_NAME"));

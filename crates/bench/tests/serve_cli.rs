@@ -53,16 +53,18 @@ fn serve_accepts_the_observability_flags() {
     let _ = std::fs::remove_file(&trace);
 }
 
-/// Runs `serve` with `args`, which must refuse to start: the process exits
-/// 2 within a few seconds with one line on stderr that names `flag`. A
-/// server that starts instead is killed and fails the test.
-fn refused(args: &[&str], flag: &str) {
+/// Runs `serve` with `args` and the environment variables `env`, which must
+/// refuse to start: the process exits 2 within a few seconds with one line
+/// on stderr that names `flag`. A server that starts instead is killed and
+/// fails the test.
+fn refused(args: &[&str], env: &[(&str, &str)], flag: &str) {
     let mut server = Server(
         Command::new(env!("CARGO_BIN_EXE_serve"))
             .args(["--addr", "127.0.0.1:0", "--workers", "1", "--jobs", "1"])
             .args(args)
             .env_remove("HAMMERVOLT_TRACE_OUT")
             .env_remove("HAMMERVOLT_MANIFEST_OUT")
+            .envs(env.iter().copied())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -96,7 +98,23 @@ fn refused(args: &[&str], flag: &str) {
 #[test]
 fn serve_refuses_flags_it_cannot_honour() {
     // A full queue always answers 429; there is no overflow policy to pick.
-    refused(&["--shed-oldest"], "--shed-oldest");
-    refused(&["--queue", "abc"], "--queue");
-    refused(&["--trace-out"], "--trace-out");
+    refused(&["--shed-oldest"], &[], "--shed-oldest");
+    refused(&["--queue", "abc"], &[], "--queue");
+    refused(&["--trace-out"], &[], "--trace-out");
+    // The manifest is written at exit, which a server never reaches.
+    let manifest = std::env::temp_dir().join(format!(
+        "hammervolt-serve-manifest-{}.json",
+        std::process::id()
+    ));
+    let manifest = manifest.to_str().expect("temp path is UTF-8");
+    refused(&["--manifest-out", manifest], &[], "--manifest-out");
+    refused(
+        &[],
+        &[("HAMMERVOLT_MANIFEST_OUT", manifest)],
+        "--manifest-out",
+    );
+    assert!(
+        !std::path::Path::new(manifest).exists(),
+        "a refused server wrote {manifest}"
+    );
 }

@@ -1892,7 +1892,7 @@ impl DramModule {
         } = &mut self.banks[bank as usize];
         let params = &params[pslot];
         let state = &mut states[slot];
-        if hammer_possible || p_ret > 0.0 {
+        if hammer_possible || p_ret > 0.0 || cluster_relevant {
             scratch.flips.resize(words, 0);
             debug_assert!(scratch.touched.is_empty());
             let checker = checkerboard(phys);
@@ -2063,33 +2063,6 @@ impl DramModule {
             }
             touched.clear();
             *whole_row = false;
-        } else if cluster_relevant {
-            for wi in 0..params.cluster64_words.len() + params.cluster128_words.len() {
-                let word = if wi < params.cluster64_words.len() {
-                    params.cluster64_words[wi]
-                } else {
-                    params.cluster128_words[wi - params.cluster64_words.len()]
-                };
-                if layer.is_killed(word as usize) {
-                    continue;
-                }
-                let current = state.data[word as usize];
-                let flips = cluster_flips(
-                    params,
-                    &retention,
-                    vpp_min,
-                    rseed,
-                    phys,
-                    word,
-                    current,
-                    elapsed_s,
-                    temp,
-                    vpp,
-                    charge_penalty,
-                );
-                tally.cluster += u64::from(flips.count_ones());
-                state.data[word as usize] ^= flips;
-            }
         }
     }
 
@@ -3124,6 +3097,78 @@ mod tests {
         for indexes in [&params.hc, &params.ret] {
             assert!(indexes.list.is_some() && indexes.dense.is_some());
         }
+    }
+
+    #[test]
+    fn cluster_only_layers_flip_each_listed_word_once() {
+        // A layer with no RowHammer or retention cutoff lands weak-cluster
+        // flips alone. A word on both cluster lists is walked once: one
+        // `cluster_flips` call checks both bands and flips at most one bit.
+        let mut m = small_module(ModuleId::B0, 3);
+        let phys = 100;
+        let slot = m.ensure_row_phys(0, phys);
+        let pslot = m.ensure_params(0, phys);
+        let columns = m.geometry().columns_per_row;
+        let shared = [17, 500];
+        {
+            let params = &mut m.banks[0].params[pslot];
+            params.cluster64_words = vec![3, 17, 500];
+            params.cluster128_words = vec![17, 200, 500, 900];
+        }
+        let retention = m.profile.retention;
+        let (vpp_min, rseed) = (m.spec.vpp_min, hash::row_seed(m.seed, 0, phys));
+        let (elapsed_s, temp_c, vpp) = (10.0, 80.0, m.vpp);
+        let mut shared_flips = 0;
+        let (scope, landed) = with_metrics("cluster_only", || {
+            let mut landed = 0u64;
+            // Each listed word's weak cell is charged under one of the
+            // two fills.
+            for fill in [0u64, u64::MAX] {
+                let before = vec![fill; columns as usize];
+                let mut layer = FlipLayer {
+                    p_hammer: [0.0, 0.0],
+                    p_ret: 0.0,
+                    cluster: true,
+                    elapsed_s,
+                    temp_c,
+                    vpp,
+                    charge_penalty: 1.0,
+                    killed: vec![0; columns.div_ceil(64) as usize],
+                    live: columns,
+                };
+                assert!(layer.kill(200, 201));
+                let state = &mut m.banks[0].states[slot];
+                state.data.clone_from(&before);
+                state.pending.push(layer.clone());
+                m.land_pending(0, phys);
+                let params = &m.banks[0].params[pslot];
+                let after = &m.banks[0].states[slot].data;
+                for word in 0..columns {
+                    let w = word as usize;
+                    let listed = params.cluster64_words.contains(&word)
+                        || params.cluster128_words.contains(&word);
+                    let flips = if listed && !layer.is_killed(w) {
+                        cluster_flips(
+                            params, &retention, vpp_min, rseed, phys, word, before[w], elapsed_s,
+                            temp_c, vpp, 1.0,
+                        )
+                    } else {
+                        0
+                    };
+                    assert_eq!(after[w], before[w] ^ flips, "word {word}, fill {fill:#x}");
+                    landed += u64::from(flips.count_ones());
+                    if shared.contains(&word) {
+                        shared_flips += flips.count_ones();
+                    }
+                }
+            }
+            landed
+        });
+        assert_eq!(
+            shared_flips, 2,
+            "each shared word flips once, under one fill"
+        );
+        assert_eq!(scope.counter_value("dram_flips_cluster"), landed);
     }
 
     #[test]

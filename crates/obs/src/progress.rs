@@ -94,38 +94,6 @@ pub fn cache_lookup(hit: bool) {
     });
 }
 
-/// A point-in-time copy of the global progress counts (see [`snapshot`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProgressCounts {
-    /// Modules declared across all sweeps this run.
-    pub modules_total: u64,
-    /// Modules finished.
-    pub modules_done: u64,
-    /// Shard units declared.
-    pub units_total: u64,
-    /// Shard units finished.
-    pub units_done: u64,
-    /// Sweep-cache hits observed.
-    pub cache_hits: u64,
-    /// Sweep-cache misses observed.
-    pub cache_misses: u64,
-}
-
-/// Reads the current progress counts without drawing anything. Counts only
-/// accumulate while progress collection is enabled (all zeros otherwise) —
-/// a pure side channel for pollers like the study server's stats endpoint.
-pub fn snapshot() -> ProgressCounts {
-    let s = STATE.lock().expect("progress state poisoned");
-    ProgressCounts {
-        modules_total: s.modules_total,
-        modules_done: s.modules_done,
-        units_total: s.units_total,
-        units_done: s.units_done,
-        cache_hits: s.cache_hits,
-        cache_misses: s.cache_misses,
-    }
-}
-
 /// Forces a final redraw and terminates the progress line with a newline so
 /// subsequent stderr output starts clean.
 pub fn finish() {

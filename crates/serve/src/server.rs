@@ -11,7 +11,7 @@
 //! | `GET /studies/{id}/result`     | Block (up to `?wait_ms`, default 10 min) for the result. `200` with the records JSONL on success — byte-identical to the CLI run of the same spec; `202` while still running; `410` for cancelled; `500` for failed. |
 //! | `POST /studies/{id}/cancel`    | Cooperative cancel. |
 //! | `GET /metrics`                 | Prometheus text exposition of the whole obs registry (counters, gauges, histograms, live per-job scoped series as labels). |
-//! | `GET /stats`                   | Scheduler state (`queue_depth`, `in_flight`, per-worker `deque_lens`, lifetime `tenants_served`) + global obs counters + progress counts. |
+//! | `GET /stats`                   | Scheduler state (`queue_depth`, `in_flight`, per-worker `deque_lens`, lifetime `tenants_served`) + global obs counters. |
 //! | `GET /healthz`                 | Liveness probe. |
 //!
 //! Every exchange is one request, one response, connection closed — no
@@ -620,15 +620,14 @@ fn cancel(sched: &Scheduler, id: u64, out: &mut TcpStream) -> io::Result<u16> {
     }
 }
 
-/// `{"scheduler":{…},"counters":{…},"progress":{…}}`: scheduler-derived
-/// numbers read under the scheduling lock (`queue_depth` — queued and
-/// unclaimed; `in_flight` — claimed, still running; `deque_lens` — queued
-/// length per worker deque; `tenants_served` — jobs claimed per tenant over
-/// the scheduler's lifetime), then the global obs counters the run manifest
-/// reports and the live progress counts.
+/// `{"scheduler":{…},"counters":{…}}`: scheduler-derived numbers read
+/// under the scheduling lock (`queue_depth` — queued and unclaimed;
+/// `in_flight` — claimed, still running; `deque_lens` — queued length per
+/// worker deque; `tenants_served` — jobs claimed per tenant over the
+/// scheduler's lifetime), then the global obs counters the run manifest
+/// reports. Per-job progress is in `GET /studies/{id}`.
 fn stats_body(sched: &Scheduler) -> String {
     let stats: SchedStats = sched.stats();
-    let progress = hammervolt_obs::progress::snapshot();
     let deque_lens: Vec<String> = stats.deque_lens.iter().map(usize::to_string).collect();
     let mut scheduler = ObjectWriter::new();
     scheduler.field_u64("queue_depth", stats.queue_depth as u64);
@@ -640,17 +639,6 @@ fn stats_body(sched: &Scheduler) -> String {
     body.field_raw(
         "counters",
         &u64_object(&hammervolt_obs::metrics::counters_snapshot()),
-    );
-    body.field_raw(
-        "progress",
-        &u64_object(&[
-            ("modules_done", progress.modules_done),
-            ("modules_total", progress.modules_total),
-            ("units_done", progress.units_done),
-            ("units_total", progress.units_total),
-            ("cache_hits", progress.cache_hits),
-            ("cache_misses", progress.cache_misses),
-        ]),
     );
     body.finish()
 }

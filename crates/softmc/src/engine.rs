@@ -7,6 +7,9 @@
 //! [`crate::plan`]): whole-row bursts run through the device's bulk row
 //! operations and pure hammer loops (`LOOP n { ACT; PRE; ... }`) through the
 //! bulk-hammer operation, in O(1) dispatches instead of O(columns) or O(n).
+//! The session operations [`crate::SoftMc`] issues (init row, read row,
+//! hammer, wait) call the step their macro-op runs directly, each as one
+//! program run, so they lower nothing and allocate nothing.
 //! [`Engine::run_interpreted`] keeps the per-instruction path alive as the
 //! equivalence oracle: both paths issue every logical command at the same
 //! slot, draw the same noise, tally the same [`CommandMix`], and fail at the
@@ -50,12 +53,10 @@ struct BankTrack {
     pre_at_ns: f64,
 }
 
-/// Reusable engine working memory.
-///
-/// Constructing an [`Engine`] needs per-bank bookkeeping; a host that runs
-/// many short programs (one per Alg. 1–3 measurement step) keeps one
-/// `EngineScratch` and builds engines with [`Engine::with_scratch`], so the
-/// steady-state loop allocates nothing.
+/// Reusable engine working memory: the per-bank bookkeeping every
+/// [`Engine`] borrows. A host that runs many short programs (one per
+/// Alg. 1–3 measurement step) keeps one `EngineScratch`, so building an
+/// engine allocates nothing after the first.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     banks: Vec<BankTrack>,
@@ -65,34 +66,6 @@ impl EngineScratch {
     /// Creates empty scratch; sized lazily by the first engine built on it.
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// Bank bookkeeping storage: owned by the engine, or borrowed from an
-/// [`EngineScratch`] to make engine construction allocation-free.
-#[derive(Debug)]
-enum BankSlots<'a> {
-    Owned(Vec<BankTrack>),
-    Borrowed(&'a mut Vec<BankTrack>),
-}
-
-impl BankSlots<'_> {
-    #[inline]
-    fn get(&self, bank: u32) -> BankTrack {
-        let v: &[BankTrack] = match self {
-            BankSlots::Owned(v) => v,
-            BankSlots::Borrowed(v) => v,
-        };
-        v.get(bank as usize).copied().unwrap_or_default()
-    }
-
-    #[inline]
-    fn get_mut(&mut self, bank: u32) -> Option<&mut BankTrack> {
-        let v: &mut Vec<BankTrack> = match self {
-            BankSlots::Owned(v) => v,
-            BankSlots::Borrowed(v) => v,
-        };
-        v.get_mut(bank as usize)
     }
 }
 
@@ -127,7 +100,8 @@ impl WriteSource<'_> {
 pub struct Engine<'d> {
     module: &'d mut DramModule,
     timing: TimingParams,
-    banks: BankSlots<'d>,
+    /// Per-bank bookkeeping, borrowed from an [`EngineScratch`].
+    banks: &'d mut [BankTrack],
     /// Issue time of the previous command (bus occupancy: one command per
     /// 1.5 ns slot).
     last_cmd_ns: f64,
@@ -137,34 +111,22 @@ pub struct Engine<'d> {
 
 impl<'d> Engine<'d> {
     /// Creates an engine over a device with the given timing parameters.
-    pub fn new(module: &'d mut DramModule, timing: TimingParams) -> Self {
-        let banks = vec![BankTrack::default(); module.geometry().banks as usize];
-        let last_cmd_ns = module.now_ns() - COMMAND_SLOT_NS;
-        Engine {
-            module,
-            timing,
-            banks: BankSlots::Owned(banks),
-            last_cmd_ns,
-            mix: CommandMix::default(),
-        }
-    }
-
-    /// Creates an engine whose bank bookkeeping lives in reusable scratch:
-    /// after the scratch's first use, engine construction performs no heap
-    /// allocation.
-    pub fn with_scratch(
+    /// Its bank bookkeeping lives in `scratch`, reset here, so after the
+    /// scratch's first use building an engine allocates nothing.
+    pub fn new(
         module: &'d mut DramModule,
         timing: TimingParams,
         scratch: &'d mut EngineScratch,
     ) -> Self {
-        let n = module.geometry().banks as usize;
         scratch.banks.clear();
-        scratch.banks.resize(n, BankTrack::default());
+        scratch
+            .banks
+            .resize(module.geometry().banks as usize, BankTrack::default());
         let last_cmd_ns = module.now_ns() - COMMAND_SLOT_NS;
         Engine {
             module,
             timing,
-            banks: BankSlots::Borrowed(&mut scratch.banks),
+            banks: &mut scratch.banks,
             last_cmd_ns,
             mix: CommandMix::default(),
         }
@@ -182,25 +144,8 @@ impl<'d> Engine<'d> {
     pub fn run(&mut self, program: &Program) -> Result<Vec<u64>, SoftMcError> {
         let plan = CompiledPlan::compile(program);
         let mut out = Vec::new();
-        self.run_plan(&plan, &mut out)?;
+        self.as_program(|e| e.run_plan_ops(&plan.ops, &mut out))?;
         Ok(out)
-    }
-
-    /// Runs a pre-compiled plan, appending read data to `out` (cleared
-    /// first). This is the allocation-free hot path: with an interned plan
-    /// and a reused `out` buffer, a whole measurement step touches the heap
-    /// only to grow buffers on first use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors; the device clock reflects all commands
-    /// issued up to the failure point.
-    pub fn run_plan(&mut self, plan: &CompiledPlan, out: &mut Vec<u64>) -> Result<(), SoftMcError> {
-        out.clear();
-        self.mix = CommandMix::default();
-        let result = self.run_plan_ops(&plan.ops, out);
-        self.flush_mix(&result);
-        result
     }
 
     /// Runs a program through the per-instruction interpreter — the
@@ -213,11 +158,61 @@ impl<'d> Engine<'d> {
     /// issued up to the failure point.
     pub fn run_interpreted(&mut self, program: &Program) -> Result<Vec<u64>, SoftMcError> {
         let mut out = Vec::new();
-        self.mix = CommandMix::default();
-        let result = self.run_ops(&program.ops, &mut out);
-        self.flush_mix(&result);
-        result?;
+        self.as_program(|e| e.run_ops(&program.ops, &mut out))?;
         Ok(out)
+    }
+
+    // ------------------------------------------------------------------
+    // Session operations: the step a study shape's macro-op runs, called
+    // directly as one program run, with no program to lower.
+    // ------------------------------------------------------------------
+
+    /// `ACT; WR×columns; PRE` writing `word` to columns `0..columns`: a
+    /// [`PlanOp::InitRow`] program.
+    pub(crate) fn init_row(
+        &mut self,
+        bank: u32,
+        row: u32,
+        columns: u32,
+        word: u64,
+    ) -> Result<(), SoftMcError> {
+        self.as_program(|e| e.exec_write_burst(bank, row, WriteSource::Uniform { columns, word }))
+    }
+
+    /// `ACT; RD×columns; PRE`, the words read replacing `out`'s contents: a
+    /// [`PlanOp::ReadRow`] program.
+    pub(crate) fn read_row(
+        &mut self,
+        bank: u32,
+        row: u32,
+        columns: u32,
+        out: &mut Vec<u64>,
+    ) -> Result<(), SoftMcError> {
+        out.clear();
+        self.as_program(|e| e.exec_read_row(bank, row, columns, out))
+    }
+
+    /// `count` passes over the (bank, row) ACT–PRE `pairs`: a
+    /// [`PlanOp::Hammer`] program.
+    pub(crate) fn hammer(&mut self, count: u64, pairs: &[(u32, u32)]) -> Result<(), SoftMcError> {
+        self.as_program(|e| e.run_hammer_loop(count, pairs))
+    }
+
+    /// An idle wait of `ns`: a one-`WAIT` program.
+    pub(crate) fn wait(&mut self, ns: f64) -> Result<(), SoftMcError> {
+        self.as_program(|e| e.issue(Instruction::Wait { ns }, &mut Vec::new()))
+    }
+
+    /// Runs `body` as one program: resets the command tally, runs it, and
+    /// flushes the tally with the outcome.
+    fn as_program(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> Result<(), SoftMcError>,
+    ) -> Result<(), SoftMcError> {
+        self.mix = CommandMix::default();
+        let result = body(self);
+        self.flush_mix(&result);
+        result
     }
 
     /// The command tally of the most recent run (complete or failed).
@@ -265,10 +260,9 @@ impl<'d> Engine<'d> {
                         columns: *columns,
                         word: *word,
                     },
-                    out,
                 )?,
                 PlanOp::WriteRun { bank, row, data } => {
-                    self.exec_write_burst(*bank, *row, WriteSource::Slice(data), out)?
+                    self.exec_write_burst(*bank, *row, WriteSource::Slice(data))?
                 }
                 PlanOp::ReadRow { bank, row, columns } => {
                     self.exec_read_row(*bank, *row, *columns, out)?
@@ -285,14 +279,22 @@ impl<'d> Engine<'d> {
         Ok(())
     }
 
+    /// The controller-side state of `bank`; a bank outside the geometry
+    /// reads as closed and never precharged (the device rejects its
+    /// commands).
+    #[inline]
+    fn track(&self, bank: u32) -> BankTrack {
+        self.banks.get(bank as usize).copied().unwrap_or_default()
+    }
+
     /// Issues the ACT opening a row burst: tallied and slotted exactly like
     /// the interpreted ACT. Returns the ACT issue time.
     fn burst_act(&mut self, bank: u32, row: u32) -> Result<f64, SoftMcError> {
         self.mix.act += 1;
-        let track = self.banks.get(bank);
+        let track = self.track(bank);
         let t_act = self.issue_slot(track.pre_at_ns + self.timing.t_rp_ns);
         self.module.activate(bank, row)?;
-        if let Some(track) = self.banks.get_mut(bank) {
+        if let Some(track) = self.banks.get_mut(bank as usize) {
             track.act_at_ns = Some(t_act);
         }
         Ok(t_act)
@@ -303,7 +305,7 @@ impl<'d> Engine<'d> {
         self.mix.pre += 1;
         let t = self.issue_slot(t_act + self.timing.t_ras_ns);
         self.module.precharge(bank, t - t_act)?;
-        if let Some(track) = self.banks.get_mut(bank) {
+        if let Some(track) = self.banks.get_mut(bank as usize) {
             track.act_at_ns = None;
             track.pre_at_ns = t;
         }
@@ -320,11 +322,12 @@ impl<'d> Engine<'d> {
         bank: u32,
         row: u32,
         source: WriteSource<'_>,
-        out: &mut Vec<u64>,
     ) -> Result<(), SoftMcError> {
         let columns = source.columns();
         if columns == 0 || columns > self.module.geometry().columns_per_row {
-            self.issue(Instruction::Act { bank, row }, out)?;
+            // Writes read nothing, so the sink stays empty.
+            let none = &mut Vec::new();
+            self.issue(Instruction::Act { bank, row }, none)?;
             for column in 0..columns {
                 self.issue(
                     Instruction::Wr {
@@ -332,10 +335,10 @@ impl<'d> Engine<'d> {
                         column,
                         data: source.word(column),
                     },
-                    out,
+                    none,
                 )?;
             }
-            return self.issue(Instruction::Pre { bank }, out);
+            return self.issue(Instruction::Pre { bank }, none);
         }
         let t_act = self.burst_act(bank, row)?;
         self.mix.wr += columns as u64;
@@ -420,7 +423,7 @@ impl<'d> Engine<'d> {
             // Close timing bookkeeping for the bank: hammering leaves it
             // precharged.
             self.module.hammer(bank, row, count, period)?;
-            if let Some(track) = self.banks.get_mut(bank) {
+            if let Some(track) = self.banks.get_mut(bank as usize) {
                 track.act_at_ns = None;
                 track.pre_at_ns = self.module.now_ns();
             }
@@ -455,29 +458,29 @@ impl<'d> Engine<'d> {
         }
         match inst {
             Instruction::Act { bank, row } => {
-                let track = self.banks.get(bank);
+                let track = self.track(bank);
                 // tRP: wait after the last precharge.
                 let t = self.issue_slot(track.pre_at_ns + self.timing.t_rp_ns);
                 self.module.activate(bank, row)?;
-                if let Some(track) = self.banks.get_mut(bank) {
+                if let Some(track) = self.banks.get_mut(bank as usize) {
                     track.act_at_ns = Some(t);
                 }
             }
             Instruction::Pre { bank } => {
-                let track = self.banks.get(bank);
+                let track = self.track(bank);
                 let act_at = track.act_at_ns.ok_or_else(|| SoftMcError::BadProgram {
                     reason: format!("PRE on bank {bank} with no open row"),
                 })?;
                 // tRAS: the row must stay open long enough.
                 let t = self.issue_slot(act_at + self.timing.t_ras_ns);
                 self.module.precharge(bank, t - act_at)?;
-                if let Some(track) = self.banks.get_mut(bank) {
+                if let Some(track) = self.banks.get_mut(bank as usize) {
                     track.act_at_ns = None;
                     track.pre_at_ns = t;
                 }
             }
             Instruction::Rd { bank, column } => {
-                let track = self.banks.get(bank);
+                let track = self.track(bank);
                 let act_at = track.act_at_ns.ok_or_else(|| SoftMcError::BadProgram {
                     reason: format!("RD on bank {bank} with no open row"),
                 })?;
@@ -487,7 +490,7 @@ impl<'d> Engine<'d> {
                 out.push(word);
             }
             Instruction::Wr { bank, column, data } => {
-                let track = self.banks.get(bank);
+                let track = self.track(bank);
                 let act_at = track.act_at_ns.ok_or_else(|| SoftMcError::BadProgram {
                     reason: format!("WR on bank {bank} with no open row"),
                 })?;
@@ -524,9 +527,10 @@ mod tests {
     #[test]
     fn init_and_read_round_trip() {
         let mut m = module();
+        let mut s = EngineScratch::new();
         let cols = m.geometry().columns_per_row;
         let timing = TimingParams::default();
-        let mut e = Engine::new(&mut m, timing);
+        let mut e = Engine::new(&mut m, timing, &mut s);
         e.run(&Program::init_row(0, 5, cols, 0xAAAA_AAAA_AAAA_AAAA))
             .unwrap();
         let data = e.run(&Program::read_row(0, 5, cols)).unwrap();
@@ -537,8 +541,9 @@ mod tests {
     #[test]
     fn timing_is_enforced() {
         let mut m = module();
+        let mut s = EngineScratch::new();
         let timing = TimingParams::default();
-        let mut e = Engine::new(&mut m, timing);
+        let mut e = Engine::new(&mut m, timing, &mut s);
         let mut p = Program::new();
         p.push(Instruction::Act { bank: 0, row: 1 });
         p.push(Instruction::Rd { bank: 0, column: 0 });
@@ -554,8 +559,9 @@ mod tests {
         let timing = TimingParams::default();
         // Coalesced: a loop of ACT/PRE pairs.
         let mut m1 = module();
+        let mut s = EngineScratch::new();
         let t0 = {
-            let mut e = Engine::new(&mut m1, timing);
+            let mut e = Engine::new(&mut m1, timing, &mut s);
             e.run(&Program::hammer_double_sided(0, 10, 12, 1_000))
                 .unwrap();
             m1.now_ns()
@@ -575,10 +581,11 @@ mod tests {
         let cols = Geometry::small_test().columns_per_row;
         let run = |coalesce: bool| -> Vec<u64> {
             let mut m = module();
+            let mut s = EngineScratch::new();
             let victim = 100;
             let (below, above) = m.mapping().physical_neighbors(victim);
             let (below, above) = (below.unwrap(), above.unwrap());
-            let mut e = Engine::new(&mut m, timing);
+            let mut e = Engine::new(&mut m, timing, &mut s);
             e.run(&Program::init_row(0, victim, cols, 0xAAAA_AAAA_AAAA_AAAA))
                 .unwrap();
             e.run(&Program::init_row(0, below, cols, 0x5555_5555_5555_5555))
@@ -629,7 +636,8 @@ mod tests {
     #[test]
     fn reads_before_activate_are_rejected() {
         let mut m = module();
-        let mut e = Engine::new(&mut m, TimingParams::default());
+        let mut s = EngineScratch::new();
+        let mut e = Engine::new(&mut m, TimingParams::default(), &mut s);
         let mut p = Program::new();
         p.push(Instruction::Rd { bank: 0, column: 0 });
         assert!(matches!(e.run(&p), Err(SoftMcError::BadProgram { .. })));
@@ -643,14 +651,14 @@ mod tests {
         // With a deliberately tiny tRCD the device sees timing-violating
         // reads and corrupts them.
         let mut m = module();
+        let mut s = EngineScratch::new();
         let cols = m.geometry().columns_per_row;
         let nominal = TimingParams::default();
-        let mut e = Engine::new(&mut m, nominal);
+        let mut e = Engine::new(&mut m, nominal, &mut s);
         e.run(&Program::init_row(0, 9, cols, 0x0F0F_0F0F_0F0F_0F0F))
             .unwrap();
-        drop(e);
         let fast = TimingParams::default().with_t_rcd(3.0);
-        let mut e2 = Engine::new(&mut m, fast);
+        let mut e2 = Engine::new(&mut m, fast, &mut s);
         let data = e2.run(&Program::read_row(0, 9, cols)).unwrap();
         let flips: u32 = data
             .iter()
@@ -662,7 +670,8 @@ mod tests {
     #[test]
     fn wait_advances_clock_exactly() {
         let mut m = module();
-        let mut e = Engine::new(&mut m, TimingParams::default());
+        let mut s = EngineScratch::new();
+        let mut e = Engine::new(&mut m, TimingParams::default(), &mut s);
         e.run(&Program::wait(64e6)).unwrap(); // 64 ms
         assert!((m.now_ns() - 64e6).abs() < 1e-9);
     }
@@ -670,7 +679,8 @@ mod tests {
     #[test]
     fn ref_instruction_refreshes() {
         let mut m = module();
-        let mut e = Engine::new(&mut m, TimingParams::default());
+        let mut s = EngineScratch::new();
+        let mut e = Engine::new(&mut m, TimingParams::default(), &mut s);
         let mut p = Program::new();
         p.push(Instruction::Ref);
         e.run(&p).unwrap();
@@ -685,7 +695,8 @@ mod tests {
         let timing = TimingParams::default();
         let session = |interpret: bool| -> (Vec<u64>, f64, CommandMix) {
             let mut m = module();
-            let mut e = Engine::new(&mut m, timing);
+            let mut s = EngineScratch::new();
+            let mut e = Engine::new(&mut m, timing, &mut s);
             let programs = [
                 Program::init_row(0, 100, cols, 0xAAAA_AAAA_AAAA_AAAA),
                 Program::init_row(0, 99, cols, 0x5555_5555_5555_5555),
@@ -707,7 +718,6 @@ mod tests {
                 mix.rd += m.rd;
                 mix.wr += m.wr;
             }
-            drop(e);
             (last, m.now_ns(), mix)
         };
         let (ri, ci, mi) = session(true);
@@ -724,8 +734,9 @@ mod tests {
     #[test]
     fn command_mix_counts_logical_commands() {
         let mut m = module();
+        let mut s = EngineScratch::new();
         let cols = m.geometry().columns_per_row as u64;
-        let mut e = Engine::new(&mut m, TimingParams::default());
+        let mut e = Engine::new(&mut m, TimingParams::default(), &mut s);
         e.run(&Program::init_row(0, 5, cols as u32, 0)).unwrap();
         assert_eq!(
             e.command_mix(),
@@ -746,28 +757,5 @@ mod tests {
                 ..CommandMix::default()
             }
         );
-    }
-
-    #[test]
-    fn scratch_engine_matches_owned_engine() {
-        let cols = Geometry::small_test().columns_per_row;
-        let run = |scratch: bool| -> (Vec<u64>, f64) {
-            let mut m = module();
-            let mut s = EngineScratch::new();
-            let mut e = if scratch {
-                Engine::with_scratch(&mut m, TimingParams::default(), &mut s)
-            } else {
-                Engine::new(&mut m, TimingParams::default())
-            };
-            e.run(&Program::init_row(0, 7, cols, 0xFF00_FF00_FF00_FF00))
-                .unwrap();
-            let data = e.run(&Program::read_row(0, 7, cols)).unwrap();
-            drop(e);
-            (data, m.now_ns())
-        };
-        let (a, ca) = run(false);
-        let (b, cb) = run(true);
-        assert_eq!(a, b);
-        assert_eq!(ca.to_bits(), cb.to_bits());
     }
 }

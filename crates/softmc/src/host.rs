@@ -11,7 +11,6 @@
 
 use crate::engine::{Engine, EngineScratch};
 use crate::error::SoftMcError;
-use crate::plan::CompiledPlan;
 use crate::power::{CurrentMeter, Interposer, PowerSupply};
 use crate::program::Program;
 use crate::thermal::{SettleReport, TemperatureController};
@@ -28,32 +27,6 @@ use hammervolt_dram::timing::TimingParams;
 pub const CONSERVATIVE_T_RCD_NS: f64 = 30.0;
 use hammervolt_dram::{DramError, DramModule};
 
-/// Interned compiled plans, one per program shape the study methodology
-/// issues. The convenience methods patch only the row/count/data parameters
-/// between executions, so the Alg. 1 binary search and the Alg. 2/3 sweeps
-/// never rebuild an op vector — a whole measurement step reuses these plans
-/// plus the session's scratch buffers and touches the heap not at all.
-#[derive(Debug)]
-struct PlanCache {
-    init_row: CompiledPlan,
-    read_row: CompiledPlan,
-    hammer_pair: CompiledPlan,
-    hammer_single: CompiledPlan,
-    wait: CompiledPlan,
-}
-
-impl PlanCache {
-    fn new() -> Self {
-        PlanCache {
-            init_row: CompiledPlan::init_row(0, 0, 1, 0),
-            read_row: CompiledPlan::read_row(0, 0, 1),
-            hammer_pair: CompiledPlan::hammer(0, vec![(0, 0), (0, 0)]),
-            hammer_single: CompiledPlan::hammer(0, vec![(0, 0)]),
-            wait: CompiledPlan::wait(0.0),
-        }
-    }
-}
-
 /// A live test session over one module.
 #[derive(Debug)]
 pub struct SoftMc {
@@ -63,11 +36,9 @@ pub struct SoftMc {
     interposer: Interposer,
     thermal: TemperatureController,
     meter: CurrentMeter,
-    plans: PlanCache,
     scratch: EngineScratch,
-    /// Readback buffer shared by every session operation: scratch reads
-    /// return a slice of it, and non-read operations use it as the engine's
-    /// (empty) read sink.
+    /// Readback buffer of the session's row reads; the scratch reads
+    /// return a slice of it.
     readback: Vec<u64>,
 }
 
@@ -88,7 +59,6 @@ impl SoftMc {
             interposer: Interposer::new(),
             thermal: TemperatureController::default(),
             meter: CurrentMeter::default(),
-            plans: PlanCache::new(),
             scratch: EngineScratch::new(),
             readback: Vec::new(),
         };
@@ -239,52 +209,21 @@ impl SoftMc {
 
     /// Runs a program with the session's timing parameters.
     ///
-    /// The program is compiled to a [`CompiledPlan`] and executed through
-    /// the fast path (bit-identical to interpretation); callers issuing the
-    /// standard study shapes should prefer the convenience methods, which
-    /// reuse interned plans instead of compiling per call.
+    /// The program is compiled to a [`crate::CompiledPlan`] and executed
+    /// through the fast path (bit-identical to interpretation). The session
+    /// operations below run the same engine steps with no program to build
+    /// or compile.
     ///
     /// # Errors
     ///
     /// Propagates program and device errors.
     pub fn run(&mut self, program: &Program) -> Result<Vec<u64>, SoftMcError> {
-        let SoftMc {
-            module,
-            timing,
-            scratch,
-            ..
-        } = self;
-        Engine::with_scratch(module, *timing, scratch).run(program)
+        self.engine().run(program)
     }
 
-    /// Runs a program through the per-instruction interpreter — the
-    /// reference semantics of [`SoftMc::run`], kept for the
-    /// compiled-vs-interpreted equivalence suite.
-    ///
-    /// # Errors
-    ///
-    /// Propagates program and device errors.
-    pub fn run_interpreted(&mut self, program: &Program) -> Result<Vec<u64>, SoftMcError> {
-        let SoftMc {
-            module,
-            timing,
-            scratch,
-            ..
-        } = self;
-        Engine::with_scratch(module, *timing, scratch).run_interpreted(program)
-    }
-
-    /// Runs an interned plan with the given timing, reads landing in the
-    /// session readback buffer. The allocation-free core of every
-    /// convenience method.
-    fn run_cached(
-        plan: &CompiledPlan,
-        module: &mut DramModule,
-        timing: TimingParams,
-        scratch: &mut EngineScratch,
-        readback: &mut Vec<u64>,
-    ) -> Result<(), SoftMcError> {
-        Engine::with_scratch(module, timing, scratch).run_plan(plan, readback)
+    /// An engine over the session's device at the session's timing.
+    fn engine(&mut self) -> Engine<'_> {
+        Engine::new(&mut self.module, self.timing, &mut self.scratch)
     }
 
     /// Convenience: initialize a row with a repeated word (Alg. 1's
@@ -295,16 +234,7 @@ impl SoftMc {
     /// Propagates device errors.
     pub fn init_row(&mut self, bank: u32, row: u32, word: u64) -> Result<(), SoftMcError> {
         let columns = self.module.geometry().columns_per_row;
-        self.plans.init_row.patch_init_row(bank, row, columns, word);
-        let SoftMc {
-            module,
-            timing,
-            plans,
-            scratch,
-            readback,
-            ..
-        } = self;
-        Self::run_cached(&plans.init_row, module, *timing, scratch, readback)
+        self.engine().init_row(bank, row, columns, word)
     }
 
     /// Reads a whole row into the session's readback buffer with the given
@@ -317,15 +247,12 @@ impl SoftMc {
         timing: TimingParams,
     ) -> Result<(), SoftMcError> {
         let columns = self.module.geometry().columns_per_row;
-        self.plans.read_row.patch_read_row(bank, row, columns);
-        let SoftMc {
-            module,
-            plans,
-            scratch,
-            readback,
-            ..
-        } = self;
-        Self::run_cached(&plans.read_row, module, timing, scratch, readback)
+        Engine::new(&mut self.module, timing, &mut self.scratch).read_row(
+            bank,
+            row,
+            columns,
+            &mut self.readback,
+        )
     }
 
     /// Convenience: read a whole row with the session's timing parameters.
@@ -411,18 +338,8 @@ impl SoftMc {
         aggressor_b: u32,
         hc: u64,
     ) -> Result<(), SoftMcError> {
-        self.plans
-            .hammer_pair
-            .patch_hammer(hc, &[(bank, aggressor_a), (bank, aggressor_b)]);
-        let SoftMc {
-            module,
-            timing,
-            plans,
-            scratch,
-            readback,
-            ..
-        } = self;
-        Self::run_cached(&plans.hammer_pair, module, *timing, scratch, readback)
+        self.engine()
+            .hammer(hc, &[(bank, aggressor_a), (bank, aggressor_b)])
     }
 
     /// Convenience: single-sided hammering (adjacency probing).
@@ -436,18 +353,7 @@ impl SoftMc {
         aggressor: u32,
         hc: u64,
     ) -> Result<(), SoftMcError> {
-        self.plans
-            .hammer_single
-            .patch_hammer(hc, &[(bank, aggressor)]);
-        let SoftMc {
-            module,
-            timing,
-            plans,
-            scratch,
-            readback,
-            ..
-        } = self;
-        Self::run_cached(&plans.hammer_single, module, *timing, scratch, readback)
+        self.engine().hammer(hc, &[(bank, aggressor)])
     }
 
     /// Convenience: idle wait (Alg. 3's retention window).
@@ -456,16 +362,7 @@ impl SoftMc {
     ///
     /// Propagates device errors.
     pub fn wait_ns(&mut self, ns: f64) -> Result<(), SoftMcError> {
-        self.plans.wait.patch_wait(ns);
-        let SoftMc {
-            module,
-            timing,
-            plans,
-            scratch,
-            readback,
-            ..
-        } = self;
-        Self::run_cached(&plans.wait, module, *timing, scratch, readback)
+        self.engine().wait(ns)
     }
 }
 

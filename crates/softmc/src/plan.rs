@@ -13,10 +13,10 @@
 //! from: identical read data, identical device clock, identical command mix,
 //! identical failure points.
 //!
-//! Plans are also the unit of *interning*: the host keeps one plan per
-//! program shape and patches only the row/count/data parameters between
-//! executions (see [`crate::host::SoftMc`]), so the steady-state measurement
-//! loops of Algs. 1–3 never rebuild an op vector.
+//! The session operations of [`crate::host::SoftMc`] build no plan: each
+//! calls the engine step its macro-op runs ([`PlanOp::InitRow`],
+//! [`PlanOp::ReadRow`], [`PlanOp::Hammer`], or a `WAIT` through
+//! [`PlanOp::Inst`]), so the measurement loops of Algs. 1–3 lower nothing.
 
 use crate::inst::Instruction;
 use crate::program::{Op, Program};
@@ -94,121 +94,6 @@ impl CompiledPlan {
     /// The lowered ops (for inspection in tests).
     pub fn ops(&self) -> &[PlanOp] {
         &self.ops
-    }
-
-    // --- interned templates -------------------------------------------------
-    //
-    // One-op plans mirroring the `Program` builders. The host constructs
-    // each once and re-patches its parameters per execution.
-
-    /// A whole-row initialization plan (Alg. 1's `initialize_row`).
-    pub fn init_row(bank: u32, row: u32, columns: u32, word: u64) -> Self {
-        CompiledPlan {
-            ops: vec![PlanOp::InitRow {
-                bank,
-                row,
-                columns,
-                word,
-            }],
-        }
-    }
-
-    /// A whole-row readback plan.
-    pub fn read_row(bank: u32, row: u32, columns: u32) -> Self {
-        CompiledPlan {
-            ops: vec![PlanOp::ReadRow { bank, row, columns }],
-        }
-    }
-
-    /// A hammer plan over explicit (bank, row) pairs.
-    pub fn hammer(count: u64, pairs: Vec<(u32, u32)>) -> Self {
-        CompiledPlan {
-            ops: vec![PlanOp::Hammer { count, pairs }],
-        }
-    }
-
-    /// An idle-wait plan (Alg. 3's retention window).
-    pub fn wait(ns: f64) -> Self {
-        CompiledPlan {
-            ops: vec![PlanOp::Inst(Instruction::Wait { ns })],
-        }
-    }
-
-    // --- parameter patching -------------------------------------------------
-
-    /// Re-points an interned [`CompiledPlan::init_row`] plan at new
-    /// parameters without reallocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan is not an init-row template.
-    pub fn patch_init_row(&mut self, bank: u32, row: u32, columns: u32, word: u64) {
-        match self.ops.as_mut_slice() {
-            [PlanOp::InitRow {
-                bank: b,
-                row: r,
-                columns: c,
-                word: w,
-            }] => {
-                *b = bank;
-                *r = row;
-                *c = columns;
-                *w = word;
-            }
-            _ => panic!("patch_init_row on a non-init-row plan"),
-        }
-    }
-
-    /// Re-points an interned [`CompiledPlan::read_row`] plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan is not a read-row template.
-    pub fn patch_read_row(&mut self, bank: u32, row: u32, columns: u32) {
-        match self.ops.as_mut_slice() {
-            [PlanOp::ReadRow {
-                bank: b,
-                row: r,
-                columns: c,
-            }] => {
-                *b = bank;
-                *r = row;
-                *c = columns;
-            }
-            _ => panic!("patch_read_row on a non-read-row plan"),
-        }
-    }
-
-    /// Re-points an interned [`CompiledPlan::hammer`] plan: the pair list is
-    /// overwritten in place (it must have the same length as the template's).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan is not a hammer template or the pair count
-    /// differs.
-    pub fn patch_hammer(&mut self, count: u64, pairs: &[(u32, u32)]) {
-        match self.ops.as_mut_slice() {
-            [PlanOp::Hammer {
-                count: c,
-                pairs: ps,
-            }] if ps.len() == pairs.len() => {
-                *c = count;
-                ps.copy_from_slice(pairs);
-            }
-            _ => panic!("patch_hammer shape mismatch"),
-        }
-    }
-
-    /// Re-points an interned [`CompiledPlan::wait`] plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan is not a wait template.
-    pub fn patch_wait(&mut self, ns: f64) {
-        match self.ops.as_mut_slice() {
-            [PlanOp::Inst(Instruction::Wait { ns: n })] => *n = ns,
-            _ => panic!("patch_wait on a non-wait plan"),
-        }
     }
 }
 
@@ -446,36 +331,5 @@ mod tests {
             }
             other => panic!("expected uncoalesced loop, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn patching_preserves_shape_without_realloc() {
-        let mut plan = CompiledPlan::init_row(0, 0, 8, 0);
-        plan.patch_init_row(1, 42, 8, 0x55);
-        assert_eq!(
-            plan.ops(),
-            &[PlanOp::InitRow {
-                bank: 1,
-                row: 42,
-                columns: 8,
-                word: 0x55
-            }]
-        );
-        let mut h = CompiledPlan::hammer(0, vec![(0, 0), (0, 0)]);
-        h.patch_hammer(300, &[(0, 9), (0, 11)]);
-        assert_eq!(
-            h.ops(),
-            &[PlanOp::Hammer {
-                count: 300,
-                pairs: vec![(0, 9), (0, 11)]
-            }]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "patch_hammer shape mismatch")]
-    fn hammer_patch_rejects_length_change() {
-        let mut h = CompiledPlan::hammer(0, vec![(0, 0)]);
-        h.patch_hammer(1, &[(0, 1), (0, 2)]);
     }
 }

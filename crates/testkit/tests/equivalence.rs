@@ -30,14 +30,21 @@
 //! must overwrite and land alike: a partial write run and out-of-order
 //! single writes over a hammered row, layers stacked past the depth bound,
 //! and the first write to a hammered row behind on-die ECC.
+//!
+//! The `SoftMc` session operations build no program: each calls its engine
+//! step directly. One test drives every one of them against the
+//! interpreter, operation by operation, and also compares the two
+//! sessions' scoped `softmc_*` and `dram_*` counters.
 
 use hammervolt_dram::geometry::Geometry;
 use hammervolt_dram::module::DramModule;
 use hammervolt_dram::ondie_ecc::OnDieEcc;
 use hammervolt_dram::registry::{self, ModuleId};
 use hammervolt_dram::timing::TimingParams;
+use hammervolt_obs::scope::Scope;
+use hammervolt_softmc::host::CONSERVATIVE_T_RCD_NS;
 use hammervolt_softmc::program::Op;
-use hammervolt_softmc::{CommandMix, Engine, Instruction, Program, SoftMc};
+use hammervolt_softmc::{CommandMix, Engine, EngineScratch, Instruction, Program, SoftMc};
 
 /// Everything observable about one program execution.
 #[derive(Debug, PartialEq)]
@@ -93,11 +100,12 @@ fn fresh_module(id: ModuleId, seed: u64, vpp: Option<f64>, temp_c: Option<f64>) 
 /// Runs the whole session on one module, a fresh [`Engine`] per program
 /// (exactly how [`SoftMc`] drives it), capturing every observable.
 fn run_session(module: &mut DramModule, steps: &[Step], compiled: bool) -> Vec<Outcome> {
+    let mut scratch = EngineScratch::new();
     steps
         .iter()
         .map(|step| {
             let (result, mix) = {
-                let mut e = Engine::new(module, step.timing);
+                let mut e = Engine::new(module, step.timing, &mut scratch);
                 let r = if compiled {
                     e.run(&step.program)
                 } else {
@@ -345,56 +353,175 @@ fn error_programs_fail_identically() {
     assert_equivalent("errors", ModuleId::A0, 1, None, None, &steps);
 }
 
+/// A `SoftMc` session operation on bank 0.
+#[derive(Debug, Clone, Copy)]
+enum SessionOp {
+    Init { row: u32, word: u64 },
+    HammerDoubleSided { below: u32, above: u32, hc: u64 },
+    HammerSingleSided { row: u32, hc: u64 },
+    Wait { ns: f64 },
+    Read { row: u32 },
+    ReadWithTRcd { row: u32, t_rcd_ns: f64 },
+    ReadConservative { row: u32 },
+}
+
+impl SessionOp {
+    /// Issues the operation on `mc`, returning the words it read (none for
+    /// the operations that read nothing).
+    fn issue(self, mc: &mut SoftMc) -> Vec<u64> {
+        let nothing = |()| Vec::new();
+        match self {
+            SessionOp::Init { row, word } => mc.init_row(0, row, word).map(nothing),
+            SessionOp::HammerDoubleSided { below, above, hc } => {
+                mc.hammer_double_sided(0, below, above, hc).map(nothing)
+            }
+            SessionOp::HammerSingleSided { row, hc } => {
+                mc.hammer_single_sided(0, row, hc).map(nothing)
+            }
+            SessionOp::Wait { ns } => mc.wait_ns(ns).map(nothing),
+            SessionOp::Read { row } => mc.read_row_scratch(0, row).map(<[u64]>::to_vec),
+            SessionOp::ReadWithTRcd { row, t_rcd_ns } => mc
+                .read_row_with_t_rcd_scratch(0, row, t_rcd_ns)
+                .map(<[u64]>::to_vec),
+            SessionOp::ReadConservative { row } => mc
+                .read_row_conservative_scratch(0, row)
+                .map(<[u64]>::to_vec),
+        }
+        .unwrap()
+    }
+
+    /// The program and timing the interpreter runs in the operation's place.
+    fn program(self) -> (Program, TimingParams) {
+        let nominal = TimingParams::default();
+        match self {
+            SessionOp::Init { row, word } => (Program::init_row(0, row, COLS, word), nominal),
+            SessionOp::HammerDoubleSided { below, above, hc } => {
+                (Program::hammer_double_sided(0, below, above, hc), nominal)
+            }
+            SessionOp::HammerSingleSided { row, hc } => {
+                (Program::hammer_single_sided(0, row, hc), nominal)
+            }
+            SessionOp::Wait { ns } => (Program::wait(ns), nominal),
+            SessionOp::Read { row } => (Program::read_row(0, row, COLS), nominal),
+            SessionOp::ReadWithTRcd { row, t_rcd_ns } => (
+                Program::read_row(0, row, COLS),
+                nominal.with_t_rcd(t_rcd_ns),
+            ),
+            SessionOp::ReadConservative { row } => (
+                Program::read_row(0, row, COLS),
+                nominal.with_t_rcd(CONSERVATIVE_T_RCD_NS.max(nominal.t_rcd_ns)),
+            ),
+        }
+    }
+}
+
+/// The `softmc_*` and `dram_*` counters that moved in `scope`.
+fn work_counters(scope: &Scope) -> Vec<(String, u64)> {
+    scope
+        .counters_snapshot()
+        .into_iter()
+        .filter(|(name, n)| *n > 0 && (name.starts_with("softmc_") || name.starts_with("dram_")))
+        .collect()
+}
+
 #[test]
-fn interned_session_plans_match_interpreted_programs() {
-    // The SoftMc convenience methods run interned, parameter-patched plans
-    // through reused scratch buffers; a second session issuing the same
-    // operations as freshly built programs through the interpreter must see
-    // identical words and an identical clock.
-    let fresh = |seed| {
+fn session_operations_match_interpreted_programs() {
+    // Each SoftMc session operation calls its engine step directly, with
+    // no program built. A second session on the same module runs the
+    // equivalent program through the interpreter at the same timing. After
+    // every operation both must have read the same words, stand at the
+    // same clock, and have counted the same softmc_* and dram_* work, each
+    // session in a metric scope of its own.
+    let fresh = || {
         SoftMc::new(
-            DramModule::with_geometry(registry::spec(ModuleId::B3), seed, Geometry::small_test())
+            DramModule::with_geometry(registry::spec(ModuleId::B0), 3, Geometry::small_test())
                 .unwrap(),
         )
     };
-    let mut fast = fresh(3);
-    let mut oracle = fresh(3);
+    let (mut fast, mut oracle) = (fresh(), fresh());
+    // B0's V_PPmin.
     for mc in [&mut fast, &mut oracle] {
-        mc.set_vpp(1.6).unwrap();
+        mc.set_vpp(2.0).unwrap();
     }
-    let (victim, below, above) = (100, 99, 101);
+    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
     let word = 0xAAAA_AAAA_AAAA_AAAAu64;
+    let ops = [
+        SessionOp::Init { row: victim, word },
+        SessionOp::Init {
+            row: below,
+            word: !word,
+        },
+        SessionOp::Init {
+            row: above,
+            word: !word,
+        },
+        SessionOp::HammerDoubleSided {
+            below,
+            above,
+            hc: 60_000,
+        },
+        SessionOp::Read { row: victim },
+        SessionOp::HammerSingleSided {
+            row: above,
+            hc: 30_000,
+        },
+        SessionOp::Wait { ns: 1e6 },
+        // Far under any module's requirement: the probe read corrupts.
+        SessionOp::ReadWithTRcd {
+            row: victim,
+            t_rcd_ns: 3.0,
+        },
+        SessionOp::ReadConservative { row: victim },
+    ];
 
-    fast.init_row(0, victim, word).unwrap();
-    fast.init_row(0, below, !word).unwrap();
-    fast.init_row(0, above, !word).unwrap();
-    fast.hammer_double_sided(0, below, above, 60_000).unwrap();
-    fast.wait_ns(1e6).unwrap();
-    let fast_words = fast.read_row_scratch(0, victim).unwrap().to_vec();
+    hammervolt_obs::set_metrics(true);
+    let fast_scope = Scope::new(&[("session", "operations")]);
+    let oracle_scope = Scope::new(&[("session", "interpreted")]);
+    let mut scratch = EngineScratch::new();
+    let mut reads = Vec::new();
+    for op in ops {
+        let fast_words = {
+            let _entered = hammervolt_obs::scope::enter(&fast_scope);
+            op.issue(&mut fast)
+        };
+        let oracle_words = {
+            let _entered = hammervolt_obs::scope::enter(&oracle_scope);
+            let (program, timing) = op.program();
+            Engine::new(oracle.module_mut(), timing, &mut scratch)
+                .run_interpreted(&program)
+                .unwrap()
+        };
+        assert_eq!(fast_words, oracle_words, "{op:?}: words diverged");
+        assert_eq!(
+            fast.module().now_ns().to_bits(),
+            oracle.module().now_ns().to_bits(),
+            "{op:?}: session clocks diverged"
+        );
+        assert_eq!(
+            work_counters(&fast_scope),
+            work_counters(&oracle_scope),
+            "{op:?}: counters diverged"
+        );
+        reads.push(fast_words);
+    }
+    hammervolt_obs::set_metrics(false);
 
-    oracle
-        .run_interpreted(&Program::init_row(0, victim, COLS, word))
-        .unwrap();
-    oracle
-        .run_interpreted(&Program::init_row(0, below, COLS, !word))
-        .unwrap();
-    oracle
-        .run_interpreted(&Program::init_row(0, above, COLS, !word))
-        .unwrap();
-    oracle
-        .run_interpreted(&Program::hammer_double_sided(0, below, above, 60_000))
-        .unwrap();
-    oracle.run_interpreted(&Program::wait(1e6)).unwrap();
-    let oracle_words = oracle
-        .run_interpreted(&Program::read_row(0, victim, COLS))
-        .unwrap();
-
-    assert_eq!(fast_words, oracle_words, "interned plans diverged");
-    assert_eq!(
-        fast.module().now_ns().to_bits(),
-        oracle.module().now_ns().to_bits(),
-        "session clocks diverged"
+    // The comparison must have teeth: the hammer flipped the victim, the
+    // undersized t_RCD corrupted the row the conservative read then got
+    // back, and every operation counted as one program.
+    let (hammered, probed, settled) = (&reads[4], &reads[7], &reads[8]);
+    assert!(
+        flipped_bits(hammered, word) > 0,
+        "B0 with 60k hammers at its V_PPmin must flip"
     );
+    assert_ne!(probed, settled, "3 ns t_RCD must corrupt reads");
+    assert_eq!(
+        fast_scope.counter_value("softmc_programs"),
+        ops.len() as u64
+    );
+    for name in ["dram_flips_hammer", "dram_trcd_corrupt_reads"] {
+        assert!(fast_scope.counter_value(name) > 0, "{name} did not move");
+    }
 }
 
 /// The sum of bit differences between `words` and `expected`.

@@ -14,7 +14,7 @@ use hammervolt_dram::geometry::Geometry;
 use hammervolt_dram::module::DramModule;
 use hammervolt_dram::registry::{self, ModuleId};
 use hammervolt_dram::timing::TimingParams;
-use hammervolt_softmc::{Engine, Program};
+use hammervolt_softmc::{Engine, EngineScratch, Program};
 use std::collections::BTreeMap;
 
 const COLS: u32 = 1024; // Geometry::small_test().columns_per_row
@@ -93,12 +93,13 @@ fn run_session(compiled: bool) -> Vec<BTreeMap<String, u64>> {
         DramModule::with_geometry(registry::spec(ModuleId::B0), 3, Geometry::small_test()).unwrap();
     module.set_temperature_c(80.0);
     let (below, above) = module.mapping().physical_neighbors(VICTIM);
+    let mut scratch = EngineScratch::new();
     session_phases((below.unwrap(), above.unwrap()))
         .into_iter()
         .map(|phase| {
             let before = snapshot();
             for (program, timing) in phase {
-                let mut e = Engine::new(&mut module, timing);
+                let mut e = Engine::new(&mut module, timing, &mut scratch);
                 if compiled {
                     e.run(&program).unwrap();
                 } else {

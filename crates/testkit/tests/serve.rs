@@ -397,7 +397,7 @@ fn scoped_counters_do_not_bleed_between_concurrent_jobs() {
 
 /// `GET /metrics` answers with parseable Prometheus text exposition carrying
 /// the scheduler gauges and per-job scoped series, and `GET /stats` reports
-/// the scheduler-derived numbers.
+/// the scheduler-derived numbers and the global counters, and no progress.
 #[test]
 fn metrics_endpoint_serves_prometheus_exposition() {
     let _flag = METRICS_FLAG_LOCK
@@ -445,6 +445,11 @@ fn metrics_endpoint_serves_prometheus_exposition() {
     assert!(stats.contains("\"queue_depth\":0"), "stats: {stats}");
     assert!(stats.contains("\"in_flight\":0"), "stats: {stats}");
     assert!(stats.contains("\"anon\":1"), "tenants_served: {stats}");
+    // Two blocks: the scheduler's and the global counters. Per-job progress
+    // lives in `GET /studies/{id}`.
+    assert!(stats.starts_with("{\"scheduler\":{"), "stats: {stats}");
+    assert!(stats.contains("\"counters\":{"), "stats: {stats}");
+    assert!(!stats.contains("\"progress\""), "stats: {stats}");
     hammervolt_obs::set_metrics(false);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
