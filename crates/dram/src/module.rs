@@ -1226,14 +1226,15 @@ impl DramModule {
     }
 
     // ------------------------------------------------------------------
-    // Bulk open-row access — the compiled SoftMC fast path.
+    // Bulk open-row access — the SoftMC session operations' row bursts.
     //
     // These operate on the bank's *open* row like `read`/`write`, but move
     // a whole burst of columns per call so the per-access bookkeeping
     // (geometry checks, open-row check, arena slot and parameter lookups)
     // is paid once per row instead of once per column. Each is specified —
-    // and tested, by the compiled-vs-interpreted equivalence suite — to
-    // leave the device in exactly the state the per-column calls would.
+    // and tested, by the session-operation equivalence suite and the
+    // lazy-vs-eager oracle — to leave the device in exactly the state the
+    // per-column calls would.
     // ------------------------------------------------------------------
 
     /// Advances device time to an absolute instant (no-op if time is
@@ -1262,29 +1263,6 @@ impl DramModule {
     /// Fails on a bad bank, more columns than the geometry has, or no open
     /// row.
     pub fn fill_open_row(&mut self, bank: u32, columns: u32, value: u64) -> Result<(), DramError> {
-        self.write_open_row_impl(bank, columns, None, value)
-    }
-
-    /// Writes one word per column into columns `0..data.len()` of the open
-    /// row — the bulk equivalent of one [`DramModule::write`] per column.
-    /// Clock and pending-layer contract as for
-    /// [`DramModule::fill_open_row`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on a bad bank, more words than the geometry has columns, or no
-    /// open row.
-    pub fn write_open_row(&mut self, bank: u32, data: &[u64]) -> Result<(), DramError> {
-        self.write_open_row_impl(bank, data.len() as u32, Some(data), 0)
-    }
-
-    fn write_open_row_impl(
-        &mut self,
-        bank: u32,
-        columns: u32,
-        data: Option<&[u64]>,
-        value: u64,
-    ) -> Result<(), DramError> {
         self.geometry.check_bank(bank)?;
         if columns > self.geometry.columns_per_row {
             return Err(DramError::AddressOutOfRange {
@@ -1307,20 +1285,13 @@ impl DramModule {
         let n = columns as usize;
         let state = &mut self.banks[bank as usize].states[slot];
         let dropped = state.overwrite_pending(0, columns);
-        match data {
-            Some(words) => state.data[..n].copy_from_slice(words),
-            None => state.data[..n].fill(value),
-        }
+        state.data[..n].fill(value);
         if ecc != OnDieEcc::None {
             // Sequential per-column writes clone the array on the first
             // write (after that column already holds the new word) and then
             // overwrite each written column — identical to filling the data
             // first and cloning afterwards.
-            let written = state.written.get_or_insert_with(|| state.data.clone());
-            match data {
-                Some(words) => written[..n].copy_from_slice(words),
-                None => written[..n].fill(value),
-            }
+            state.written.get_or_insert_with(|| state.data.clone())[..n].fill(value);
         }
         state.restored_at_ns = clock;
         if dropped > 0 {
@@ -3461,12 +3432,13 @@ mod tests {
                     m.precharge(bank, 35.0).unwrap();
                 }
                 2 => {
-                    // Bulk slice write of a prefix.
+                    // A prefix, one write per column, non-uniform data.
                     let n = 1 + next(u64::from(cols)) as u32;
-                    let data: Vec<u64> = (0..n).map(|c| word.rotate_left(c % 64)).collect();
                     m.activate(bank, row).unwrap();
                     settle(&mut m);
-                    m.write_open_row(bank, &data).unwrap();
+                    for c in 0..n {
+                        m.write(bank, c, word.rotate_left(c % 64)).unwrap();
+                    }
                     m.precharge(bank, 35.0).unwrap();
                 }
                 3 => {

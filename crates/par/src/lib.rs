@@ -1,18 +1,18 @@
 //! Shared deterministic fork-join scheduler.
 //!
 //! One scheduler for every embarrassingly-parallel loop in the workspace:
-//! the study execution engine (`hammervolt-core::exec`) and the SPICE
-//! Monte-Carlo batcher (`hammervolt-spice`) both fan work out through
-//! [`parallel_map`] / [`parallel_map_with`], so scheduling semantics —
-//! ordered results, atomic work claiming, panic propagation — live in
-//! exactly one place.
+//! the study execution engine (`hammervolt-core::exec`) and the population
+//! study fan work out through [`parallel_map_cancellable_with`], the SPICE
+//! Monte-Carlo batcher (`hammervolt-spice`) through [`parallel_map_with`],
+//! so scheduling semantics — ordered results, atomic work claiming, panic
+//! propagation — live in exactly one place.
 //!
 //! Both entry points guarantee that the result vector is ordered by input
 //! index regardless of which worker computed which item, which is the
 //! foundation of the workspace-wide "byte-identical for any worker count"
-//! invariant: as long as `f` is a pure function of the item (and, for
-//! [`parallel_map_with`], of a workspace whose state is fully re-initialized
-//! per item), output cannot depend on scheduling.
+//! invariant: as long as `f` is a pure function of the item and of a
+//! workspace whose state is fully re-initialized per item, output cannot
+//! depend on scheduling.
 //!
 //! The pool also hands observability context across the fork: the caller's
 //! active metric scope (`hammervolt_obs::scope`) is captured before workers
@@ -108,28 +108,14 @@ pub fn resolve_jobs(jobs: usize) -> usize {
 }
 
 /// Maps `f` over `items` on up to `jobs` worker threads, returning results
-/// in input order.
+/// in input order. Each worker thread owns a mutable workspace built by
+/// `init`, passed to every `f` call that worker makes.
 ///
 /// Workers claim item indices from a shared atomic counter, so load
 /// balances automatically; each worker accumulates `(index, result)` pairs
 /// locally and the batches are stitched back into input order at the end —
 /// no per-item locking. `jobs <= 1` (or a single item) degrades to a plain
 /// serial map on the calling thread.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` after all workers have stopped.
-pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_with(items, jobs, || (), |(), item| f(item))
-}
-
-/// Like [`parallel_map`], but each worker thread owns a mutable workspace
-/// built by `init`, passed to every `f` call that worker makes.
 ///
 /// This is the batching primitive: `init` clones a pristine solver
 /// workspace (scratch matrices, trace buffers, a template circuit) once per
@@ -263,10 +249,13 @@ mod tests {
     #[test]
     fn preserves_order() {
         let items: Vec<u64> = (0..37).collect();
-        let doubled = parallel_map(&items, 4, |&x| x * 2);
+        let doubled = parallel_map_with(&items, 4, || (), |(), &x| x * 2);
         assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        assert_eq!(parallel_map(&items, 1, |&x| x + 1).len(), 37);
-        assert!(parallel_map(&Vec::<u64>::new(), 8, |&x: &u64| x).is_empty());
+        assert_eq!(
+            parallel_map_with(&items, 1, || (), |(), &x| x + 1).len(),
+            37
+        );
+        assert!(parallel_map_with(&Vec::<u64>::new(), 8, || (), |(), &x: &u64| x).is_empty());
     }
 
     #[test]
@@ -395,10 +384,15 @@ mod tests {
         let scope = hammervolt_obs::scope::Scope::new(&[("job_id", "par-test")]);
         let _g = hammervolt_obs::scope::enter(&scope);
         let items: Vec<u64> = (0..32).collect();
-        let out = parallel_map(&items, 4, |&x| {
-            hammervolt_obs::scope::record_counter("par_test_scope_units", 1);
-            x
-        });
+        let out = parallel_map_with(
+            &items,
+            4,
+            || (),
+            |(), &x| {
+                hammervolt_obs::scope::record_counter("par_test_scope_units", 1);
+                x
+            },
+        );
         assert_eq!(out, items);
         assert_eq!(
             scope.counter_value("par_test_scope_units"),
@@ -411,8 +405,8 @@ mod tests {
     fn zero_jobs_resolves_to_available_cpus() {
         assert!(resolve_jobs(0) >= 1);
         assert_eq!(resolve_jobs(5), 5);
-        // and parallel_map with jobs=0 still completes correctly
+        // and a map with jobs=0 still completes correctly
         let items: Vec<u64> = (0..10).collect();
-        assert_eq!(parallel_map(&items, 0, |&x| x), items);
+        assert_eq!(parallel_map_with(&items, 0, || (), |(), &x| x), items);
     }
 }

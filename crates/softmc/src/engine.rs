@@ -3,21 +3,22 @@
 //! The engine enforces the configured [`TimingParams`] the way a memory
 //! controller does — inserting the ACT→RD (`t_RCD`), ACT→PRE (`t_RAS`), and
 //! PRE→ACT (`t_RP`) delays — and issues commands on SoftMC's 1.5 ns slot
-//! grid. Programs are lowered to a [`CompiledPlan`] before execution (see
-//! [`crate::plan`]): whole-row bursts run through the device's bulk row
-//! operations and pure hammer loops (`LOOP n { ACT; PRE; ... }`) through the
-//! bulk-hammer operation, in O(1) dispatches instead of O(columns) or O(n).
+//! grid. [`Engine::run`] executes a [`Program`] instruction by instruction,
+//! except that a loop whose body is only ACT–PRE pairs (`LOOP n { ACT; PRE;
+//! ... }`) runs through the device's bulk-hammer operation, in O(1)
+//! dispatches instead of O(n).
+//!
 //! The session operations [`crate::SoftMc`] issues (init row, read row,
-//! hammer, wait) call the step their macro-op runs directly, each as one
-//! program run, so they lower nothing and allocate nothing.
-//! [`Engine::run_interpreted`] keeps the per-instruction path alive as the
-//! equivalence oracle: both paths issue every logical command at the same
-//! slot, draw the same noise, tally the same [`CommandMix`], and fail at the
-//! same instruction, so their observable behaviour is bit-identical.
+//! hammer, wait) build no program: each calls one bulk step as one program
+//! run. A whole-row write or read moves the row through the device's bulk
+//! row operations in O(1) dispatches instead of O(columns), issuing every
+//! logical command at the slot the program's single commands reach, drawing
+//! the same noise, tallying the same [`CommandMix`] and failing at the same
+//! command, so each operation is bit-identical to running its program
+//! through [`Engine::run`].
 
 use crate::error::SoftMcError;
 use crate::inst::Instruction;
-use crate::plan::{hammer_pairs, CompiledPlan, PlanOp};
 use crate::program::{Op, Program};
 use hammervolt_dram::timing::{ColumnSlots, TimingParams, COMMAND_SLOT_NS};
 use hammervolt_dram::DramModule;
@@ -69,32 +70,6 @@ impl EngineScratch {
     }
 }
 
-/// Per-column write data for a row burst.
-enum WriteSource<'a> {
-    /// The same word into columns `0..columns`.
-    Uniform { columns: u32, word: u64 },
-    /// One word per column, column-major from 0.
-    Slice(&'a [u64]),
-}
-
-impl WriteSource<'_> {
-    #[inline]
-    fn columns(&self) -> u32 {
-        match self {
-            WriteSource::Uniform { columns, .. } => *columns,
-            WriteSource::Slice(data) => data.len() as u32,
-        }
-    }
-
-    #[inline]
-    fn word(&self, column: u32) -> u64 {
-        match self {
-            WriteSource::Uniform { word, .. } => *word,
-            WriteSource::Slice(data) => data[column as usize],
-        }
-    }
-}
-
 /// Executes programs against a device with timing enforcement.
 #[derive(Debug)]
 pub struct Engine<'d> {
@@ -134,66 +109,42 @@ impl<'d> Engine<'d> {
 
     /// Runs a program to completion, returning all data read.
     ///
-    /// The program is lowered to a [`CompiledPlan`] and executed through the
-    /// fast path; the result is bit-identical to [`Engine::run_interpreted`].
-    ///
     /// # Errors
     ///
-    /// Propagates device errors; the device clock reflects all commands
-    /// issued up to the failure point.
+    /// Propagates program and device errors; the device clock reflects all
+    /// commands issued up to the failure point.
     pub fn run(&mut self, program: &Program) -> Result<Vec<u64>, SoftMcError> {
-        let plan = CompiledPlan::compile(program);
-        let mut out = Vec::new();
-        self.as_program(|e| e.run_plan_ops(&plan.ops, &mut out))?;
-        Ok(out)
-    }
-
-    /// Runs a program through the per-instruction interpreter — the
-    /// reference semantics the compiled path must match bit-for-bit. Kept as
-    /// the oracle for the compiled-vs-interpreted equivalence suite.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors; the device clock reflects all commands
-    /// issued up to the failure point.
-    pub fn run_interpreted(&mut self, program: &Program) -> Result<Vec<u64>, SoftMcError> {
         let mut out = Vec::new();
         self.as_program(|e| e.run_ops(&program.ops, &mut out))?;
         Ok(out)
     }
 
     // ------------------------------------------------------------------
-    // Session operations: the step a study shape's macro-op runs, called
-    // directly as one program run, with no program to lower.
+    // Session operations: one bulk step, run as one program with no
+    // program built.
     // ------------------------------------------------------------------
 
-    /// `ACT; WR×columns; PRE` writing `word` to columns `0..columns`: a
-    /// [`PlanOp::InitRow`] program.
-    pub(crate) fn init_row(
-        &mut self,
-        bank: u32,
-        row: u32,
-        columns: u32,
-        word: u64,
-    ) -> Result<(), SoftMcError> {
-        self.as_program(|e| e.exec_write_burst(bank, row, WriteSource::Uniform { columns, word }))
+    /// The whole-row `ACT; WR×columns; PRE` of [`Program::init_row`],
+    /// writing `word` to every column.
+    pub(crate) fn init_row(&mut self, bank: u32, row: u32, word: u64) -> Result<(), SoftMcError> {
+        self.as_program(|e| e.write_burst(bank, row, word))
     }
 
-    /// `ACT; RD×columns; PRE`, the words read replacing `out`'s contents: a
-    /// [`PlanOp::ReadRow`] program.
+    /// The whole-row `ACT; RD×columns; PRE` of [`Program::read_row`], the
+    /// words read replacing `out`'s contents.
     pub(crate) fn read_row(
         &mut self,
         bank: u32,
         row: u32,
-        columns: u32,
         out: &mut Vec<u64>,
     ) -> Result<(), SoftMcError> {
         out.clear();
-        self.as_program(|e| e.exec_read_row(bank, row, columns, out))
+        self.as_program(|e| e.read_burst(bank, row, out))
     }
 
-    /// `count` passes over the (bank, row) ACT–PRE `pairs`: a
-    /// [`PlanOp::Hammer`] program.
+    /// `count` passes over the (bank, row) ACT–PRE `pairs`: the hammer loop
+    /// of [`Program::hammer_double_sided`] and
+    /// [`Program::hammer_single_sided`].
     pub(crate) fn hammer(&mut self, count: u64, pairs: &[(u32, u32)]) -> Result<(), SoftMcError> {
         self.as_program(|e| e.run_hammer_loop(count, pairs))
     }
@@ -241,44 +192,6 @@ impl<'d> Engine<'d> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Compiled path
-    // ------------------------------------------------------------------
-
-    fn run_plan_ops(&mut self, ops: &[PlanOp], out: &mut Vec<u64>) -> Result<(), SoftMcError> {
-        for op in ops {
-            match op {
-                PlanOp::InitRow {
-                    bank,
-                    row,
-                    columns,
-                    word,
-                } => self.exec_write_burst(
-                    *bank,
-                    *row,
-                    WriteSource::Uniform {
-                        columns: *columns,
-                        word: *word,
-                    },
-                )?,
-                PlanOp::WriteRun { bank, row, data } => {
-                    self.exec_write_burst(*bank, *row, WriteSource::Slice(data))?
-                }
-                PlanOp::ReadRow { bank, row, columns } => {
-                    self.exec_read_row(*bank, *row, *columns, out)?
-                }
-                PlanOp::Hammer { count, pairs } => self.run_hammer_loop(*count, pairs)?,
-                PlanOp::Inst(inst) => self.issue(*inst, out)?,
-                PlanOp::Loop { count, body } => {
-                    for _ in 0..*count {
-                        self.run_plan_ops(body, out)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The controller-side state of `bank`; a bank outside the geometry
     /// reads as closed and never precharged (the device rejects its
     /// commands).
@@ -287,113 +200,43 @@ impl<'d> Engine<'d> {
         self.banks.get(bank as usize).copied().unwrap_or_default()
     }
 
-    /// Issues the ACT opening a row burst: tallied and slotted exactly like
-    /// the interpreted ACT. Returns the ACT issue time.
-    fn burst_act(&mut self, bank: u32, row: u32) -> Result<f64, SoftMcError> {
-        self.mix.act += 1;
-        let track = self.track(bank);
-        let t_act = self.issue_slot(track.pre_at_ns + self.timing.t_rp_ns);
-        self.module.activate(bank, row)?;
-        if let Some(track) = self.banks.get_mut(bank as usize) {
-            track.act_at_ns = Some(t_act);
-        }
-        Ok(t_act)
-    }
-
-    /// Issues the PRE closing a row burst at `t_RAS` after `t_act`.
-    fn burst_pre(&mut self, bank: u32, t_act: f64) -> Result<(), SoftMcError> {
-        self.mix.pre += 1;
-        let t = self.issue_slot(t_act + self.timing.t_ras_ns);
-        self.module.precharge(bank, t - t_act)?;
-        if let Some(track) = self.banks.get_mut(bank as usize) {
-            track.act_at_ns = None;
-            track.pre_at_ns = t;
-        }
-        Ok(())
-    }
-
-    /// Executes `ACT; WR×columns; PRE` as one macro-op. Shapes the bulk
-    /// device path cannot express (zero columns, more columns than the
-    /// geometry has) fall back to synthesized per-instruction issue, which
-    /// reproduces interpreted semantics — including the failure point —
-    /// exactly.
-    fn exec_write_burst(
-        &mut self,
-        bank: u32,
-        row: u32,
-        source: WriteSource<'_>,
-    ) -> Result<(), SoftMcError> {
-        let columns = source.columns();
-        if columns == 0 || columns > self.module.geometry().columns_per_row {
-            // Writes read nothing, so the sink stays empty.
-            let none = &mut Vec::new();
-            self.issue(Instruction::Act { bank, row }, none)?;
-            for column in 0..columns {
-                self.issue(
-                    Instruction::Wr {
-                        bank,
-                        column,
-                        data: source.word(column),
-                    },
-                    none,
-                )?;
-            }
-            return self.issue(Instruction::Pre { bank }, none);
-        }
-        let t_act = self.burst_act(bank, row)?;
-        self.mix.wr += columns as u64;
+    /// Executes `ACT; WR×columns; PRE` over the whole row in one bulk fill.
+    fn write_burst(&mut self, bank: u32, row: u32, word: u64) -> Result<(), SoftMcError> {
+        let columns = self.module.geometry().columns_per_row;
+        // Writes read nothing, so the sink stays empty.
+        let none = &mut Vec::new();
+        self.issue(Instruction::Act { bank, row }, none)?;
+        let t_act = self.last_cmd_ns;
+        self.mix.wr += u64::from(columns);
         // All writes land in one bulk fill; only the final write's clock is
         // observable (it stamps the row's restore time), so the clock jumps
-        // straight to the last WR slot — the slot the interpreter's
-        // per-column `issue_slot` calls reach, bit for bit, in O(1) on the
-        // half-nanosecond grid.
+        // straight to the last WR slot — the slot the per-column
+        // `issue_slot` calls reach, bit for bit, in O(1) on the
+        // half-nanosecond grid. The geometry has at least one column.
         let t_last = ColumnSlots::new(t_act, t_act + self.timing.t_rcd_ns).slot(columns - 1);
         self.module.advance_to_ns(t_last);
         self.last_cmd_ns = t_last;
-        match source {
-            WriteSource::Uniform { word, .. } => self
-                .module
-                .fill_open_row(bank, columns, word)
-                .map_err(SoftMcError::from)?,
-            WriteSource::Slice(data) => self
-                .module
-                .write_open_row(bank, data)
-                .map_err(SoftMcError::from)?,
-        }
-        self.burst_pre(bank, t_act)
+        self.module.fill_open_row(bank, columns, word)?;
+        self.issue(Instruction::Pre { bank }, none)
     }
 
-    /// Executes `ACT; RD×columns; PRE` as one macro-op, appending the read
-    /// words to `out`. The device's bulk read takes each column's slot from
-    /// [`ColumnSlots`] — the values the interpreter's per-column
-    /// `issue_slot` calls reach, bit for bit — so every column sees the
-    /// identical effective `t_RCD`, and the clock is left at the final
-    /// read's slot.
-    fn exec_read_row(
-        &mut self,
-        bank: u32,
-        row: u32,
-        columns: u32,
-        out: &mut Vec<u64>,
-    ) -> Result<(), SoftMcError> {
-        if columns == 0 || columns > self.module.geometry().columns_per_row {
-            self.issue(Instruction::Act { bank, row }, out)?;
-            for column in 0..columns {
-                self.issue(Instruction::Rd { bank, column }, out)?;
-            }
-            return self.issue(Instruction::Pre { bank }, out);
-        }
-        let t_act = self.burst_act(bank, row)?;
-        self.mix.rd += columns as u64;
+    /// Executes `ACT; RD×columns; PRE` over the whole row, appending the
+    /// read words to `out`. The device's bulk read takes each column's slot
+    /// from [`ColumnSlots`] — the values the per-column `issue_slot` calls
+    /// reach, bit for bit — so every column sees the identical effective
+    /// `t_RCD`, and the clock is left at the final read's slot.
+    fn read_burst(&mut self, bank: u32, row: u32, out: &mut Vec<u64>) -> Result<(), SoftMcError> {
+        let columns = self.module.geometry().columns_per_row;
+        self.issue(Instruction::Act { bank, row }, out)?;
+        self.mix.rd += u64::from(columns);
         self.module
-            .read_open_row_into(bank, self.timing.t_rcd_ns, columns, out)
-            .map_err(SoftMcError::from)?;
+            .read_open_row_into(bank, self.timing.t_rcd_ns, columns, out)?;
         self.last_cmd_ns = self.module.now_ns();
-        self.burst_pre(bank, t_act)
+        self.issue(Instruction::Pre { bank }, out)
     }
 
     // ------------------------------------------------------------------
-    // Interpreted path (the equivalence oracle)
+    // Program execution
     // ------------------------------------------------------------------
 
     fn run_ops(&mut self, ops: &[Op], out: &mut Vec<u64>) -> Result<(), SoftMcError> {
@@ -511,6 +354,25 @@ impl<'d> Engine<'d> {
         }
         Ok(())
     }
+}
+
+/// Recognizes a loop body consisting purely of (ACT row, PRE) pairs, each on
+/// one bank — the hammer shape that runs as one bulk hammer per pair.
+fn hammer_pairs(body: &[Op]) -> Option<Vec<(u32, u32)>> {
+    if body.is_empty() || !body.len().is_multiple_of(2) {
+        return None;
+    }
+    let mut pairs = Vec::with_capacity(body.len() / 2);
+    for chunk in body.chunks(2) {
+        match (&chunk[0], &chunk[1]) {
+            (
+                Op::Inst(Instruction::Act { bank: ab, row }),
+                Op::Inst(Instruction::Pre { bank: pb }),
+            ) if ab == pb => pairs.push((*ab, *row)),
+            _ => return None,
+        }
+    }
+    Some(pairs)
 }
 
 #[cfg(test)]
@@ -688,47 +550,51 @@ mod tests {
     }
 
     #[test]
-    fn compiled_matches_interpreted_for_init_hammer_read() {
+    fn session_steps_match_programs_for_init_hammer_read() {
         // The bit-exact sweep lives in the testkit equivalence suite; this
-        // pins the core invariant next to the engine itself.
+        // pins the core invariant next to the engine itself: each session
+        // step gives what running its program gives.
         let cols = Geometry::small_test().columns_per_row;
         let timing = TimingParams::default();
-        let session = |interpret: bool| -> (Vec<u64>, f64, CommandMix) {
+        let (aa, five) = (0xAAAA_AAAA_AAAA_AAAA, 0x5555_5555_5555_5555);
+        let session = |steps: bool| -> (Vec<u64>, f64, Vec<CommandMix>) {
             let mut m = module();
             let mut s = EngineScratch::new();
             let mut e = Engine::new(&mut m, timing, &mut s);
-            let programs = [
-                Program::init_row(0, 100, cols, 0xAAAA_AAAA_AAAA_AAAA),
-                Program::init_row(0, 99, cols, 0x5555_5555_5555_5555),
-                Program::init_row(0, 101, cols, 0x5555_5555_5555_5555),
-                Program::hammer_double_sided(0, 99, 101, 60_000),
-                Program::read_row(0, 100, cols),
-            ];
             let mut last = Vec::new();
-            let mut mix = CommandMix::default();
-            for p in &programs {
-                last = if interpret {
-                    e.run_interpreted(p).unwrap()
-                } else {
-                    e.run(p).unwrap()
-                };
-                let m = e.command_mix();
-                mix.act += m.act;
-                mix.pre += m.pre;
-                mix.rd += m.rd;
-                mix.wr += m.wr;
+            let mut mixes = Vec::new();
+            if steps {
+                for (row, word) in [(100, aa), (99, five), (101, five)] {
+                    e.init_row(0, row, word).unwrap();
+                    mixes.push(e.command_mix());
+                }
+                e.hammer(60_000, &[(0, 99), (0, 101)]).unwrap();
+                mixes.push(e.command_mix());
+                e.read_row(0, 100, &mut last).unwrap();
+                mixes.push(e.command_mix());
+            } else {
+                for p in [
+                    Program::init_row(0, 100, cols, aa),
+                    Program::init_row(0, 99, cols, five),
+                    Program::init_row(0, 101, cols, five),
+                    Program::hammer_double_sided(0, 99, 101, 60_000),
+                    Program::read_row(0, 100, cols),
+                ] {
+                    last = e.run(&p).unwrap();
+                    mixes.push(e.command_mix());
+                }
             }
-            (last, m.now_ns(), mix)
+            (last, m.now_ns(), mixes)
         };
-        let (ri, ci, mi) = session(true);
-        let (rc, cc, mc) = session(false);
-        assert_eq!(ri, rc, "read words must be bit-identical");
+        let (rs, cs, ms) = session(true);
+        let (rp, cp, mp) = session(false);
+        assert_eq!(rs, rp, "read words must be bit-identical");
         assert_eq!(
-            ci.to_bits(),
-            cc.to_bits(),
+            cs.to_bits(),
+            cp.to_bits(),
             "final clock must be bit-identical"
         );
-        assert_eq!(mi, mc, "command mixes must agree");
+        assert_eq!(ms, mp, "command mixes must agree");
     }
 
     #[test]

@@ -207,12 +207,9 @@ impl SoftMc {
         Ok(report)
     }
 
-    /// Runs a program with the session's timing parameters.
-    ///
-    /// The program is compiled to a [`crate::CompiledPlan`] and executed
-    /// through the fast path (bit-identical to interpretation). The session
-    /// operations below run the same engine steps with no program to build
-    /// or compile.
+    /// Runs a program with the session's timing parameters through
+    /// [`Engine::run`]. The session operations below build no program: each
+    /// runs one bulk engine step, bit-identical to its program.
     ///
     /// # Errors
     ///
@@ -233,8 +230,7 @@ impl SoftMc {
     ///
     /// Propagates device errors.
     pub fn init_row(&mut self, bank: u32, row: u32, word: u64) -> Result<(), SoftMcError> {
-        let columns = self.module.geometry().columns_per_row;
-        self.engine().init_row(bank, row, columns, word)
+        self.engine().init_row(bank, row, word)
     }
 
     /// Reads a whole row into the session's readback buffer with the given
@@ -246,11 +242,9 @@ impl SoftMc {
         row: u32,
         timing: TimingParams,
     ) -> Result<(), SoftMcError> {
-        let columns = self.module.geometry().columns_per_row;
         Engine::new(&mut self.module, timing, &mut self.scratch).read_row(
             bank,
             row,
-            columns,
             &mut self.readback,
         )
     }

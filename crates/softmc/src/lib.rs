@@ -12,14 +12,10 @@
 //!
 //! - [`inst`] / [`program`] — the DDR4 instruction set and loop-structured
 //!   test programs (real SoftMC programs are exactly this shape),
-//! - [`plan`] — compiled program plans: programs lowered once into
-//!   loop-coalesced macro-ops (whole-row bursts, bulk hammers) that the
-//!   engine executes with closed-form slot timing,
-//! - [`engine`] — the command engine: executes compiled plans against a
+//! - [`engine`] — the command engine: executes programs against a
 //!   [`hammervolt_dram::DramModule`] with timing enforcement at the 1.5 ns
-//!   command-slot granularity, bit-identical to per-instruction
-//!   interpretation (kept as [`engine::Engine::run_interpreted`], the
-//!   equivalence oracle),
+//!   command-slot granularity, and runs each session operation as one bulk
+//!   step bit-identical to its program,
 //! - [`power`] — the external supply and the interposer shunt,
 //! - [`thermal`] — the PID temperature controller and heater-pad plant,
 //! - [`host`] — [`SoftMc`], the top-level session tying it all together.
@@ -45,7 +41,6 @@ pub mod engine;
 pub mod error;
 pub mod host;
 pub mod inst;
-pub mod plan;
 pub mod power;
 pub mod program;
 pub mod thermal;
@@ -54,5 +49,4 @@ pub use engine::{CommandMix, Engine, EngineScratch};
 pub use error::SoftMcError;
 pub use host::SoftMc;
 pub use inst::Instruction;
-pub use plan::{CompiledPlan, PlanOp};
 pub use program::Program;

@@ -6,7 +6,7 @@ use hammervolt_dram::registry::{self, ModuleId};
 use hammervolt_dram::timing::TimingParams;
 use hammervolt_softmc::power::{Interposer, PowerSupply};
 use hammervolt_softmc::program::{Op, Program};
-use hammervolt_softmc::{Instruction, SoftMc};
+use hammervolt_softmc::{Engine, EngineScratch, Instruction, SoftMc};
 use proptest::prelude::*;
 
 fn session() -> SoftMc {
@@ -37,15 +37,49 @@ proptest! {
     }
 
     #[test]
-    fn command_counts_match_execution(rows in prop::collection::vec(2u32..400, 1..6)) {
-        // Running init programs issues exactly the commands the static
-        // counter predicts (no hidden commands).
-        let mut mc = session();
-        let columns = mc.module().geometry().columns_per_row;
+    fn command_counts_match_execution(
+        rows in prop::collection::vec(2u32..400, 1..6),
+        hc in 0u64..5_000,
+        outer in 0u64..4,
+        inner in 0u64..4,
+    ) {
+        // Running a program issues exactly the commands the static counter
+        // predicts: no hidden commands, none skipped, and coalesced hammer
+        // loops counted per logical command.
+        let mut module =
+            DramModule::with_geometry(registry::spec(ModuleId::A3), 3, Geometry::small_test())
+                .unwrap();
+        let columns = module.geometry().columns_per_row;
+        let mut programs = Vec::new();
         for &row in &rows {
-            let p = Program::init_row(0, row, columns, 0xFF);
-            prop_assert_eq!(p.command_count(), columns as u64 + 2);
-            mc.run(&p).unwrap();
+            programs.push(Program::init_row(0, row, columns, 0xFF));
+            programs.push(Program::read_row(0, row, columns));
+        }
+        programs.push(Program::hammer_double_sided(0, rows[0], rows[0] + 2, hc));
+        let mut nested = Program::new();
+        nested.push_loop(
+            outer,
+            vec![
+                Op::Loop {
+                    count: inner,
+                    body: vec![
+                        Op::Inst(Instruction::Act { bank: 0, row: rows[0] }),
+                        Op::Inst(Instruction::Pre { bank: 0 }),
+                    ],
+                },
+                Op::Inst(Instruction::Wait { ns: 1.0 }),
+            ],
+        );
+        programs.push(nested);
+        let mut scratch = EngineScratch::new();
+        let mut engine = Engine::new(&mut module, TimingParams::default(), &mut scratch);
+        for p in &programs {
+            engine.run(p).unwrap();
+            let m = engine.command_mix();
+            prop_assert_eq!(
+                m.act + m.pre + m.rd + m.wr + m.refresh + m.wait,
+                p.command_count()
+            );
         }
     }
 

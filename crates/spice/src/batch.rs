@@ -37,8 +37,8 @@
 //!   only deterministic configuration/netlist errors propagate.
 //!
 //! The equivalence contract is enforced by `hammervolt-testkit`'s
-//! `mc_equivalence` suite, the same way the compiled-SoftMC-plan suites
-//! pin the compiled path to the interpreter.
+//! `mc_equivalence` suite, the same way its `equivalence` suite pins each
+//! SoftMC session operation to its program.
 //!
 //! [`monte_carlo_activation_serial`]: crate::dram_cell::monte_carlo_activation_serial
 

@@ -1,413 +1,113 @@
-//! Compiled-vs-interpreted equivalence: the plan compiler's fast path must
-//! be *observably identical* to per-instruction interpretation.
+//! Session-operation equivalence: each `SoftMc` session operation must be
+//! *observably identical* to running its program through [`Engine::run`].
 //!
-//! Every test runs the same program sequence through two freshly
-//! instantiated copies of the same module (same spec, seed, geometry — the
-//! per-cell physics are a pure function of the seed) — one through
-//! [`Engine::run`] (compile + macro-op execution, the default path) and one
-//! through [`Engine::run_interpreted`] (the reference per-instruction
-//! semantics) — and asserts that every observable agrees:
+//! The session operations (init row, both hammers, wait and the three row
+//! reads) build no program: each runs one bulk engine step — a whole-row
+//! fill, a whole-row read, a bulk hammer. Every test builds two `SoftMc`
+//! sessions the same way (same spec, seed, geometry, `V_PP`, temperature
+//! and on-die ECC; the per-cell physics are a pure function of the seed).
+//! One issues a list of session operations. The other runs each
+//! operation's `Program` through [`Engine::run`], the per-instruction
+//! reference, at that operation's timing. After every operation both must
+//! agree on:
 //!
-//! - the read-back words (exactly, bit for bit),
-//! - the final device clock (compared via `f64::to_bits`, so even an ulp of
-//!   drift in the slot recurrence fails),
-//! - the per-program [`CommandMix`] tally (coalesced macro-ops must count
-//!   logical commands),
-//! - the device's activation and ECC-correction counters,
-//! - error identity *and* the clock at the failure point for programs that
-//!   abort mid-run.
+//! - the words read (bit for bit), or the error's rendering;
+//! - the device clock (compared via `f64::to_bits`, so even an ulp of
+//!   drift in the slot recurrence fails);
+//! - the device's activation and ECC-correction counters;
+//! - the nonzero `softmc_*` and `dram_*` counters of each session's own
+//!   metric scope: the command mix, flips landed by cause, flip layers
+//!   dropped by writes, index builds, corrupt reads.
 //!
-//! The shapes cover every lowering case in `softmc::plan`: whole-row
-//! init/read bursts, uniform and non-uniform write runs, coalesced hammer
-//! loops, loops the coalescer must reject (odd trailing op), nested loops
-//! with Ref, out-of-sequence column programs that fall back to
-//! per-instruction issue, and mid-program failures. They also cover both
-//! ways a burst's column slots are computed — closed form on the
-//! half-nanosecond grid, the literal recurrence off it (an off-grid wait or
-//! `t_RCD`) — and every branch of the bulk read: a corrupt-prone prefix
-//! that ends mid-row, a never-written row, and rows behind on-die ECC.
-//! Finally they cover the device's pending flip layers, which both paths
-//! must overwrite and land alike: a partial write run and out-of-order
-//! single writes over a hammered row, layers stacked past the depth bound,
-//! and the first write to a hammered row behind on-die ECC.
+//! The cases cover both ways a burst's column slots are computed — closed
+//! form on the half-nanosecond grid, the literal recurrence off it (an
+//! off-grid wait or `t_RCD`) — and every branch of the bulk read: a
+//! corrupt-prone prefix that ends mid-row, a never-written row, and rows
+//! behind on-die ECC. They cover the device's pending flip layers, which a
+//! whole-row fill and the program's 1,024 single writes must overwrite and
+//! land alike: re-inits over pending flips, layers stacked past the depth
+//! bound, and the first write to a hammered row behind on-die ECC. And they
+//! cover failures: an out-of-range row or bank must fail with the same
+//! error at the same clock on both sessions, and leave both usable.
 //!
-//! The `SoftMc` session operations build no program: each calls its engine
-//! step directly. One test drives every one of them against the
-//! interpreter, operation by operation, and also compares the two
-//! sessions' scoped `softmc_*` and `dram_*` counters.
+//! Metrics are turned on once and never turned off in this binary: the
+//! tests run on parallel threads and the flag is process-wide.
 
 use hammervolt_dram::geometry::Geometry;
 use hammervolt_dram::module::DramModule;
 use hammervolt_dram::ondie_ecc::OnDieEcc;
 use hammervolt_dram::registry::{self, ModuleId};
 use hammervolt_dram::timing::TimingParams;
-use hammervolt_obs::scope::Scope;
+use hammervolt_obs::scope::{self, Scope};
 use hammervolt_softmc::host::CONSERVATIVE_T_RCD_NS;
-use hammervolt_softmc::program::Op;
-use hammervolt_softmc::{CommandMix, Engine, EngineScratch, Instruction, Program, SoftMc};
-
-/// Everything observable about one program execution.
-#[derive(Debug, PartialEq)]
-struct Outcome {
-    /// Read-back words on success, error rendering on failure.
-    result: Result<Vec<u64>, String>,
-    /// The engine's command tally for this program.
-    mix: CommandMix,
-    /// Device clock after the program (bits, so identity is exact).
-    clock_bits: u64,
-    /// Device activation counter after the program.
-    activations: u64,
-    /// Device ECC-correction counter after the program.
-    ecc_corrections: u64,
-}
-
-/// One step of a session: a program plus the timing to run it with (Alg. 2
-/// swaps `t_RCD` per probe read, so timing is per-program, like in
-/// `SoftMc`).
-struct Step {
-    program: Program,
-    timing: TimingParams,
-}
-
-impl Step {
-    fn nominal(program: Program) -> Self {
-        Step {
-            program,
-            timing: TimingParams::default(),
-        }
-    }
-
-    fn with_t_rcd(program: Program, t_rcd_ns: f64) -> Self {
-        Step {
-            program,
-            timing: TimingParams::default().with_t_rcd(t_rcd_ns),
-        }
-    }
-}
-
-fn fresh_module(id: ModuleId, seed: u64, vpp: Option<f64>, temp_c: Option<f64>) -> DramModule {
-    let mut m = DramModule::with_geometry(registry::spec(id), seed, Geometry::small_test())
-        .expect("module instantiates");
-    if let Some(v) = vpp {
-        m.set_vpp(v).expect("test V_PP within module range");
-    }
-    if let Some(t) = temp_c {
-        m.set_temperature_c(t);
-    }
-    m
-}
-
-/// Runs the whole session on one module, a fresh [`Engine`] per program
-/// (exactly how [`SoftMc`] drives it), capturing every observable.
-fn run_session(module: &mut DramModule, steps: &[Step], compiled: bool) -> Vec<Outcome> {
-    let mut scratch = EngineScratch::new();
-    steps
-        .iter()
-        .map(|step| {
-            let (result, mix) = {
-                let mut e = Engine::new(module, step.timing, &mut scratch);
-                let r = if compiled {
-                    e.run(&step.program)
-                } else {
-                    e.run_interpreted(&step.program)
-                };
-                (r.map_err(|err| err.to_string()), e.command_mix())
-            };
-            Outcome {
-                result,
-                mix,
-                clock_bits: module.now_ns().to_bits(),
-                activations: module.total_activations(),
-                ecc_corrections: module.ecc_corrections(),
-            }
-        })
-        .collect()
-}
-
-/// The oracle: identical module, identical steps, both execution paths —
-/// every observable must agree, program by program.
-fn assert_equivalent(
-    tag: &str,
-    id: ModuleId,
-    seed: u64,
-    vpp: Option<f64>,
-    temp_c: Option<f64>,
-    steps: &[Step],
-) {
-    assert_equivalent_on(tag, || fresh_module(id, seed, vpp, temp_c), steps);
-}
-
-/// [`assert_equivalent`] on two modules from `fresh`, for set-ups beyond
-/// `V_PP` and temperature (on-die ECC).
-fn assert_equivalent_on(tag: &str, fresh: impl Fn() -> DramModule, steps: &[Step]) {
-    let mut interpreted_module = fresh();
-    let mut compiled_module = fresh();
-    let interpreted = run_session(&mut interpreted_module, steps, false);
-    let compiled = run_session(&mut compiled_module, steps, true);
-    for (i, (int, comp)) in interpreted.iter().zip(&compiled).enumerate() {
-        assert_eq!(
-            int, comp,
-            "{tag}: program {i} diverged between interpreted and compiled"
-        );
-    }
-}
+use hammervolt_softmc::{Engine, EngineScratch, Program, SoftMc};
 
 const COLS: u32 = 1024; // Geometry::small_test().columns_per_row
 
-#[test]
-fn init_hammer_read_flips_are_identical() {
-    // The full Alg. 1 inner step at reduced V_PP: the hammer flips bits and
-    // the compiled read burst must report the exact same corrupted words.
-    // Aggressors are the victim's *physical* neighbors (the address mapping
-    // scrambles logical adjacency); the mapping is a pure function of the
-    // module spec, identical across instantiations.
-    let victim = 100;
-    let (below, above) = {
-        let m = fresh_module(ModuleId::B0, 3, None, None);
-        let (b, a) = m.mapping().physical_neighbors(victim);
-        (b.unwrap(), a.unwrap())
-    };
-    let steps = vec![
-        Step::nominal(Program::init_row(0, victim, COLS, 0xAAAA_AAAA_AAAA_AAAA)),
-        Step::nominal(Program::init_row(0, below, COLS, 0x5555_5555_5555_5555)),
-        Step::nominal(Program::init_row(0, above, COLS, 0x5555_5555_5555_5555)),
-        Step::nominal(Program::hammer_double_sided(0, below, above, 60_000)),
-        Step::nominal(Program::read_row(0, victim, COLS)),
-    ];
-    assert_equivalent("hammer", ModuleId::B0, 3, None, None, &steps);
-    // Sanity: the scenario actually flips (otherwise the test proves less
-    // than it claims).
-    let mut m = fresh_module(ModuleId::B0, 3, None, None);
-    let out = run_session(&mut m, &steps, true);
-    let words = out[4].result.as_ref().expect("read succeeds");
-    let flips: u32 = words
-        .iter()
-        .map(|w| (w ^ 0xAAAA_AAAA_AAAA_AAAAu64).count_ones())
-        .sum();
-    assert!(flips > 0, "B0 with 60k hammers must flip");
-}
-
-#[test]
-fn undersized_t_rcd_corruption_is_identical() {
-    // Alg. 2's probe read: a 3 ns t_RCD violates the requirement and the
-    // device corrupts reads probabilistically (hash-seeded, so both paths
-    // must make the identical per-bit draws).
-    let steps = vec![
-        Step::nominal(Program::init_row(0, 9, COLS, 0x0F0F_0F0F_0F0F_0F0F)),
-        Step::with_t_rcd(Program::read_row(0, 9, COLS), 3.0),
-        // And a clean conservative read right after, over the same state.
-        Step::with_t_rcd(Program::read_row(0, 9, COLS), 30.0),
-    ];
-    assert_equivalent("trcd", ModuleId::B0, 3, None, None, &steps);
-    let mut m = fresh_module(ModuleId::B0, 3, None, None);
-    let out = run_session(&mut m, &steps, true);
-    let corrupted = out[1].result.as_ref().expect("read succeeds");
-    let flips: u32 = corrupted
-        .iter()
-        .map(|w| (w ^ 0x0F0F_0F0F_0F0F_0F0Fu64).count_ones())
-        .sum();
-    assert!(flips > 0, "3 ns t_RCD must corrupt reads");
-}
-
-#[test]
-fn retention_window_is_identical() {
-    // Alg. 3's shape at 80 °C: init, idle 16.384 s with refresh disabled,
-    // read back. Retention decay depends on the elapsed clock, so the
-    // compiled wait/read must land on the identical instant.
-    let steps = vec![
-        Step::nominal(Program::init_row(0, 20, COLS, 0xAAAA_AAAA_AAAA_AAAA)),
-        Step::nominal(Program::wait(16.384e9)),
-        Step::with_t_rcd(Program::read_row(0, 20, COLS), 30.0),
-    ];
-    assert_equivalent("retention", ModuleId::C2, 3, None, Some(80.0), &steps);
-}
-
-#[test]
-fn single_sided_hammer_is_identical() {
-    let steps = vec![
-        Step::nominal(Program::init_row(0, 50, COLS, 0xFFFF_FFFF_FFFF_FFFF)),
-        Step::nominal(Program::hammer_single_sided(0, 51, 100_000)),
-        Step::nominal(Program::read_row(0, 50, COLS)),
-    ];
-    assert_equivalent("single-sided", ModuleId::B3, 7, Some(1.6), None, &steps);
-}
-
-#[test]
-fn odd_loop_body_executes_per_iteration_on_both_paths() {
-    // A trailing Wait makes the loop body ineligible for hammer coalescing;
-    // both paths must then execute it iteration by iteration, drawing one
-    // noise sample per ACT — byte-identical because *both* reject it via
-    // the shared `hammer_pairs` recognizer.
-    let mut hammer = Program::new();
-    hammer.push_loop(
-        2_000,
-        vec![
-            Op::Inst(Instruction::Act { bank: 0, row: 30 }),
-            Op::Inst(Instruction::Pre { bank: 0 }),
-            Op::Inst(Instruction::Act { bank: 0, row: 32 }),
-            Op::Inst(Instruction::Pre { bank: 0 }),
-            Op::Inst(Instruction::Wait { ns: 0.0 }),
-        ],
-    );
-    let steps = vec![
-        Step::nominal(Program::init_row(0, 31, COLS, 0xAAAA_AAAA_AAAA_AAAA)),
-        Step::nominal(hammer),
-        Step::nominal(Program::read_row(0, 31, COLS)),
-    ];
-    assert_equivalent("odd-loop", ModuleId::B3, 5, Some(1.6), None, &steps);
-}
-
-#[test]
-fn nested_loops_with_ref_are_identical() {
-    // Loops of loops with a Ref inside: nothing here coalesces, and the
-    // refresh resets retention bookkeeping — both paths must agree on the
-    // clock after every 350 ns tRFC hop.
-    let mut p = Program::new();
-    p.push_loop(
-        3,
-        vec![
-            Op::Loop {
-                count: 4,
-                body: vec![Op::Inst(Instruction::Ref)],
-            },
-            Op::Inst(Instruction::Wait { ns: 100.0 }),
-        ],
-    );
-    let steps = vec![
-        Step::nominal(Program::init_row(0, 11, COLS, 0x1234_5678_9ABC_DEF0)),
-        Step::nominal(p),
-        Step::nominal(Program::read_row(0, 11, COLS)),
-    ];
-    assert_equivalent("nested-ref", ModuleId::A0, 2, None, None, &steps);
-}
-
-#[test]
-fn non_uniform_write_run_is_identical() {
-    // Per-column distinct data lowers to a WriteRun (bulk slice copy) rather
-    // than an InitRow fill; the read-back must see every word where the
-    // sequential writes put it.
-    let mut wr = Program::new();
-    wr.push(Instruction::Act { bank: 0, row: 40 });
-    for column in 0..COLS {
-        wr.push(Instruction::Wr {
-            bank: 0,
-            column,
-            data: 0x0101_0101_0101_0101u64.wrapping_mul(u64::from(column) + 1),
-        });
-    }
-    wr.push(Instruction::Pre { bank: 0 });
-    let steps = vec![
-        Step::nominal(wr),
-        Step::nominal(Program::read_row(0, 40, COLS)),
-    ];
-    assert_equivalent("write-run", ModuleId::C0, 4, None, None, &steps);
-}
-
-#[test]
-fn out_of_sequence_columns_fall_back_identically() {
-    // Columns out of order defeat the burst recognizer; the compiled path
-    // must fall back to per-instruction issue and still match exactly.
-    let mut wr = Program::new();
-    wr.push(Instruction::Act { bank: 0, row: 8 });
-    for &column in &[2u32, 0, 1, 5] {
-        wr.push(Instruction::Wr {
-            bank: 0,
-            column,
-            data: 0xD00D_0000 + u64::from(column),
-        });
-    }
-    wr.push(Instruction::Pre { bank: 0 });
-    let mut rd = Program::new();
-    rd.push(Instruction::Act { bank: 0, row: 8 });
-    for &column in &[5u32, 2, 1, 0] {
-        rd.push(Instruction::Rd { bank: 0, column });
-    }
-    rd.push(Instruction::Pre { bank: 0 });
-    let steps = vec![Step::nominal(wr), Step::nominal(rd)];
-    assert_equivalent("out-of-sequence", ModuleId::A0, 6, None, None, &steps);
-}
-
-#[test]
-fn error_programs_fail_identically() {
-    // Mid-program failures: same error, same rendering, and the *same
-    // clock at the failure point* — the compiled path may not have raced
-    // ahead before noticing.
-    let mut rd_before_act = Program::new();
-    rd_before_act.push(Instruction::Rd { bank: 0, column: 0 });
-    let mut pre_without_open = Program::new();
-    pre_without_open.push(Instruction::Pre { bank: 0 });
-    let mut bad_bank = Program::new();
-    bad_bank.push(Instruction::Act { bank: 99, row: 0 });
-    // An init burst that dies on an out-of-range row: timing advances up to
-    // the ACT, then the device rejects it.
-    let bad_row_init = Program::init_row(0, 1_000_000, COLS, 0xAA);
-    let steps = vec![
-        Step::nominal(rd_before_act),
-        Step::nominal(pre_without_open),
-        Step::nominal(bad_bank),
-        Step::nominal(bad_row_init),
-        // The session must stay usable after failures, identically so.
-        Step::nominal(Program::init_row(0, 3, COLS, 0xBB)),
-        Step::nominal(Program::read_row(0, 3, COLS)),
-    ];
-    assert_equivalent("errors", ModuleId::A0, 1, None, None, &steps);
-}
-
-/// A `SoftMc` session operation on bank 0.
+/// A `SoftMc` session operation; the hammers, the wait and the timed reads
+/// work on bank 0.
 #[derive(Debug, Clone, Copy)]
 enum SessionOp {
-    Init { row: u32, word: u64 },
+    Init { bank: u32, row: u32, word: u64 },
     HammerDoubleSided { below: u32, above: u32, hc: u64 },
     HammerSingleSided { row: u32, hc: u64 },
     Wait { ns: f64 },
-    Read { row: u32 },
+    Read { bank: u32, row: u32 },
     ReadWithTRcd { row: u32, t_rcd_ns: f64 },
     ReadConservative { row: u32 },
+}
+
+use SessionOp::*;
+
+/// [`SessionOp::Init`] on bank 0.
+fn init(row: u32, word: u64) -> SessionOp {
+    Init { bank: 0, row, word }
+}
+
+/// [`SessionOp::Read`] on bank 0.
+fn read(row: u32) -> SessionOp {
+    Read { bank: 0, row }
 }
 
 impl SessionOp {
     /// Issues the operation on `mc`, returning the words it read (none for
     /// the operations that read nothing).
-    fn issue(self, mc: &mut SoftMc) -> Vec<u64> {
+    fn issue(self, mc: &mut SoftMc) -> Result<Vec<u64>, String> {
         let nothing = |()| Vec::new();
         match self {
-            SessionOp::Init { row, word } => mc.init_row(0, row, word).map(nothing),
-            SessionOp::HammerDoubleSided { below, above, hc } => {
+            Init { bank, row, word } => mc.init_row(bank, row, word).map(nothing),
+            HammerDoubleSided { below, above, hc } => {
                 mc.hammer_double_sided(0, below, above, hc).map(nothing)
             }
-            SessionOp::HammerSingleSided { row, hc } => {
-                mc.hammer_single_sided(0, row, hc).map(nothing)
-            }
-            SessionOp::Wait { ns } => mc.wait_ns(ns).map(nothing),
-            SessionOp::Read { row } => mc.read_row_scratch(0, row).map(<[u64]>::to_vec),
-            SessionOp::ReadWithTRcd { row, t_rcd_ns } => mc
+            HammerSingleSided { row, hc } => mc.hammer_single_sided(0, row, hc).map(nothing),
+            Wait { ns } => mc.wait_ns(ns).map(nothing),
+            Read { bank, row } => mc.read_row_scratch(bank, row).map(<[u64]>::to_vec),
+            ReadWithTRcd { row, t_rcd_ns } => mc
                 .read_row_with_t_rcd_scratch(0, row, t_rcd_ns)
                 .map(<[u64]>::to_vec),
-            SessionOp::ReadConservative { row } => mc
+            ReadConservative { row } => mc
                 .read_row_conservative_scratch(0, row)
                 .map(<[u64]>::to_vec),
         }
-        .unwrap()
+        .map_err(|e| e.to_string())
     }
 
-    /// The program and timing the interpreter runs in the operation's place.
+    /// The program and timing [`Engine::run`] runs in the operation's place.
     fn program(self) -> (Program, TimingParams) {
         let nominal = TimingParams::default();
         match self {
-            SessionOp::Init { row, word } => (Program::init_row(0, row, COLS, word), nominal),
-            SessionOp::HammerDoubleSided { below, above, hc } => {
+            Init { bank, row, word } => (Program::init_row(bank, row, COLS, word), nominal),
+            HammerDoubleSided { below, above, hc } => {
                 (Program::hammer_double_sided(0, below, above, hc), nominal)
             }
-            SessionOp::HammerSingleSided { row, hc } => {
-                (Program::hammer_single_sided(0, row, hc), nominal)
-            }
-            SessionOp::Wait { ns } => (Program::wait(ns), nominal),
-            SessionOp::Read { row } => (Program::read_row(0, row, COLS), nominal),
-            SessionOp::ReadWithTRcd { row, t_rcd_ns } => (
+            HammerSingleSided { row, hc } => (Program::hammer_single_sided(0, row, hc), nominal),
+            Wait { ns } => (Program::wait(ns), nominal),
+            Read { bank, row } => (Program::read_row(bank, row, COLS), nominal),
+            ReadWithTRcd { row, t_rcd_ns } => (
                 Program::read_row(0, row, COLS),
                 nominal.with_t_rcd(t_rcd_ns),
             ),
-            SessionOp::ReadConservative { row } => (
+            ReadConservative { row } => (
                 Program::read_row(0, row, COLS),
                 nominal.with_t_rcd(CONSERVATIVE_T_RCD_NS.max(nominal.t_rcd_ns)),
             ),
@@ -415,113 +115,111 @@ impl SessionOp {
     }
 }
 
-/// The `softmc_*` and `dram_*` counters that moved in `scope`.
-fn work_counters(scope: &Scope) -> Vec<(String, u64)> {
-    scope
-        .counters_snapshot()
-        .into_iter()
-        .filter(|(name, n)| *n > 0 && (name.starts_with("softmc_") || name.starts_with("dram_")))
-        .collect()
+/// Everything observable after one operation.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    /// Read-back words (none for operations that read nothing), or the
+    /// error's rendering.
+    result: Result<Vec<u64>, String>,
+    /// Device clock (bits, so identity is exact).
+    clock_bits: u64,
+    /// Device activation counter.
+    activations: u64,
+    /// Device ECC-correction counter.
+    ecc_corrections: u64,
+    /// The nonzero `softmc_*` and `dram_*` counters of the session's scope,
+    /// accumulated since its first operation.
+    counters: Vec<(String, u64)>,
 }
 
-#[test]
-fn session_operations_match_interpreted_programs() {
-    // Each SoftMc session operation calls its engine step directly, with
-    // no program built. A second session on the same module runs the
-    // equivalent program through the interpreter at the same timing. After
-    // every operation both must have read the same words, stand at the
-    // same clock, and have counted the same softmc_* and dram_* work, each
-    // session in a metric scope of its own.
-    let fresh = || {
-        SoftMc::new(
-            DramModule::with_geometry(registry::spec(ModuleId::B0), 3, Geometry::small_test())
-                .unwrap(),
-        )
-    };
-    let (mut fast, mut oracle) = (fresh(), fresh());
-    // B0's V_PPmin.
-    for mc in [&mut fast, &mut oracle] {
-        mc.set_vpp(2.0).unwrap();
+impl Outcome {
+    fn observe(mc: &SoftMc, result: Result<Vec<u64>, String>, scope: &Scope) -> Self {
+        let module = mc.module();
+        Outcome {
+            result,
+            clock_bits: module.now_ns().to_bits(),
+            activations: module.total_activations(),
+            ecc_corrections: module.ecc_corrections(),
+            counters: scope
+                .counters_snapshot()
+                .into_iter()
+                .filter(|(name, n)| {
+                    *n > 0 && (name.starts_with("softmc_") || name.starts_with("dram_"))
+                })
+                .collect(),
+        }
     }
-    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
-    let word = 0xAAAA_AAAA_AAAA_AAAAu64;
-    let ops = [
-        SessionOp::Init { row: victim, word },
-        SessionOp::Init {
-            row: below,
-            word: !word,
-        },
-        SessionOp::Init {
-            row: above,
-            word: !word,
-        },
-        SessionOp::HammerDoubleSided {
-            below,
-            above,
-            hc: 60_000,
-        },
-        SessionOp::Read { row: victim },
-        SessionOp::HammerSingleSided {
-            row: above,
-            hc: 30_000,
-        },
-        SessionOp::Wait { ns: 1e6 },
-        // Far under any module's requirement: the probe read corrupts.
-        SessionOp::ReadWithTRcd {
-            row: victim,
-            t_rcd_ns: 3.0,
-        },
-        SessionOp::ReadConservative { row: victim },
-    ];
 
+    /// The words an operation read.
+    fn words(&self) -> &[u64] {
+        self.result.as_ref().expect("operation succeeds")
+    }
+
+    /// A scope counter's value (0 when it never moved).
+    fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    }
+
+    fn clock(&self) -> f64 {
+        f64::from_bits(self.clock_bits)
+    }
+}
+
+/// A session over `id` at the small test geometry, brought up as
+/// [`SoftMc::new`] does.
+fn session(id: ModuleId, seed: u64) -> SoftMc {
+    SoftMc::new(
+        DramModule::with_geometry(registry::spec(id), seed, Geometry::small_test())
+            .expect("module instantiates"),
+    )
+}
+
+/// [`session`] with `V_PP` set through the supply.
+fn session_at(id: ModuleId, seed: u64, vpp: f64) -> SoftMc {
+    let mut mc = session(id, seed);
+    mc.set_vpp(vpp).expect("test V_PP within module range");
+    mc
+}
+
+/// [`session`] on B0, seed 3, behind on-die ECC.
+fn b0_with_ecc() -> SoftMc {
+    let mut mc = session(ModuleId::B0, 3);
+    mc.module_mut().set_ondie_ecc(OnDieEcc::Secded64);
+    mc
+}
+
+/// The oracle: two sessions from `fresh`, one issuing `ops`, the other
+/// running each operation's program through [`Engine::run`], each in a
+/// metric scope of its own. Every observable must agree after every
+/// operation. Returns the operations' outcomes.
+fn assert_equivalent(tag: &str, fresh: impl Fn() -> SoftMc, ops: &[SessionOp]) -> Vec<Outcome> {
     hammervolt_obs::set_metrics(true);
-    let fast_scope = Scope::new(&[("session", "operations")]);
-    let oracle_scope = Scope::new(&[("session", "interpreted")]);
+    let (mut ours, mut oracle) = (fresh(), fresh());
+    let our_scope = Scope::new(&[("session", tag), ("path", "operations")]);
+    let oracle_scope = Scope::new(&[("session", tag), ("path", "programs")]);
     let mut scratch = EngineScratch::new();
-    let mut reads = Vec::new();
-    for op in ops {
-        let fast_words = {
-            let _entered = hammervolt_obs::scope::enter(&fast_scope);
-            op.issue(&mut fast)
+    let mut outcomes = Vec::with_capacity(ops.len());
+    for (i, &op) in ops.iter().enumerate() {
+        let result = {
+            let _entered = scope::enter(&our_scope);
+            op.issue(&mut ours)
         };
-        let oracle_words = {
-            let _entered = hammervolt_obs::scope::enter(&oracle_scope);
+        let got = Outcome::observe(&ours, result, &our_scope);
+        let result = {
+            let _entered = scope::enter(&oracle_scope);
             let (program, timing) = op.program();
             Engine::new(oracle.module_mut(), timing, &mut scratch)
-                .run_interpreted(&program)
-                .unwrap()
+                .run(&program)
+                .map_err(|e| e.to_string())
         };
-        assert_eq!(fast_words, oracle_words, "{op:?}: words diverged");
-        assert_eq!(
-            fast.module().now_ns().to_bits(),
-            oracle.module().now_ns().to_bits(),
-            "{op:?}: session clocks diverged"
-        );
-        assert_eq!(
-            work_counters(&fast_scope),
-            work_counters(&oracle_scope),
-            "{op:?}: counters diverged"
-        );
-        reads.push(fast_words);
+        let want = Outcome::observe(&oracle, result, &oracle_scope);
+        assert_eq!(got, want, "{tag}: operation {i} ({op:?}) diverged");
+        outcomes.push(got);
     }
-    hammervolt_obs::set_metrics(false);
-
-    // The comparison must have teeth: the hammer flipped the victim, the
-    // undersized t_RCD corrupted the row the conservative read then got
-    // back, and every operation counted as one program.
-    let (hammered, probed, settled) = (&reads[4], &reads[7], &reads[8]);
-    assert!(
-        flipped_bits(hammered, word) > 0,
-        "B0 with 60k hammers at its V_PPmin must flip"
-    );
-    assert_ne!(probed, settled, "3 ns t_RCD must corrupt reads");
-    assert_eq!(
-        fast_scope.counter_value("softmc_programs"),
-        ops.len() as u64
-    );
-    for name in ["dram_flips_hammer", "dram_trcd_corrupt_reads"] {
-        assert!(fast_scope.counter_value(name) > 0, "{name} did not move");
-    }
+    outcomes
 }
 
 /// The sum of bit differences between `words` and `expected`.
@@ -529,11 +227,163 @@ fn flipped_bits(words: &[u64], expected: u64) -> u32 {
     words.iter().map(|w| (w ^ expected).count_ones()).sum()
 }
 
-/// A victim and its two physical neighbours on `id`'s bank 0.
+/// A victim and its two physical neighbours on `id`'s bank 0 (seed 3).
+/// The address mapping scrambles logical adjacency.
 fn victim_and_aggressors(id: ModuleId, victim: u32) -> (u32, u32, u32) {
-    let m = fresh_module(id, 3, None, None);
-    let (below, above) = m.mapping().physical_neighbors(victim);
+    let (below, above) = session(id, 3).module().mapping().physical_neighbors(victim);
     (victim, below.unwrap(), above.unwrap())
+}
+
+/// The inits and double-sided hammer that leave `victim` with flips
+/// pending.
+fn init_and_hammer(victim: u32, below: u32, above: u32) -> Vec<SessionOp> {
+    let word = 0xAAAA_AAAA_AAAA_AAAAu64;
+    vec![
+        init(victim, word),
+        init(below, !word),
+        init(above, !word),
+        HammerDoubleSided {
+            below,
+            above,
+            hc: 60_000,
+        },
+    ]
+}
+
+#[test]
+fn init_hammer_read_flips_are_identical() {
+    // The full Alg. 1 inner step: the hammer flips bits and the read burst
+    // must report the exact same corrupted words.
+    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
+    let mut ops = init_and_hammer(victim, below, above);
+    ops.push(read(victim));
+    let out = assert_equivalent("hammer", || session(ModuleId::B0, 3), &ops);
+    assert!(
+        flipped_bits(out[4].words(), 0xAAAA_AAAA_AAAA_AAAA) > 0,
+        "B0 with 60k hammers must flip"
+    );
+}
+
+#[test]
+fn undersized_t_rcd_corruption_is_identical() {
+    // Alg. 2's probe read: a 3 ns t_RCD violates the requirement and the
+    // device corrupts reads probabilistically (hash-seeded, so both paths
+    // must make the identical per-bit draws). A conservative read follows
+    // over the same state.
+    let word = 0x0F0F_0F0F_0F0F_0F0Fu64;
+    let ops = [
+        init(9, word),
+        ReadWithTRcd {
+            row: 9,
+            t_rcd_ns: 3.0,
+        },
+        ReadConservative { row: 9 },
+    ];
+    let out = assert_equivalent("trcd", || session(ModuleId::B0, 3), &ops);
+    assert!(
+        flipped_bits(out[1].words(), word) > 0,
+        "3 ns t_RCD must corrupt reads"
+    );
+}
+
+#[test]
+fn retention_window_is_identical() {
+    // Alg. 3's shape at 80 °C: init, idle 16.384 s with refresh disabled,
+    // read back. Retention decay depends on the elapsed clock, so the wait
+    // and the read must land on the identical instant.
+    let fresh = || {
+        let mut mc = session(ModuleId::C2, 3);
+        mc.set_temperature(80.0).expect("the loop settles");
+        mc
+    };
+    let ops = [
+        init(20, 0xAAAA_AAAA_AAAA_AAAA),
+        Wait { ns: 16.384e9 },
+        ReadConservative { row: 20 },
+    ];
+    assert_equivalent("retention", fresh, &ops);
+}
+
+#[test]
+fn single_sided_hammer_is_identical() {
+    let ops = [
+        init(50, 0xFFFF_FFFF_FFFF_FFFF),
+        HammerSingleSided {
+            row: 51,
+            hc: 100_000,
+        },
+        read(50),
+    ];
+    assert_equivalent("single-sided", || session_at(ModuleId::B3, 7, 1.6), &ops);
+}
+
+#[test]
+fn error_operations_fail_identically() {
+    // An init and a read on an out-of-range row and on an out-of-range
+    // bank: the same error, and the same clock at the failure point. Both
+    // sessions must stay usable afterwards, identically so.
+    let ops = [
+        init(1_000_000, 0xAA),
+        read(1_000_000),
+        Init {
+            bank: 99,
+            row: 0,
+            word: 0xAA,
+        },
+        Read { bank: 99, row: 0 },
+        init(3, 0xBB),
+        read(3),
+    ];
+    let out = assert_equivalent("errors", || session(ModuleId::A0, 1), &ops);
+    for (i, outcome) in out[..4].iter().enumerate() {
+        assert!(outcome.result.is_err(), "operation {i} must fail");
+    }
+    assert_eq!(out[3].counter("softmc_device_errors"), 4);
+    assert!(out[5].words().iter().all(|&w| w == 0xBB));
+}
+
+#[test]
+fn session_operations_match_interpreted_programs() {
+    // Every session operation once, on B0 at its V_PPmin (2.0 V).
+    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
+    let word = 0xAAAA_AAAA_AAAA_AAAAu64;
+    let mut ops = init_and_hammer(victim, below, above);
+    ops.extend([
+        read(victim),
+        HammerSingleSided {
+            row: above,
+            hc: 30_000,
+        },
+        Wait { ns: 1e6 },
+        // Far under any module's requirement: the probe read corrupts.
+        ReadWithTRcd {
+            row: victim,
+            t_rcd_ns: 3.0,
+        },
+        ReadConservative { row: victim },
+    ]);
+    let out = assert_equivalent("session", || session_at(ModuleId::B0, 3, 2.0), &ops);
+
+    // The comparison must have teeth: the hammer flipped the victim, the
+    // undersized t_RCD corrupted the row the conservative read then got
+    // back, and every operation counted as one program.
+    assert!(
+        flipped_bits(out[4].words(), word) > 0,
+        "B0 with 60k hammers at its V_PPmin must flip"
+    );
+    assert_ne!(
+        out[7].words(),
+        out[8].words(),
+        "3 ns t_RCD must corrupt reads"
+    );
+    let last = out.last().unwrap();
+    assert_eq!(last.counter("softmc_programs"), ops.len() as u64);
+    for name in ["dram_flips_hammer", "dram_trcd_corrupt_reads"] {
+        assert!(last.counter(name) > 0, "{name} did not move");
+    }
+    // Three init ACTs, 2 aggressors × 60k and 30k single-sided hammer ACTs
+    // (logical commands, not bulk calls), and one ACT per read burst.
+    assert_eq!(last.counter("softmc_act"), 3 + 120_000 + 30_000 + 3);
 }
 
 #[test]
@@ -545,24 +395,24 @@ fn off_grid_wait_then_init_hammer_read_is_identical() {
     // `first + 1.5 · k`: a closed form taken off the grid fails here.
     let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
     for wait_ns in [1_234.567, 111.111] {
-        let steps = vec![
-            Step::nominal(Program::wait(wait_ns)),
-            Step::nominal(Program::init_row(0, victim, COLS, 0xAAAA_AAAA_AAAA_AAAA)),
-            Step::nominal(Program::init_row(0, below, COLS, 0x5555_5555_5555_5555)),
-            Step::nominal(Program::init_row(0, above, COLS, 0x5555_5555_5555_5555)),
-            Step::nominal(Program::hammer_double_sided(0, below, above, 60_000)),
-            Step::nominal(Program::read_row(0, victim, COLS)),
-            Step::with_t_rcd(Program::read_row(0, victim, COLS), 3.0),
-        ];
+        let mut ops = vec![Wait { ns: wait_ns }];
+        ops.extend(init_and_hammer(victim, below, above));
+        ops.extend([
+            read(victim),
+            ReadWithTRcd {
+                row: victim,
+                t_rcd_ns: 3.0,
+            },
+        ]);
         let tag = format!("wait-{wait_ns}");
-        assert_equivalent(&tag, ModuleId::B0, 3, None, None, &steps);
-        let mut m = fresh_module(ModuleId::B0, 3, None, None);
-        let out = run_session(&mut m, &steps, true);
-        let clock = f64::from_bits(out[5].clock_bits);
-        assert_ne!((clock * 2.0).fract(), 0.0, "{tag}: the clock left the grid");
-        let words = out[5].result.as_ref().expect("read succeeds");
+        let out = assert_equivalent(&tag, || session(ModuleId::B0, 3), &ops);
+        assert_ne!(
+            (out[5].clock() * 2.0).fract(),
+            0.0,
+            "{tag}: the clock left the grid"
+        );
         assert!(
-            flipped_bits(words, 0xAAAA_AAAA_AAAA_AAAA) > 0,
+            flipped_bits(out[5].words(), 0xAAAA_AAAA_AAAA_AAAA) > 0,
             "{tag}: the hammer flips"
         );
     }
@@ -570,25 +420,22 @@ fn off_grid_wait_then_init_hammer_read_is_identical() {
 
 #[test]
 fn off_grid_t_rcd_read_is_identical() {
-    // Neither t_RCD is a multiple of 0.5 ns, so every burst takes the
+    // Neither t_RCD is a multiple of 0.5 ns, so every read burst takes the
     // literal recurrence. The first read starts near time zero; at 13.34 ns
     // its slots cross powers of two where stepping and `first + 1.5 · k`
     // round differently.
-    for t_rcd in [13.3, 13.34] {
-        let steps = vec![
-            Step::with_t_rcd(Program::read_row(0, 9, COLS), t_rcd),
-            Step::nominal(Program::init_row(0, 9, COLS, 0x0F0F_0F0F_0F0F_0F0F)),
-            Step::with_t_rcd(Program::read_row(0, 9, COLS), t_rcd),
-            Step::with_t_rcd(Program::init_row(0, 10, COLS, 0xF0F0_F0F0_F0F0_F0F0), t_rcd),
-            Step::with_t_rcd(Program::read_row(0, 10, COLS), t_rcd),
+    for t_rcd_ns in [13.3, 13.34] {
+        let ops = [
+            ReadWithTRcd { row: 9, t_rcd_ns },
+            init(9, 0x0F0F_0F0F_0F0F_0F0F),
+            ReadWithTRcd { row: 9, t_rcd_ns },
+            init(10, 0xF0F0_F0F0_F0F0_F0F0),
+            ReadWithTRcd { row: 10, t_rcd_ns },
         ];
         assert_equivalent(
-            &format!("t_rcd-{t_rcd}"),
-            ModuleId::B0,
-            3,
-            None,
-            None,
-            &steps,
+            &format!("t_rcd-{t_rcd_ns}"),
+            || session(ModuleId::B0, 3),
+            &ops,
         );
     }
 }
@@ -597,12 +444,15 @@ fn off_grid_t_rcd_read_is_identical() {
 fn never_written_row_read_is_identical() {
     // The ACT materializes the row's power-on content; both paths must
     // deliver it, corrupt-prone prefix included.
-    let steps = vec![
-        Step::with_t_rcd(Program::read_row(0, 77, COLS), 3.0),
-        Step::nominal(Program::read_row(0, 77, COLS)),
-        Step::nominal(Program::read_row(0, 78, COLS)),
+    let ops = [
+        ReadWithTRcd {
+            row: 77,
+            t_rcd_ns: 3.0,
+        },
+        read(77),
+        read(78),
     ];
-    assert_equivalent("never-written", ModuleId::C1, 8, None, None, &steps);
+    assert_equivalent("never-written", || session(ModuleId::C1, 8), &ops);
 }
 
 #[test]
@@ -610,23 +460,15 @@ fn hammered_row_read_under_on_die_ecc_is_identical() {
     // With on-die ECC every word is decoded against its check word, so the
     // bulk read delivers the row word by word and counts corrections.
     let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
-    let word = 0xAAAA_AAAA_AAAA_AAAAu64;
-    let steps = vec![
-        Step::nominal(Program::init_row(0, victim, COLS, word)),
-        Step::nominal(Program::init_row(0, below, COLS, !word)),
-        Step::nominal(Program::init_row(0, above, COLS, !word)),
-        Step::nominal(Program::hammer_double_sided(0, below, above, 60_000)),
-        Step::nominal(Program::read_row(0, victim, COLS)),
-        Step::with_t_rcd(Program::read_row(0, victim, COLS), 3.0),
-    ];
-    let fresh = || {
-        let mut m = fresh_module(ModuleId::B0, 3, None, None);
-        m.set_ondie_ecc(OnDieEcc::Secded64);
-        m
-    };
-    assert_equivalent_on("ondie-ecc", fresh, &steps);
-    let mut m = fresh();
-    let out = run_session(&mut m, &steps, true);
+    let mut ops = init_and_hammer(victim, below, above);
+    ops.extend([
+        read(victim),
+        ReadWithTRcd {
+            row: victim,
+            t_rcd_ns: 3.0,
+        },
+    ]);
+    let out = assert_equivalent("ondie-ecc", b0_with_ecc, &ops);
     assert!(
         out[4].ecc_corrections > 0,
         "on-die ECC corrects hammer flips"
@@ -640,99 +482,24 @@ fn t_rcd_just_under_the_requirement_corrupts_a_prefix_only() {
     // read reliably — the corrupt-prone prefix ends mid-row.
     let (row, word) = (9, 0x0F0F_0F0F_0F0F_0F0Fu64);
     let required = {
-        let mut m = fresh_module(ModuleId::B0, 3, None, None);
-        let vpp = m.vpp();
-        m.oracle_t_rcd_required(0, row, vpp)
+        let mut mc = session(ModuleId::B0, 3);
+        let vpp = mc.vpp();
+        mc.module_mut().oracle_t_rcd_required(0, row, vpp)
     };
-    let steps = vec![
-        Step::nominal(Program::init_row(0, row, COLS, word)),
-        Step::with_t_rcd(Program::read_row(0, row, COLS), required - 1.6),
+    let ops = [
+        init(row, word),
+        ReadWithTRcd {
+            row,
+            t_rcd_ns: required - 1.6,
+        },
     ];
-    assert_equivalent("prefix", ModuleId::B0, 3, None, None, &steps);
-    let mut m = fresh_module(ModuleId::B0, 3, None, None);
-    let out = run_session(&mut m, &steps, true);
-    let words = out[1].result.as_ref().expect("read succeeds");
+    let out = assert_equivalent("prefix", || session(ModuleId::B0, 3), &ops);
+    let words = out[1].words();
     assert_ne!(words[0], word, "the first column reads too early");
     assert_eq!(
         words[COLS as usize - 1],
         word,
         "the last column reads clean"
-    );
-}
-
-/// The init and double-sided hammer that leave `victim` with flips pending.
-fn init_and_hammer(victim: u32, below: u32, above: u32) -> Vec<Step> {
-    let word = 0xAAAA_AAAA_AAAA_AAAAu64;
-    vec![
-        Step::nominal(Program::init_row(0, victim, COLS, word)),
-        Step::nominal(Program::init_row(0, below, COLS, !word)),
-        Step::nominal(Program::init_row(0, above, COLS, !word)),
-        Step::nominal(Program::hammer_double_sided(0, below, above, 60_000)),
-    ]
-}
-
-#[test]
-fn partial_write_run_over_a_hammered_row_is_identical() {
-    // The write's ACT pushes the victim's hammer flips as a pending layer;
-    // the write run overwrites half the row, so the read lands the flips on
-    // the other half only. The bulk slice copy and the interpreter's single
-    // writes must overwrite the same words of the layer.
-    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
-    let half = COLS / 2;
-    let mut wr = Program::new();
-    wr.push(Instruction::Act {
-        bank: 0,
-        row: victim,
-    });
-    for column in 0..half {
-        wr.push(Instruction::Wr {
-            bank: 0,
-            column,
-            data: 0xAAAA_AAAA_AAAA_AAAA ^ u64::from(column % 7),
-        });
-    }
-    wr.push(Instruction::Pre { bank: 0 });
-    let mut steps = init_and_hammer(victim, below, above);
-    steps.push(Step::nominal(wr));
-    steps.push(Step::nominal(Program::read_row(0, victim, COLS)));
-    assert_equivalent("partial-write-run", ModuleId::B0, 3, None, None, &steps);
-    let mut m = fresh_module(ModuleId::B0, 3, None, None);
-    let out = run_session(&mut m, &steps, true);
-    let words = out[5].result.as_ref().expect("read succeeds");
-    assert!(
-        flipped_bits(&words[half as usize..], 0xAAAA_AAAA_AAAA_AAAA) > 0,
-        "the unwritten half keeps the hammer flips"
-    );
-}
-
-#[test]
-fn out_of_sequence_writes_over_a_hammered_row_are_identical() {
-    // Out-of-order columns fall back to single writes on the compiled path
-    // too; each overwrites its word in the pending layer.
-    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
-    let mut wr = Program::new();
-    wr.push(Instruction::Act {
-        bank: 0,
-        row: victim,
-    });
-    for &column in &[700u32, 2, 0, 1, 5, 1023] {
-        wr.push(Instruction::Wr {
-            bank: 0,
-            column,
-            data: 0xAAAA_AAAA_AAAA_AAAA,
-        });
-    }
-    wr.push(Instruction::Pre { bank: 0 });
-    let mut steps = init_and_hammer(victim, below, above);
-    steps.push(Step::nominal(wr));
-    steps.push(Step::nominal(Program::read_row(0, victim, COLS)));
-    assert_equivalent(
-        "out-of-sequence-hammered",
-        ModuleId::B0,
-        3,
-        None,
-        None,
-        &steps,
     );
 }
 
@@ -743,20 +510,19 @@ fn stacked_pending_layers_land_identically() {
     // access between, outgrow the row's depth bound before the read lands
     // the rest.
     let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
-    let mut steps = init_and_hammer(victim, below, above);
+    let mut ops = init_and_hammer(victim, below, above);
     for _ in 0..6 {
-        steps.push(Step::nominal(Program::hammer_single_sided(0, victim, 1)));
-        steps.push(Step::nominal(Program::hammer_double_sided(
-            0, below, above, 30_000,
-        )));
+        ops.push(HammerSingleSided { row: victim, hc: 1 });
+        ops.push(HammerDoubleSided {
+            below,
+            above,
+            hc: 30_000,
+        });
     }
-    steps.push(Step::nominal(Program::read_row(0, victim, COLS)));
-    assert_equivalent("stacked-layers", ModuleId::B0, 3, None, None, &steps);
-    let mut m = fresh_module(ModuleId::B0, 3, None, None);
-    let out = run_session(&mut m, &steps, true);
-    let words = out.last().unwrap().result.as_ref().expect("read succeeds");
+    ops.push(read(victim));
+    let out = assert_equivalent("stacked-layers", || session(ModuleId::B0, 3), &ops);
     assert!(
-        flipped_bits(words, 0xAAAA_AAAA_AAAA_AAAA) > 0,
+        flipped_bits(out.last().unwrap().words(), 0xAAAA_AAAA_AAAA_AAAA) > 0,
         "the stacked layers flip"
     );
 }
@@ -764,33 +530,77 @@ fn stacked_pending_layers_land_identically() {
 #[test]
 fn first_write_to_a_hammered_unwritten_row_under_on_die_ecc_is_identical() {
     // The victim is tracked by a read of its power-on content but never
-    // written, so the partial fill below is its first write: the code's
-    // reference copies the array then, and must see the hammer flips the
-    // fill's ACT drew. Both paths land them before the copy.
+    // written, so the fill below is its first write: the code's reference
+    // copies the array then, and must see the hammer flips the fill's ACT
+    // drew. Both paths land them before the copy.
     let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
-    let prefix = 256;
-    let steps = vec![
-        Step::nominal(Program::read_row(0, victim, COLS)),
-        Step::nominal(Program::init_row(0, below, COLS, !0)),
-        Step::nominal(Program::init_row(0, above, COLS, !0)),
-        Step::nominal(Program::hammer_double_sided(0, below, above, 60_000)),
-        Step::nominal(Program::init_row(0, victim, prefix, 0)),
-        Step::nominal(Program::read_row(0, victim, COLS)),
+    let ops = [
+        read(victim),
+        init(below, !0),
+        init(above, !0),
+        HammerDoubleSided {
+            below,
+            above,
+            hc: 60_000,
+        },
+        init(victim, 0),
+        read(victim),
     ];
-    let fresh = || {
-        let mut m = fresh_module(ModuleId::B0, 3, None, None);
-        m.set_ondie_ecc(OnDieEcc::Secded64);
-        m
+    let out = assert_equivalent("ondie-ecc-first-write", b0_with_ecc, &ops);
+    assert_eq!(
+        out[3].counter("dram_flips_hammer"),
+        0,
+        "no hammer flip lands before the fill"
+    );
+    assert!(
+        out[4].counter("dram_flips_hammer") > 0,
+        "the fill lands the hammer flips before the reference copy"
+    );
+}
+
+#[test]
+fn reinits_over_pending_flips_match_programs() {
+    // Re-initialising rows with pending flips: the whole-row fill and the
+    // program's 1,024 single writes must drop the same layers. Two 300k
+    // hammers and a 4 s wait at 80 °C then give both reads flips to land.
+    let (victim, below, above) = victim_and_aggressors(ModuleId::B0, 100);
+    let word = 0xAAAA_AAAA_AAAA_AAAAu64;
+    let hammer = HammerDoubleSided {
+        below,
+        above,
+        hc: 300_000,
     };
-    assert_equivalent_on("ondie-ecc-first-write", fresh, &steps);
-    let mut m = fresh();
-    let out = run_session(&mut m, &steps, true);
-    let power_on = out[0].result.as_ref().expect("read succeeds");
-    let after = out[5].result.as_ref().expect("read succeeds");
-    let flipped: u32 = power_on[prefix as usize..]
-        .iter()
-        .zip(&after[prefix as usize..])
-        .map(|(a, b)| (a ^ b).count_ones())
-        .sum();
-    assert!(flipped > 0, "the unwritten columns keep the hammer flips");
+    let mut ops = init_and_hammer(victim, below, above);
+    let setup = ops.len();
+    ops.extend([
+        init(below, !word),
+        init(above, !word),
+        hammer,
+        init(victim, word),
+        init(below, !word),
+        hammer,
+        Wait { ns: 4e9 },
+        read(victim),
+        read(below),
+    ]);
+    let fresh = || {
+        let mut mc = session(ModuleId::B0, 3);
+        mc.set_temperature(80.0).expect("the loop settles");
+        mc
+    };
+    let out = assert_equivalent("reinit", fresh, &ops);
+    // The comparison must have teeth: the re-inits dropped layers and the
+    // reads built indexes and landed hammer and retention flips.
+    let (before, after) = (&out[setup - 1], out.last().unwrap());
+    for name in [
+        "dram_flip_layers_dropped",
+        "dram_index_builds",
+        "dram_flips_hammer",
+        "dram_flips_retention",
+    ] {
+        assert!(
+            after.counter(name) > before.counter(name),
+            "{name} did not move over the re-inits"
+        );
+    }
 }

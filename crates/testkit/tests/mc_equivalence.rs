@@ -1,7 +1,7 @@
 //! Serial-vs-batched Monte-Carlo equivalence: the shared-structure parallel
 //! runner must be *bit-identical* to the serial reference, for any worker
-//! count — the same contract the compiled-vs-interpreted suites enforce for
-//! SoftMC plans.
+//! count — the same contract the `equivalence` suite enforces between each
+//! SoftMC session operation and its program.
 //!
 //! Every test runs the same `(params, vpp, MonteCarlo)` study through
 //! [`monte_carlo_activation_serial`] (fresh circuit, layout, and transient
